@@ -6,9 +6,10 @@ correctness and output sensitivity.
 """
 
 from .core import (ColArray, ColorRemap, ColoredPoint, CostMeter,
-                   DuplicateCoordinate, DuplicateX, InvalidRange, NotFound,
-                   Range, compute_prev, make_range, normalize_input,
-                   oracle_k_leftmost, oracle_k_rightmost, oracle_report)
+                   DuplicateCoordinate, DuplicateX, InvalidColor,
+                   InvalidRange, NotFound, Range, compute_prev, make_range,
+                   normalize_input, oracle_k_leftmost, oracle_k_rightmost,
+                   oracle_report)
 from .dynamic_index import DynamicIndex
 from .em_index import BlockStore, EmIndex
 from .pst import ColorPst, Pst
@@ -19,7 +20,8 @@ from .wbtree import WbTree
 
 __all__ = [
     "ColArray", "ColorRemap", "ColoredPoint", "CostMeter",
-    "DuplicateCoordinate", "DuplicateX", "InvalidRange", "NotFound", "Range",
+    "DuplicateCoordinate", "DuplicateX", "InvalidColor", "InvalidRange",
+    "NotFound", "Range",
     "compute_prev", "make_range", "normalize_input", "oracle_k_leftmost",
     "oracle_k_rightmost", "oracle_report",
     "BlockStore", "ColorPst", "DynamicIndex", "EmIndex", "Pst", "SlowIndex",

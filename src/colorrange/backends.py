@@ -1,15 +1,8 @@
-"""Pluggable one-dimensional locate backends.
+"""Sorted one-dimensional locator shared by the indexes.
 
 Every index needs the same tiny service: given integer keys, find one element
-of [a, b] (one-reporting), or a successor/predecessor. Two interchangeable
-implementations are provided:
-
-- SortedArrayLocator: a sorted list with bisect; the default everywhere.
-- BitTrieLocator: a bitwise trie with per-node subtree min/max, the practical
-  stand-in for the constant-time one-reporting structures the asymptotics
-  assume. O(word) per operation, no rebalancing.
-
-Both support the same protocol and are cross-checked in the test suite.
+of [a, b] (one-reporting), or a successor/predecessor. SortedArrayLocator
+provides it with a sorted list and bisect.
 """
 
 from __future__ import annotations
@@ -59,131 +52,3 @@ class SortedArrayLocator:
         lo = bisect.bisect_left(self.keys, a)
         hi = bisect.bisect_right(self.keys, b)
         return iter(self.keys[lo:hi])
-
-
-class BitTrieLocator:
-    """Binary trie over fixed-width keys; each node tracks subtree min/max."""
-
-    def __init__(self, keys: Iterable[int] = (), bits: int = 48):
-        self.bits = bits
-        # levels[d]: prefix (d high bits) -> [min, max]
-        self.levels: list[dict] = [dict() for _ in range(bits + 1)]
-        self.count = 0
-        for k in keys:
-            self.insert(k)
-
-    def __len__(self):
-        return self.count
-
-    def __contains__(self, x: int) -> bool:
-        return x in self.levels[self.bits]
-
-    def insert(self, x: int) -> None:
-        if x < 0 or x >> self.bits:
-            raise ValueError(f"key {x} out of {self.bits}-bit universe")
-        if x in self.levels[self.bits]:
-            raise DuplicateX(x)
-        for d in range(self.bits + 1):
-            p = x >> (self.bits - d)
-            node = self.levels[d].get(p)
-            if node is None:
-                self.levels[d][p] = [x, x]
-            else:
-                if x < node[0]:
-                    node[0] = x
-                if x > node[1]:
-                    node[1] = x
-        self.count += 1
-
-    def delete(self, x: int) -> None:
-        if x not in self.levels[self.bits]:
-            raise NotFound(x)
-        del self.levels[self.bits][x]
-        for d in range(self.bits - 1, -1, -1):
-            p = x >> (self.bits - d)
-            lo, hi = self.levels[d + 1].get(p << 1), self.levels[d + 1].get((p << 1) | 1)
-            if lo is None and hi is None:
-                del self.levels[d][p]
-            else:
-                node = self.levels[d][p]
-                node[0] = lo[0] if lo is not None else hi[0]
-                node[1] = hi[1] if hi is not None else lo[1]
-        self.count -= 1
-
-    def succ(self, x: int) -> Optional[int]:
-        if self.count == 0:
-            return None
-        root = self.levels[0][0]
-        if x <= root[0]:
-            return root[0]
-        if x > root[1]:
-            return None
-        best = None
-        p = 0
-        for d in range(self.bits):
-            bit = (x >> (self.bits - 1 - d)) & 1
-            left, right = p << 1, (p << 1) | 1
-            nxt = self.levels[d + 1]
-            if bit == 0:
-                r = nxt.get(right)
-                if r is not None:
-                    best = r[0] if best is None else min(best, r[0])
-                l = nxt.get(left)
-                if l is not None and l[1] >= x:
-                    p = left
-                    continue
-                return best
-            else:
-                r = nxt.get(right)
-                if r is not None and r[1] >= x:
-                    p = right
-                    continue
-                return best
-        return p  # full descent: the key x itself is present
-
-    def pred(self, x: int) -> Optional[int]:
-        if self.count == 0:
-            return None
-        root = self.levels[0][0]
-        if x >= root[1]:
-            return root[1]
-        if x < root[0]:
-            return None
-        best = None
-        p = 0
-        for d in range(self.bits):
-            bit = (x >> (self.bits - 1 - d)) & 1
-            left, right = p << 1, (p << 1) | 1
-            nxt = self.levels[d + 1]
-            if bit == 1:
-                l = nxt.get(left)
-                if l is not None:
-                    best = l[1] if best is None else max(best, l[1])
-                r = nxt.get(right)
-                if r is not None and r[0] <= x:
-                    p = right
-                    continue
-                return best
-            else:
-                l = nxt.get(left)
-                if l is not None and l[0] <= x:
-                    p = left
-                    continue
-                return best
-        return p
-
-    def any_in(self, a: int, b: int) -> Optional[int]:
-        s = self.succ(a)
-        return s if s is not None and s <= b else None
-
-    def iter_range(self, a: int, b: int):
-        x = self.succ(a)
-        while x is not None and x <= b:
-            yield x
-            x = self.succ(x + 1)
-
-
-BACKENDS = {
-    "sorted": SortedArrayLocator,
-    "bittrie": BitTrieLocator,
-}

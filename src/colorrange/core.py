@@ -34,6 +34,14 @@ class InvalidRange(ValueError):
     """Raised when a query range has a > b."""
 
 
+class InvalidColor(ValueError):
+    """A negative color id: ids index color arrays, where -1 aliases the last."""
+
+    def __init__(self, color):
+        super().__init__(f"negative color {color}")
+        self.color = color
+
+
 class DuplicateX(ValueError):
     """Insertion of an x already present in a structure."""
 

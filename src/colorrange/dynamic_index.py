@@ -23,11 +23,10 @@ rescanned); a global rebuild recomputes everything.
 
 from __future__ import annotations
 
-import bisect
 import math
 from typing import Iterable
 
-from .core import (ColArray, ColoredPoint, DuplicateX, InvalidRange, NotFound,
+from .core import (ColArray, ColoredPoint, InvalidRange, NotFound,
                    PREV_SENTINEL)
 from .pst import ColorPst
 from .slow_index import SlowIndex
@@ -39,17 +38,16 @@ _INF = 1 << 62
 
 class DynamicIndex:
     def __init__(self, points: Iterable[ColoredPoint] = ()):
-        pts = sorted(points)
-        self.colors: dict = {}
-        self.by_color: dict = {}
-        for v, c in pts:
-            if v in self.colors:
-                raise DuplicateX(v)
-            self.colors[v] = c
-            self.by_color.setdefault(c, []).append(v)
-        self.ncolors = 1 + max(self.colors.values(), default=-1)
+        self.slow = SlowIndex(points)
+        # the slow tree's value -> color map and per-color sorted value lists
+        # are the only copy; the slow index keeps them up to date
+        fwd = self.slow.fwd
+        self.colors: dict = fwd.colors
+        self.by_color: dict = fwd.by_color
+        self._prev = fwd.prev_of
+        self._next = fwd.next_of  # None past the color's last element
+        self.ncolors = 1 + max(self.by_color, default=-1)
         self._col = ColArray(self.ncolors)
-        self.slow = SlowIndex(pts)
         self.tree = WbTree(self.colors)
         self.last_fallback_cap = None  # set per query when a cap fires
         self._attach_all()
@@ -83,17 +81,7 @@ class DynamicIndex:
     def _leaf_pst(self, leaf) -> ColorPst:
         return ColorPst((v, self._prev(v), self.colors[v]) for v in leaf.values)
 
-    # -- prev/next and exact tags ----------------------------------------------
-
-    def _prev(self, value) -> int:
-        lst = self.by_color[self.colors[value]]
-        i = bisect.bisect_left(lst, value)
-        return lst[i - 1] if i > 0 else PREV_SENTINEL
-
-    def _next(self, value) -> int:
-        lst = self.by_color[self.colors[value]]
-        i = bisect.bisect_right(lst, value)
-        return lst[i] if i < len(lst) else _INF
+    # -- exact tags --------------------------------------------------------------
 
     def _tag_min(self, value) -> int:
         """Height of the highest ancestor whose live min exceeds prev(value)."""
@@ -110,6 +98,8 @@ class DynamicIndex:
 
     def _tag_max(self, value) -> int:
         nxt = self._next(value)
+        if nxt is None:
+            nxt = _INF
         node = self.tree.leaf_for(value)
         if node.submax is None or node.submax >= nxt:
             return -1
@@ -154,15 +144,13 @@ class DynamicIndex:
         return len(self.colors)
 
     def insert(self, value: int, color: int) -> None:
-        if value in self.colors:
-            raise DuplicateX(value)
+        # the slow index validates the point, then adds it to the shared
+        # color maps, so a rebuild's _attach_all already sees it
+        self.slow.insert(value, color)
         ev = self.tree.insert(value)
-        self.colors[value] = color
-        bisect.insort(self.by_color.setdefault(color, []), value)
         if color >= self.ncolors:
             self.ncolors = color + 1
             self._col.grow(self.ncolors)
-        self.slow.insert(value, color)
         if ev["rebuilt"]:
             self._attach_all()
             return
@@ -179,7 +167,7 @@ class DynamicIndex:
                 rebuilt_leaves.add(id(right))
         if not rebuilt_leaves:
             self.tree.leaf_for(value).dstruct.insert(value, e_p, color)
-        if e_n != _INF:
+        if e_n is not None:
             # prev(e_n) changed from e_p to value
             nleaf = self.tree.leaf_for(e_n)
             if id(nleaf) not in rebuilt_leaves:
@@ -193,7 +181,7 @@ class DynamicIndex:
         self.hmax[value] = h
         if h >= 0:
             self.stripe_max.insert(value, h + 1)
-        if e_n != _INF:
+        if e_n is not None:
             self._retag_min(e_n)
         if e_p != PREV_SENTINEL:
             self._retag_max(e_p)
@@ -208,13 +196,8 @@ class DynamicIndex:
         e_p = self._prev(value)
         e_n = self._next(value)
         old_leaf = self.tree.leaf_for(value)
-        ev = self.tree.delete(value)
-        del self.colors[value]
-        lst = self.by_color[color]
-        lst.remove(value)
-        if not lst:
-            del self.by_color[color]
         self.slow.delete(value)
+        ev = self.tree.delete(value)
         if ev["rebuilt"]:
             self.hmin.pop(value)
             self.hmax.pop(value)
@@ -222,7 +205,7 @@ class DynamicIndex:
             return
         self._drop_tags(value)
         old_leaf.dstruct.delete(value)
-        if e_n != _INF:
+        if e_n is not None:
             nleaf = self.tree.leaf_for(e_n)
             nleaf.dstruct.update_prev(e_n, value, e_p, color)
             self._retag_min(e_n)
@@ -236,8 +219,9 @@ class DynamicIndex:
         whose prev crossed the new boundary, hmax symmetrically in the left
         half, and (for a root split) the extremes of the whole tree. Below the
         loglog level both halves are rescanned outright; above it, only the
-        color extremes of the affected nodes are refreshed, fetched with the
-        slow index's k-leftmost/k-rightmost selection.
+        color extremes of the affected nodes are refreshed: the leftmost
+        element per color from the slow index's k-leftmost selection, the
+        rightmost from its k-rightmost selection on the same tree.
         """
         if height <= self.tree.loglog:
             for node in (left, right):

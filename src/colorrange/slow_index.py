@@ -20,7 +20,10 @@ emissions with prev >= a leaves exactly the leftmost in-range element per
 distinct color.
 
 k-leftmost color selection binary-searches the right boundary using capped
-counting queries, then reports the reduced range.
+counting queries, then reports the reduced range. k-rightmost selection is its
+mirror image on the same tree: it binary-searches the left boundary, reports
+the reduced range, and moves each reported color to its rightmost element
+with one predecessor lookup in that color's sorted value list.
 """
 
 from __future__ import annotations
@@ -29,10 +32,9 @@ import bisect
 import math
 from typing import Iterable, Optional
 
-from .core import ColArray, DuplicateX, NotFound, PREV_SENTINEL
+from .core import ColArray, DuplicateX, InvalidColor, NotFound, PREV_SENTINEL
 
 LEAF_CUTOFF = 4
-MIRROR_BASE = 1 << 62
 
 
 class _Node:
@@ -77,6 +79,9 @@ class SlowTree:
         items = sorted(items)
         self.vals: list = [v for v, _ in items]
         self.colors: dict = {v: c for v, c in items}
+        if len(self.colors) < len(self.vals):
+            raise DuplicateX(next(v for v, w in zip(self.vals, self.vals[1:])
+                                  if v == w))
         self.by_color: dict = {}
         for v, c in items:
             self.by_color.setdefault(c, []).append(v)
@@ -429,6 +434,31 @@ class SlowTree:
         hits = sorted((v, c) for v, c, p in ems if p < a)
         return hits[:k]
 
+    def k_rightmost(self, a, b, k, meter=None) -> list:
+        """The k rightmost distinct colors of [a, b], as (value, color) pairs
+        ordered by last occurrence, rightmost first."""
+        if k <= 0 or a > b:
+            return []
+        if self.count_capped(a, b, k) < k:
+            aprime = a
+        else:
+            lo, hi = a, b
+            while lo < hi:
+                mid = (lo + hi + 1) // 2
+                if self.count_capped(mid, b, k) >= k:
+                    lo = mid
+                else:
+                    hi = mid - 1
+            aprime = lo
+        ems, _ = self.query(aprime, b, meter=meter)
+        hits = []
+        for _, c, p in ems:
+            if p < aprime:
+                lst = self.by_color[c]
+                hits.append((lst[bisect.bisect_right(lst, b) - 1], c))
+        hits.sort(reverse=True)
+        return hits[:k]
+
     # -- invariant checks ------------------------------------------------------
 
     def check_consistency(self) -> None:
@@ -475,25 +505,28 @@ class SlowTree:
 
 
 class SlowIndex:
-    """Public facade: forward tree plus a mirrored twin for rightmost queries."""
+    """Public facade over one SlowTree: color reporting plus k-leftmost and
+    k-rightmost color selection, all answered by the same tree."""
 
     def __init__(self, points: Iterable[tuple] = ()):
         pts = list(points)
-        self.fwd = SlowTree((v, c) for v, c in pts)
-        self.rev = SlowTree((MIRROR_BASE - v, c) for v, c in pts)
-        self._col = ColArray(1 + max((c for _, c in pts), default=-1))
+        for _, c in pts:
+            if c < 0:
+                raise InvalidColor(c)
+        self.fwd = SlowTree(pts)
+        self._col = ColArray(1 + max(self.fwd.by_color, default=-1))
 
     def __len__(self):
         return len(self.fwd.vals)
 
     def insert(self, value, color) -> None:
+        if color < 0:
+            raise InvalidColor(color)
         self.fwd.insert(value, color)
-        self.rev.insert(MIRROR_BASE - value, color)
         self._col.grow(color + 1)
 
     def delete(self, value) -> None:
         self.fwd.delete(value)
-        self.rev.delete(MIRROR_BASE - value)
 
     def query(self, a, b, meter=None) -> list:
         """Distinct colors of [a, b] (leftmost-occurrence order)."""
@@ -501,19 +534,18 @@ class SlowIndex:
         hits = sorted((v, c) for v, c, p in ems if p < a)
         colors = [c for _, c in hits]
         deduped = self._col.dedup(colors)
-        assert len(deduped) == len(colors), "prev-filter missed a duplicate"
+        if len(deduped) != len(colors):
+            raise RuntimeError(f"prev-filter missed a duplicate in [{a}, {b}]")
         return deduped
 
     def k_leftmost(self, a, b, k, meter=None) -> list:
         return [c for _, c in self.fwd.k_leftmost(a, b, k, meter=meter)]
 
     def k_rightmost(self, a, b, k, meter=None) -> list:
-        hits = self.rev.k_leftmost(MIRROR_BASE - b, MIRROR_BASE - a, k, meter=meter)
-        return [c for _, c in hits]
+        return [c for _, c in self.fwd.k_rightmost(a, b, k, meter=meter)]
 
     def k_leftmost_elements(self, a, b, k) -> list:
         return self.fwd.k_leftmost(a, b, k)
 
     def k_rightmost_elements(self, a, b, k) -> list:
-        return [(MIRROR_BASE - v, c) for v, c in
-                self.rev.k_leftmost(MIRROR_BASE - b, MIRROR_BASE - a, k)]
+        return self.fwd.k_rightmost(a, b, k)

@@ -19,7 +19,7 @@ import bisect
 import math
 from typing import Optional, Sequence
 
-from .backends import BACKENDS
+from .backends import SortedArrayLocator
 from .core import (ColArray, ColoredPoint, InvalidRange, compute_prev)
 from .pst import ColorPst
 
@@ -41,8 +41,8 @@ class _TreeNode:
 
 
 class StaticIndex:
-    def __init__(self, points: Sequence[ColoredPoint], ncolors: Optional[int] = None,
-                 backend: str = "sorted"):
+    def __init__(self, points: Sequence[ColoredPoint],
+                 ncolors: Optional[int] = None):
         self.points = list(points)
         self.n = len(self.points)
         self.values = [p.value for p in self.points]
@@ -53,8 +53,7 @@ class StaticIndex:
         # floor of 2 so that N = 2 stays a single leaf
         self.cap = max(2, math.ceil(math.log2(max(self.n, 2))))
         self._col = ColArray(self.ncolors)
-        locator_cls = BACKENDS[backend]
-        self.locator = locator_cls(self.values)
+        self.locator = SortedArrayLocator(self.values)
 
         # leaves are consecutive chunks of `cap` points (last one may be short)
         self.nleaves = max(1, math.ceil(self.n / self.cap)) if self.n else 0

@@ -19,7 +19,7 @@ import bisect
 import math
 from typing import Optional
 
-from .backends import BACKENDS
+from .backends import SortedArrayLocator
 from .core import DuplicateX, NotFound
 from .pst import Pst
 
@@ -91,8 +91,7 @@ class _Group:
 
 
 class StripeIndex:
-    def __init__(self, max_y: int, group_cap: Optional[int] = None,
-                 backend: str = "sorted"):
+    def __init__(self, max_y: int, group_cap: Optional[int] = None):
         if max_y < 1:
             raise ValueError("max_y must be >= 1")
         self.max_y = max_y
@@ -108,8 +107,7 @@ class StripeIndex:
         self.group_cap = group_cap if group_cap is not None else max(4, max_y)
         self.groups: list[_Group] = []
         self.rh: dict = {}  # threshold -> sorted value list (multiset)
-        loc_cls = BACKENDS[backend]
-        self.rbar = loc_cls()
+        self.rbar = SortedArrayLocator()
         self._decomp_cache: dict = {}
         self.last_group_visits: dict = {}
 

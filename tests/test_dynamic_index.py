@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from colorrange.core import (ColoredPoint, DuplicateX, InvalidRange, NotFound,
-                             Range, oracle_report)
+from colorrange.core import (ColoredPoint, DuplicateX, InvalidColor,
+                             InvalidRange, NotFound, Range, oracle_report)
 from colorrange.dynamic_index import DynamicIndex
 from conftest import random_instance
 
@@ -57,6 +57,34 @@ def test_errors():
         idx.insert(5, 1)
     with pytest.raises(NotFound):
         idx.delete(6)
+    with pytest.raises(DuplicateX):
+        DynamicIndex([ColoredPoint(5, 0), ColoredPoint(5, 1)])
+
+
+def test_negative_color_rejected():
+    idx = DynamicIndex([ColoredPoint(10, 0), ColoredPoint(20, 1),
+                        ColoredPoint(30, 2)])
+    with pytest.raises(InvalidColor):
+        idx.insert(25, -1)
+    assert len(idx) == 3
+    assert sorted(idx.query(1, 40)) == [0, 1, 2]
+    assert 25 not in idx.tree
+    with pytest.raises(InvalidColor):
+        DynamicIndex([ColoredPoint(10, 0), ColoredPoint(20, -1)])
+
+
+def test_color_maps_shared_with_slow_tree():
+    rng = random.Random(7)
+    pts = random_instance(rng, 200, 2000, 6)
+    idx = DynamicIndex(pts)
+    assert idx.colors is idx.slow.fwd.colors
+    assert idx.by_color is idx.slow.fwd.by_color
+    for v in list(idx.colors)[::3]:
+        idx.delete(v)
+    idx.insert(2001, 9)
+    assert idx.colors is idx.slow.fwd.colors
+    assert idx.colors[2001] == 9 and idx.by_color[9] == [2001]
+    assert len(idx) == len(idx.slow)
 
 
 def test_oracle_equivalence_interleaved():

@@ -1,6 +1,9 @@
 import random
 
-from colorrange.core import (ColoredPoint, CostMeter, FastOracle, Range,
+import pytest
+
+from colorrange.core import (ColoredPoint, CostMeter, FastOracle, InvalidColor,
+                             Range,
                              oracle_k_leftmost, oracle_k_rightmost,
                              oracle_report)
 from colorrange.slow_index import SlowIndex, SlowTree
@@ -72,7 +75,6 @@ def test_updates_against_oracle_interleaved():
             assert set(idx.query(a, b)) == want
         if step % 100 == 99:
             idx.fwd.check_consistency()
-            idx.rev.check_consistency()
 
 
 def test_insert_placement_examples():
@@ -145,6 +147,25 @@ def test_k_rightmost_matches_oracle():
             k = rng.randrange(1, 9)
             assert idx.k_rightmost(a, b, k) == \
                 oracle_k_rightmost(pts, Range(a, b), k)
+        # mixed inserts and deletes, each followed by a selection check
+        live = {p.value: p.color for p in pts}
+        for _ in range(150):
+            if rng.random() < 0.5 or not live:
+                v = rng.randrange(1, 900)
+                if v not in live:
+                    live[v] = rng.randrange(7)
+                    idx.insert(v, live[v])
+            else:
+                v = rng.choice(list(live))
+                del live[v]
+                idx.delete(v)
+            cur = sorted(ColoredPoint(v, c) for v, c in live.items())
+            a = rng.randrange(1, 920)
+            b = rng.randrange(a, 920)
+            k = rng.randrange(1, 9)
+            assert idx.k_rightmost(a, b, k) == \
+                oracle_k_rightmost(cur, Range(a, b), k)
+        idx.fwd.check_consistency()
 
 
 def test_k_leftmost_randomized_midsize():
@@ -187,3 +208,23 @@ def test_touch_scaling_does_not_regress():
 def tree_count(tree, a, b):
     import bisect
     return bisect.bisect_right(tree.vals, b) - bisect.bisect_left(tree.vals, a)
+
+
+def test_negative_color_rejected():
+    pts = [ColoredPoint(10, 0), ColoredPoint(20, 1), ColoredPoint(30, 2)]
+    idx = SlowIndex(pts)
+    with pytest.raises(InvalidColor):
+        idx.insert(25, -1)
+    assert len(idx) == 3
+    assert sorted(idx.query(1, 40)) == [0, 1, 2]
+    idx.fwd.check_consistency()
+    with pytest.raises(InvalidColor):
+        SlowIndex(pts + [ColoredPoint(40, -1)])
+
+
+def test_query_raises_on_broken_prev_filter():
+    idx = SlowIndex([ColoredPoint(10, 0), ColoredPoint(20, 0)])
+    # a broken tree that reports both elements of color 0 as leftmost
+    idx.fwd.query = lambda a, b, meter=None: ([(10, 0, 0), (20, 0, 0)], False)
+    with pytest.raises(RuntimeError):
+        idx.query(1, 40)

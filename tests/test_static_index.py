@@ -134,17 +134,6 @@ def test_oracle_equivalence_randomized_large():
         assert set(idx.query(a, b)) == fo.report(a, b)
 
 
-def test_backend_parity():
-    rng = random.Random(47)
-    pts = random_instance(rng, 400, 4000, 12)
-    i_sorted = StaticIndex(pts, backend="sorted")
-    i_trie = StaticIndex(pts, backend="bittrie")
-    for _ in range(400):
-        a = rng.randrange(1, 4010)
-        b = rng.randrange(a, 4010)
-        assert set(i_sorted.query(a, b)) == set(i_trie.query(a, b))
-
-
 def test_reporting_touches_bounded():
     rng = random.Random(53)
     pts = random_instance(rng, 1 << 12, 1 << 15, 200)
