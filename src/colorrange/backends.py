@@ -1,8 +1,8 @@
-"""Sorted one-dimensional locator shared by the indexes.
+"""Sorted one-dimensional locator used by the stripes.
 
-Every index needs the same tiny service: given integer keys, find one element
-of [a, b] (one-reporting), or a successor/predecessor. SortedArrayLocator
-provides it with a sorted list and bisect.
+Given integer keys, find one element of [a, b] (one-reporting), or a
+successor/predecessor. SortedArrayLocator provides it with a sorted list and
+bisect, and takes inserts and deletes.
 """
 
 from __future__ import annotations

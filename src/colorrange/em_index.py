@@ -29,7 +29,7 @@ import math
 import struct
 from typing import Optional, Sequence
 
-from .core import ColoredPoint, InvalidRange, compute_prev
+from .core import ColoredPoint, InvalidColor, InvalidRange, compute_prev
 
 MAGIC = b"CRR1"
 VERSION = 1
@@ -198,6 +198,8 @@ class EmIndex:
         n = len(pts)
         values = [p.value for p in pts]
         colors = [p.color for p in pts]
+        if min(colors, default=0) < 0:
+            raise InvalidColor(min(colors))
         prevs = compute_prev(pts)
         ncolors = max(colors) + 1 if colors else 0
 

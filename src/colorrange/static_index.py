@@ -6,11 +6,19 @@ of largest per-color maxima, descending); each right child carries L(u) (the
 capped smallest per-color minima, ascending). Each internal node stores its
 middle value m(u) = min of the right subtree.
 
-A query locates one element of [a, b], asks the element's leaf for the
+A query locates succ(a) with one binary search, asks its leaf for the
 highest range ancestor u with a < m(u) <= b via two monotone searches
 (Facts 2-3), then reads answers off R(u_l) and L(u_r). A traversal that
 exhausts a full-length list means the range holds at least log N colors, and
 the query falls back to a global O(log N + k) color PST.
+
+The answer stream is duplicate-free by construction, so there is no dedup
+pass. L entries carry prev(e), and an L entry is emitted only when
+prev(e) < a: a color with an element in [a, m(u)) was already reported from
+R(u_l). The leaf PSTs and the fallback PST store (e, prev(e)) and report the
+points of [a, b] with prev(e) < a, one per color (the prev-link reduction of
+Gupta, Janardan & Smid, 1995). A query reads only immutable state, so
+concurrent readers need no lock, given one `CostMeter` each.
 """
 
 from __future__ import annotations
@@ -19,8 +27,7 @@ import bisect
 import math
 from typing import Optional, Sequence
 
-from .backends import SortedArrayLocator
-from .core import (ColArray, ColoredPoint, InvalidRange, compute_prev)
+from .core import ColoredPoint, InvalidColor, InvalidRange, compute_prev
 from .pst import ColorPst
 
 
@@ -41,23 +48,19 @@ class _TreeNode:
 
 
 class StaticIndex:
-    def __init__(self, points: Sequence[ColoredPoint],
-                 ncolors: Optional[int] = None):
+    def __init__(self, points: Sequence[ColoredPoint]):
         self.points = list(points)
         self.n = len(self.points)
         self.values = [p.value for p in self.points]
         self.colors = [p.color for p in self.points]
+        if min(self.colors, default=0) < 0:
+            raise InvalidColor(min(self.colors))
         self.prevs = compute_prev(self.points)
-        self.ncolors = ncolors if ncolors is not None else \
-            (max(self.colors) + 1 if self.points else 0)
         # floor of 2 so that N = 2 stays a single leaf
         self.cap = max(2, math.ceil(math.log2(max(self.n, 2))))
-        self._col = ColArray(self.ncolors)
-        self.locator = SortedArrayLocator(self.values)
 
         # leaves are consecutive chunks of `cap` points (last one may be short)
         self.nleaves = max(1, math.ceil(self.n / self.cap)) if self.n else 0
-        self.leaf_start = [i * self.cap for i in range(self.nleaves)]
         self.leaf_psts = []
         for i in range(self.nleaves):
             lo, hi = i * self.cap, min((i + 1) * self.cap, self.n)
@@ -102,15 +105,15 @@ class StaticIndex:
         return node
 
     def _llist(self, node) -> list:
-        """L(u): up to `cap` smallest per-color minima, ascending (value, color)."""
+        """L(u): up to `cap` smallest per-color minima, ascending
+        (value, prev, color)."""
         lo, hi = self._point_span(node)
         first: dict = {}
         for j in range(lo, hi):
             c = self.colors[j]
             if c not in first:
-                first[c] = self.values[j]
-        ent = sorted((v, c) for c, v in first.items())
-        return ent[:self.cap]
+                first[c] = (self.values[j], self.prevs[j], c)
+        return sorted(first.values())[:self.cap]
 
     def _rlist(self, node) -> list:
         """R(u): up to `cap` largest per-color maxima, descending (value, color)."""
@@ -149,11 +152,10 @@ class StaticIndex:
         """Some element of S within [a, b], or None."""
         if meter is not None:
             meter.locate_ops += 1
-        v = self.locator.any_in(a, b)
-        if v is None:
+        j = bisect.bisect_left(self.values, a)
+        if j == self.n or self.values[j] > b:
             return None
-        j = bisect.bisect_left(self.values, v)
-        return ColoredPoint(v, self.colors[j])
+        return ColoredPoint(self.values[j], self.colors[j])
 
     def leaf_of(self, value: int) -> int:
         j = bisect.bisect_right(self.values, value) - 1
@@ -199,14 +201,16 @@ class StaticIndex:
         """Distinct colors of S within [a, b], each exactly once."""
         if a > b:
             raise InvalidRange(f"[{a}, {b}]")
-        e = self.one_report(a, b, meter)
-        if e is None:
+        # one_report inlined (no call, no ColoredPoint per query): succ(a), its leaf
+        if meter is not None:
+            meter.locate_ops += 1
+        j = bisect.bisect_left(self.values, a)
+        if j == self.n or self.values[j] > b:
             return []
-        leaf_idx = self.leaf_of(e.value)
+        leaf_idx = j // self.cap
         u = self.hra_query(leaf_idx, a, b, meter)
         if u is None:
-            out = self.leaf_psts[leaf_idx].query(a, b, meter)
-            return self._col.dedup(out)
+            return self.leaf_psts[leaf_idx].query(a, b, meter)
 
         out = []
         fallback = False
@@ -223,16 +227,17 @@ class StaticIndex:
         ll = u.right.lst
         m_seen = 0
         if not fallback:
-            for v, c in ll:
+            for v, p, c in ll:
                 m_seen += 1
                 if v > b:
                     break
-                out.append(c)
+                if p < a:
+                    out.append(c)
             else:
                 if len(ll) == self.cap:
                     fallback = True
         if meter is not None:
             meter.touches += n_seen + m_seen
         if fallback:
-            out = self.fallback.query(a, b, meter)
-        return self._col.dedup(out)
+            return self.fallback.query(a, b, meter)
+        return out

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from colorrange.core import (ColoredPoint, CostMeter, InvalidRange, Range,
-                             FastOracle, oracle_report)
+from colorrange.core import (ColoredPoint, CostMeter, InvalidColor, InvalidRange,
+                             Range, FastOracle, oracle_report)
+from colorrange.em_index import EmIndex
 from colorrange.static_index import StaticIndex
 from conftest import random_instance
 
@@ -109,17 +110,44 @@ def test_facts_2_3_on_random_instances():
                 node = p
 
 
+class _FallbackSpy:
+    """Counts the queries that reach the global fallback PST."""
+
+    def __init__(self, pst):
+        self.pst = pst
+        self.calls = 0
+
+    def query(self, a, b, meter=None):
+        self.calls += 1
+        return self.pst.query(a, b, meter)
+
+
 def test_oracle_equivalence_exhaustive_small():
+    # the answer must also hold no duplicate: nothing deduplicates it, so a
+    # color on both sides of m(u) relies on the prev-filter of L(u_r)
     rng = random.Random(41)
+    crossing = 0  # lists-route queries with a color on both sides of m(u)
     for _ in range(25):
         n = rng.randrange(1, 64)
         u = rng.randrange(max(4, n), 90)
         pts = random_instance(rng, n, u, rng.randrange(1, 8))
         idx = StaticIndex(pts)
+        spy = idx.fallback = _FallbackSpy(idx.fallback)
         fo = FastOracle(pts)
         for a in range(1, u + 1):
             for b in range(a, u + 1):
-                assert set(idx.query(a, b)) == fo.report(a, b), (pts, a, b)
+                calls = spy.calls
+                out = idx.query(a, b)
+                assert len(out) == len(set(out)), (pts, a, b, out)
+                assert set(out) == fo.report(a, b), (pts, a, b)
+                e = idx.one_report(a, b)
+                if e is None or spy.calls != calls:
+                    continue
+                node = idx.hra_query(idx.leaf_of(e.value), a, b)
+                if node is not None:
+                    both = fo.report(a, node.m - 1) & fo.report(node.m, b)
+                    crossing += bool(both)
+    assert crossing > 0
 
 
 def test_oracle_equivalence_randomized_large():
@@ -131,7 +159,9 @@ def test_oracle_equivalence_randomized_large():
     for _ in range(2500):
         a = rng.randrange(1, (1 << 17) + 1)
         b = rng.randrange(a, (1 << 17) + 1)
-        assert set(idx.query(a, b)) == fo.report(a, b)
+        out = idx.query(a, b)
+        assert len(out) == len(set(out))
+        assert set(out) == fo.report(a, b)
 
 
 def test_reporting_touches_bounded():
@@ -150,8 +180,20 @@ def test_reporting_touches_bounded():
 
 
 def test_dedup_cross_halves(e1):
-    # a color present on both sides of m(u) must be reported once
+    # a color present on both sides of m(u) must be reported once; [3, 9]
+    # answers from the R/L lists (B at 3 and 9), [4, 13] from the fallback
     idx = StaticIndex(e1)
-    out = idx.query(4, 13)
-    assert sorted(out) == sorted(set(out))
-    assert set(out) == oracle_report(e1, Range(4, 13))
+    for a, b in ((3, 9), (4, 13)):
+        out = idx.query(a, b)
+        assert sorted(out) == sorted(set(out))
+        assert set(out) == oracle_report(e1, Range(a, b))
+
+
+@pytest.mark.parametrize("build", [StaticIndex, lambda pts: EmIndex.build(pts, B=4)],
+                         ids=["static", "em"])
+def test_negative_color_rejected(build):
+    # a negative id would alias the highest color in a color-indexed array
+    pts = [ColoredPoint(10, 0), ColoredPoint(20, 1), ColoredPoint(25, -1),
+           ColoredPoint(30, 2)]
+    with pytest.raises(InvalidColor):
+        build(pts)
