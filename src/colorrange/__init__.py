@@ -6,8 +6,9 @@ correctness and output sensitivity.
 """
 
 from .core import (ColArray, ColorRemap, ColoredPoint, CostMeter,
-                   DuplicateCoordinate, DuplicateX, InvalidColor,
-                   InvalidRange, NotFound, Range, compute_prev, make_range,
+                   DuplicateCoordinate, DuplicateX, IndexFileError,
+                   InvalidColor, InvalidCoordinate, InvalidRange, NotFound,
+                   Range, compute_prev, make_range,
                    normalize_input, oracle_k_leftmost, oracle_k_rightmost,
                    oracle_report)
 from .dynamic_index import DynamicIndex
@@ -20,8 +21,8 @@ from .wbtree import WbTree
 
 __all__ = [
     "ColArray", "ColorRemap", "ColoredPoint", "CostMeter",
-    "DuplicateCoordinate", "DuplicateX", "InvalidColor", "InvalidRange",
-    "NotFound", "Range",
+    "DuplicateCoordinate", "DuplicateX", "IndexFileError", "InvalidColor",
+    "InvalidCoordinate", "InvalidRange", "NotFound", "Range",
     "compute_prev", "make_range", "normalize_input", "oracle_k_leftmost",
     "oracle_k_rightmost", "oracle_report",
     "BlockStore", "ColorPst", "DynamicIndex", "EmIndex", "Pst", "SlowIndex",

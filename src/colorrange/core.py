@@ -14,12 +14,13 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import bisect
+import operator
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 PREV_SENTINEL = 0
+MAX_COORDINATE = 2**63 - 1  # index files store coordinates as signed 64-bit
 
 
 class DuplicateCoordinate(ValueError):
@@ -28,6 +29,19 @@ class DuplicateCoordinate(ValueError):
     def __init__(self, value):
         super().__init__(f"duplicate coordinate {value}")
         self.value = value
+
+
+class InvalidCoordinate(ValueError):
+    """A coordinate that is not an integer in [1, MAX_COORDINATE]."""
+
+    def __init__(self, value):
+        super().__init__(f"coordinate {value!r} is not an integer in "
+                         f"[1, {MAX_COORDINATE}] (0 is the prev-sentinel)")
+        self.value = value
+
+
+class IndexFileError(ValueError):
+    """An index file that is truncated, malformed or of an unknown format."""
 
 
 class InvalidRange(ValueError):
@@ -165,19 +179,31 @@ class ColArray:
         return out
 
 
+def check_coordinate(value) -> int:
+    """`value` as an int, or InvalidCoordinate. Python and numpy integers
+    pass; bools and floats do not (a float would be truncated silently)."""
+    if isinstance(value, bool):
+        raise InvalidCoordinate(value)
+    try:
+        v = operator.index(value)
+    except TypeError:
+        raise InvalidCoordinate(value) from None
+    if not 1 <= v <= MAX_COORDINATE:
+        raise InvalidCoordinate(value)
+    return v
+
+
 def normalize_input(pairs: Iterable[tuple]) -> tuple[list[ColoredPoint], ColorRemap]:
     """Sort by coordinate and remap colors densely by first occurrence.
 
     `pairs` is an iterable of (coordinate, color_label). Coordinates must be
-    distinct integers >= 1 (0 is the prev-sentinel).
+    distinct integers in [1, MAX_COORDINATE] (0 is the prev-sentinel), else
+    InvalidCoordinate or DuplicateCoordinate.
     """
     remap = ColorRemap()
     pts = []
     for value, label in pairs:
-        v = int(value)
-        if v < 1:
-            raise ValueError(f"coordinate {v} < 1 (0 is reserved)")
-        pts.append(ColoredPoint(v, remap.id_for(label)))
+        pts.append(ColoredPoint(check_coordinate(value), remap.id_for(label)))
     pts.sort()
     for i in range(1, len(pts)):
         if pts[i - 1].value == pts[i].value:
@@ -287,11 +313,6 @@ class FastOracle:
                 seen.add(c)
                 out.append(c)
         return out
-
-
-def succ_index(values: Sequence[int], a: int) -> int:
-    """Index of the smallest value >= a in a sorted list (== len if none)."""
-    return bisect.bisect_left(values, a)
 
 
 def load_dataset(path) -> list[tuple]:

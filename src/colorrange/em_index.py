@@ -7,19 +7,27 @@ range ancestor arrays) are counted on CostMeter.locate_ops; reporting-phase
 transfers on CostMeter.block_reads, matching the separate metering of the
 two phases.
 
-Layout: leaves hold B * ceil(log_B N) points. Left children carry R(u)
-(per-color maxima, descending), right children carry L(u) (per-color minima,
-ascending, each entry with prev(e)), both capped at the leaf size and stored
-run-length contiguous so a traversal of t entries costs ceil(t/B) reads. The
-duplicate-free output stream comes from the prev-filter: an L entry is
-emitted only when prev(e) < a. Exhausting a full-length list proves the range
-holds at least B*log_B N colors and the query re-answers through a global
-block-aware priority search tree over (e, prev(e)) in O(log_B N + k/B) reads,
-discarding the buffered emissions so the final stream stays duplicate-free.
+Layout: the `static_index.TreeLayout` with leaves of B * ceil(log_B N)
+points, paged into blocks and then dropped. Block 0 is the directory (cap,
+leaf count, the values region, the fallback PST root, and per leaf its PST
+root and K-array region); then come the values, B per block, the global
+block-aware priority search tree over (e, prev(e)), the leaf PSTs, the R/L
+lists of the non-root nodes in preorder, and per leaf its K records
+(side, m, height, R(u_l) ptr/len, L(u_r) ptr/len) bottom-up. Left children
+carry R(u) (per-color maxima, descending, stored as (v, 0, color)), right
+children carry L(u) (per-color minima, ascending, as (v, prev(v), color)),
+both capped at the leaf size and stored run-length contiguous so a traversal
+of t entries costs ceil(t/B) reads. The duplicate-free output stream comes
+from the prev-filter: an L entry is emitted only when prev(e) < a.
+Exhausting a full-length list proves the range holds at least B*log_B N
+colors and the query re-answers through the global PST in
+O(log_B N + k/B) reads, discarding the buffered emissions so the final
+stream stays duplicate-free.
 
 The per-leaf three-sided structure is the same block-aware PST, built on the
 leaf's points. The serialized file format is little-endian: magic 'CRR1',
-version u16, N u64, B u32, C u32, block count u64, then the block array.
+version u16, N u64, B u32, C u32, block count u64, then the block array;
+`from_bytes` raises IndexFileError on any file it cannot parse.
 """
 
 from __future__ import annotations
@@ -29,7 +37,9 @@ import math
 import struct
 from typing import Optional, Sequence
 
-from .core import ColoredPoint, InvalidColor, InvalidRange, compute_prev
+from .core import (ColoredPoint, IndexFileError, InvalidRange,
+                   check_coordinate)
+from .static_index import TreeLayout
 
 MAGIC = b"CRR1"
 VERSION = 1
@@ -102,6 +112,8 @@ class BlockStore:
                 meta = struct.unpack_from(f"<{nmeta}q", data, off)
                 off += 8 * nmeta
             store.blocks.append((kind, tuple(recs), tuple(meta)))
+        if off != len(data):
+            raise ValueError(f"{len(data) - off} trailing bytes")
         return store
 
 
@@ -160,33 +172,19 @@ def _query_block_pst(store: BlockStore, root: int, a: int, b: int, c: int,
             stack.append(bid)
 
 
-class _BNode:
-    __slots__ = ("left", "right", "parent", "m", "height", "lo", "hi",
-                 "list_ptr")
-
-    def __init__(self, lo, hi):
-        self.left = None
-        self.right = None
-        self.parent = None
-        self.m = None
-        self.height = 0
-        self.lo = lo        # covered point range [lo, hi)
-        self.hi = hi
-        self.list_ptr = (0, 0)
-
-
 class EmIndex:
-    def __init__(self, store: BlockStore, header: dict):
+    def __init__(self, store: BlockStore, n: int, ncolors: int):
+        """Open the index held in `store`; block 0 is its directory."""
         self.store = store
-        self.B = header["B"]
-        self.n = header["N"]
-        self.ncolors = header["C"]
-        self.cap = header["cap"]
-        self.nleaves = header["nleaves"]
-        self.vals_start = header["vals_start"]
-        self.nvals_blocks = header["nvals_blocks"]
-        self.fallback_root = header["fallback_root"]
-        self.leaf_dir = header["leaf_dir"]  # per leaf: (pst_root, k_start, k_len)
+        self.B = store.B
+        self.n = n
+        self.ncolors = ncolors
+        _, _, meta = store.blocks[0]
+        (self.cap, self.nleaves, self.vals_start, self.nvals_blocks,
+         self.fallback_root) = meta[:5]
+        # per leaf: (pst_root, k_start, k_len)
+        self.leaf_dir = [tuple(meta[i:i + 3])
+                         for i in range(5, 5 + 3 * self.nleaves, 3)]
 
     # -- construction -----------------------------------------------------------
 
@@ -195,105 +193,48 @@ class EmIndex:
         if B < 2:
             raise ValueError("block size must be >= 2")
         pts = list(points)
+        for p in pts:
+            check_coordinate(p.value)
         n = len(pts)
-        values = [p.value for p in pts]
-        colors = [p.color for p in pts]
-        if min(colors, default=0) < 0:
-            raise InvalidColor(min(colors))
-        prevs = compute_prev(pts)
-        ncolors = max(colors) + 1 if colors else 0
+        lb = max(1, math.ceil(math.log(max(n, 2)) / math.log(B)))
+        lay = TreeLayout(pts, B * lb)
+        values, colors, prevs, cap = lay.values, lay.colors, lay.prevs, lay.cap
 
         store = BlockStore(B)
         store.append(K_DIR, ())  # placeholder, filled at the end
-
-        lb = max(1, math.ceil(math.log(max(n, 2)) / math.log(B)))
-        cap = B * lb
         vals_start, _ = store.write_region(K_VALS, [(v,) for v in values])
-        nvals_blocks = math.ceil(n / B)
+        fallback_root = _build_block_pst(store, list(zip(values, prevs, colors)))
+        leaf_psts = [_build_block_pst(store, list(zip(values[lo:lo + cap],
+                                                      prevs[lo:lo + cap],
+                                                      colors[lo:lo + cap])))
+                     for lo in range(0, n, cap)]
 
-        fallback_root = _build_block_pst(
-            store, [(values[i], prevs[i], colors[i]) for i in range(n)])
-
-        nleaves = math.ceil(n / cap) if n else 0
-        leaf_psts = []
-        for i in range(nleaves):
-            lo, hi = i * cap, min((i + 1) * cap, n)
-            leaf_psts.append(_build_block_pst(
-                store, [(values[j], prevs[j], colors[j]) for j in range(lo, hi)]))
-
-        # binary tree over leaves, lists written run-length contiguous
-        def build_node(lo, hi):
-            node = _BNode(lo, hi)
-            if hi - lo == 1:
-                return node
-            mid = (lo + hi) // 2
-            node.left = build_node(lo, mid)
-            node.right = build_node(mid, hi)
-            node.left.parent = node
-            node.right.parent = node
-            node.height = 1 + max(node.left.height, node.right.height)
-            node.m = values[mid * cap]
-            return node
-
-        def write_lists(node, is_left_child):
-            plo, phi = node.lo * cap, min(node.hi * cap, n)
-            if is_left_child:
-                last = {}
-                for j in range(plo, phi):
-                    last[colors[j]] = values[j]
-                ent = sorted(((v, 0, c) for c, v in last.items()), reverse=True)
-            else:
-                first = {}
-                for j in range(plo, phi):
-                    c = colors[j]
-                    if c not in first:
-                        first[c] = (values[j], prevs[j])
-                ent = sorted((v, pv, c) for c, (v, pv) in first.items())
-            node.list_ptr = store.write_region(K_LIST, ent[:cap])
+        # lists of the non-root nodes in preorder, R entries as (v, 0, c)
+        ptr = {}
+        stack = [lay.root] if lay.root is not None else []
+        while stack:
+            node = stack.pop()
+            if node.parent is not None:
+                ent = node.lst
+                if node is node.parent.left:
+                    ent = [(v, 0, c) for v, c in ent]
+                ptr[node] = store.write_region(K_LIST, ent)
             if node.left is not None:
-                write_lists(node.left, True)
-                write_lists(node.right, False)
-
-        root = build_node(0, nleaves) if nleaves else None
-        if root is not None and root.left is not None:
-            write_lists(root.left, True)
-            write_lists(root.right, False)
+                stack += (node.right, node.left)
 
         # per-leaf K arrays: (side, m, height, R(u_l) ptr/len, L(u_r) ptr/len)
-        leaf_dir = []
-        leaves = []
-
-        def collect(node):
-            if node.left is None:
-                leaves.append(node)
-            else:
-                collect(node.left)
-                collect(node.right)
-
-        if root is not None:
-            collect(root)
-        for i, leaf in enumerate(leaves):
+        meta = [cap, lay.nleaves, vals_start, math.ceil(n / B), fallback_root]
+        for leaf, pst_root in zip(lay.leaves, leaf_psts):
             entries = []
             node = leaf
             while node.parent is not None:
                 p = node.parent
-                side = 1 if p.left is node else 2
-                rl = p.left.list_ptr
-                lr = p.right.list_ptr
-                entries.append((side, p.m, p.height, rl[0], rl[1], lr[0], lr[1]))
+                entries.append((1 if p.left is node else 2, p.m, p.height,
+                                *ptr[p.left], *ptr[p.right]))
                 node = p
-            k_start, k_len = store.write_region(K_KARR, entries)
-            leaf_dir.append((leaf_psts[i], k_start, k_len))
-
-        header = {"B": B, "N": n, "C": ncolors, "cap": cap,
-                  "nleaves": nleaves, "vals_start": vals_start,
-                  "nvals_blocks": nvals_blocks, "fallback_root": fallback_root,
-                  "leaf_dir": leaf_dir}
-        meta = [cap, nleaves, vals_start, nvals_blocks, fallback_root]
-        for entry in leaf_dir:
-            meta.extend(entry)
+            meta += (pst_root, *store.write_region(K_KARR, entries))
         store.blocks[0] = (K_DIR, (), tuple(meta))
-        return cls(store, header)
+        return cls(store, n, max(colors) + 1 if colors else 0)
 
     # -- locate phase -------------------------------------------------------------
 
@@ -425,19 +366,18 @@ class EmIndex:
     @classmethod
     def from_bytes(cls, data: bytes) -> "EmIndex":
         if data[:4] != MAGIC:
-            raise ValueError("not a color-range index file")
-        version, n, B, ncolors = struct.unpack_from("<HQII", data, 4)
+            raise IndexFileError("not a color-range index file")
+        try:
+            version, n, B, ncolors = struct.unpack_from("<HQII", data, 4)
+        except struct.error as exc:
+            raise IndexFileError(f"truncated header: {exc}") from exc
         if version != VERSION:
-            raise ValueError(f"unsupported version {version}")
-        store = BlockStore.from_bytes(data[4 + 18:], B, _REC_WIDTH)
-        _, _, meta = store.blocks[0]
-        cap, nleaves, vals_start, nvals_blocks, fallback_root = meta[:5]
-        leaf_dir = [tuple(meta[5 + 3 * i:8 + 3 * i]) for i in range(nleaves)]
-        header = {"B": B, "N": n, "C": ncolors, "cap": cap,
-                  "nleaves": nleaves, "vals_start": vals_start,
-                  "nvals_blocks": nvals_blocks, "fallback_root": fallback_root,
-                  "leaf_dir": leaf_dir}
-        return cls(store, header)
+            raise IndexFileError(f"unsupported version {version}")
+        try:
+            return cls(BlockStore.from_bytes(data[4 + 18:], B, _REC_WIDTH),
+                       n, ncolors)
+        except (struct.error, IndexError, KeyError, ValueError) as exc:
+            raise IndexFileError(f"malformed index file: {exc}") from exc
 
     @classmethod
     def load(cls, path) -> "EmIndex":

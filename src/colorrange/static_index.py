@@ -1,10 +1,13 @@
-"""Static optimal color reporting index.
+"""Static optimal color reporting index, and the static layout it shares.
 
-Layout: a balanced binary tree whose leaves hold ceil(log2 N) consecutive
-points. Each non-root node that is a left child carries R(u) (the capped list
-of largest per-color maxima, descending); each right child carries L(u) (the
-capped smallest per-color minima, ascending). Each internal node stores its
-middle value m(u) = min of the right subtree.
+Layout (`TreeLayout`): a balanced binary tree whose leaves hold `cap`
+consecutive points. Each non-root node that is a left child carries R(u) (the
+capped list of largest per-color maxima, descending); each right child
+carries L(u) (the capped smallest per-color minima, ascending). Each internal
+node stores its middle value m(u) = min of the right subtree, and each leaf
+its highest-range-ancestor arrays K1/K2. `StaticIndex` uses the layout with
+cap = ceil(log2 N) and keeps it in memory; `EmIndex` uses it with
+cap = B * ceil(log_B N) and pages it into blocks.
 
 A query locates succ(a) with one binary search, asks its leaf for the
 highest range ancestor u with a < m(u) <= b via two monotone searches
@@ -27,7 +30,8 @@ import bisect
 import math
 from typing import Optional, Sequence
 
-from .core import ColoredPoint, InvalidColor, InvalidRange, compute_prev
+from .core import (ColoredPoint, DuplicateX, InvalidColor, InvalidCoordinate,
+                   InvalidRange, compute_prev)
 from .pst import ColorPst
 
 
@@ -47,51 +51,48 @@ class _TreeNode:
         self.leaf_idx = None   # set on leaves
 
 
-class StaticIndex:
-    def __init__(self, points: Sequence[ColoredPoint]):
-        self.points = list(points)
-        self.n = len(self.points)
-        self.values = [p.value for p in self.points]
-        self.colors = [p.color for p in self.points]
+class TreeLayout:
+    """The static tree over `points` (strictly ascending values >= 1, color
+    ids >= 0) with leaves of `cap` consecutive points, R/L lists and K1/K2."""
+
+    def __init__(self, points: Sequence[ColoredPoint], cap: int):
+        self.values = [p.value for p in points]
+        self.colors = [p.color for p in points]
         if min(self.colors, default=0) < 0:
             raise InvalidColor(min(self.colors))
-        self.prevs = compute_prev(self.points)
-        # floor of 2 so that N = 2 stays a single leaf
-        self.cap = max(2, math.ceil(math.log2(max(self.n, 2))))
-
+        for u, v in zip(self.values, self.values[1:]):
+            if u >= v:
+                raise DuplicateX(v) if u == v else ValueError(
+                    f"points must ascend by value: {v} after {u}")
+        if self.values and self.values[0] < 1:
+            raise InvalidCoordinate(self.values[0])  # 0 is the prev-sentinel
+        self.prevs = compute_prev(points)
+        self.n = len(self.values)
+        self.cap = cap
         # leaves are consecutive chunks of `cap` points (last one may be short)
-        self.nleaves = max(1, math.ceil(self.n / self.cap)) if self.n else 0
-        self.leaf_psts = []
-        for i in range(self.nleaves):
-            lo, hi = i * self.cap, min((i + 1) * self.cap, self.n)
-            self.leaf_psts.append(ColorPst(
-                (self.values[j], self.prevs[j], self.colors[j])
-                for j in range(lo, hi)))
-
-        self.root = self._build_tree(0, self.nleaves) if self.nleaves else None
+        self.nleaves = math.ceil(self.n / cap)
         self.leaves: list[_TreeNode] = [None] * self.nleaves
-        if self.root is not None:
-            self._index_leaves(self.root)
-        # per-leaf highest-range-ancestor arrays (Fact 3 monotone)
-        self.k1: list[list] = [[] for _ in range(self.nleaves)]
-        self.k2: list[list] = [[] for _ in range(self.nleaves)]
-        for i in range(self.nleaves):
-            self._build_hra(i)
-
-        self.fallback = ColorPst(zip(self.values, self.prevs, self.colors))
-
-    # -- construction ------------------------------------------------------
-
-    def _point_span(self, node) -> tuple[int, int]:
-        lo = node.leaf_lo * self.cap
-        hi = min(node.leaf_hi * self.cap, self.n)
-        return lo, hi
+        self.root = self._build_tree(0, self.nleaves) if self.nleaves else None
+        # per-leaf highest-range-ancestor arrays (Fact 3 monotone), entries
+        # (m, node): K1 the left parents bottom-up (m ascending), K2 the
+        # right parents (m descending)
+        self.k1: list[list] = []
+        self.k2: list[list] = []
+        for node in self.leaves:
+            k1, k2 = [], []
+            while node.parent is not None:
+                parent = node.parent
+                (k1 if parent.left is node else k2).append((parent.m, parent))
+                node = parent
+            self.k1.append(k1)
+            self.k2.append(k2)
 
     def _build_tree(self, lo: int, hi: int) -> _TreeNode:
         node = _TreeNode()
         node.leaf_lo, node.leaf_hi = lo, hi
         if hi - lo == 1:
             node.leaf_idx = lo
+            self.leaves[lo] = node
             return node
         mid = (lo + hi) // 2
         node.left = self._build_tree(lo, mid)
@@ -104,12 +105,14 @@ class StaticIndex:
         node.right.lst = self._llist(node.right)
         return node
 
+    def _point_span(self, node) -> range:
+        return range(node.leaf_lo * self.cap, min(node.leaf_hi * self.cap, self.n))
+
     def _llist(self, node) -> list:
         """L(u): up to `cap` smallest per-color minima, ascending
         (value, prev, color)."""
-        lo, hi = self._point_span(node)
         first: dict = {}
-        for j in range(lo, hi):
+        for j in self._point_span(node):
             c = self.colors[j]
             if c not in first:
                 first[c] = (self.values[j], self.prevs[j], c)
@@ -117,34 +120,23 @@ class StaticIndex:
 
     def _rlist(self, node) -> list:
         """R(u): up to `cap` largest per-color maxima, descending (value, color)."""
-        lo, hi = self._point_span(node)
         last: dict = {}
-        for j in range(lo, hi):
+        for j in self._point_span(node):
             last[self.colors[j]] = self.values[j]
         ent = sorted(((v, c) for c, v in last.items()), reverse=True)
         return ent[:self.cap]
 
-    def _index_leaves(self, node) -> None:
-        if node.leaf_idx is not None:
-            self.leaves[node.leaf_idx] = node
-            return
-        self._index_leaves(node.left)
-        self._index_leaves(node.right)
 
-    def _build_hra(self, leaf_idx: int) -> None:
-        """K1: m of left parents bottom-up (ascending); K2: right parents
-        (descending). Entries are (m, node)."""
-        node = self.leaves[leaf_idx]
-        k1, k2 = [], []
-        while node.parent is not None:
-            parent = node.parent
-            if parent.left is node:
-                k1.append((parent.m, parent))
-            else:
-                k2.append((parent.m, parent))
-            node = parent
-        self.k1[leaf_idx] = k1
-        self.k2[leaf_idx] = k2
+class StaticIndex(TreeLayout):
+    def __init__(self, points: Sequence[ColoredPoint]):
+        points = list(points)
+        # floor of 2 so that N = 2 stays a single leaf
+        super().__init__(points, max(2, math.ceil(math.log2(max(len(points), 2)))))
+        self.leaf_psts = [
+            ColorPst(zip(self.values[lo:lo + self.cap], self.prevs[lo:lo + self.cap],
+                         self.colors[lo:lo + self.cap]))
+            for lo in range(0, self.n, self.cap)]
+        self.fallback = ColorPst(zip(self.values, self.prevs, self.colors))
 
     # -- queries -----------------------------------------------------------
 

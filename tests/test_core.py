@@ -1,11 +1,13 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from colorrange.core import (ColArray, ColoredPoint, DuplicateCoordinate,
-                             FastOracle, InvalidRange, Range, compute_prev,
+                             FastOracle, InvalidCoordinate, InvalidRange,
+                             MAX_COORDINATE, Range, compute_prev,
                              make_range, normalize_input, oracle_k_leftmost,
                              oracle_k_rightmost, oracle_report)
 from conftest import random_instance
@@ -31,6 +33,22 @@ def test_normalize_duplicate_coordinate():
 def test_normalize_rejects_reserved_zero():
     with pytest.raises(ValueError):
         normalize_input([(0, "x")])
+
+
+@pytest.mark.parametrize("value", [0, -4, 1.7, 2.0, True, "3", None,
+                                   MAX_COORDINATE + 1, 2**64])
+def test_normalize_rejects_bad_coordinates(value):
+    # floats were truncated, True read as 1, and 2^63 failed only at to_bytes
+    with pytest.raises(InvalidCoordinate):
+        normalize_input([(5, "a"), (value, "b")])
+
+
+def test_normalize_accepts_integer_types():
+    pts, _ = normalize_input([(np.int64(7), "a"), (MAX_COORDINATE, "b"),
+                              (np.uint64(3), "a")])
+    assert pts == [ColoredPoint(3, 0), ColoredPoint(7, 0),
+                   ColoredPoint(MAX_COORDINATE, 1)]
+    assert all(type(p.value) is int for p in pts)
 
 
 def test_compute_prev_e1(e1):

@@ -1,9 +1,12 @@
+import hashlib
 import random
+import struct
 
 import pytest
 
-from colorrange.core import (ColoredPoint, CostMeter, FastOracle, Range,
-                             InvalidRange, oracle_report)
+from colorrange.core import (ColoredPoint, CostMeter, FastOracle,
+                             IndexFileError, InvalidCoordinate, InvalidRange,
+                             MAX_COORDINATE, Range, oracle_report)
 from colorrange.em_index import EmIndex
 from conftest import random_instance
 
@@ -110,6 +113,39 @@ def test_bad_file_rejected(tmp_path):
     p.write_bytes(b"NOPE" + b"\x00" * 40)
     with pytest.raises(ValueError):
         EmIndex.load(p)
+
+
+def _small_file() -> bytes:
+    # four leaves of 12 points under B = 4: lists, K arrays and PST children
+    pts = [ColoredPoint(3 * i + 1, (i * i) % 5) for i in range(40)]
+    return EmIndex.build(pts, B=4).to_bytes()
+
+
+def test_file_format_pinned():
+    # the digest of this file as written before the layout was shared with
+    # StaticIndex; any change to the CRR1 bytes must be deliberate
+    assert hashlib.sha256(_small_file()).hexdigest() == (
+        "6e08d11be92afa1d46d80db328c008eba3eda6bfd639923636c97d205bc0ba9f")
+
+
+def test_malformed_files_raise_index_file_error():
+    data = _small_file()
+    for cut in range(len(data)):
+        with pytest.raises(IndexFileError):
+            EmIndex.from_bytes(data[:cut])
+    bad_version = data[:4] + struct.pack("<H", 2) + data[6:]
+    for bad in (data + b"\x00", bad_version, b"CRR0" + data[4:]):
+        with pytest.raises(IndexFileError):
+            EmIndex.from_bytes(bad)
+    assert EmIndex.from_bytes(data).to_bytes() == data
+
+
+def test_build_rejects_unserializable_coordinate():
+    for value in (MAX_COORDINATE + 1, 0, 2.5):
+        with pytest.raises(InvalidCoordinate):
+            EmIndex.build([ColoredPoint(value, 0)], B=4)
+    top = EmIndex.build([ColoredPoint(1, 0), ColoredPoint(MAX_COORDINATE, 1)], B=4)
+    assert EmIndex.from_bytes(top.to_bytes()).query(2, MAX_COORDINATE) == [1]
 
 
 def test_full_range_all_distinct_colors():

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from colorrange.core import (ColoredPoint, CostMeter, InvalidColor, InvalidRange,
-                             Range, FastOracle, oracle_report)
+from colorrange.core import (ColoredPoint, CostMeter, DuplicateX, InvalidColor,
+                             InvalidCoordinate, InvalidRange, Range, FastOracle,
+                             oracle_report)
 from colorrange.em_index import EmIndex
 from colorrange.static_index import StaticIndex
 from conftest import random_instance
@@ -189,11 +190,30 @@ def test_dedup_cross_halves(e1):
         assert set(out) == oracle_report(e1, Range(a, b))
 
 
-@pytest.mark.parametrize("build", [StaticIndex, lambda pts: EmIndex.build(pts, B=4)],
-                         ids=["static", "em"])
-def test_negative_color_rejected(build):
-    # a negative id would alias the highest color in a color-indexed array
-    pts = [ColoredPoint(10, 0), ColoredPoint(20, 1), ColoredPoint(25, -1),
-           ColoredPoint(30, 2)]
-    with pytest.raises(InvalidColor):
+def _em(pts):
+    return EmIndex.build(pts, B=4)
+
+
+_NEGATIVE = [ColoredPoint(10, 0), ColoredPoint(20, 1), ColoredPoint(25, -1),
+             ColoredPoint(30, 2)]
+_DUPLICATE = [ColoredPoint(5, 0), ColoredPoint(5, 1)]
+_DESCENDING = [ColoredPoint(9, 0), ColoredPoint(5, 1)]
+# answered [] on [-3, -3]: prev-sentinel 0 is not below every coordinate
+_NONPOSITIVE = [ColoredPoint(-3, 0), ColoredPoint(2, 1)]
+
+
+@pytest.mark.parametrize("build,pts,error", [
+    pytest.param(StaticIndex, _NEGATIVE, InvalidColor, id="static"),
+    pytest.param(_em, _NEGATIVE, InvalidColor, id="em"),
+    pytest.param(StaticIndex, _DUPLICATE, DuplicateX, id="static-duplicate"),
+    pytest.param(_em, _DUPLICATE, DuplicateX, id="em-duplicate"),
+    pytest.param(StaticIndex, _DESCENDING, ValueError, id="static-descending"),
+    pytest.param(_em, _DESCENDING, ValueError, id="em-descending"),
+    pytest.param(StaticIndex, _NONPOSITIVE, InvalidCoordinate, id="static-nonpositive"),
+    pytest.param(_em, _NONPOSITIVE, InvalidCoordinate, id="em-nonpositive"),
+])
+def test_negative_color_rejected(build, pts, error):
+    # a negative id would alias the highest color in a color-indexed array;
+    # the shared layout also requires strictly ascending coordinates >= 1
+    with pytest.raises(error):
         build(pts)
