@@ -20,10 +20,10 @@ import random
 import sys
 import time
 
-from .core import (ColoredPoint, CostMeter, FastOracle, load_dataset,
-                   normalize_input, save_dataset)
+from .core import (ColoredPoint, CostMeter, FastOracle, IndexFileError,
+                   load_dataset, normalize_input, save_dataset)
 from .dynamic_index import DynamicIndex
-from .em_index import EmIndex
+from .em_index import MAGIC, VERSION, EmIndex
 from .slow_index import SlowIndex
 from .static_index import StaticIndex
 
@@ -296,12 +296,17 @@ def cmd_bench(args) -> int:
 def cmd_dump(args) -> int:
     with open(args.index_file, "rb") as fh:
         data = fh.read()
-    index = EmIndex.from_bytes(data)
+    try:
+        index = EmIndex.from_bytes(data)
+    except IndexFileError as exc:
+        print(f"dump: {exc}", file=sys.stderr)
+        return 2
     again = index.to_bytes()
     ok = again == data
-    info = {"schema": SCHEMA, "magic": "CRR1", "n": index.n, "B": index.B,
-            "colors": index.ncolors, "blocks": len(index.store.blocks),
-            "leaves": index.nleaves, "roundtrip_identical": ok}
+    info = {"schema": SCHEMA, "magic": MAGIC.decode(), "version": VERSION,
+            "n": index.n, "B": index.B, "colors": index.ncolors,
+            "blocks": len(index.store.blocks), "leaves": index.nleaves,
+            "locate_levels": len(index.levels), "roundtrip_identical": ok}
     print(json.dumps(info))
     if args.out:
         with open(args.out, "wb") as fh:

@@ -9,11 +9,16 @@ two phases.
 
 Layout: the `static_index.TreeLayout` with leaves of B * ceil(log_B N)
 points, paged into blocks and then dropped. Block 0 is the directory (cap,
-leaf count, the values region, the fallback PST root, and per leaf its PST
-root and K-array region); then come the values, B per block, the global
-block-aware priority search tree over (e, prev(e)), the leaf PSTs, the R/L
-lists of the non-root nodes in preorder, and per leaf its K records
-(side, m, height, R(u_l) ptr/len, L(u_r) ptr/len) bottom-up. Left children
+leaf count, the values region, the fallback PST root, the separator level
+count and each level's start block, root level first, and per leaf its PST
+root and K-array region); then come the values, B per block, the separator
+levels of a static B-ary tree over them (record j of a level is the largest
+value under block j of the level below; the root level is one block), the
+global block-aware priority search tree over (e, prev(e)), the leaf PSTs,
+the R/L lists of the non-root nodes in preorder, and per leaf its K records
+(side, m, height, R(u_l) ptr/len, L(u_r) ptr/len) bottom-up. Locating
+succ(a) and its value descends the separator levels and reads one value
+block, ceil(log_B N) reads in all. Left children
 carry R(u) (per-color maxima, descending, stored as (v, 0, color)), right
 children carry L(u) (per-color minima, ascending, as (v, prev(v), color)),
 both capped at the leaf size and stored run-length contiguous so a traversal
@@ -25,9 +30,14 @@ O(log_B N + k/B) reads, discarding the buffered emissions so the final
 stream stays duplicate-free.
 
 The per-leaf three-sided structure is the same block-aware PST, built on the
-leaf's points. The serialized file format is little-endian: magic 'CRR1',
-version u16, N u64, B u32, C u32, block count u64, then the block array;
-`from_bytes` raises IndexFileError on any file it cannot parse.
+leaf's points. The serialized file format (version 2) is little-endian:
+magic 'CRR1', version u16, N u64, B u32, C u32, block count u64, the CRC32
+of these 30 bytes as u32, then the blocks, each as kind u8, record count
+u32, metadata count u32, the records and the metadata as i64, and the CRC32
+of the block's bytes as u32. `from_bytes` checks every CRC, and the
+constructor checks every directory entry, separator, K record, list pointer
+and PST child once, so a file that loads cannot make a query read outside
+the store or loop; any failure raises IndexFileError.
 """
 
 from __future__ import annotations
@@ -35,6 +45,7 @@ from __future__ import annotations
 import bisect
 import math
 import struct
+import zlib
 from typing import Optional, Sequence
 
 from .core import (ColoredPoint, IndexFileError, InvalidRange,
@@ -42,13 +53,15 @@ from .core import (ColoredPoint, IndexFileError, InvalidRange,
 from .static_index import TreeLayout
 
 MAGIC = b"CRR1"
-VERSION = 1
+VERSION = 2
+HEADER = struct.Struct("<4sHQIIQ")  # magic, version, N, B, C, block count
 
 K_DIR = 0
 K_VALS = 1
 K_LIST = 2
 K_PST = 3
 K_KARR = 4
+K_SEP = 5
 
 
 class BlockStore:
@@ -81,43 +94,42 @@ class BlockStore:
     # -- serialization ------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        out = [struct.pack("<Q", len(self.blocks))]
+        """The block array, each block followed by the CRC32 of its bytes."""
+        out = []
         for kind, recs, meta in self.blocks:
-            flat = []
-            for r in recs:
-                flat.extend(r)
-            out.append(struct.pack("<BII", kind, len(recs), len(meta)))
-            if recs:
-                out.append(struct.pack(f"<{len(flat)}q", *flat))
-            if meta:
-                out.append(struct.pack(f"<{len(meta)}q", *meta))
+            flat = [x for r in recs for x in r]
+            body = struct.pack(f"<BII{len(flat)}q{len(meta)}q", kind,
+                               len(recs), len(meta), *flat, *meta)
+            out += (body, struct.pack("<I", zlib.crc32(body)))
         return b"".join(out)
 
     @classmethod
-    def from_bytes(cls, data: bytes, block_elems: int, widths: dict) -> "BlockStore":
+    def from_bytes(cls, data: bytes, off: int, nblocks: int,
+                   block_elems: int) -> "BlockStore":
+        """Parse `nblocks` blocks from data[off:], which they must fill."""
         store = cls(block_elems)
-        (nblocks,) = struct.unpack_from("<Q", data, 0)
-        off = 8
-        for _ in range(nblocks):
+        view = memoryview(data)
+        for bid in range(nblocks):
             kind, nrec, nmeta = struct.unpack_from("<BII", data, off)
-            off += 9
-            w = widths[kind]
-            recs = []
-            if nrec:
-                flat = struct.unpack_from(f"<{nrec * w}q", data, off)
-                off += 8 * nrec * w
-                recs = [tuple(flat[i * w:(i + 1) * w]) for i in range(nrec)]
-            meta = ()
-            if nmeta:
-                meta = struct.unpack_from(f"<{nmeta}q", data, off)
-                off += 8 * nmeta
-            store.blocks.append((kind, tuple(recs), tuple(meta)))
+            if kind not in _REC_WIDTH:
+                raise IndexFileError(f"block {bid}: unknown kind {kind}")
+            w = _REC_WIDTH[kind]
+            end = off + 9 + 8 * (nrec * w + nmeta)
+            if end + 4 > len(data):
+                raise IndexFileError(f"block {bid}: truncated")
+            if zlib.crc32(view[off:end]) != struct.unpack_from("<I", data, end)[0]:
+                raise IndexFileError(f"block {bid}: checksum mismatch")
+            flat = struct.unpack_from(f"<{nrec * w}q", data, off + 9)
+            recs = tuple(flat[i:i + w] for i in range(0, nrec * w, w)) if w else ()
+            meta = struct.unpack_from(f"<{nmeta}q", data, end - 8 * nmeta)
+            store.blocks.append((kind, recs, meta))
+            off = end + 4
         if off != len(data):
-            raise ValueError(f"{len(data) - off} trailing bytes")
+            raise IndexFileError(f"{len(data) - off} trailing bytes")
         return store
 
 
-_REC_WIDTH = {K_DIR: 0, K_VALS: 1, K_LIST: 3, K_PST: 3, K_KARR: 7}
+_REC_WIDTH = {K_DIR: 0, K_VALS: 1, K_LIST: 3, K_PST: 3, K_KARR: 7, K_SEP: 1}
 
 
 def _build_block_pst(store: BlockStore, pts: list) -> int:
@@ -172,19 +184,96 @@ def _query_block_pst(store: BlockStore, root: int, a: int, b: int, c: int,
             stack.append(bid)
 
 
+def _require(ok: bool, what: str) -> None:
+    if not ok:
+        raise IndexFileError(f"malformed index file: {what}")
+
+
 class EmIndex:
     def __init__(self, store: BlockStore, n: int, ncolors: int):
-        """Open the index held in `store`; block 0 is its directory."""
+        """Open the index held in `store`; block 0 is its directory. Every
+        pointer is checked here, once (IndexFileError)."""
         self.store = store
         self.B = store.B
         self.n = n
         self.ncolors = ncolors
-        _, _, meta = store.blocks[0]
-        (self.cap, self.nleaves, self.vals_start, self.nvals_blocks,
-         self.fallback_root) = meta[:5]
+        blocks = store.blocks
+        _require(self.B >= 2 and bool(blocks) and blocks[0][0] == K_DIR,
+                 "no directory block")
+        meta = blocks[0][2]
+        _require(len(meta) >= 5, "short directory")
+        self.cap, self.nleaves, self.vals_start, self.fallback_root, nlevels = \
+            meta[:5]
+        # separator level start blocks, root level first
+        self.levels = meta[5:5 + nlevels]
+        self._descent = self.levels + (self.vals_start,)
         # per leaf: (pst_root, k_start, k_len)
         self.leaf_dir = [tuple(meta[i:i + 3])
-                         for i in range(5, 5 + 3 * self.nleaves, 3)]
+                         for i in range(5 + nlevels, len(meta), 3)]
+        _require(self.cap >= 1 and self.nleaves == -(-n // self.cap)
+                 and nlevels >= 0
+                 and len(meta) == 5 + nlevels + 3 * self.nleaves,
+                 "directory size")
+        self._check()
+
+    def _region(self, start: int, count: int, kind: int, what: str) -> None:
+        """`count` records packed B per block from block `start` on."""
+        nb = -(-count // self.B)
+        _require(count == 0 or count > 0 and 0 < start
+                 and start + nb <= len(self.store.blocks),
+                 f"{what} outside the file")
+        for i in range(nb):
+            k, recs, _ = self.store.blocks[start + i]
+            _require(k == kind and len(recs) == min(self.B, count - i * self.B),
+                     f"{what}: block {start + i}")
+
+    def _check(self) -> None:
+        """Directory entries, separator levels, K records and PST children,
+        so that no query on a loaded file reads outside the store or loops."""
+        blocks, B = self.store.blocks, self.B
+        self._region(self.vals_start, self.n, K_VALS, "values")
+        # separator level l holds the last record of each block of level l-1
+        child_start, count = self.vals_start, -(-self.n // B)
+        for start in reversed(self.levels):
+            _require(count > 1, "separator level count")
+            self._region(start, count, K_SEP, "separators")
+            for j in range(count):
+                _require(blocks[start + j // B][1][j % B]
+                         == blocks[child_start + j][1][-1],
+                         f"separator block {start + j // B}")
+            child_start, count = start, -(-count // B)
+        _require(count <= 1, "separator level count")
+
+        lists = set()
+        for _, k_start, k_len in self.leaf_dir:
+            self._region(k_start, k_len, K_KARR, "K array")
+            for bid in range(k_start, k_start + -(-k_len // B)):
+                for side, _, _, rl_s, rl_n, lr_s, lr_n in blocks[bid][1]:
+                    _require(side in (1, 2) and rl_n <= self.cap
+                             and lr_n <= self.cap, f"K record in block {bid}")
+                    lists.update(((rl_s, rl_n), (lr_s, lr_n)))
+        for start, length in lists:
+            self._region(start, length, K_LIST, "R/L list")
+
+        # the PST blocks form a forest: a child precedes its parent in the
+        # file, and no block is referenced twice
+        if self.n == 0:
+            _require(self.fallback_root == -1, "fallback PST of an empty index")
+            return
+        seen = {self.fallback_root, *(root for root, _, _ in self.leaf_dir)}
+        _require(len(seen) == 1 + self.nleaves, "shared PST root")
+        for bid, (kind, _, meta) in enumerate(blocks):
+            if kind != K_PST:
+                continue
+            _require(bool(meta) and len(meta) == 1 + 4 * meta[0],
+                     f"PST block {bid}")
+            for child in meta[1::4]:
+                _require(0 < child < bid and child not in seen,
+                         f"PST child {child} of block {bid}")
+                seen.add(child)
+        for bid in seen:
+            _require(0 < bid < len(blocks) and blocks[bid][0] == K_PST,
+                     f"PST block {bid}")
 
     # -- construction -----------------------------------------------------------
 
@@ -203,6 +292,16 @@ class EmIndex:
         store = BlockStore(B)
         store.append(K_DIR, ())  # placeholder, filled at the end
         vals_start, _ = store.write_region(K_VALS, [(v,) for v in values])
+        # separator levels bottom-up: record j is the last value under block j
+        # of the level below
+        levels = []
+        keys = values
+        while True:
+            keys = [keys[min(i + B, len(keys)) - 1]
+                    for i in range(0, len(keys), B)]
+            if len(keys) <= 1:
+                break
+            levels.append(store.write_region(K_SEP, [(k,) for k in keys])[0])
         fallback_root = _build_block_pst(store, list(zip(values, prevs, colors)))
         leaf_psts = [_build_block_pst(store, list(zip(values[lo:lo + cap],
                                                       prevs[lo:lo + cap],
@@ -223,7 +322,8 @@ class EmIndex:
                 stack += (node.right, node.left)
 
         # per-leaf K arrays: (side, m, height, R(u_l) ptr/len, L(u_r) ptr/len)
-        meta = [cap, lay.nleaves, vals_start, math.ceil(n / B), fallback_root]
+        meta = [cap, lay.nleaves, vals_start, fallback_root, len(levels),
+                *reversed(levels)]
         for leaf, pst_root in zip(lay.leaves, leaf_psts):
             entries = []
             node = leaf
@@ -238,26 +338,19 @@ class EmIndex:
 
     # -- locate phase -------------------------------------------------------------
 
-    def _succ_pos(self, a: int, meter=None) -> int:
-        """Global index of the first value >= a (== n if none)."""
+    def _locate(self, a: int, meter=None) -> tuple:
+        """(position, value) of the first value >= a, or (n, None): one read
+        per separator level, then one of the value block."""
         if self.n == 0:
-            return 0
-        lo, hi = 0, self.nvals_blocks - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            _, recs, _ = self.store.read(self.vals_start + mid, meter, locate=True)
-            if recs[-1][0] < a:
-                lo = mid + 1
-            else:
-                hi = mid
-        _, recs, _ = self.store.read(self.vals_start + lo, meter, locate=True)
-        vals = [r[0] for r in recs]
-        return lo * self.B + bisect.bisect_left(vals, a)
-
-    def _value_at(self, pos: int, meter=None) -> tuple:
-        _, recs, _ = self.store.read(self.vals_start + pos // self.B, meter,
-                                     locate=True)
-        return recs[pos % self.B]
+            return self.n, None
+        j = 0  # block index within the current level
+        for start in self._descent:
+            _, recs, _ = self.store.read(start + j, meter, locate=True)
+            i = bisect.bisect_left(recs, (a,))
+            if i == len(recs):  # only at the top: a exceeds every value
+                return self.n, None
+            j = j * self.B + i
+        return j, recs[i][0]
 
     def _read_karr(self, leaf_idx: int, meter=None) -> list:
         _, k_start, k_len = self.leaf_dir[leaf_idx]
@@ -312,11 +405,8 @@ class EmIndex:
         """Distinct colors of [a, b]; the emission stream is duplicate-free."""
         if a > b:
             raise InvalidRange(f"[{a}, {b}]")
-        pos = self._succ_pos(a, meter)
-        if pos >= self.n:
-            return []
-        v0 = self._value_at(pos, meter)[0]
-        if v0 > b:
+        pos, v0 = self._locate(a, meter)
+        if pos >= self.n or v0 > b:
             return []
         leaf_idx = pos // self.cap
         entry = self._hra(leaf_idx, a, b, meter)
@@ -356,8 +446,10 @@ class EmIndex:
     # -- serialization ------------------------------------------------------------
 
     def to_bytes(self) -> bytes:
-        head = MAGIC + struct.pack("<HQII", VERSION, self.n, self.B, self.ncolors)
-        return head + self.store.to_bytes()
+        head = HEADER.pack(MAGIC, VERSION, self.n, self.B, self.ncolors,
+                           len(self.store.blocks))
+        return b"".join((head, struct.pack("<I", zlib.crc32(head)),
+                         self.store.to_bytes()))
 
     def save(self, path) -> None:
         with open(path, "wb") as fh:
@@ -368,16 +460,19 @@ class EmIndex:
         if data[:4] != MAGIC:
             raise IndexFileError("not a color-range index file")
         try:
-            version, n, B, ncolors = struct.unpack_from("<HQII", data, 4)
+            _, version, n, B, ncolors, nblocks = HEADER.unpack_from(data, 0)
+            (crc,) = struct.unpack_from("<I", data, HEADER.size)
         except struct.error as exc:
             raise IndexFileError(f"truncated header: {exc}") from exc
         if version != VERSION:
             raise IndexFileError(f"unsupported version {version}")
+        if zlib.crc32(data[:HEADER.size]) != crc:
+            raise IndexFileError("header checksum mismatch")
         try:
-            return cls(BlockStore.from_bytes(data[4 + 18:], B, _REC_WIDTH),
-                       n, ncolors)
-        except (struct.error, IndexError, KeyError, ValueError) as exc:
-            raise IndexFileError(f"malformed index file: {exc}") from exc
+            store = BlockStore.from_bytes(data, HEADER.size + 4, nblocks, B)
+        except struct.error as exc:
+            raise IndexFileError(f"truncated block array: {exc}") from exc
+        return cls(store, n, ncolors)
 
     @classmethod
     def load(cls, path) -> "EmIndex":

@@ -32,7 +32,8 @@ import bisect
 import math
 from typing import Iterable, Optional
 
-from .core import ColArray, DuplicateX, InvalidColor, NotFound, PREV_SENTINEL
+from .core import (ColArray, DuplicateX, InvalidColor, NotFound,
+                   PREV_SENTINEL, check_coordinate)
 
 LEAF_CUTOFF = 4
 
@@ -76,7 +77,8 @@ class _Node:
 
 class SlowTree:
     def __init__(self, items: Iterable[tuple] = ()):
-        items = sorted(items)
+        # coordinates >= 1 keep the prev-sentinel 0 below every element
+        items = sorted((check_coordinate(v), c) for v, c in items)
         self.vals: list = [v for v, _ in items]
         self.colors: dict = {v: c for v, c in items}
         if len(self.colors) < len(self.vals):
@@ -176,6 +178,7 @@ class SlowTree:
     # -- updates --------------------------------------------------------------
 
     def insert(self, value, color) -> None:
+        value = check_coordinate(value)
         i = bisect.bisect_left(self.vals, value)
         if i < len(self.vals) and self.vals[i] == value:
             raise DuplicateX(value)

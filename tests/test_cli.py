@@ -141,6 +141,13 @@ def test_build_and_dump_roundtrip(tmp_path, capsys):
     doc = json.loads(out.strip().splitlines()[-1])
     assert doc["roundtrip_identical"] is True
     assert doc["n"] == 400 and doc["B"] == 8
+    assert doc["version"] == 2 and doc["locate_levels"] == 2  # 50 value blocks
+    data = bytearray(idx_file.read_bytes())
+    data[len(data) // 2] ^= 1
+    idx_file.write_bytes(bytes(data))
+    assert main(["dump", "--index-file", str(idx_file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("dump: ") and err.count("\n") == 1
 
 
 def test_static_rejects_inserts(tmp_path, capsys):

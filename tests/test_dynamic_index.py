@@ -2,9 +2,11 @@ import random
 
 import pytest
 
-from colorrange.core import (ColoredPoint, DuplicateX, InvalidColor,
-                             InvalidRange, NotFound, Range, oracle_report)
+from colorrange.core import (MAX_COORDINATE, ColoredPoint, DuplicateX,
+                             InvalidColor, InvalidCoordinate, InvalidRange,
+                             NotFound, Range, oracle_report)
 from colorrange.dynamic_index import DynamicIndex
+from colorrange.slow_index import SlowIndex
 from conftest import random_instance
 
 
@@ -71,6 +73,33 @@ def test_negative_color_rejected():
     assert 25 not in idx.tree
     with pytest.raises(InvalidColor):
         DynamicIndex([ColoredPoint(10, 0), ColoredPoint(20, -1)])
+
+
+@pytest.mark.parametrize("cls", [SlowIndex, DynamicIndex])
+def test_coordinates_outside_file_range_rejected(cls):
+    # the prev-sentinel 0 must lie below every coordinate: unchecked, these
+    # instances on [-20, 20) answered 17762 ranges wrongly
+    rng = random.Random(163)
+    for _ in range(40):
+        pts = [ColoredPoint(v, rng.randrange(3))
+               for v in sorted(rng.sample(range(-20, 20), 12))]
+        if pts[0].value < 1:
+            with pytest.raises(InvalidCoordinate):
+                cls(pts)
+        shifted = [ColoredPoint(p.value + 21, p.color) for p in pts]
+        idx = cls(shifted)
+        for a in range(1, 42):
+            for b in range(a, 42):
+                assert set(idx.query(a, b)) == oracle_report(shifted,
+                                                              Range(a, b))
+    want = sorted(idx.query(1, MAX_COORDINATE))
+    for bad in (0, -8, MAX_COORDINATE + 1, 2.5, True):
+        with pytest.raises(InvalidCoordinate):
+            idx.insert(bad, 1)
+        assert len(idx) == 12
+        assert sorted(idx.query(1, MAX_COORDINATE)) == want
+    idx.insert(MAX_COORDINATE, 3)
+    assert sorted(idx.query(MAX_COORDINATE, MAX_COORDINATE)) == [3]
 
 
 def test_color_maps_shared_with_slow_tree():

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import random
 import struct
 
@@ -7,7 +8,7 @@ import pytest
 from colorrange.core import (ColoredPoint, CostMeter, FastOracle,
                              IndexFileError, InvalidCoordinate, InvalidRange,
                              MAX_COORDINATE, Range, oracle_report)
-from colorrange.em_index import EmIndex
+from colorrange.em_index import K_PST, K_SEP, EmIndex
 from conftest import random_instance
 
 
@@ -116,16 +117,21 @@ def test_bad_file_rejected(tmp_path):
 
 
 def _small_file() -> bytes:
-    # four leaves of 12 points under B = 4: lists, K arrays and PST children
+    # four leaves of 12 points under B = 4: lists, K arrays, PST children and
+    # two separator levels
     pts = [ColoredPoint(3 * i + 1, (i * i) % 5) for i in range(40)]
     return EmIndex.build(pts, B=4).to_bytes()
 
 
+def _all_answers(idx) -> list:
+    return [idx.query(a, b) for a in range(1, 125) for b in range(a, 125)]
+
+
 def test_file_format_pinned():
-    # the digest of this file as written before the layout was shared with
-    # StaticIndex; any change to the CRR1 bytes must be deliberate
+    # the digest of the version 2 file (separator levels and CRC32s); any
+    # change to these bytes must be deliberate
     assert hashlib.sha256(_small_file()).hexdigest() == (
-        "6e08d11be92afa1d46d80db328c008eba3eda6bfd639923636c97d205bc0ba9f")
+        "d451d3fe5f24f675cc8f76f07f330b9ae1ae25c59f12b925afd4f33171a07760")
 
 
 def test_malformed_files_raise_index_file_error():
@@ -133,11 +139,123 @@ def test_malformed_files_raise_index_file_error():
     for cut in range(len(data)):
         with pytest.raises(IndexFileError):
             EmIndex.from_bytes(data[:cut])
-    bad_version = data[:4] + struct.pack("<H", 2) + data[6:]
-    for bad in (data + b"\x00", bad_version, b"CRR0" + data[4:]):
+    old_version = data[:4] + struct.pack("<H", 1) + data[6:]
+    for bad in (data + b"\x00", old_version, b"CRR0" + data[4:]):
         with pytest.raises(IndexFileError):
             EmIndex.from_bytes(bad)
     assert EmIndex.from_bytes(data).to_bytes() == data
+
+
+def test_bit_flips_detected():
+    data = _small_file()
+    want = _all_answers(EmIndex.from_bytes(data))
+    rng = random.Random(157)
+    for _ in range(10_000):
+        bit = rng.randrange(8 * len(data))
+        bad = bytearray(data)
+        bad[bit // 8] ^= 1 << bit % 8
+        try:
+            idx = EmIndex.from_bytes(bytes(bad))
+        except IndexFileError:
+            continue
+        assert _all_answers(idx) == want, bit
+
+
+def _rewritten(data: bytes, edit) -> bytes:
+    """`data` loaded, changed in memory by `edit(idx)`, and written again
+    with fresh CRCs, so only the structural checks can reject it."""
+    idx = EmIndex.from_bytes(data)
+    edit(idx)
+    return idx.to_bytes()
+
+
+def _set_block(bid, kind=None, recs=None, meta=None):
+    def edit(idx):
+        k, r, m = idx.store.blocks[bid]
+        idx.store.blocks[bid] = (k if kind is None else kind,
+                                 r if recs is None else recs,
+                                 m if meta is None else meta)
+    return edit
+
+
+def _set_meta(bid, i, value):
+    def edit(idx):
+        k, r, m = idx.store.blocks[bid]
+        idx.store.blocks[bid] = (k, r, m[:i] + (value,) + m[i + 1:])
+    return edit
+
+
+def test_bad_pointers_raise_at_load():
+    data = _small_file()
+    idx = EmIndex.from_bytes(data)
+    blocks = idx.store.blocks
+    leaf0 = 5 + len(idx.levels)  # leaf 0's PST root in the directory
+    _, k_start, _ = idx.leaf_dir[0]
+    karr = blocks[k_start][1]
+    pst = next(bid for bid, (kind, _, meta) in enumerate(blocks)
+               if kind == K_PST and meta[0] >= 2)
+    sep = idx.levels[-1]
+    edits = {
+        "leaf 0 PST root": _set_meta(0, leaf0, 10 ** 6),
+        "leaf 0 PST root shared": _set_meta(0, leaf0, idx.fallback_root),
+        "fallback root": _set_meta(0, 3, -1),
+        "PST child is itself": _set_meta(pst, 1, pst),
+        "PST child after parent": _set_meta(pst, 1, len(blocks) - 1),
+        "PST child shared": _set_meta(pst, 5, blocks[pst][2][1]),
+        "PST child count": _set_meta(pst, 0, blocks[pst][2][0] + 1),
+        "K array outside file": _set_meta(0, leaf0 + 1, 10 ** 6),
+        "K array length": _set_meta(0, leaf0 + 2, 4 * len(blocks)),
+        "list pointer": _set_block(k_start, recs=(
+            karr[0][:3] + (10 ** 6,) + karr[0][4:],) + karr[1:]),
+        "list longer than cap": _set_block(k_start, recs=(
+            karr[0][:4] + (idx.cap + 1,) + karr[0][5:],) + karr[1:]),
+        "K record side": _set_block(k_start, recs=((0,) + karr[0][1:],)
+                                    + karr[1:]),
+        "separator value": _set_block(sep, recs=((1,),) + blocks[sep][1][1:]),
+        "separator level count": _set_meta(0, 4, len(idx.levels) + 1),
+        "values block kind": _set_block(idx.vals_start, kind=K_SEP),
+        "cap": _set_meta(0, 0, 0),
+        "point count": lambda idx: setattr(idx, "n", idx.n - 1),
+    }
+    loaded = []
+    for name, edit in edits.items():
+        bad = _rewritten(data, edit)
+        assert bad != data, name
+        try:
+            EmIndex.from_bytes(bad)
+        except IndexFileError:
+            continue
+        loaded.append(name)
+    assert loaded == []
+    assert _rewritten(data, lambda idx: None) == data
+
+
+def _locate_and_report_reads(n: int, B: int) -> tuple:
+    """(largest locate_ops of one query, total block_reads) over 300
+    narrow and wide random queries."""
+    rng = random.Random(n + B)
+    pts = random_instance(rng, n, 8 * n, max(60, n // 40))
+    idx = EmIndex.build(pts, B=B)
+    meter = CostMeter()
+    worst = reads = 0
+    for q in range(300):
+        a = rng.randrange(1, 8 * n)
+        b = a + rng.randrange(64 if q % 2 else 8 * n)
+        meter.reset()
+        idx.query(a, b, meter=meter)
+        worst = max(worst, meter.locate_ops)
+        reads += meter.block_reads
+    return worst, reads
+
+
+@pytest.mark.parametrize("n, B, reads", [(1 << 10, 8, 2891), (1 << 14, 8, 13806),
+                                         (1 << 14, 64, 3197), (1 << 16, 64, 10809)])
+def test_locate_reads_logarithmic(n, B, reads):
+    # locate: separator levels, one value block and the leaf's K array; the
+    # reporting reads are those of the binary-search locate it replaced
+    worst, got = _locate_and_report_reads(n, B)
+    assert worst <= math.ceil(math.log(n, B)) + 2, worst
+    assert got == reads
 
 
 def test_build_rejects_unserializable_coordinate():
