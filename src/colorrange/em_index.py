@@ -64,6 +64,16 @@ K_KARR = 4
 K_SEP = 5
 
 
+def ceil_log(n: int, base: int) -> int:
+    """ceil(log_base n), at least 1, in integers (a float log overshoots at
+    some exact powers, e.g. n = 8^7)."""
+    exp, reach = 1, base
+    while reach < n:
+        exp += 1
+        reach *= base
+    return exp
+
+
 class BlockStore:
     """A flat array of blocks; reads are explicit and counted."""
 
@@ -285,8 +295,7 @@ class EmIndex:
         for p in pts:
             check_coordinate(p.value)
         n = len(pts)
-        lb = max(1, math.ceil(math.log(max(n, 2)) / math.log(B)))
-        lay = TreeLayout(pts, B * lb)
+        lay = TreeLayout(pts, B * ceil_log(n, B))
         values, colors, prevs, cap = lay.values, lay.colors, lay.prevs, lay.cap
 
         store = BlockStore(B)

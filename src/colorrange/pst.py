@@ -238,9 +238,6 @@ class ColorPst:
         """Distinct colors in [a, b], exactly one hit per color (prev < a)."""
         return [tag for _, _, tag in self.pst.query(a, b, a, meter=meter)]
 
-    def query_points(self, a, b, meter=None) -> list:
-        return self.pst.query(a, b, a, meter=meter)
-
     def insert(self, value, prev, color) -> None:
         self.pst.insert(value, prev, color)
 

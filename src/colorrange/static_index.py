@@ -13,15 +13,22 @@ A query locates succ(a) with one binary search, asks its leaf for the
 highest range ancestor u with a < m(u) <= b via two monotone searches
 (Facts 2-3), then reads answers off R(u_l) and L(u_r). A traversal that
 exhausts a full-length list means the range holds at least log N colors, and
-the query falls back to a global O(log N + k) color PST.
+the query falls back to `ArrayFallback`, which answers any range in
+O(log N + k): the two edge leaves and at most two single interior leaves go
+through their leaf PSTs, and the other interior leaves split into at most two
+aligned blocks per level, each of which keeps the first point of every color
+it holds sorted by the position of that point's predecessor, so one
+`searchsorted` finds every block's reported prefix.
 
 The answer stream is duplicate-free by construction, so there is no dedup
 pass. L entries carry prev(e), and an L entry is emitted only when
 prev(e) < a: a color with an element in [a, m(u)) was already reported from
-R(u_l). The leaf PSTs and the fallback PST store (e, prev(e)) and report the
-points of [a, b] with prev(e) < a, one per color (the prev-link reduction of
-Gupta, Janardan & Smid, 1995). A query reads only immutable state, so
-concurrent readers need no lock, given one `CostMeter` each.
+R(u_l). The leaf PSTs store (e, prev(e)) and report the points of [a, b] with
+prev(e) < a, one per color (the prev-link reduction of Gupta, Janardan &
+Smid, 1995); a fallback block lies inside [a, b] and reports its first
+points whose predecessor lies before succ(a), the same filter. A query reads
+only immutable state, so concurrent readers need no lock, given one
+`CostMeter` each.
 """
 
 from __future__ import annotations
@@ -29,6 +36,8 @@ from __future__ import annotations
 import bisect
 import math
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .core import (ColoredPoint, DuplicateX, InvalidColor, InvalidCoordinate,
                    InvalidRange, compute_prev)
@@ -127,6 +136,110 @@ class TreeLayout:
         return ent[:self.cap]
 
 
+class ArrayFallback:
+    """Color reporting over any range of a `TreeLayout` in O(log N + k).
+
+    For each level l >= 1 that a range of interior leaves can fill, the points
+    are cut into aligned blocks of cap * 2^l; a block keeps only the first
+    point of each color it holds (the points whose predecessor lies before
+    the block), ordered by the predecessor's position. Block g's entries carry
+    the key g * (n + 1) + prevpos + 1 in one sorted int64 array `keys`, with
+    their colors at the same index of `firsts`, so the entries of block g with
+    prevpos < j end at `keys.searchsorted(g * (n + 1) + j + 1)`. That makes
+    sum over l of min(N, C * N / (cap * 2^l)) entries for C colors.
+
+    A block strictly after succ(a) = point j lies inside the range, and each of
+    its entries with prevpos < j is the first point of its color in the whole
+    range, so the reported stream holds each color once. Metering: the leaf
+    PSTs meter as they do on their own; the locate of [a, b] and each block
+    searched count one locate op, each reported entry one touch.
+    """
+
+    def __init__(self, layout: TreeLayout, leaf_psts: list):
+        n, cap = layout.n, layout.cap
+        self.values = layout.values
+        self.cap = cap
+        self.leaf_psts = leaf_psts
+        self.stride = n + 1
+        values = np.asarray(layout.values, dtype=np.int64)
+        prevs = np.asarray(layout.prevs, dtype=np.int64)
+        prevpos = np.where(prevs == 0, -1, np.searchsorted(values, prevs))
+        pos = np.arange(n, dtype=np.int64)
+        keys, firsts = [np.zeros(0, dtype=np.int64)], [pos[:0]]
+        self.level_base = []  # global id of block 0 on levels 1, 2, ...
+        nblocks = 0
+        size = 2 * cap
+        # a range of interior leaves, at most nleaves - 2 of them, fills no
+        # block of more leaves
+        while size <= (layout.nleaves - 2) * cap:
+            block = pos // size
+            first = prevpos < block * size
+            key = (nblocks + block[first]) * self.stride + prevpos[first] + 1
+            order = np.argsort(key, kind="stable")
+            keys.append(key[order])
+            firsts.append(pos[first][order])
+            self.level_base.append(nblocks)
+            nblocks += -(-n // size)
+            size *= 2
+        self.keys = np.concatenate(keys)
+        self.block_start = self.keys.searchsorted(
+            np.arange(nblocks + 1, dtype=np.int64) * self.stride).tolist()
+        # the colors by reference, so an entry costs one list slot
+        colors = layout.colors
+        self.firsts = [colors[i] for i in np.concatenate(firsts).tolist()]
+
+    def query(self, a: int, b: int, meter=None) -> list:
+        """Distinct colors of [a, b], each exactly once."""
+        values = self.values
+        j = bisect.bisect_left(values, a)
+        r = bisect.bisect_right(values, b)
+        if meter is not None:
+            meter.locate_ops += 1
+        if j >= r:
+            return []
+        psts = self.leaf_psts
+        lo, hi = j // self.cap, (r - 1) // self.cap
+        out = psts[lo].query(a, b, meter)
+        if lo == hi:
+            return out
+        out += psts[hi].query(a, b, meter)
+        # the interior leaves [lo + 1, hi): single leaves through their PSTs,
+        # the rest at most two aligned blocks per level
+        lo += 1
+        if lo & 1 and lo < hi:
+            out += psts[lo].query(a, b, meter)
+            lo += 1
+        if hi & 1 and lo < hi:
+            hi -= 1
+            out += psts[hi].query(a, b, meter)
+        lo >>= 1
+        hi >>= 1
+        blocks = []
+        for base in self.level_base:
+            if lo >= hi:
+                break
+            if lo & 1:
+                blocks.append(base + lo)
+                lo += 1
+            if hi & 1:
+                hi -= 1
+                blocks.append(base + hi)
+            lo >>= 1
+            hi >>= 1
+        if not blocks:
+            return out
+        stride, bound = self.stride, j + 1
+        ends = self.keys.searchsorted([g * stride + bound for g in blocks]).tolist()
+        start, firsts = self.block_start, self.firsts
+        k = len(out)
+        for g, e in zip(blocks, ends):
+            out += firsts[start[g]:e]
+        if meter is not None:
+            meter.locate_ops += len(blocks)
+            meter.touches += len(out) - k
+        return out
+
+
 class StaticIndex(TreeLayout):
     def __init__(self, points: Sequence[ColoredPoint]):
         points = list(points)
@@ -136,7 +249,7 @@ class StaticIndex(TreeLayout):
             ColorPst(zip(self.values[lo:lo + self.cap], self.prevs[lo:lo + self.cap],
                          self.colors[lo:lo + self.cap]))
             for lo in range(0, self.n, self.cap)]
-        self.fallback = ColorPst(zip(self.values, self.prevs, self.colors))
+        self.fallback = ArrayFallback(self, self.leaf_psts)
 
     # -- queries -----------------------------------------------------------
 

@@ -31,13 +31,29 @@ def test_threaded_readers_share_one_index():
             if len(got) != len(set(got)) or set(got) != expect:
                 errors.append((type(idx).__name__, a, b, got))
 
+    # count the single-threaded queries that reach the static array fallback,
+    # so the threads below are known to share its arrays too
+    static = indexes[0]
+    fallback = static.fallback
+    fallback_calls = []
+
+    class Spy:
+        def query(self, a, b, meter=None):
+            fallback_calls.append((a, b))
+            return fallback.query(a, b, meter)
+
+    static.fallback = Spy()
     errors: list = []
     single = []
-    for idx in indexes:
-        meter = CostMeter()
-        run(idx, meter, errors)
-        single.append(meter.snapshot())
+    try:
+        for idx in indexes:
+            meter = CostMeter()
+            run(idx, meter, errors)
+            single.append(meter.snapshot())
+    finally:
+        static.fallback = fallback
     assert errors == []
+    assert len(fallback_calls) >= 10
 
     meters = [[CostMeter() for _ in indexes] for _ in range(THREADS)]
 

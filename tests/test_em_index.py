@@ -8,7 +8,7 @@ import pytest
 from colorrange.core import (ColoredPoint, CostMeter, FastOracle,
                              IndexFileError, InvalidCoordinate, InvalidRange,
                              MAX_COORDINATE, Range, oracle_report)
-from colorrange.em_index import K_PST, K_SEP, EmIndex
+from colorrange.em_index import K_PST, K_SEP, EmIndex, ceil_log
 from conftest import random_instance
 
 
@@ -256,6 +256,21 @@ def test_locate_reads_logarithmic(n, B, reads):
     worst, got = _locate_and_report_reads(n, B)
     assert worst <= math.ceil(math.log(n, B)) + 2, worst
     assert got == reads
+
+
+@pytest.mark.parametrize("B", [5, 8, 64])
+def test_leaf_cap_exact_at_powers(B):
+    # leaves hold B * ceil(log_B N) points; a float log overshoots at some
+    # exact powers (5^3, 8^7), which made those leaves B points too long
+    for exp in range(1, 25):
+        assert ceil_log(B ** exp, B) == exp
+        assert ceil_log(B ** exp + 1, B) == exp + 1
+    rng = random.Random(151)
+    for exp in (1, 2, 3):
+        for n in (B ** exp, B ** exp + 1):
+            if n <= 5000:
+                pts = random_instance(rng, n, 4 * n, 20)
+                assert EmIndex.build(pts, B=B).cap == B * (exp + (n > B ** exp))
 
 
 def test_build_rejects_unserializable_coordinate():

@@ -1,3 +1,5 @@
+import bisect
+import math
 import random
 
 import pytest
@@ -12,7 +14,6 @@ from conftest import random_instance
 
 def brute_lca_leaves(idx: StaticIndex, a: int, b: int):
     """Leaf of succ(a), leaf of pred(b), and their LCA node (or None)."""
-    import bisect
     lo = bisect.bisect_left(idx.values, a)
     hi = bisect.bisect_right(idx.values, b) - 1
     if lo >= len(idx.values) or hi < 0 or lo > hi:
@@ -112,15 +113,107 @@ def test_facts_2_3_on_random_instances():
 
 
 class _FallbackSpy:
-    """Counts the queries that reach the global fallback PST."""
+    """Counts the queries that reach the array fallback (a full R/L list was
+    exhausted) and keeps their ranges."""
 
-    def __init__(self, pst):
-        self.pst = pst
+    def __init__(self, fallback):
+        self.fallback = fallback
         self.calls = 0
+        self.ranges = []
 
     def query(self, a, b, meter=None):
         self.calls += 1
-        return self.pst.query(a, b, meter)
+        self.ranges.append((a, b))
+        return self.fallback.query(a, b, meter)
+
+
+class _LeafSpy:
+    """A leaf PST that tallies, apart from the caller's meter, the cost and
+    the number of colors of the queries it answers."""
+
+    def __init__(self, pst, tally):
+        self.pst = pst
+        self.tally = tally
+
+    def query(self, a, b, meter=None):
+        own = CostMeter()
+        out = self.pst.query(a, b, own)
+        self.tally["touches"] += own.touches
+        self.tally["locate_ops"] += own.locate_ops
+        self.tally["colors"] += len(out)
+        if meter is not None:
+            meter.touches += own.touches
+            meter.locate_ops += own.locate_ops
+        return out
+
+
+def _spy_leaves(fallback) -> dict:
+    tally = {"touches": 0, "locate_ops": 0, "colors": 0}
+    fallback.leaf_psts = [_LeafSpy(p, tally) for p in fallback.leaf_psts]
+    return tally
+
+
+def _array_part(fallback, a, b):
+    """The fallback's answer on [a, b], and the touches, locate ops and
+    colors of its array part (all but the leaf PSTs)."""
+    tally = fallback.leaf_psts[0].tally
+    for key in tally:
+        tally[key] = 0
+    meter = CostMeter()
+    out = fallback.query(a, b, meter)
+    return (out, meter.touches - tally["touches"],
+            meter.locate_ops - tally["locate_ops"], len(out) - tally["colors"])
+
+
+def test_fallback_answers_every_range_small():
+    # the fallback alone, over every range: no duplicates and the oracle's
+    # colors, also where the window starts at a leaf's first point, both
+    # within that leaf and across interior blocks
+    rng = random.Random(47)
+    same_leaf = across = 0
+    for _ in range(30):
+        n = rng.randrange(1, 160)
+        u = rng.randrange(max(4, n), n + 60)
+        pts = random_instance(rng, n, u, rng.randrange(1, 12))
+        idx = StaticIndex(pts)
+        fo = FastOracle(pts)
+        _spy_leaves(idx.fallback)
+        for a in range(1, u + 2):
+            j = bisect.bisect_left(idx.values, a)
+            for b in range(a, u + 2):
+                out, _, locate, _ = _array_part(idx.fallback, a, b)
+                assert len(out) == len(set(out)), (pts, a, b, out)
+                assert set(out) == fo.report(a, b), (pts, a, b)
+                r = bisect.bisect_right(idx.values, b)
+                if j < r and j % idx.cap == 0:
+                    same_leaf += (r - 1) // idx.cap == j // idx.cap
+                    across += locate > 1  # aligned blocks were searched
+    assert same_leaf > 0 and across > 0
+
+
+def test_fallback_metering():
+    # on the queries that reach the fallback, its array part counts one touch
+    # per color it reports and one locate op for [a, b] plus one per block
+    # searched, at most two blocks per level
+    rng = random.Random(59)
+    pts = random_instance(rng, 1 << 12, 1 << 15, 200)
+    idx = StaticIndex(pts)
+    spy = idx.fallback = _FallbackSpy(idx.fallback)
+    for _ in range(1500):
+        a = rng.randrange(1, (1 << 15) + 1)
+        idx.query(a, rng.randrange(a, (1 << 15) + 1))
+    assert spy.calls > 100
+    fallback = spy.fallback
+    _spy_leaves(fallback)
+    bound = 2 * math.ceil(math.log2(idx.nleaves))
+    with_blocks = 0
+    for a, b in spy.ranges:
+        out, touches, locate, colors = _array_part(fallback, a, b)
+        assert len(out) == len(set(out))
+        assert touches == colors
+        assert 1 <= locate <= bound
+        with_blocks += locate > 1
+    assert with_blocks > len(spy.ranges) // 2
 
 
 def test_oracle_equivalence_exhaustive_small():
