@@ -49,10 +49,12 @@ class InvalidRange(ValueError):
 
 
 class InvalidColor(ValueError):
-    """A negative color id: ids index color arrays, where -1 aliases the last."""
+    """A negative color id (ids index color arrays, where -1 aliases the
+    last), or one too large for an index file's u32 color count."""
 
     def __init__(self, color):
-        super().__init__(f"negative color {color}")
+        super().__init__(f"negative color {color}" if color < 0 else
+                         f"color {color} too large for an index file")
         self.color = color
 
 

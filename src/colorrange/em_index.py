@@ -30,31 +30,38 @@ O(log_B N + k/B) reads, discarding the buffered emissions so the final
 stream stays duplicate-free.
 
 The per-leaf three-sided structure is the same block-aware PST, built on the
-leaf's points. The serialized file format (version 2) is little-endian:
-magic 'CRR1', version u16, N u64, B u32, C u32, block count u64, the CRC32
-of these 30 bytes as u32, then the blocks, each as kind u8, record count
-u32, metadata count u32, the records and the metadata as i64, and the CRC32
-of the block's bytes as u32. `from_bytes` checks every CRC, and the
-constructor checks every directory entry, separator, K record, list pointer
-and PST child once, so a file that loads cannot make a query read outside
-the store or loop; any failure raises IndexFileError.
+leaf's points. Each PST block stores its records in ascending x, so a query
+bisects [a, b] in a block it reads and tests y only on that slice; the work
+inside a block is not metered, since a read is one transfer however many of
+its records are examined. The serialized file format (version 2) is
+little-endian: magic 'CRR1', version u16, N u64, B u32, C u32, block count
+u64, the CRC32 of these 30 bytes as u32, then the blocks, each as kind u8,
+record count u32, metadata count u32, the records and the metadata as i64,
+and the CRC32 of the block's bytes as u32. `from_bytes` checks every CRC,
+and the constructor checks every directory entry, separator, K record, list
+pointer and PST child once, so a file that loads cannot make a query read
+outside the store or loop, and that every PST block's records strictly
+ascend by x, which the in-block bisection relies on; any failure raises
+IndexFileError.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import operator
 import struct
 import zlib
 from typing import Optional, Sequence
 
-from .core import (ColoredPoint, IndexFileError, InvalidRange,
+from .core import (ColoredPoint, IndexFileError, InvalidColor, InvalidRange,
                    check_coordinate)
 from .static_index import TreeLayout
 
 MAGIC = b"CRR1"
 VERSION = 2
 HEADER = struct.Struct("<4sHQIIQ")  # magic, version, N, B, C, block count
+MAX_U32 = 2**32 - 1  # largest B and color count the header can hold
 
 K_DIR = 0
 K_VALS = 1
@@ -176,16 +183,18 @@ def _build_block_pst(store: BlockStore, pts: list) -> int:
 
 
 def _query_block_pst(store: BlockStore, root: int, a: int, b: int, c: int,
-                     meter=None, emit=None) -> None:
-    """Report points with a <= x <= b, y < c through `emit`."""
+                     out: list, meter=None) -> None:
+    """Append to `out` the colors of the points with a <= x <= b, y < c. A
+    block's records ascend by x, so only its slice [a, b] is tested."""
     if root < 0:
         return
     stack = [root]
     while stack:
-        kind, recs, meta = store.read(stack.pop(), meter)
-        for x, y, color in recs:
-            if a <= x <= b and y < c:
-                emit(x, y, color)
+        _, recs, meta = store.read(stack.pop(), meter)
+        lo = bisect.bisect_left(recs, (a,))
+        for _, y, color in recs[lo:bisect.bisect_left(recs, (b + 1,), lo)]:
+            if y < c:
+                out.append(color)
         nchild = meta[0]
         for i in range(nchild):
             bid, xlo, xhi, miny = meta[1 + 4 * i:5 + 4 * i]
@@ -272,11 +281,14 @@ class EmIndex:
             return
         seen = {self.fallback_root, *(root for root, _, _ in self.leaf_dir)}
         _require(len(seen) == 1 + self.nleaves, "shared PST root")
-        for bid, (kind, _, meta) in enumerate(blocks):
+        for bid, (kind, recs, meta) in enumerate(blocks):
             if kind != K_PST:
                 continue
             _require(bool(meta) and len(meta) == 1 + 4 * meta[0],
                      f"PST block {bid}")
+            xs = [r[0] for r in recs]
+            _require(all(map(operator.lt, xs, xs[1:])),
+                     f"PST block {bid}: records out of x order")
             for child in meta[1::4]:
                 _require(0 < child < bid and child not in seen,
                          f"PST child {child} of block {bid}")
@@ -289,11 +301,17 @@ class EmIndex:
 
     @classmethod
     def build(cls, points: Sequence[ColoredPoint], B: int) -> "EmIndex":
-        if B < 2:
-            raise ValueError("block size must be >= 2")
+        if isinstance(B, bool) or not hasattr(type(B), "__index__") \
+                or not 2 <= B <= MAX_U32:
+            raise ValueError(f"block size {B!r} is not an integer in "
+                             "[2, 2^32 - 1]")
+        B = operator.index(B)
         pts = list(points)
         for p in pts:
             check_coordinate(p.value)
+        ncolors = max((p.color for p in pts), default=-1) + 1
+        if ncolors > MAX_U32:
+            raise InvalidColor(ncolors - 1)
         n = len(pts)
         lay = TreeLayout(pts, B * ceil_log(n, B))
         values, colors, prevs, cap = lay.values, lay.colors, lay.prevs, lay.cap
@@ -343,7 +361,7 @@ class EmIndex:
                 node = p
             meta += (pst_root, *store.write_region(K_KARR, entries))
         store.blocks[0] = (K_DIR, (), tuple(meta))
-        return cls(store, n, max(colors) + 1 if colors else 0)
+        return cls(store, n, ncolors)
 
     # -- locate phase -------------------------------------------------------------
 
@@ -370,29 +388,13 @@ class EmIndex:
         return out[:k_len]
 
     def _hra(self, leaf_idx: int, a: int, b: int, meter=None) -> Optional[tuple]:
-        """K-array search; returns the chosen entry or None."""
-        entries = self._read_karr(leaf_idx, meter)
-        k1 = [e for e in entries if e[0] == 1]  # left parents, m ascending
-        k2 = [e for e in entries if e[0] == 2]  # right parents, m descending
+        """K-array search; returns the chosen entry or None. Entries run
+        bottom-up, so the highest range ancestor is the last one whose side
+        condition holds: m <= b for a left parent, m > a for a right one."""
         best = None
-        lo, hi = 0, len(k1)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if k1[mid][1] <= b:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo > 0:
-            best = k1[lo - 1]
-        lo, hi = 0, len(k2)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if k2[mid][1] > a:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo > 0 and (best is None or k2[lo - 1][2] > best[2]):
-            best = k2[lo - 1]
+        for entry in self._read_karr(leaf_idx, meter):
+            if (entry[1] <= b) if entry[0] == 1 else (entry[1] > a):
+                best = entry
         return best
 
     # -- reporting phase -------------------------------------------------------------
@@ -421,9 +423,8 @@ class EmIndex:
         entry = self._hra(leaf_idx, a, b, meter)
         out: list = []
         if entry is None:
-            pst_root = self.leaf_dir[leaf_idx][0]
-            _query_block_pst(self.store, pst_root, a, b, a, meter,
-                             lambda x, y, color: out.append(color))
+            _query_block_pst(self.store, self.leaf_dir[leaf_idx][0], a, b, a,
+                             out, meter)
             return out
 
         _, _, _, rl_start, rl_len, lr_start, lr_len = entry
@@ -448,8 +449,8 @@ class EmIndex:
                     fallback = True
         if fallback:
             out = []
-            _query_block_pst(self.store, self.fallback_root, a, b, a, meter,
-                             lambda x, y, color: out.append(color))
+            _query_block_pst(self.store, self.fallback_root, a, b, a, out,
+                             meter)
         return out
 
     # -- serialization ------------------------------------------------------------
@@ -491,16 +492,15 @@ class EmIndex:
     # -- structural audit (tests) ---------------------------------------------------
 
     def audit_lists(self) -> None:
-        """Every L list ascending with prevs, every R list descending."""
-        for bid, (kind, recs, meta) in enumerate(self.store.blocks):
+        """Every L list ascending with prevs, every R list descending, each
+        with distinct colors (IndexFileError)."""
+        for kind, recs, _ in self.store.blocks:
             if kind != K_KARR:
                 continue
-            for side, m, h, rl_s, rl_n, lr_s, lr_n in recs:
-                r = list(self._iter_list((rl_s, rl_n)))
-                l = list(self._iter_list((lr_s, lr_n)))
-                rv = [x[0] for x in r]
-                lv = [x[0] for x in l]
-                assert rv == sorted(rv, reverse=True)
-                assert lv == sorted(lv)
-                assert len(set(x[2] for x in r)) == len(r)
-                assert len(set(x[2] for x in l)) == len(l)
+            for _, _, _, rl_s, rl_n, lr_s, lr_n in recs:
+                for start, length, sign in ((rl_s, rl_n, -1), (lr_s, lr_n, 1)):
+                    ents = list(self._iter_list((start, length)))
+                    keys = [sign * e[0] for e in ents]
+                    _require(keys == sorted(keys)
+                             and len({e[2] for e in ents}) == len(ents),
+                             f"list at block {start}")

@@ -3,12 +3,14 @@ import math
 import random
 import struct
 
+import numpy as np
 import pytest
 
+import colorrange.em_index as em_index
 from colorrange.core import (ColoredPoint, CostMeter, FastOracle,
-                             IndexFileError, InvalidCoordinate, InvalidRange,
-                             MAX_COORDINATE, Range, oracle_report)
-from colorrange.em_index import K_PST, K_SEP, EmIndex, ceil_log
+                             IndexFileError, InvalidColor, InvalidCoordinate,
+                             InvalidRange, MAX_COORDINATE, Range, oracle_report)
+from colorrange.em_index import K_KARR, K_PST, K_SEP, EmIndex, ceil_log
 from conftest import random_instance
 
 
@@ -33,6 +35,14 @@ def test_structural_audit_multilevel():
     idx = EmIndex.build(pts, B=8)
     assert idx.nleaves > 2
     idx.audit_lists()
+    # reverse, in memory, the first block of an R list of 2 or more entries
+    blocks = idx.store.blocks
+    start = next(r[3] for kind, recs, _ in blocks if kind == K_KARR
+                 for r in recs if r[4] >= 2)
+    kind, recs, meta = blocks[start]
+    blocks[start] = (kind, recs[::-1], meta)
+    with pytest.raises(IndexFileError):
+        idx.audit_lists()
 
 
 def test_oracle_equivalence_and_no_duplicates():
@@ -216,6 +226,8 @@ def test_bad_pointers_raise_at_load():
         "values block kind": _set_block(idx.vals_start, kind=K_SEP),
         "cap": _set_meta(0, 0, 0),
         "point count": lambda idx: setattr(idx, "n", idx.n - 1),
+        "PST records out of x order": _set_block(pst, recs=(
+            blocks[pst][1][1], blocks[pst][1][0]) + blocks[pst][1][2:]),
     }
     loaded = []
     for name, edit in edits.items():
@@ -279,6 +291,60 @@ def test_build_rejects_unserializable_coordinate():
             EmIndex.build([ColoredPoint(value, 0)], B=4)
     top = EmIndex.build([ColoredPoint(1, 0), ColoredPoint(MAX_COORDINATE, 1)], B=4)
     assert EmIndex.from_bytes(top.to_bytes()).query(2, MAX_COORDINATE) == [1]
+
+
+def _no_build(*args, **kwargs):
+    raise AssertionError("the layout was built")
+
+
+@pytest.mark.parametrize("B", [8.0, True, 1, 0, -4, 2**32, 2**33, "8", None])
+def test_build_rejects_bad_block_size(monkeypatch, B):
+    # B is a u32 in the header and indexes lists: it is checked first
+    monkeypatch.setattr(em_index, "TreeLayout", _no_build)
+    with pytest.raises(ValueError, match="block size"):
+        EmIndex.build([ColoredPoint(1, 0)], B=B)
+
+
+def test_build_accepts_integer_like_block_size():
+    idx = EmIndex.build([ColoredPoint(1, 0), ColoredPoint(5, 1)], B=np.int64(2))
+    assert type(idx.B) is int and idx.query(1, 5) == [0, 1]
+
+
+@pytest.mark.parametrize("color", [2**32 - 1, 2**32, 2**63])
+def test_build_rejects_color_beyond_header(monkeypatch, color):
+    # the header holds max(color) + 1 as a u32
+    pts = [ColoredPoint(1, 0), ColoredPoint(2, color)]
+    with monkeypatch.context() as m:
+        m.setattr(em_index, "TreeLayout", _no_build)
+        with pytest.raises(InvalidColor):
+            EmIndex.build(pts, B=4)
+    top = EmIndex.build([ColoredPoint(1, 0), ColoredPoint(2, 2**32 - 2)], B=4)
+    assert top.ncolors == 2**32 - 1
+    assert EmIndex.from_bytes(top.to_bytes()).query(2, 2) == [2**32 - 2]
+
+
+def test_every_range_small_blocks():
+    # every [a, b] over the stored coordinates and their neighbours, so that
+    # endpoints land on a PST block's records and just beside them
+    rng = random.Random(163)
+    for trial in range(20):
+        B = (2, 3, 5)[trial % 3]
+        n = rng.randrange(1, 70)
+        pts = random_instance(rng, n, 3 * n + 4, rng.randrange(1, 12))
+        fo = FastOracle(pts)
+        idx = EmIndex.build(pts, B=B)
+        loaded = EmIndex.from_bytes(idx.to_bytes())
+        ends = sorted({p.value + d for p in pts for d in (-1, 0, 1)} - {0})
+        m1, m2 = CostMeter(), CostMeter()
+        for i, a in enumerate(ends):
+            for b in ends[i:]:
+                m1.reset()
+                m2.reset()
+                got = idx.query(a, b, meter=m1)
+                assert loaded.query(a, b, meter=m2) == got
+                assert m1.snapshot() == m2.snapshot()
+                assert len(got) == len(set(got)), (B, a, b)
+                assert set(got) == fo.report(a, b), (B, a, b)
 
 
 def test_full_range_all_distinct_colors():
