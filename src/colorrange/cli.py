@@ -306,7 +306,10 @@ def cmd_dump(args) -> int:
     info = {"schema": SCHEMA, "magic": MAGIC.decode(), "version": VERSION,
             "n": index.n, "B": index.B, "colors": index.ncolors,
             "blocks": len(index.store.blocks), "leaves": index.nleaves,
-            "locate_levels": len(index.levels), "roundtrip_identical": ok}
+            "locate_levels": len(index.levels),
+            "first_levels": len(index.level_base),
+            "first_entries_per_point": index.first_offsets[-1] / max(index.n, 1),
+            "roundtrip_identical": ok}
     print(json.dumps(info))
     if args.out:
         with open(args.out, "wb") as fh:

@@ -9,46 +9,57 @@ two phases.
 
 Layout: the `static_index.TreeLayout` with leaves of B * ceil(log_B N)
 points, paged into blocks and then dropped. Block 0 is the directory (cap,
-leaf count, the values region, the fallback PST root, the separator level
-count and each level's start block, root level first, and per leaf its PST
-root and K-array region); then come the values, B per block, the separator
-levels of a static B-ary tree over them (record j of a level is the largest
-value under block j of the level below; the root level is one block), the
-global block-aware priority search tree over (e, prev(e)), the leaf PSTs,
-the R/L lists of the non-root nodes in preorder, and per leaf its K records
-(side, m, height, R(u_l) ptr/len, L(u_r) ptr/len) bottom-up. Locating
-succ(a) and its value descends the separator levels and reads one value
-block, ceil(log_B N) reads in all. Left children
-carry R(u) (per-color maxima, descending, stored as (v, 0, color)), right
-children carry L(u) (per-color minima, ascending, as (v, prev(v), color)),
-both capped at the leaf size and stored run-length contiguous so a traversal
-of t entries costs ceil(t/B) reads. The duplicate-free output stream comes
-from the prev-filter: an L entry is emitted only when prev(e) < a.
-Exhausting a full-length list proves the range holds at least B*log_B N
-colors and the query re-answers through the global PST in
-O(log_B N + k/B) reads, discarding the buffered emissions so the final
-stream stays duplicate-free.
+leaf count, the values region, the first-point region's start block, the
+separator level count and each level's start block, root level first, the
+nagg + 1 record offsets of the aligned blocks, and per leaf its PST root and
+K-array region); then come the values, B per block, the separator levels of
+a static B-ary tree over them (record j of a level is the largest value
+under block j of the level below; the root level is one block), the
+first-point region (K_FIRST), the leaf PSTs, the R/L lists of the non-root
+nodes in preorder, and per leaf its K records (side, m, height, R(u_l)
+ptr/len, L(u_r) ptr/len) bottom-up. Locating succ(a) and its value descends
+the separator levels and reads one value block, ceil(log_B N) reads in all.
+Left children carry R(u) (per-color maxima, descending, stored as
+(v, 0, color)), right children carry L(u) (per-color minima, ascending, as
+(v, prev(v), color)), both capped at the leaf size and stored run-length
+contiguous so a traversal of t entries costs ceil(t/B) reads. The
+duplicate-free output stream comes from the prev-filter: an L entry is
+emitted only when prev(e) < a.
 
-The per-leaf three-sided structure is the same block-aware PST, built on the
-leaf's points. Each PST block stores its records in ascending x, so a query
-bisects [a, b] in a block it reads and tests y only on that slice; the work
-inside a block is not metered, since a read is one transfer however many of
-its records are examined. The serialized file format (version 2) is
-little-endian: magic 'CRR1', version u16, N u64, B u32, C u32, block count
-u64, the CRC32 of these 30 bytes as u32, then the blocks, each as kind u8,
-record count u32, metadata count u32, the records and the metadata as i64,
-and the CRC32 of the block's bytes as u32. `from_bytes` checks every CRC,
-and the constructor checks every directory entry, separator, K record, list
-pointer and PST child once, so a file that loads cannot make a query read
-outside the store or loop, and that every PST block's records strictly
-ascend by x, which the in-block bisection relies on; any failure raises
-IndexFileError.
+A full-length list whose last entry lies in the range (R: v >= a, L: v <= b;
+one read of its last block) would be exhausted: the range holds at least
+B*log_B N colors, and the query takes the wide route without walking either
+list. That route finds succ(b + 1) by a second descent and splits the leaves
+between by `static_index.leaf_cover`: the edge and single interior leaves
+answer through their PSTs, and each aligned block reads its records
+(prevpos, color) of `static_index.first_points`, ascending by prevpos and
+packed B per block, page by page up to the first prevpos >= succ(a)'s
+position. The aligned-block levels follow from N, cap and the leaf count;
+with many colors the region grows with log N (see the README).
+
+The per-leaf three-sided structure is a block-aware PST, built on the leaf's
+points. Each PST block stores its records in ascending x, so a query bisects
+[a, b] in a block it reads and tests y only on that slice; the work inside a
+block is not metered, since a read is one transfer however many of its
+records are examined. The serialized file format (version 3; only version 3
+is read) is little-endian: magic 'CRR1', version u16, N u64, B u32, C u32,
+block count u64, the CRC32 of these 30 bytes as u32, then the blocks, each as
+kind u8, record count u32, metadata count u32, the records and the metadata
+as i64, and the CRC32 of the block's bytes as u32. `from_bytes` checks every
+CRC, and the constructor checks every directory entry, separator, K record,
+list pointer and PST child once, so a file that loads cannot make a query
+read outside the store or loop. It also checks what the query trusts without
+reading: every PST block's records strictly ascend by x (the in-block
+bisection), a PST child's (xlo, xhi, min y) are those of its subtree's
+records (the pruning), and the first-point offsets start at 0, never
+decrease and end at the region's record count, while within each aligned
+block prevpos never decreases and lies in [-1, the block's first position),
+and every color is below C. Any failure raises IndexFileError.
 """
 
 from __future__ import annotations
 
 import bisect
-import math
 import operator
 import struct
 import zlib
@@ -56,10 +67,11 @@ from typing import Optional, Sequence
 
 from .core import (ColoredPoint, IndexFileError, InvalidColor, InvalidRange,
                    check_coordinate)
-from .static_index import TreeLayout
+from .static_index import (TreeLayout, fallback_levels, first_points,
+                           leaf_cover)
 
 MAGIC = b"CRR1"
-VERSION = 2
+VERSION = 3
 HEADER = struct.Struct("<4sHQIIQ")  # magic, version, N, B, C, block count
 MAX_U32 = 2**32 - 1  # largest B and color count the header can hold
 
@@ -69,6 +81,7 @@ K_LIST = 2
 K_PST = 3
 K_KARR = 4
 K_SEP = 5
+K_FIRST = 6
 
 
 def ceil_log(n: int, base: int) -> int:
@@ -146,7 +159,8 @@ class BlockStore:
         return store
 
 
-_REC_WIDTH = {K_DIR: 0, K_VALS: 1, K_LIST: 3, K_PST: 3, K_KARR: 7, K_SEP: 1}
+_REC_WIDTH = {K_DIR: 0, K_VALS: 1, K_LIST: 3, K_PST: 3, K_KARR: 7, K_SEP: 1,
+              K_FIRST: 2}
 
 
 def _build_block_pst(store: BlockStore, pts: list) -> int:
@@ -163,7 +177,7 @@ def _build_block_pst(store: BlockStore, pts: list) -> int:
     rest = sorted(byy[B:])
     meta = []
     if rest:
-        nc = min(B, math.ceil(len(rest) / B))
+        nc = min(B, -(-len(rest) // B))
         base, extra = divmod(len(rest), nc)
         lo = 0
         kids = []
@@ -221,18 +235,21 @@ class EmIndex:
                  "no directory block")
         meta = blocks[0][2]
         _require(len(meta) >= 5, "short directory")
-        self.cap, self.nleaves, self.vals_start, self.fallback_root, nlevels = \
+        self.cap, self.nleaves, self.vals_start, self.first_start, nlevels = \
             meta[:5]
+        _require(self.cap >= 1 and self.nleaves == -(-n // self.cap)
+                 and nlevels >= 0, "directory size")
+        self.level_base, nagg = fallback_levels(n, self.cap, self.nleaves)
         # separator level start blocks, root level first
         self.levels = meta[5:5 + nlevels]
         self._descent = self.levels + (self.vals_start,)
+        # record offsets of the aligned blocks in the first-point region
+        leaves_at = 6 + nlevels + nagg
+        self.first_offsets = meta[5 + nlevels:leaves_at]
         # per leaf: (pst_root, k_start, k_len)
         self.leaf_dir = [tuple(meta[i:i + 3])
-                         for i in range(5 + nlevels, len(meta), 3)]
-        _require(self.cap >= 1 and self.nleaves == -(-n // self.cap)
-                 and nlevels >= 0
-                 and len(meta) == 5 + nlevels + 3 * self.nleaves,
-                 "directory size")
+                         for i in range(leaves_at, len(meta), 3)]
+        _require(len(meta) == leaves_at + 3 * self.nleaves, "directory size")
         self._check()
 
     def _region(self, start: int, count: int, kind: int, what: str) -> None:
@@ -247,8 +264,10 @@ class EmIndex:
                      f"{what}: block {start + i}")
 
     def _check(self) -> None:
-        """Directory entries, separator levels, K records and PST children,
-        so that no query on a loaded file reads outside the store or loops."""
+        """Directory entries, separator levels, first points, K records and
+        PST children, so that no query on a loaded file reads outside the
+        store, loops, or trusts a record order or PST bound that the records
+        contradict."""
         blocks, B = self.store.blocks, self.B
         self._region(self.vals_start, self.n, K_VALS, "values")
         # separator level l holds the last record of each block of level l-1
@@ -263,6 +282,28 @@ class EmIndex:
             child_start, count = start, -(-count // B)
         _require(count <= 1, "separator level count")
 
+        # aligned block g's first points are the region's records offs[g]
+        # to offs[g + 1] - 1: prevpos ascending, before the block's first point
+        offs = self.first_offsets
+        _require(offs[0] == 0 and all(map(operator.le, offs, offs[1:])),
+                 "first-point offsets")
+        self._region(self.first_start, offs[-1], K_FIRST, "first points")
+        recs = [r for bid in range(self.first_start,
+                                   self.first_start + -(-offs[-1] // B))
+                for r in blocks[bid][1]]
+        colors = [r[1] for r in recs]
+        _require(not colors or 0 <= min(colors) and max(colors) < self.ncolors,
+                 "first-point color")
+        g, size = 0, 2 * self.cap
+        for _ in self.level_base:
+            for start in range(0, self.n, size):
+                ps = [r[0] for r in recs[offs[g]:offs[g + 1]]]
+                _require(not ps or -1 <= ps[0] and ps[-1] < start
+                         and all(map(operator.le, ps, ps[1:])),
+                         f"first points of aligned block {g}")
+                g += 1
+            size *= 2
+
         lists = set()
         for _, k_start, k_len in self.leaf_dir:
             self._region(k_start, k_len, K_KARR, "K array")
@@ -275,27 +316,32 @@ class EmIndex:
             self._region(start, length, K_LIST, "R/L list")
 
         # the PST blocks form a forest: a child precedes its parent in the
-        # file, and no block is referenced twice
-        if self.n == 0:
-            _require(self.fallback_root == -1, "fallback PST of an empty index")
-            return
-        seen = {self.fallback_root, *(root for root, _, _ in self.leaf_dir)}
-        _require(len(seen) == 1 + self.nleaves, "shared PST root")
+        # file, no block is referenced twice, and a child's (xlo, xhi, min y)
+        # are those of the records in its subtree
+        seen = {root for root, _, _ in self.leaf_dir}
+        _require(len(seen) == self.nleaves, "shared PST root")
+        span = {}  # PST block -> (xlo, xhi, min y) of its subtree
         for bid, (kind, recs, meta) in enumerate(blocks):
             if kind != K_PST:
                 continue
-            _require(bool(meta) and len(meta) == 1 + 4 * meta[0],
+            _require(bool(recs) and bool(meta) and len(meta) == 1 + 4 * meta[0],
                      f"PST block {bid}")
             xs = [r[0] for r in recs]
             _require(all(map(operator.lt, xs, xs[1:])),
                      f"PST block {bid}: records out of x order")
-            for child in meta[1::4]:
-                _require(0 < child < bid and child not in seen,
+            xlo, xhi, miny = xs[0], xs[-1], min(r[1] for r in recs)
+            for i in range(1, len(meta), 4):
+                child = meta[i]
+                _require(child in span and child not in seen,
                          f"PST child {child} of block {bid}")
+                _require(span[child] == meta[i + 1:i + 4],
+                         f"PST child {child} of block {bid}: bounds")
                 seen.add(child)
-        for bid in seen:
-            _require(0 < bid < len(blocks) and blocks[bid][0] == K_PST,
-                     f"PST block {bid}")
+                xlo, xhi = min(xlo, meta[i + 1]), max(xhi, meta[i + 2])
+                miny = min(miny, meta[i + 3])
+            span[bid] = (xlo, xhi, miny)
+        for root, _, _ in self.leaf_dir:
+            _require(root in span, f"PST block {root}")
 
     # -- construction -----------------------------------------------------------
 
@@ -329,7 +375,9 @@ class EmIndex:
             if len(keys) <= 1:
                 break
             levels.append(store.write_region(K_SEP, [(k,) for k in keys])[0])
-        fallback_root = _build_block_pst(store, list(zip(values, prevs, colors)))
+        _, offsets, keys, pos = first_points(lay)
+        first_start, _ = store.write_region(K_FIRST, list(zip(
+            (keys % (n + 1) - 1).tolist(), [colors[i] for i in pos.tolist()])))
         leaf_psts = [_build_block_pst(store, list(zip(values[lo:lo + cap],
                                                       prevs[lo:lo + cap],
                                                       colors[lo:lo + cap])))
@@ -349,8 +397,8 @@ class EmIndex:
                 stack += (node.right, node.left)
 
         # per-leaf K arrays: (side, m, height, R(u_l) ptr/len, L(u_r) ptr/len)
-        meta = [cap, lay.nleaves, vals_start, fallback_root, len(levels),
-                *reversed(levels)]
+        meta = [cap, lay.nleaves, vals_start, first_start, len(levels),
+                *reversed(levels), *offsets]
         for leaf, pst_root in zip(lay.leaves, leaf_psts):
             entries = []
             node = leaf
@@ -365,52 +413,39 @@ class EmIndex:
 
     # -- locate phase -------------------------------------------------------------
 
-    def _locate(self, a: int, meter=None) -> tuple:
+    def _locate(self, a: int, meter=None, locate: bool = True) -> tuple:
         """(position, value) of the first value >= a, or (n, None): one read
         per separator level, then one of the value block."""
         if self.n == 0:
             return self.n, None
         j = 0  # block index within the current level
         for start in self._descent:
-            _, recs, _ = self.store.read(start + j, meter, locate=True)
+            _, recs, _ = self.store.read(start + j, meter, locate)
             i = bisect.bisect_left(recs, (a,))
             if i == len(recs):  # only at the top: a exceeds every value
                 return self.n, None
             j = j * self.B + i
         return j, recs[i][0]
 
-    def _read_karr(self, leaf_idx: int, meter=None) -> list:
-        _, k_start, k_len = self.leaf_dir[leaf_idx]
-        out = []
-        for bid in range(k_start, k_start + math.ceil(k_len / self.B)):
-            _, recs, _ = self.store.read(bid, meter, locate=True)
-            out.extend(recs)
-        return out[:k_len]
-
     def _hra(self, leaf_idx: int, a: int, b: int, meter=None) -> Optional[tuple]:
         """K-array search; returns the chosen entry or None. Entries run
         bottom-up, so the highest range ancestor is the last one whose side
         condition holds: m <= b for a left parent, m > a for a right one."""
+        _, k_start, k_len = self.leaf_dir[leaf_idx]
         best = None
-        for entry in self._read_karr(leaf_idx, meter):
-            if (entry[1] <= b) if entry[0] == 1 else (entry[1] > a):
-                best = entry
+        for bid in range(k_start, k_start + -(-k_len // self.B)):
+            for entry in self.store.read(bid, meter, locate=True)[1]:
+                if (entry[1] <= b) if entry[0] == 1 else (entry[1] > a):
+                    best = entry
         return best
 
     # -- reporting phase -------------------------------------------------------------
 
-    def _iter_list(self, ptr: tuple, meter=None):
-        start, length = ptr
-        done = 0
-        bid = start
-        while done < length:
-            _, recs, _ = self.store.read(bid, meter)
-            for r in recs:
-                if done >= length:
-                    return
-                done += 1
-                yield r
-            bid += 1
+    def _iter_list(self, start: int, length: int, meter=None):
+        """The records of a region, read block by block as they are taken
+        (`_check` made each block hold min(B, the rest) of them)."""
+        for bid in range(start, start + -(-length // self.B)):
+            yield from self.store.read(bid, meter)[1]
 
     def query(self, a: int, b: int, meter=None) -> list:
         """Distinct colors of [a, b]; the emission stream is duplicate-free."""
@@ -427,30 +462,52 @@ class EmIndex:
                              out, meter)
             return out
 
+        # a full-length list whose last entry lies in the range would be
+        # exhausted: the range holds at least cap colors, maybe more
         _, _, _, rl_start, rl_len, lr_start, lr_len = entry
-        fallback = False
-        seen = 0
-        for v, _, color in self._iter_list((rl_start, rl_len), meter):
-            seen += 1
+        cap = self.cap
+        if (rl_len == cap and self._last_value(rl_start, rl_len, meter) >= a
+                or lr_len == cap
+                and self._last_value(lr_start, lr_len, meter) <= b):
+            return self._wide(a, b, pos, meter)
+        for v, _, color in self._iter_list(rl_start, rl_len, meter):
             if v < a:
                 break
             out.append(color)
-        else:
-            if rl_len == self.cap:
-                fallback = True
-        if not fallback:
-            for v, pv, color in self._iter_list((lr_start, lr_len), meter):
-                if v > b:
-                    break
-                if pv < a:
-                    out.append(color)
-            else:
-                if lr_len == self.cap:
-                    fallback = True
-        if fallback:
-            out = []
-            _query_block_pst(self.store, self.fallback_root, a, b, a, out,
+        for v, pv, color in self._iter_list(lr_start, lr_len, meter):
+            if v > b:
+                break
+            if pv < a:
+                out.append(color)
+        return out
+
+    def _last_value(self, start: int, length: int, meter=None) -> int:
+        """The value of a list's last entry, in one read."""
+        return self.store.read(start + (length - 1) // self.B, meter)[1][-1][0]
+
+    def _wide(self, a: int, b: int, j: int, meter=None) -> list:
+        """Distinct colors of [a, b], which holds succ(a) = point j, by
+        `leaf_cover`: its single leaves through their PSTs, and from each
+        aligned block the first points with prevpos < j, read page by page."""
+        r, _ = self._locate(b + 1, meter, locate=False)
+        leaves, groups = leaf_cover(j // self.cap, (r - 1) // self.cap,
+                                    self.level_base)
+        out: list = []
+        for leaf in leaves:
+            _query_block_pst(self.store, self.leaf_dir[leaf][0], a, b, a, out,
                              meter)
+        B, offs, key = self.B, self.first_offsets, (j,)
+        for g in groups:
+            i, end = offs[g], offs[g + 1]
+            while i < end:
+                bid, lo = divmod(i, B)
+                recs = self.store.read(self.first_start + bid, meter)[1]
+                hi = min(B, lo + end - i)
+                cut = bisect.bisect_left(recs, key, lo, hi)
+                out += [color for _, color in recs[lo:cut]]
+                if cut < hi:
+                    break
+                i += hi - lo
         return out
 
     # -- serialization ------------------------------------------------------------
@@ -499,7 +556,7 @@ class EmIndex:
                 continue
             for _, _, _, rl_s, rl_n, lr_s, lr_n in recs:
                 for start, length, sign in ((rl_s, rl_n, -1), (lr_s, lr_n, 1)):
-                    ents = list(self._iter_list((start, length)))
+                    ents = list(self._iter_list(start, length))
                     keys = [sign * e[0] for e in ents]
                     _require(keys == sorted(keys)
                              and len({e[2] for e in ents}) == len(ents),

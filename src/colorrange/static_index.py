@@ -136,17 +136,89 @@ class TreeLayout:
         return ent[:self.cap]
 
 
+def fallback_levels(n: int, cap: int, nleaves: int) -> tuple:
+    """(level_base, block count) of the aligned blocks over `n` points in
+    leaves of `cap`: level l >= 1 cuts the points into blocks of cap * 2^l
+    for each l that a range of interior leaves, at most nleaves - 2 of them,
+    can fill; level_base holds the global id of each level's block 0."""
+    level_base, nblocks, size = [], 0, 2 * cap
+    while size <= (nleaves - 2) * cap:
+        level_base.append(nblocks)
+        nblocks += -(-n // size)
+        size *= 2
+    return level_base, nblocks
+
+
+def first_points(layout: TreeLayout) -> tuple:
+    """The aligned blocks' first points: (level_base, block_start, keys,
+    pos). A block keeps the first point of each color it holds, the points
+    whose predecessor lies before the block, ordered by the predecessor's
+    position prevpos (-1 for none). Block g's entries are [block_start[g],
+    block_start[g + 1]) of the int64 arrays `keys`, which holds
+    g * (n + 1) + prevpos + 1 and so ascends, and `pos`, the points' own
+    positions."""
+    n, cap = layout.n, layout.cap
+    level_base, nblocks = fallback_levels(n, cap, layout.nleaves)
+    values = np.asarray(layout.values, dtype=np.int64)
+    prevs = np.asarray(layout.prevs, dtype=np.int64)
+    prevpos = np.where(prevs == 0, -1, np.searchsorted(values, prevs))
+    pos = np.arange(n, dtype=np.int64)
+    keys, firsts = [pos[:0]], [pos[:0]]
+    size = 2 * cap
+    for base in level_base:
+        block = pos // size
+        first = prevpos < block * size
+        key = (base + block[first]) * (n + 1) + prevpos[first] + 1
+        order = np.argsort(key, kind="stable")
+        keys.append(key[order])
+        firsts.append(pos[first][order])
+        size *= 2
+    keys = np.concatenate(keys)
+    block_start = keys.searchsorted(
+        np.arange(nblocks + 1, dtype=np.int64) * (n + 1)).tolist()
+    return level_base, block_start, keys, np.concatenate(firsts)
+
+
+def leaf_cover(lo: int, hi: int, level_base: Sequence[int]) -> tuple:
+    """Leaves [lo, hi] as (single leaves, aligned blocks): the edge leaves
+    lo and hi and at most two single interior leaves, then the other
+    interior leaves as at most two aligned blocks per level."""
+    if lo == hi:
+        return [lo], []
+    leaves = [lo, hi]
+    lo += 1
+    if lo & 1 and lo < hi:
+        leaves.append(lo)
+        lo += 1
+    if hi & 1 and lo < hi:
+        hi -= 1
+        leaves.append(hi)
+    lo >>= 1
+    hi >>= 1
+    blocks = []
+    for base in level_base:
+        if lo >= hi:
+            break
+        if lo & 1:
+            blocks.append(base + lo)
+            lo += 1
+        if hi & 1:
+            hi -= 1
+            blocks.append(base + hi)
+        lo >>= 1
+        hi >>= 1
+    return leaves, blocks
+
+
 class ArrayFallback:
     """Color reporting over any range of a `TreeLayout` in O(log N + k).
 
-    For each level l >= 1 that a range of interior leaves can fill, the points
-    are cut into aligned blocks of cap * 2^l; a block keeps only the first
-    point of each color it holds (the points whose predecessor lies before
-    the block), ordered by the predecessor's position. Block g's entries carry
-    the key g * (n + 1) + prevpos + 1 in one sorted int64 array `keys`, with
-    their colors at the same index of `firsts`, so the entries of block g with
-    prevpos < j end at `keys.searchsorted(g * (n + 1) + j + 1)`. That makes
-    sum over l of min(N, C * N / (cap * 2^l)) entries for C colors.
+    The interior leaves of a range that `leaf_cover` does not list one by
+    one fill aligned blocks of `first_points`, whose `keys` are kept with
+    the entries' colors at the same index of `firsts`, so the entries of
+    block g with prevpos < j end at `keys.searchsorted(g * (n + 1) + j + 1)`.
+    That makes sum over l of min(N, C * N / (cap * 2^l)) entries for C
+    colors.
 
     A block strictly after succ(a) = point j lies inside the range, and each of
     its entries with prevpos < j is the first point of its color in the whole
@@ -156,37 +228,14 @@ class ArrayFallback:
     """
 
     def __init__(self, layout: TreeLayout, leaf_psts: list):
-        n, cap = layout.n, layout.cap
         self.values = layout.values
-        self.cap = cap
+        self.cap = layout.cap
         self.leaf_psts = leaf_psts
-        self.stride = n + 1
-        values = np.asarray(layout.values, dtype=np.int64)
-        prevs = np.asarray(layout.prevs, dtype=np.int64)
-        prevpos = np.where(prevs == 0, -1, np.searchsorted(values, prevs))
-        pos = np.arange(n, dtype=np.int64)
-        keys, firsts = [np.zeros(0, dtype=np.int64)], [pos[:0]]
-        self.level_base = []  # global id of block 0 on levels 1, 2, ...
-        nblocks = 0
-        size = 2 * cap
-        # a range of interior leaves, at most nleaves - 2 of them, fills no
-        # block of more leaves
-        while size <= (layout.nleaves - 2) * cap:
-            block = pos // size
-            first = prevpos < block * size
-            key = (nblocks + block[first]) * self.stride + prevpos[first] + 1
-            order = np.argsort(key, kind="stable")
-            keys.append(key[order])
-            firsts.append(pos[first][order])
-            self.level_base.append(nblocks)
-            nblocks += -(-n // size)
-            size *= 2
-        self.keys = np.concatenate(keys)
-        self.block_start = self.keys.searchsorted(
-            np.arange(nblocks + 1, dtype=np.int64) * self.stride).tolist()
+        self.stride = layout.n + 1
+        self.level_base, self.block_start, self.keys, pos = first_points(layout)
         # the colors by reference, so an entry costs one list slot
         colors = layout.colors
-        self.firsts = [colors[i] for i in np.concatenate(firsts).tolist()]
+        self.firsts = [colors[i] for i in pos.tolist()]
 
     def query(self, a: int, b: int, meter=None) -> list:
         """Distinct colors of [a, b], each exactly once."""
@@ -197,35 +246,11 @@ class ArrayFallback:
             meter.locate_ops += 1
         if j >= r:
             return []
-        psts = self.leaf_psts
-        lo, hi = j // self.cap, (r - 1) // self.cap
-        out = psts[lo].query(a, b, meter)
-        if lo == hi:
-            return out
-        out += psts[hi].query(a, b, meter)
-        # the interior leaves [lo + 1, hi): single leaves through their PSTs,
-        # the rest at most two aligned blocks per level
-        lo += 1
-        if lo & 1 and lo < hi:
-            out += psts[lo].query(a, b, meter)
-            lo += 1
-        if hi & 1 and lo < hi:
-            hi -= 1
-            out += psts[hi].query(a, b, meter)
-        lo >>= 1
-        hi >>= 1
-        blocks = []
-        for base in self.level_base:
-            if lo >= hi:
-                break
-            if lo & 1:
-                blocks.append(base + lo)
-                lo += 1
-            if hi & 1:
-                hi -= 1
-                blocks.append(base + hi)
-            lo >>= 1
-            hi >>= 1
+        leaves, blocks = leaf_cover(j // self.cap, (r - 1) // self.cap,
+                                    self.level_base)
+        out = []
+        for leaf in leaves:
+            out += self.leaf_psts[leaf].query(a, b, meter)
         if not blocks:
             return out
         stride, bound = self.stride, j + 1
