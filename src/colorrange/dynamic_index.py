@@ -257,6 +257,7 @@ class DynamicIndex:
         """Distinct colors of the live set within [a, b]."""
         if a > b:
             raise InvalidRange(f"[{a}, {b}]")
+        a = max(a, 1)  # no point lies below 1, and prev 0 must stay below a
         self.last_fallback_cap = None
         if meter is not None:
             meter.locate_ops += 1

@@ -26,16 +26,18 @@ contiguous so a traversal of t entries costs ceil(t/B) reads. The
 duplicate-free output stream comes from the prev-filter: an L entry is
 emitted only when prev(e) < a.
 
-A full-length list whose last entry lies in the range (R: v >= a, L: v <= b;
-one read of its last block) would be exhausted: the range holds at least
-B*log_B N colors, and the query takes the wide route without walking either
-list. That route finds succ(b + 1) by a second descent and splits the leaves
-between by `static_index.leaf_cover`: the edge and single interior leaves
-answer through their PSTs, and each aligned block reads its records
-(prevpos, color) of `static_index.first_points`, ascending by prevpos and
-packed B per block, page by page up to the first prevpos >= succ(a)'s
-position. The aligned-block levels follow from N, cap and the leaf count;
-with many colors the region grows with log N (see the README).
+A full-length list whose last entry lies strictly inside the range (R:
+v > a, L: v < b; one read of its last block) may leave colors out: the range
+holds at least B*log_B N colors, and the query takes the wide route without
+walking either list; a full list that ends at a
+(R) or b (L) holds every color of its side and is walked. The wide route
+finds succ(b + 1) by a second descent and splits the leaves between by
+`static_index.leaf_cover`: the edge and single interior leaves answer
+through their PSTs, and each aligned block reads its records (prevpos,
+color) of `static_index.first_points`, ascending by prevpos and packed B
+per block, page by page up to the first prevpos >= succ(a)'s position. The
+aligned-block levels follow from N, cap and the leaf count; with many
+colors the region grows with log N (see the README).
 
 The per-leaf three-sided structure is a block-aware PST, built on the leaf's
 points. Each PST block stores its records in ascending x, so a query bisects
@@ -451,6 +453,7 @@ class EmIndex:
         """Distinct colors of [a, b]; the emission stream is duplicate-free."""
         if a > b:
             raise InvalidRange(f"[{a}, {b}]")
+        a = max(a, 1)  # no point lies below 1, and prev 0 must stay below a
         pos, v0 = self._locate(a, meter)
         if pos >= self.n or v0 > b:
             return []
@@ -462,13 +465,14 @@ class EmIndex:
                              out, meter)
             return out
 
-        # a full-length list whose last entry lies in the range would be
-        # exhausted: the range holds at least cap colors, maybe more
+        # a full-length list whose last entry lies strictly inside the range
+        # may leave colors out; one whose last entry is a (R) or b (L) holds
+        # every color of its side
         _, _, _, rl_start, rl_len, lr_start, lr_len = entry
         cap = self.cap
-        if (rl_len == cap and self._last_value(rl_start, rl_len, meter) >= a
+        if (rl_len == cap and self._last_value(rl_start, rl_len, meter) > a
                 or lr_len == cap
-                and self._last_value(lr_start, lr_len, meter) <= b):
+                and self._last_value(lr_start, lr_len, meter) < b):
             return self._wide(a, b, pos, meter)
         for v, _, color in self._iter_list(rl_start, rl_len, meter):
             if v < a:

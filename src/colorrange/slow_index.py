@@ -422,6 +422,7 @@ class SlowTree:
         ordered by first occurrence."""
         if k <= 0 or a > b:
             return []
+        a = max(a, 1)  # as in SlowIndex.query
         if self.count_capped(a, b, k) < k:
             bprime = b
         else:
@@ -442,6 +443,7 @@ class SlowTree:
         ordered by last occurrence, rightmost first."""
         if k <= 0 or a > b:
             return []
+        a = max(a, 1)  # as in SlowIndex.query
         if self.count_capped(a, b, k) < k:
             aprime = a
         else:
@@ -533,6 +535,7 @@ class SlowIndex:
 
     def query(self, a, b, meter=None) -> list:
         """Distinct colors of [a, b] (leftmost-occurrence order)."""
+        a = max(a, 1)  # no point lies below 1, and prev 0 must stay below a
         ems, _ = self.fwd.query(a, b, meter=meter)
         hits = sorted((v, c) for v, c, p in ems if p < a)
         colors = [c for _, c in hits]

@@ -11,24 +11,30 @@ cap = B * ceil(log_B N) and pages it into blocks.
 
 A query locates succ(a) with one binary search, asks its leaf for the
 highest range ancestor u with a < m(u) <= b via two monotone searches
-(Facts 2-3), then reads answers off R(u_l) and L(u_r). A traversal that
-exhausts a full-length list means the range holds at least log N colors, and
-the query falls back to `ArrayFallback`, which answers any range in
-O(log N + k): the two edge leaves and at most two single interior leaves go
-through their leaf PSTs, and the other interior leaves split into at most two
-aligned blocks per level, each of which keeps the first point of every color
-it holds sorted by the position of that point's predecessor, so one
-`searchsorted` finds every block's reported prefix.
+(Facts 2-3), then reads answers off R(u_l) and L(u_r). A range with no such
+ancestor lies in one leaf and is answered by that leaf's Cartesian tree
+(`LeafArrays`). A full-length R(u_l) whose last value exceeds a, or L(u_r)
+whose last value is below b, may leave colors out, and the range then holds
+at least log N colors; that O(1) test sends the query to `ArrayFallback`
+before either list is walked. The fallback answers any range in O(log N + k): the edge leaves
+from per-leaf lists of their colors' last and first points, at most two
+single interior leaves from their Cartesian trees, and the other interior
+leaves as at most two aligned blocks per level, each of which keeps the
+first point of every color it holds sorted by the position of that point's
+predecessor, so one `searchsorted` finds every block's reported prefix.
 
 The answer stream is duplicate-free by construction, so there is no dedup
-pass. L entries carry prev(e), and an L entry is emitted only when
-prev(e) < a: a color with an element in [a, m(u)) was already reported from
-R(u_l). The leaf PSTs store (e, prev(e)) and report the points of [a, b] with
-prev(e) < a, one per color (the prev-link reduction of Gupta, Janardan &
-Smid, 1995); a fallback block lies inside [a, b] and reports its first
-points whose predecessor lies before succ(a), the same filter. A query reads
-only immutable state, so concurrent readers need no lock, given one
-`CostMeter` each.
+pass. Every route reports a point e of [a, b] only if prev(e) < a, which
+holds for exactly one point per color: the prev-link reduction of Gupta,
+Janardan & Smid (1995). An L entry is emitted only when prev(e) < a (a
+color with an element in [a, m(u)) was already reported from R(u_l)); a
+Cartesian tree on prev answers it by descent, pruning each subtree whose
+root has prev >= a, as in Muthukrishnan's document listing (2002). The
+fallback's left edge leaf reports the colors whose last point in it is
+>= a, and every other part reports first points with predecessor before
+succ(a), the same filter. No static structure stores a pointer node per
+point. A query reads only immutable state, so concurrent readers need no
+lock, given one `CostMeter` each.
 """
 
 from __future__ import annotations
@@ -41,7 +47,6 @@ import numpy as np
 
 from .core import (ColoredPoint, DuplicateX, InvalidColor, InvalidCoordinate,
                    InvalidRange, compute_prev)
-from .pst import ColorPst
 
 
 class _TreeNode:
@@ -149,6 +154,13 @@ def fallback_levels(n: int, cap: int, nleaves: int) -> tuple:
     return level_base, nblocks
 
 
+def prev_positions(layout: TreeLayout) -> np.ndarray:
+    """The position of each point's predecessor, -1 for none."""
+    values = np.asarray(layout.values, dtype=np.int64)
+    prevs = np.asarray(layout.prevs, dtype=np.int64)
+    return np.where(prevs == 0, -1, np.searchsorted(values, prevs))
+
+
 def first_points(layout: TreeLayout) -> tuple:
     """The aligned blocks' first points: (level_base, block_start, keys,
     pos). A block keeps the first point of each color it holds, the points
@@ -159,9 +171,7 @@ def first_points(layout: TreeLayout) -> tuple:
     positions."""
     n, cap = layout.n, layout.cap
     level_base, nblocks = fallback_levels(n, cap, layout.nleaves)
-    values = np.asarray(layout.values, dtype=np.int64)
-    prevs = np.asarray(layout.prevs, dtype=np.int64)
-    prevpos = np.where(prevs == 0, -1, np.searchsorted(values, prevs))
+    prevpos = prev_positions(layout)
     pos = np.arange(n, dtype=np.int64)
     keys, firsts = [pos[:0]], [pos[:0]]
     size = 2 * cap
@@ -210,27 +220,145 @@ def leaf_cover(lo: int, hi: int, level_base: Sequence[int]) -> tuple:
     return leaves, blocks
 
 
+class LeafArrays:
+    """The leaves of a `TreeLayout` with cap < 256 as flat arrays over its
+    points, answering color reporting inside one leaf in O(1 + k) touches.
+
+    - A Cartesian tree per leaf, keyed on prev (a min-heap on prev, in-order
+      by position): `lkid[p]` and `rkid[p]` hold 1 + the in-leaf position of
+      point p's children (0 for none) and `root[leaf]` the in-leaf position
+      of the leaf's root, all in `bytes`. `window` answers positions [j, r)
+      by a descent that skips every subtree whose root has prev >= a.
+    - The last point of each color in the leaf, by value ascending, in
+      `last_v`/`last_c`: the leaf's entries are [last_at[leaf],
+      last_at[leaf + 1]). `suffix` takes those with value >= a.
+    - The first point of each color in the leaf, by value ascending, in
+      `first_v`/`first_p`/`first_c` (prev in `first_p`), cut by `first_at`.
+      `prefix` takes those with value <= b and keeps the ones with prev < a.
+
+    The lists hold the layout's own value, prev and color objects. Metering:
+    each reported point and each list entry taken is one touch, each other
+    tree visit and each list search one locate op.
+    """
+
+    def __init__(self, layout: TreeLayout):
+        n, cap, prevs = layout.n, layout.cap, layout.prevs
+        if cap > 255:
+            raise ValueError(f"leaf size {cap} does not fit a byte")
+        self.cap, self.prevs, self.colors = cap, prevs, layout.colors
+        lkid, rkid = bytearray(n), bytearray(n)
+        root = bytearray(layout.nleaves)
+        for leaf, lo in enumerate(range(0, n, cap)):
+            stack: list = []
+            for i in range(lo, min(lo + cap, n)):
+                key, last = prevs[i], -1
+                while stack and prevs[stack[-1]] > key:
+                    last = stack.pop()
+                if last >= 0:
+                    lkid[i] = last - lo + 1
+                if stack:
+                    rkid[stack[-1]] = i - lo + 1
+                stack.append(i)
+            root[leaf] = stack[0] - lo
+        self.lkid, self.rkid, self.root = bytes(lkid), bytes(rkid), bytes(root)
+
+        # a point is its color's first in its leaf if its predecessor lies
+        # before the leaf, its last if its successor lies after it
+        prevpos = prev_positions(layout)
+        pos = np.arange(n, dtype=np.int64)
+        start = pos - pos % cap
+        nextpos = np.full(n, n + cap, dtype=np.int64)
+        has_prev = prevpos >= 0
+        nextpos[prevpos[has_prev]] = pos[has_prev]
+        bounds = np.arange(layout.nleaves + 1, dtype=np.int64) * cap
+        firsts = np.flatnonzero(prevpos < start)
+        lasts = np.flatnonzero(nextpos >= start + cap)
+        self.first_at = firsts.searchsorted(bounds).tolist()
+        self.last_at = lasts.searchsorted(bounds).tolist()
+        vals, colors = layout.values, layout.colors
+        firsts, lasts = firsts.tolist(), lasts.tolist()
+        self.first_v = [vals[i] for i in firsts]
+        self.first_p = [prevs[i] for i in firsts]
+        self.first_c = [colors[i] for i in firsts]
+        self.last_v = [vals[i] for i in lasts]
+        self.last_c = [colors[i] for i in lasts]
+
+    def window(self, leaf: int, j: int, r: int, a: int, meter=None) -> list:
+        """Colors of the points at positions [j, r) of the leaf with
+        prev < a, one per color if [j, r) is the leaf's part of a range
+        [a, b]."""
+        prevs, colors, lkid, rkid = self.prevs, self.colors, self.lkid, self.rkid
+        base = leaf * self.cap - 1  # position of in-leaf child id c: base + c
+        stack = [base + 1 + self.root[leaf]]
+        pop, push = stack.pop, stack.append
+        last = r - 1
+        out = []
+        emit = out.append
+        visits = 0
+        while stack:
+            p = pop()
+            visits += 1
+            if prevs[p] >= a:
+                continue
+            if p >= j:
+                if p < r:
+                    emit(colors[p])
+                if p > j and lkid[p]:
+                    push(base + lkid[p])
+            if p < last and rkid[p]:
+                push(base + rkid[p])
+        if meter is not None:
+            meter.touches += len(out)
+            meter.locate_ops += visits - len(out)
+        return out
+
+    def suffix(self, leaf: int, a: int, meter=None) -> list:
+        """The colors of the leaf with a point >= a."""
+        end = self.last_at[leaf + 1]
+        i = bisect.bisect_left(self.last_v, a, self.last_at[leaf], end)
+        if meter is not None:
+            meter.touches += end - i
+            meter.locate_ops += 1
+        return self.last_c[i:end]
+
+    def prefix(self, leaf: int, a: int, b: int, meter=None) -> list:
+        """The colors whose first point in the leaf is <= b and has
+        prev < a."""
+        i = self.first_at[leaf]
+        end = bisect.bisect_right(self.first_v, b, i, self.first_at[leaf + 1])
+        if meter is not None:
+            meter.touches += end - i
+            meter.locate_ops += 1
+        return [c for p, c in zip(self.first_p[i:end], self.first_c[i:end])
+                if p < a]
+
+
 class ArrayFallback:
     """Color reporting over any range of a `TreeLayout` in O(log N + k).
 
-    The interior leaves of a range that `leaf_cover` does not list one by
-    one fill aligned blocks of `first_points`, whose `keys` are kept with
-    the entries' colors at the same index of `firsts`, so the entries of
-    block g with prevpos < j end at `keys.searchsorted(g * (n + 1) + j + 1)`.
-    That makes sum over l of min(N, C * N / (cap * 2^l)) entries for C
-    colors.
+    The range's points split by `leaf_cover`: the leaf of succ(a) reports
+    its colors with a point >= a (`LeafArrays.suffix`), the leaf of pred(b)
+    its first points <= b with prev < a (`prefix`), and each single
+    interior leaf, like a range inside one leaf, its points with prev < a
+    (`window`). A list entry that `prefix` takes and drops belongs to a
+    color reported earlier in the range, so the leaves touch at most 2k
+    entries. The other interior leaves fill aligned blocks of
+    `first_points`, whose `keys` are kept with the entries' colors at the
+    same index of `firsts`, so the entries of block g with prevpos < j end
+    at `keys.searchsorted(g * (n + 1) + j + 1)`. That makes sum over l of
+    min(N, C * N / (cap * 2^l)) entries for C colors.
 
     A block strictly after succ(a) = point j lies inside the range, and each of
     its entries with prevpos < j is the first point of its color in the whole
-    range, so the reported stream holds each color once. Metering: the leaf
-    PSTs meter as they do on their own; the locate of [a, b] and each block
-    searched count one locate op, each reported entry one touch.
+    range, so the reported stream holds each color once. Metering: the leaves
+    meter as `LeafArrays` does; the locate of [a, b] and each block searched
+    count one locate op, each reported entry one touch.
     """
 
-    def __init__(self, layout: TreeLayout, leaf_psts: list):
+    def __init__(self, layout: TreeLayout, leaves: LeafArrays):
         self.values = layout.values
         self.cap = layout.cap
-        self.leaf_psts = leaf_psts
+        self.leaves = leaves
         self.stride = layout.n + 1
         self.level_base, self.block_start, self.keys, pos = first_points(layout)
         # the colors by reference, so an entry costs one list slot
@@ -246,11 +374,16 @@ class ArrayFallback:
             meter.locate_ops += 1
         if j >= r:
             return []
-        leaves, blocks = leaf_cover(j // self.cap, (r - 1) // self.cap,
-                                    self.level_base)
-        out = []
-        for leaf in leaves:
-            out += self.leaf_psts[leaf].query(a, b, meter)
+        lo, hi = j // self.cap, (r - 1) // self.cap
+        leaves = self.leaves
+        if lo == hi:
+            return leaves.window(lo, j, r, a, meter)
+        singles, blocks = leaf_cover(lo, hi, self.level_base)
+        out = leaves.suffix(lo, a, meter)
+        for leaf in singles[2:]:  # whole leaves
+            first = leaf * self.cap
+            out += leaves.window(leaf, first, first + self.cap, a, meter)
+        out += leaves.prefix(hi, a, b, meter)
         if not blocks:
             return out
         stride, bound = self.stride, j + 1
@@ -270,11 +403,8 @@ class StaticIndex(TreeLayout):
         points = list(points)
         # floor of 2 so that N = 2 stays a single leaf
         super().__init__(points, max(2, math.ceil(math.log2(max(len(points), 2)))))
-        self.leaf_psts = [
-            ColorPst(zip(self.values[lo:lo + self.cap], self.prevs[lo:lo + self.cap],
-                         self.colors[lo:lo + self.cap]))
-            for lo in range(0, self.n, self.cap)]
-        self.fallback = ArrayFallback(self, self.leaf_psts)
+        self.leaf_arrays = LeafArrays(self)
+        self.fallback = ArrayFallback(self, self.leaf_arrays)
 
     # -- queries -----------------------------------------------------------
 
@@ -331,43 +461,41 @@ class StaticIndex(TreeLayout):
         """Distinct colors of S within [a, b], each exactly once."""
         if a > b:
             raise InvalidRange(f"[{a}, {b}]")
+        if a < 1:  # no point lies below 1, and prev 0 must stay below a
+            a = 1
         # one_report inlined (no call, no ColoredPoint per query): succ(a), its leaf
         if meter is not None:
             meter.locate_ops += 1
-        j = bisect.bisect_left(self.values, a)
-        if j == self.n or self.values[j] > b:
+        values, cap = self.values, self.cap
+        j = bisect.bisect_left(values, a)
+        if j == self.n or values[j] > b:
             return []
-        leaf_idx = j // self.cap
+        leaf_idx = j // cap
         u = self.hra_query(leaf_idx, a, b, meter)
         if u is None:
-            return self.leaf_psts[leaf_idx].query(a, b, meter)
+            r = bisect.bisect_right(values, b, j, min(j - j % cap + cap, self.n))
+            return self.leaf_arrays.window(leaf_idx, j, r, a, meter)
 
+        # a full list whose last entry lies strictly inside the range may
+        # leave colors out; one whose last entry is a (R) or b (L) holds
+        # every color of its side
+        rl, ll = u.left.lst, u.right.lst
+        if (rl[-1][0] > a and len(rl) == cap
+                or ll[-1][0] < b and len(ll) == cap):
+            return self.fallback.query(a, b, meter)
         out = []
-        fallback = False
-        rl = u.left.lst
-        n_seen = 0
         for v, c in rl:
-            n_seen += 1
             if v < a:
                 break
             out.append(c)
-        else:
-            if len(rl) == self.cap:
-                fallback = True
-        ll = u.right.lst
-        m_seen = 0
-        if not fallback:
-            for v, p, c in ll:
-                m_seen += 1
-                if v > b:
-                    break
-                if p < a:
-                    out.append(c)
-            else:
-                if len(ll) == self.cap:
-                    fallback = True
         if meter is not None:
-            meter.touches += n_seen + m_seen
-        if fallback:
-            return self.fallback.query(a, b, meter)
+            # the entries each walk examines: those it takes, and the one
+            # that stops it
+            k, cut = len(out), bisect.bisect_left(ll, (b + 1,))
+            meter.touches += k + (k < len(rl)) + cut + (cut < len(ll))
+        for v, p, c in ll:
+            if v > b:
+                break
+            if p < a:
+                out.append(c)
         return out

@@ -8,7 +8,8 @@ from colorrange.core import (ColoredPoint, CostMeter, DuplicateX, InvalidColor,
                              InvalidCoordinate, InvalidRange, Range, FastOracle,
                              oracle_report)
 from colorrange.em_index import EmIndex
-from colorrange.static_index import StaticIndex
+from colorrange.static_index import (ArrayFallback, LeafArrays, StaticIndex,
+                                     TreeLayout)
 from conftest import random_instance
 
 
@@ -32,12 +33,40 @@ def brute_lca_leaves(idx: StaticIndex, a: int, b: int):
     return None
 
 
+def _leaf_tree(layout, leaves, leaf: int) -> list:
+    """The positions of the leaf's Cartesian tree in order, checking that
+    each child's prev is at least its parent's."""
+    base = leaf * layout.cap - 1
+    order = []
+
+    def walk(p):
+        kid = leaves.lkid[p]
+        if kid:
+            assert layout.prevs[base + kid] >= layout.prevs[p]
+            walk(base + kid)
+        order.append(p)
+        kid = leaves.rkid[p]
+        if kid:
+            assert layout.prevs[base + kid] >= layout.prevs[p]
+            walk(base + kid)
+
+    walk(base + 1 + leaves.root[leaf])
+    return order
+
+
 def test_e1_shape(e1):
     idx = StaticIndex(e1)
     assert idx.cap == 3
     assert idx.nleaves == 3
-    sizes = [len(idx.leaf_psts[i]) for i in range(3)]
-    assert sizes == [3, 3, 2]
+    trees = [_leaf_tree(idx, idx.leaf_arrays, i) for i in range(3)]
+    assert [len(t) for t in trees] == [3, 3, 2]
+    assert sum(trees, []) == list(range(8))  # in order: the leaves' points
+    # per leaf, the last point of each color and the first, value ascending
+    la = idx.leaf_arrays
+    assert la.last_at == la.first_at == [0, 2, 5, 7]
+    assert la.last_v == [3, 5, 7, 9, 12, 15, 20]
+    assert la.first_v == [1, 3, 7, 9, 12, 15, 20]
+    assert la.first_p == [0, 0, 0, 3, 5, 7, 9]
     # root middle value = first point of the right subtree
     assert idx.root.m == idx.values[idx.root.right.leaf_lo * idx.cap]
 
@@ -128,35 +157,47 @@ class _FallbackSpy:
 
 
 class _LeafSpy:
-    """A leaf PST that tallies, apart from the caller's meter, the cost and
-    the number of colors of the queries it answers."""
+    """A fallback's `LeafArrays` that tallies, apart from the caller's
+    meter, the cost and the number of colors of the lookups it answers, and
+    the calls of each lookup shape (a window of a whole leaf as "whole")."""
 
-    def __init__(self, pst, tally):
-        self.pst = pst
-        self.tally = tally
+    def __init__(self, leaves):
+        self.leaves = leaves
+        self.tally = {"touches": 0, "locate_ops": 0, "colors": 0}
+        self.shapes = dict.fromkeys(("window", "whole", "suffix", "prefix"), 0)
 
-    def query(self, a, b, meter=None):
-        own = CostMeter()
-        out = self.pst.query(a, b, own)
-        self.tally["touches"] += own.touches
-        self.tally["locate_ops"] += own.locate_ops
-        self.tally["colors"] += len(out)
-        if meter is not None:
-            meter.touches += own.touches
-            meter.locate_ops += own.locate_ops
-        return out
+    def __getattr__(self, name):
+        lookup = getattr(self.leaves, name)
+
+        def spied(*args):
+            *args, meter = args
+            own = CostMeter()
+            out = lookup(*args, own)
+            if name == "window" and args[1] == args[0] * self.leaves.cap \
+                    and args[2] == args[1] + self.leaves.cap:
+                self.shapes["whole"] += 1
+            else:
+                self.shapes[name] += 1
+            self.tally["touches"] += own.touches
+            self.tally["locate_ops"] += own.locate_ops
+            self.tally["colors"] += len(out)
+            if meter is not None:
+                meter.touches += own.touches
+                meter.locate_ops += own.locate_ops
+            return out
+
+        return spied
 
 
-def _spy_leaves(fallback) -> dict:
-    tally = {"touches": 0, "locate_ops": 0, "colors": 0}
-    fallback.leaf_psts = [_LeafSpy(p, tally) for p in fallback.leaf_psts]
-    return tally
+def _spy_leaves(fallback) -> _LeafSpy:
+    spy = fallback.leaves = _LeafSpy(fallback.leaves)
+    return spy
 
 
 def _array_part(fallback, a, b):
     """The fallback's answer on [a, b], and the touches, locate ops and
-    colors of its array part (all but the leaf PSTs)."""
-    tally = fallback.leaf_psts[0].tally
+    colors of its array part (all but the leaf lookups)."""
+    tally = fallback.leaves.tally
     for key in tally:
         tally[key] = 0
     meter = CostMeter()
@@ -214,6 +255,62 @@ def test_fallback_metering():
         assert 1 <= locate <= bound
         with_blocks += locate > 1
     assert with_blocks > len(spy.ranges) // 2
+
+
+def _permuted_leaves(rng, cap, nleaves):
+    """`cap` colors, each leaf a permutation of them: every leaf after the
+    first holds only colors that a range from the first leaf on has already
+    reported, the most entries a leaf lookup can take and drop."""
+    colors = []
+    for _ in range(nleaves):
+        perm = list(range(cap))
+        rng.shuffle(perm)
+        colors += perm
+    return [ColoredPoint(v + 1, c) for v, c in enumerate(colors)]
+
+
+@pytest.mark.parametrize("cap", range(2, 7))
+def test_leaf_shapes_exhaustive(cap):
+    # every range of small layouts with leaves of `cap` points, through the
+    # fallback: each lookup shape (a window inside one leaf, the suffix of
+    # the left edge leaf, the prefix of the right edge leaf, a whole single
+    # leaf) answers the oracle's colors once, the leaves touch at most
+    # 2k + 2 entries, and each leaf's Cartesian tree holds its points in
+    # order
+    rng = random.Random(61 + cap)
+    instances = [_permuted_leaves(rng, cap, 8)]
+    for _ in range(4):
+        n = rng.randrange(1, 12 * cap)
+        u = n + rng.randrange(0, n // 2 + 2)
+        instances.append(random_instance(rng, n, u, rng.randrange(1, n + 1)))
+    shapes = dict.fromkeys(("window", "whole", "suffix", "prefix"), 0)
+    for pts in instances:
+        layout = TreeLayout(pts, cap)
+        leaves = LeafArrays(layout)
+        order = []
+        for leaf in range(layout.nleaves):
+            order += _leaf_tree(layout, leaves, leaf)
+        assert order == list(range(layout.n))
+        u = pts[-1].value
+        # a whole leaf visits only reported points and their pruned children
+        for leaf in range(layout.n // cap):
+            for a in range(1, u + 2):
+                meter = CostMeter()
+                got = leaves.window(leaf, leaf * cap, leaf * cap + cap, a, meter)
+                assert meter.touches == len(got)
+                assert meter.locate_ops <= len(got) + 1
+        fallback = ArrayFallback(layout, leaves)
+        spy = _spy_leaves(fallback)
+        fo = FastOracle(pts)
+        for a in range(1, u + 2):
+            for b in range(a, u + 2):
+                out, _, _, _ = _array_part(fallback, a, b)
+                assert len(out) == len(set(out)), (pts, a, b, out)
+                assert set(out) == fo.report(a, b), (pts, a, b)
+                assert spy.tally["touches"] <= 2 * len(out) + 2, (pts, a, b)
+        for name, calls in spy.shapes.items():
+            shapes[name] += calls
+    assert min(shapes.values()) > 0, shapes
 
 
 def test_oracle_equivalence_exhaustive_small():
