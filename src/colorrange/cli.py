@@ -1,11 +1,10 @@
 """Command-line harness: dataset/workload generation, building, oracle
-verification, benchmarking, and index-file round-trips.
+verification, and index-file round-trips.
 
 Subcommands:
   generate   deterministic dataset (CSV `value,color_label`)
   build      build an index from a dataset (em: serialize with --out)
   verify     replay a workload on an index and the oracle in lockstep
-  bench      per-query BenchRecords plus summary rows (JSON, schema 1)
   dump       print an index file header and check its round-trip
 
 Workload files hold one operation per line: `I value color`, `D value`,
@@ -20,15 +19,14 @@ import random
 import sys
 import time
 
-from .core import (ColoredPoint, CostMeter, FastOracle, IndexFileError,
-                   load_dataset, normalize_input, save_dataset)
+from .core import (ColoredPoint, FastOracle, IndexFileError, load_dataset,
+                   normalize_input, save_dataset)
 from .dynamic_index import DynamicIndex
 from .em_index import MAGIC, VERSION, EmIndex
 from .slow_index import SlowIndex
 from .static_index import StaticIndex
 
 SCHEMA = 1
-K_BUCKETS = (1, 4, 16, 64, 256)
 
 
 def parse_workload(path) -> list:
@@ -235,64 +233,6 @@ def cmd_verify(args) -> int:
     return 1
 
 
-def cmd_bench(args) -> int:
-    points, remap = normalize_input(load_dataset(args.dataset))
-    if args.workload:
-        ops = parse_workload(args.workload)
-    else:
-        universe = max((p.value for p in points), default=100) + 10
-        ops = random_queries(args.seed, args.queries, universe)
-    index = build_index(args.index, points, args.block_size)
-    remap_live = remap
-    records = []
-    meter = CostMeter()
-    for op in ops:
-        if op[0] in ("I", "D"):
-            _apply(index, args.index, op, remap_live)
-            continue
-        meter.reset()
-        t0 = time.perf_counter_ns()
-        if op[0] == "Q":
-            got = index.query(op[1], op[2], meter=meter)
-        else:
-            got = index.k_leftmost(op[1], op[2], op[3], meter=meter)
-        wall = time.perf_counter_ns() - t0
-        rec = {"kind": args.index, "n": len(points), "op": op[0],
-               "a": op[1], "b": op[2], "k": len(got),
-               "touches": meter.touches, "locate_ops": meter.locate_ops,
-               "block_reads": meter.block_reads, "wall_ns": wall}
-        if args.index == "em":
-            rec["B"] = args.block_size
-        records.append(rec)
-
-    summary = {"buckets": {}}
-    for bucket in K_BUCKETS:
-        lo = 1 if bucket == 1 else bucket // 2 + 1
-        hi = bucket * 2
-        rows = [r for r in records if lo <= max(r["k"], 1) <= hi]
-        if not rows:
-            continue
-        if args.index == "em":
-            vals = sorted(r["block_reads"] / (1 + r["k"] / args.block_size)
-                          for r in rows)
-        else:
-            vals = sorted(r["touches"] / (r["k"] + 1) for r in rows)
-        summary["buckets"][str(bucket)] = {
-            "queries": len(rows),
-            "median_cost_ratio": vals[len(vals) // 2],
-        }
-    out = {"schema": SCHEMA, "index": args.index, "n": len(points),
-           "records": records, "summary": summary}
-    text = json.dumps(out, indent=None)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        print(f"bench: {len(records)} query records -> {args.out}")
-    else:
-        print(text)
-    return 0
-
-
 def cmd_dump(args) -> int:
     with open(args.index_file, "rb") as fh:
         data = fh.read()
@@ -331,33 +271,25 @@ def main(argv=None) -> int:
     g.add_argument("--out", required=True)
     g.set_defaults(fn=cmd_generate)
 
-    def common(p, queries_default=1000):
+    def common(p):
         p.add_argument("--dataset", required=True)
         p.add_argument("--index", choices=("static", "dynamic", "slow", "em"),
                        default="static")
         p.add_argument("--block-size", type=int, default=8)
-        p.add_argument("--workload")
-        p.add_argument("--queries", type=int, default=queries_default)
-        p.add_argument("--seed", type=int, default=1)
         p.add_argument("--out")
 
     b = sub.add_parser("build", help="build an index (em: saves with --out)")
-    b.add_argument("--dataset", required=True)
-    b.add_argument("--index", choices=("static", "dynamic", "slow", "em"),
-                   default="static")
-    b.add_argument("--block-size", type=int, default=8)
-    b.add_argument("--out")
+    common(b)
     b.set_defaults(fn=cmd_build)
 
     v = sub.add_parser("verify", help="lockstep replay against the oracle")
     common(v)
+    v.add_argument("--workload")
+    v.add_argument("--queries", type=int, default=1000)
+    v.add_argument("--seed", type=int, default=1)
     v.add_argument("--corrupt", action="store_true",
                    help="inject a fault to demonstrate divergence reporting")
     v.set_defaults(fn=cmd_verify)
-
-    be = sub.add_parser("bench", help="meter queries, emit JSON records")
-    common(be)
-    be.set_defaults(fn=cmd_bench)
 
     d = sub.add_parser("dump", help="inspect an em index file")
     d.add_argument("--index-file", required=True)

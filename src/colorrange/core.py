@@ -288,10 +288,6 @@ class FastOracle:
             return set()
         return set(np.unique(self.colors[lo:hi]).tolist())
 
-    def count_in(self, a: int, b: int) -> int:
-        lo, hi = self.window(a, b)
-        return hi - lo
-
     def k_leftmost(self, a: int, b: int, k: int) -> list:
         lo, hi = self.window(a, b)
         out: list = []

@@ -385,15 +385,20 @@ class EmIndex:
                                                       colors[lo:lo + cap])))
                      for lo in range(0, n, cap)]
 
-        # lists of the non-root nodes in preorder, R entries as (v, 0, c)
+        # the non-root nodes' lists in preorder: R of a left child as
+        # (v, 0, c) by value descending, L of a right child as (v, prev, c)
         ptr = {}
         stack = [lay.root] if lay.root is not None else []
         while stack:
             node = stack.pop()
             if node.parent is not None:
-                ent = node.lst
                 if node is node.parent.left:
-                    ent = [(v, 0, c) for v, c in ent]
+                    ent = [(lay.last_v[i], 0, lay.last_c[i])
+                           for i in range(node.r_hi - 1, node.r_lo - 1, -1)]
+                else:
+                    lo, hi = node.l_lo, node.l_hi
+                    ent = list(zip(lay.first_v[lo:hi], lay.first_p[lo:hi],
+                                   lay.first_c[lo:hi]))
                 ptr[node] = store.write_region(K_LIST, ent)
             if node.left is not None:
                 stack += (node.right, node.left)

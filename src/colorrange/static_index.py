@@ -1,27 +1,28 @@
 """Static optimal color reporting index, and the static layout it shares.
 
 Layout (`TreeLayout`): a balanced binary tree whose leaves hold `cap`
-consecutive points. Each non-root node that is a left child carries R(u) (the
-capped list of largest per-color maxima, descending); each right child
-carries L(u) (the capped smallest per-color minima, ascending). Each internal
-node stores its middle value m(u) = min of the right subtree, and each leaf
-its highest-range-ancestor arrays K1/K2. `StaticIndex` uses the layout with
-cap = ceil(log2 N) and keeps it in memory; `EmIndex` uses it with
-cap = B * ceil(log_B N) and pages it into blocks.
+consecutive points. Each internal node stores its middle value m(u) = min of
+the right subtree, and each leaf its highest-range-ancestor arrays K1/K2. One
+list store holds, for every node, leaves included, R(u): the last point of
+each color in u, the `cap` largest kept, and L(u): the first point of each
+color in u, the `cap` smallest kept, both by value ascending. A leaf holds
+at most `cap` points, so its R and L list every color it holds. `StaticIndex`
+uses the layout with cap = ceil(log2 N) and keeps it in memory; `EmIndex`
+uses it with cap = B * ceil(log_B N) and pages it into blocks.
 
 A query locates succ(a) with one binary search, asks its leaf for the
 highest range ancestor u with a < m(u) <= b via two monotone searches
 (Facts 2-3), then reads answers off R(u_l) and L(u_r). A range with no such
 ancestor lies in one leaf and is answered by that leaf's Cartesian tree
-(`LeafArrays`). A full-length R(u_l) whose last value exceeds a, or L(u_r)
-whose last value is below b, may leave colors out, and the range then holds
-at least log N colors; that O(1) test sends the query to `ArrayFallback`
-before either list is walked. The fallback answers any range in O(log N + k): the edge leaves
-from per-leaf lists of their colors' last and first points, at most two
-single interior leaves from their Cartesian trees, and the other interior
-leaves as at most two aligned blocks per level, each of which keeps the
-first point of every color it holds sorted by the position of that point's
-predecessor, so one `searchsorted` finds every block's reported prefix.
+(`LeafArrays`). A full-length R(u_l) whose smallest value exceeds a, or
+L(u_r) whose largest value is below b, may leave colors out, and the range
+then holds at least log N colors; that O(1) test sends the query to
+`ArrayFallback` before either list is walked. The fallback answers any range
+in O(log N + k): the edge leaves from their R and L, at most two single
+interior leaves from their Cartesian trees, and the other interior leaves as
+at most two aligned blocks per level, each of which keeps the first point of
+every color it holds sorted by the position of that point's predecessor, so
+one `searchsorted` finds every block's reported prefix.
 
 The answer stream is duplicate-free by construction, so there is no dedup
 pass. Every route reports a point e of [a, b] only if prev(e) < a, which
@@ -50,8 +51,8 @@ from .core import (ColoredPoint, DuplicateX, InvalidColor, InvalidCoordinate,
 
 
 class _TreeNode:
-    __slots__ = ("left", "right", "parent", "m", "height", "lst",
-                 "leaf_lo", "leaf_hi", "leaf_idx")
+    __slots__ = ("left", "right", "parent", "m", "height", "leaf_lo", "leaf_hi",
+                 "r_lo", "r_hi", "l_lo", "l_hi")
 
     def __init__(self):
         self.left = None
@@ -59,15 +60,21 @@ class _TreeNode:
         self.parent = None
         self.m = None          # min value of the right subtree (internal only)
         self.height = 0
-        self.lst = None        # R(u) on left children, L(u) on right children
         self.leaf_lo = 0       # covered leaf range [leaf_lo, leaf_hi)
         self.leaf_hi = 0
-        self.leaf_idx = None   # set on leaves
+        # the node's cut of the list store: R(u) is [r_lo, r_hi), L(u) is
+        # [l_lo, l_hi)
+        self.r_lo = self.r_hi = self.l_lo = self.l_hi = 0
 
 
 class TreeLayout:
     """The static tree over `points` (strictly ascending values >= 1, color
-    ids >= 0) with leaves of `cap` consecutive points, R/L lists and K1/K2."""
+    ids >= 0) with leaves of `cap` consecutive points, K1/K2, and the list
+    store: a node's R entries are [r_lo, r_hi) of `last_v`/`last_c`, its L
+    entries [l_lo, l_hi) of `first_v`/`first_p`/`first_c` (prev in
+    `first_p`), each by value ascending and holding the layout's own value,
+    prev and color objects. `prevpos` is the position of each point's
+    predecessor, -1 for none."""
 
     def __init__(self, points: Sequence[ColoredPoint], cap: int):
         self.values = [p.value for p in points]
@@ -81,12 +88,17 @@ class TreeLayout:
         if self.values and self.values[0] < 1:
             raise InvalidCoordinate(self.values[0])  # 0 is the prev-sentinel
         self.prevs = compute_prev(points)
+        prevs = np.asarray(self.prevs, dtype=np.int64)
+        self.prevpos = np.where(prevs == 0, -1, np.searchsorted(
+            np.asarray(self.values, dtype=np.int64), prevs))
         self.n = len(self.values)
         self.cap = cap
         # leaves are consecutive chunks of `cap` points (last one may be short)
         self.nleaves = math.ceil(self.n / cap)
         self.leaves: list[_TreeNode] = [None] * self.nleaves
-        self.root = self._build_tree(0, self.nleaves) if self.nleaves else None
+        inner: list[_TreeNode] = []
+        self.root = self._build_tree(0, self.nleaves, inner) if self.nleaves else None
+        self._build_lists(self.leaves + inner)
         # per-leaf highest-range-ancestor arrays (Fact 3 monotone), entries
         # (m, node): K1 the left parents bottom-up (m ascending), K2 the
         # right parents (m descending)
@@ -101,44 +113,71 @@ class TreeLayout:
             self.k1.append(k1)
             self.k2.append(k2)
 
-    def _build_tree(self, lo: int, hi: int) -> _TreeNode:
+    def _build_tree(self, lo: int, hi: int, inner: list) -> _TreeNode:
         node = _TreeNode()
         node.leaf_lo, node.leaf_hi = lo, hi
         if hi - lo == 1:
-            node.leaf_idx = lo
             self.leaves[lo] = node
             return node
         mid = (lo + hi) // 2
-        node.left = self._build_tree(lo, mid)
-        node.right = self._build_tree(mid, hi)
+        node.left = self._build_tree(lo, mid, inner)
+        node.right = self._build_tree(mid, hi, inner)
         node.left.parent = node
         node.right.parent = node
         node.height = 1 + max(node.left.height, node.right.height)
         node.m = self.values[mid * self.cap]
-        node.left.lst = self._rlist(node.left)
-        node.right.lst = self._llist(node.right)
+        inner.append(node)
         return node
 
-    def _point_span(self, node) -> range:
-        return range(node.leaf_lo * self.cap, min(node.leaf_hi * self.cap, self.n))
+    def _build_lists(self, nodes: list) -> None:
+        """R and L of every node. A point of a node's points [s, e) is its
+        color's first there if its predecessor lies before s, its last if
+        its successor lies at or after e."""
+        n, cap, prevpos = self.n, self.cap, self.prevpos
+        pos = np.arange(n, dtype=np.int64)
+        nextpos = np.full(n, n, dtype=np.int64)
+        has_prev = prevpos >= 0
+        nextpos[prevpos[has_prev]] = pos[has_prev]
+        lasts, firsts = [], []
+        r = l = 0
+        for node in nodes:
+            s, e = node.leaf_lo * cap, min(node.leaf_hi * cap, n)
+            lasts.append(s + np.flatnonzero(nextpos[s:e] >= e)[-cap:])
+            firsts.append(s + np.flatnonzero(prevpos[s:e] < s)[:cap])
+            node.r_lo, node.l_lo = r, l
+            r += len(lasts[-1])
+            l += len(firsts[-1])
+            node.r_hi, node.l_hi = r, l
+        vals, prevs, colors = self.values, self.prevs, self.colors
+        lasts = np.concatenate([pos[:0], *lasts]).tolist()
+        firsts = np.concatenate([pos[:0], *firsts]).tolist()
+        self.last_v = [vals[i] for i in lasts]
+        self.last_c = [colors[i] for i in lasts]
+        self.first_v = [vals[i] for i in firsts]
+        self.first_p = [prevs[i] for i in firsts]
+        self.first_c = [colors[i] for i in firsts]
 
-    def _llist(self, node) -> list:
-        """L(u): up to `cap` smallest per-color minima, ascending
-        (value, prev, color)."""
-        first: dict = {}
-        for j in self._point_span(node):
-            c = self.colors[j]
-            if c not in first:
-                first[c] = (self.values[j], self.prevs[j], c)
-        return sorted(first.values())[:self.cap]
+    def suffix(self, leaf: int, a: int, meter=None) -> list:
+        """The colors with a point >= a in the leaf: its R entries >= a."""
+        node = self.leaves[leaf]
+        end = node.r_hi
+        i = bisect.bisect_left(self.last_v, a, node.r_lo, end)
+        if meter is not None:
+            meter.touches += end - i
+            meter.locate_ops += 1
+        return self.last_c[i:end]
 
-    def _rlist(self, node) -> list:
-        """R(u): up to `cap` largest per-color maxima, descending (value, color)."""
-        last: dict = {}
-        for j in self._point_span(node):
-            last[self.colors[j]] = self.values[j]
-        ent = sorted(((v, c) for c, v in last.items()), reverse=True)
-        return ent[:self.cap]
+    def prefix(self, leaf: int, a: int, b: int, meter=None) -> list:
+        """The colors whose first point in the leaf is <= b and has
+        prev < a: its L entries <= b, filtered by prev."""
+        node = self.leaves[leaf]
+        i = node.l_lo
+        end = bisect.bisect_right(self.first_v, b, i, node.l_hi)
+        if meter is not None:
+            meter.touches += end - i
+            meter.locate_ops += 1
+        return [c for p, c in zip(self.first_p[i:end], self.first_c[i:end])
+                if p < a]
 
 
 def fallback_levels(n: int, cap: int, nleaves: int) -> tuple:
@@ -154,13 +193,6 @@ def fallback_levels(n: int, cap: int, nleaves: int) -> tuple:
     return level_base, nblocks
 
 
-def prev_positions(layout: TreeLayout) -> np.ndarray:
-    """The position of each point's predecessor, -1 for none."""
-    values = np.asarray(layout.values, dtype=np.int64)
-    prevs = np.asarray(layout.prevs, dtype=np.int64)
-    return np.where(prevs == 0, -1, np.searchsorted(values, prevs))
-
-
 def first_points(layout: TreeLayout) -> tuple:
     """The aligned blocks' first points: (level_base, block_start, keys,
     pos). A block keeps the first point of each color it holds, the points
@@ -171,7 +203,7 @@ def first_points(layout: TreeLayout) -> tuple:
     positions."""
     n, cap = layout.n, layout.cap
     level_base, nblocks = fallback_levels(n, cap, layout.nleaves)
-    prevpos = prev_positions(layout)
+    prevpos = layout.prevpos
     pos = np.arange(n, dtype=np.int64)
     keys, firsts = [pos[:0]], [pos[:0]]
     size = 2 * cap
@@ -222,23 +254,13 @@ def leaf_cover(lo: int, hi: int, level_base: Sequence[int]) -> tuple:
 
 class LeafArrays:
     """The leaves of a `TreeLayout` with cap < 256 as flat arrays over its
-    points, answering color reporting inside one leaf in O(1 + k) touches.
-
-    - A Cartesian tree per leaf, keyed on prev (a min-heap on prev, in-order
-      by position): `lkid[p]` and `rkid[p]` hold 1 + the in-leaf position of
-      point p's children (0 for none) and `root[leaf]` the in-leaf position
-      of the leaf's root, all in `bytes`. `window` answers positions [j, r)
-      by a descent that skips every subtree whose root has prev >= a.
-    - The last point of each color in the leaf, by value ascending, in
-      `last_v`/`last_c`: the leaf's entries are [last_at[leaf],
-      last_at[leaf + 1]). `suffix` takes those with value >= a.
-    - The first point of each color in the leaf, by value ascending, in
-      `first_v`/`first_p`/`first_c` (prev in `first_p`), cut by `first_at`.
-      `prefix` takes those with value <= b and keeps the ones with prev < a.
-
-    The lists hold the layout's own value, prev and color objects. Metering:
-    each reported point and each list entry taken is one touch, each other
-    tree visit and each list search one locate op.
+    points, answering color reporting inside one leaf in O(1 + k) touches: a
+    Cartesian tree per leaf, keyed on prev (a min-heap on prev, in-order by
+    position). `lkid[p]` and `rkid[p]` hold 1 + the in-leaf position of
+    point p's children (0 for none) and `root[leaf]` the in-leaf position of
+    the leaf's root, all in `bytes`. `window` answers positions [j, r) by a
+    descent that skips every subtree whose root has prev >= a. Metering:
+    each reported point is one touch, each other tree visit one locate op.
     """
 
     def __init__(self, layout: TreeLayout):
@@ -261,27 +283,6 @@ class LeafArrays:
                 stack.append(i)
             root[leaf] = stack[0] - lo
         self.lkid, self.rkid, self.root = bytes(lkid), bytes(rkid), bytes(root)
-
-        # a point is its color's first in its leaf if its predecessor lies
-        # before the leaf, its last if its successor lies after it
-        prevpos = prev_positions(layout)
-        pos = np.arange(n, dtype=np.int64)
-        start = pos - pos % cap
-        nextpos = np.full(n, n + cap, dtype=np.int64)
-        has_prev = prevpos >= 0
-        nextpos[prevpos[has_prev]] = pos[has_prev]
-        bounds = np.arange(layout.nleaves + 1, dtype=np.int64) * cap
-        firsts = np.flatnonzero(prevpos < start)
-        lasts = np.flatnonzero(nextpos >= start + cap)
-        self.first_at = firsts.searchsorted(bounds).tolist()
-        self.last_at = lasts.searchsorted(bounds).tolist()
-        vals, colors = layout.values, layout.colors
-        firsts, lasts = firsts.tolist(), lasts.tolist()
-        self.first_v = [vals[i] for i in firsts]
-        self.first_p = [prevs[i] for i in firsts]
-        self.first_c = [colors[i] for i in firsts]
-        self.last_v = [vals[i] for i in lasts]
-        self.last_c = [colors[i] for i in lasts]
 
     def window(self, leaf: int, j: int, r: int, a: int, meter=None) -> list:
         """Colors of the points at positions [j, r) of the leaf with
@@ -312,37 +313,17 @@ class LeafArrays:
             meter.locate_ops += visits - len(out)
         return out
 
-    def suffix(self, leaf: int, a: int, meter=None) -> list:
-        """The colors of the leaf with a point >= a."""
-        end = self.last_at[leaf + 1]
-        i = bisect.bisect_left(self.last_v, a, self.last_at[leaf], end)
-        if meter is not None:
-            meter.touches += end - i
-            meter.locate_ops += 1
-        return self.last_c[i:end]
-
-    def prefix(self, leaf: int, a: int, b: int, meter=None) -> list:
-        """The colors whose first point in the leaf is <= b and has
-        prev < a."""
-        i = self.first_at[leaf]
-        end = bisect.bisect_right(self.first_v, b, i, self.first_at[leaf + 1])
-        if meter is not None:
-            meter.touches += end - i
-            meter.locate_ops += 1
-        return [c for p, c in zip(self.first_p[i:end], self.first_c[i:end])
-                if p < a]
-
 
 class ArrayFallback:
     """Color reporting over any range of a `TreeLayout` in O(log N + k).
 
     The range's points split by `leaf_cover`: the leaf of succ(a) reports
-    its colors with a point >= a (`LeafArrays.suffix`), the leaf of pred(b)
+    its colors with a point >= a (`TreeLayout.suffix`), the leaf of pred(b)
     its first points <= b with prev < a (`prefix`), and each single
     interior leaf, like a range inside one leaf, its points with prev < a
-    (`window`). A list entry that `prefix` takes and drops belongs to a
-    color reported earlier in the range, so the leaves touch at most 2k
-    entries. The other interior leaves fill aligned blocks of
+    (`LeafArrays.window`). A list entry that `prefix` takes and drops
+    belongs to a color reported earlier in the range, so the leaves touch
+    at most 2k entries. The other interior leaves fill aligned blocks of
     `first_points`, whose `keys` are kept with the entries' colors at the
     same index of `firsts`, so the entries of block g with prevpos < j end
     at `keys.searchsorted(g * (n + 1) + j + 1)`. That makes sum over l of
@@ -350,15 +331,16 @@ class ArrayFallback:
 
     A block strictly after succ(a) = point j lies inside the range, and each of
     its entries with prevpos < j is the first point of its color in the whole
-    range, so the reported stream holds each color once. Metering: the leaves
-    meter as `LeafArrays` does; the locate of [a, b] and each block searched
-    count one locate op, each reported entry one touch.
+    range, so the reported stream holds each color once. Metering: the leaf
+    lookups meter as `suffix`, `prefix` and `window` do; the locate of
+    [a, b] and each block searched count one locate op, each reported entry
+    one touch.
     """
 
     def __init__(self, layout: TreeLayout, leaves: LeafArrays):
         self.values = layout.values
         self.cap = layout.cap
-        self.leaves = leaves
+        self.layout, self.leaves = layout, leaves
         self.stride = layout.n + 1
         self.level_base, self.block_start, self.keys, pos = first_points(layout)
         # the colors by reference, so an entry costs one list slot
@@ -379,11 +361,11 @@ class ArrayFallback:
         if lo == hi:
             return leaves.window(lo, j, r, a, meter)
         singles, blocks = leaf_cover(lo, hi, self.level_base)
-        out = leaves.suffix(lo, a, meter)
+        out = self.layout.suffix(lo, a, meter)
         for leaf in singles[2:]:  # whole leaves
             first = leaf * self.cap
             out += leaves.window(leaf, first, first + self.cap, a, meter)
-        out += leaves.prefix(hi, a, b, meter)
+        out += self.layout.prefix(hi, a, b, meter)
         if not blocks:
             return out
         stride, bound = self.stride, j + 1
@@ -476,26 +458,26 @@ class StaticIndex(TreeLayout):
             r = bisect.bisect_right(values, b, j, min(j - j % cap + cap, self.n))
             return self.leaf_arrays.window(leaf_idx, j, r, a, meter)
 
-        # a full list whose last entry lies strictly inside the range may
-        # leave colors out; one whose last entry is a (R) or b (L) holds
-        # every color of its side
-        rl, ll = u.left.lst, u.right.lst
-        if (rl[-1][0] > a and len(rl) == cap
-                or ll[-1][0] < b and len(ll) == cap):
+        # a full list whose far end lies strictly inside the range may
+        # leave colors out; one that ends at a (R) or b (L) holds every
+        # color of its side
+        left, right = u.left, u.right
+        r0, r1, l0, l1 = left.r_lo, left.r_hi, right.l_lo, right.l_hi
+        last_v, first_v = self.last_v, self.first_v
+        if (last_v[r0] > a and r1 - r0 == cap
+                or first_v[l1 - 1] < b and l1 - l0 == cap):
             return self.fallback.query(a, b, meter)
-        out = []
-        for v, c in rl:
-            if v < a:
-                break
-            out.append(c)
+        i = bisect.bisect_left(last_v, a, r0, r1)
+        out = self.last_c[i:r1]
         if meter is not None:
             # the entries each walk examines: those it takes, and the one
             # that stops it
-            k, cut = len(out), bisect.bisect_left(ll, (b + 1,))
-            meter.touches += k + (k < len(rl)) + cut + (cut < len(ll))
-        for v, p, c in ll:
-            if v > b:
+            cut = bisect.bisect_right(first_v, b, l0, l1)
+            meter.touches += r1 - i + (i > r0) + cut - l0 + (cut < l1)
+        first_p, first_c = self.first_p, self.first_c
+        for i in range(l0, l1):
+            if first_v[i] > b:
                 break
-            if p < a:
-                out.append(c)
+            if first_p[i] < a:
+                out.append(first_c[i])
         return out

@@ -156,12 +156,6 @@ class WbTree:
             node = node.children[node.route(value)]
         return node
 
-    def path_to_root(self, node) -> list:
-        out = [node]
-        while out[-1].parent is not None:
-            out.append(out[-1].parent)
-        return out
-
     def succ(self, value) -> Optional[int]:
         """Smallest live value >= value."""
         leaf = self.leaf_for(value)

@@ -95,38 +95,6 @@ def test_verify_dynamic_mixed_workload(tmp_path, capsys):
     assert code == 0, out
 
 
-def test_bench_json_schema(tmp_path, capsys):
-    data = tmp_path / "d.csv"
-    run(capsys, "generate", "--seed", "13", "--n", "256", "--u", "3000",
-        "--c", "40", "--out", str(data))
-    out_json = tmp_path / "bench.json"
-    code, _ = run(capsys, "bench", "--dataset", str(data), "--index", "em",
-                  "--block-size", "8", "--queries", "200", "--out",
-                  str(out_json))
-    assert code == 0
-    doc = json.loads(out_json.read_text())
-    assert doc["schema"] == 1
-    assert len(doc["records"]) == 200
-    rec = doc["records"][0]
-    for field in ("kind", "n", "k", "touches", "locate_ops", "block_reads",
-                  "wall_ns", "B"):
-        assert field in rec
-    assert doc["summary"]["buckets"]
-
-
-def test_bench_empty_workload(tmp_path, capsys):
-    data = tmp_path / "d.csv"
-    run(capsys, "generate", "--seed", "17", "--n", "50", "--u", "500",
-        "--c", "3", "--out", str(data))
-    wl = tmp_path / "empty.wl"
-    wl.write_text("# nothing\n")
-    code, out = run(capsys, "bench", "--dataset", str(data), "--index",
-                    "static", "--workload", str(wl))
-    assert code == 0
-    doc = json.loads(out.strip().splitlines()[-1])
-    assert doc["records"] == []
-
-
 def test_build_and_dump_roundtrip(tmp_path, capsys):
     data = tmp_path / "d.csv"
     run(capsys, "generate", "--seed", "19", "--n", "400", "--u", "5000",

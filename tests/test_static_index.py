@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from colorrange.core import (ColoredPoint, CostMeter, DuplicateX, InvalidColor,
                              InvalidCoordinate, InvalidRange, Range, FastOracle,
@@ -54,6 +56,14 @@ def _leaf_tree(layout, leaves, leaf: int) -> list:
     return order
 
 
+def _lists(layout, node) -> tuple:
+    """The node's R as (value, color) and L as (value, prev, color) entries,
+    read from the layout's list store."""
+    r, l = slice(node.r_lo, node.r_hi), slice(node.l_lo, node.l_hi)
+    return (list(zip(layout.last_v[r], layout.last_c[r])),
+            list(zip(layout.first_v[l], layout.first_p[l], layout.first_c[l])))
+
+
 def test_e1_shape(e1):
     idx = StaticIndex(e1)
     assert idx.cap == 3
@@ -61,19 +71,66 @@ def test_e1_shape(e1):
     trees = [_leaf_tree(idx, idx.leaf_arrays, i) for i in range(3)]
     assert [len(t) for t in trees] == [3, 3, 2]
     assert sum(trees, []) == list(range(8))  # in order: the leaves' points
-    # per leaf, the last point of each color and the first, value ascending
-    la = idx.leaf_arrays
-    assert la.last_at == la.first_at == [0, 2, 5, 7]
-    assert la.last_v == [3, 5, 7, 9, 12, 15, 20]
-    assert la.first_v == [1, 3, 7, 9, 12, 15, 20]
-    assert la.first_p == [0, 0, 0, 3, 5, 7, 9]
+    # per leaf, the last point of each color and the first, value
+    # ascending; the leaves come first in the list store
+    leaves = [_lists(idx, leaf) for leaf in idx.leaves]
+    assert [(leaf.r_lo, leaf.l_lo) for leaf in idx.leaves] == [(0, 0), (2, 2), (5, 5)]
+    assert [v for r, _ in leaves for v, _ in r] == [3, 5, 7, 9, 12, 15, 20]
+    assert [v for _, l in leaves for v, _, _ in l] == [1, 3, 7, 9, 12, 15, 20]
+    assert [p for _, l in leaves for _, p, _ in l] == [0, 0, 0, 3, 5, 7, 9]
+    # the root's children: leaf 0, and the node over leaves 1-2, whose R
+    # and L hold one entry per color (3 colors, cap 3)
+    left, right = idx.root.left, idx.root.right
+    assert left is idx.leaves[0] and right.left is idx.leaves[1]
+    assert _lists(idx, left) == ([(3, 1), (5, 0)], [(1, 0, 0), (3, 0, 1)])
+    assert _lists(idx, right) == ([(12, 0), (15, 2), (20, 1)],
+                                  [(7, 0, 2), (9, 3, 1), (12, 5, 0)])
     # root middle value = first point of the right subtree
     assert idx.root.m == idx.values[idx.root.right.leaf_lo * idx.cap]
 
 
+def _brute_lists(layout, node) -> tuple:
+    """R and L of a node by their definition: per color its largest and its
+    smallest point in the node, the `cap` largest maxima and the `cap`
+    smallest minima kept, by value ascending."""
+    last, first = {}, {}
+    for j in range(node.leaf_lo * layout.cap,
+                   min(node.leaf_hi * layout.cap, layout.n)):
+        c = layout.colors[j]
+        last[c] = (layout.values[j], c)
+        first.setdefault(c, (layout.values[j], layout.prevs[j], c))
+    return (sorted(last.values())[-layout.cap:],
+            sorted(first.values())[:layout.cap])
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_list_store_matches_definition(data):
+    # every node's R and L, leaves included, against the definition; the
+    # nodes' cuts tile the list store
+    n = data.draw(st.integers(0, 300), label="n")
+    cap = data.draw(st.integers(2, 8), label="cap")
+    ncolors = data.draw(st.integers(1, max(1, n)), label="colors")
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    layout = TreeLayout(random_instance(rng, n, n + rng.randrange(0, n + 1),
+                                        ncolors), cap)
+    nodes = [layout.root] if layout.root is not None else []
+    for node in nodes:
+        if node.left is not None:
+            nodes += (node.left, node.right)
+    for lo, hi, store in (("r_lo", "r_hi", layout.last_v),
+                          ("l_lo", "l_hi", layout.first_v)):
+        cuts = sorted((getattr(node, lo), getattr(node, hi)) for node in nodes)
+        ends = [0] + [end for _, end in cuts]
+        assert [start for start, _ in cuts] == ends[:-1]
+        assert ends[-1] == len(store)
+    for node in nodes:
+        assert _lists(layout, node) == _brute_lists(layout, node)
+
+
 def test_single_point_and_empty():
     idx1 = StaticIndex([ColoredPoint(5, 0)])
-    assert idx1.nleaves == 1 and idx1.root.leaf_idx == 0
+    assert idx1.nleaves == 1 and idx1.root is idx1.leaves[0]
     assert idx1.query(1, 10) == [0]
     idx0 = StaticIndex([])
     assert idx0.query(1, 10) == []
@@ -157,17 +214,18 @@ class _FallbackSpy:
 
 
 class _LeafSpy:
-    """A fallback's `LeafArrays` that tallies, apart from the caller's
+    """A fallback's leaf lookups (`LeafArrays.window` and the layout's edge
+    lists, `suffix` and `prefix`) that tallies, apart from the caller's
     meter, the cost and the number of colors of the lookups it answers, and
     the calls of each lookup shape (a window of a whole leaf as "whole")."""
 
-    def __init__(self, leaves):
-        self.leaves = leaves
+    def __init__(self, leaves, layout):
+        self.leaves, self.layout = leaves, layout
         self.tally = {"touches": 0, "locate_ops": 0, "colors": 0}
         self.shapes = dict.fromkeys(("window", "whole", "suffix", "prefix"), 0)
 
     def __getattr__(self, name):
-        lookup = getattr(self.leaves, name)
+        lookup = getattr(self.leaves if name == "window" else self.layout, name)
 
         def spied(*args):
             *args, meter = args
@@ -190,7 +248,8 @@ class _LeafSpy:
 
 
 def _spy_leaves(fallback) -> _LeafSpy:
-    spy = fallback.leaves = _LeafSpy(fallback.leaves)
+    spy = fallback.leaves = fallback.layout = _LeafSpy(fallback.leaves,
+                                                        fallback.layout)
     return spy
 
 
