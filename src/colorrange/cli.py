@@ -245,7 +245,7 @@ def cmd_dump(args) -> int:
     ok = again == data
     info = {"schema": SCHEMA, "magic": MAGIC.decode(), "version": VERSION,
             "n": index.n, "B": index.B, "colors": index.ncolors,
-            "blocks": len(index.store.blocks), "leaves": index.nleaves,
+            "blocks": len(index.store.kinds), "leaves": index.nleaves,
             "locate_levels": len(index.levels),
             "first_levels": len(index.level_base),
             "first_entries_per_point": index.first_offsets[-1] / max(index.n, 1),

@@ -1,11 +1,13 @@
 """Static external-memory color index over a simulated block store.
 
-Cost model: a block holds up to B point records plus O(B) words of navigation
-metadata; every structure access goes through BlockStore.read, which counts
-one transfer per call. Locate-phase transfers (successor search, highest
-range ancestor arrays) are counted on CostMeter.locate_ops; reporting-phase
-transfers on CostMeter.block_reads, matching the separate metering of the
-two phases.
+Store and cost model: the index is its own file image, its blocks' int64 words
+in one `array("q")` in file order. A block holds up to B point records plus
+O(B) words of navigation metadata; every structure access goes through
+BlockStore.read, which counts one transfer per call and returns the block's
+word offsets, and the query reads the words in place. Locate-phase transfers
+(successor search, highest range ancestor arrays) are counted on
+CostMeter.locate_ops; reporting-phase transfers on CostMeter.block_reads,
+matching the separate metering of the two phases.
 
 Layout: the `static_index.TreeLayout` with leaves of B * ceil(log_B N)
 points, paged into blocks and then dropped. Block 0 is the directory (cap,
@@ -47,16 +49,17 @@ records are examined. The serialized file format (version 3; only version 3
 is read) is little-endian: magic 'CRR1', version u16, N u64, B u32, C u32,
 block count u64, the CRC32 of these 30 bytes as u32, then the blocks, each as
 kind u8, record count u32, metadata count u32, the records and the metadata
-as i64, and the CRC32 of the block's bytes as u32. `from_bytes` checks every
-CRC, and the constructor checks every directory entry, separator, K record,
-list pointer and PST child once, so a file that loads cannot make a query
-read outside the store or loop. It also checks what the query trusts without
-reading: every PST block's records strictly ascend by x (the in-block
-bisection), a PST child's (xlo, xhi, min y) are those of its subtree's
-records (the pruning), and the first-point offsets start at 0, never
-decrease and end at the region's record count, while within each aligned
-block prevpos never decreases and lies in [-1, the block's first position),
-and every color is below C. Any failure raises IndexFileError.
+as i64, and the CRC32 of the block's bytes as u32; only directory and PST
+blocks hold metadata, and a directory no records. `from_bytes` checks every CRC
+and those counts, and the constructor checks every directory entry, separator,
+K record, list pointer and PST child once, so a file that loads cannot make a
+query read outside the store or loop. It also checks what the query trusts
+without reading: every PST block's records strictly ascend by x (the in-block
+bisection), a PST child's (xlo, xhi, min y) are those of its subtree's records
+(the pruning), and the first-point offsets start at 0, never decrease and end
+at the region's record count, while within each aligned block prevpos never
+decreases and lies in [-1, the block's first position), and every color is
+below C. Any failure raises IndexFileError.
 """
 
 from __future__ import annotations
@@ -64,7 +67,9 @@ from __future__ import annotations
 import bisect
 import operator
 import struct
+import sys
 import zlib
+from array import array
 from typing import Optional, Sequence
 
 from .core import (ColoredPoint, IndexFileError, InvalidColor, InvalidRange,
@@ -76,6 +81,7 @@ MAGIC = b"CRR1"
 VERSION = 3
 HEADER = struct.Struct("<4sHQIIQ")  # magic, version, N, B, C, block count
 MAX_U32 = 2**32 - 1  # largest B and color count the header can hold
+SWAP = sys.byteorder == "big"  # the file's words are little-endian
 
 K_DIR = 0
 K_VALS = 1
@@ -84,6 +90,7 @@ K_PST = 3
 K_KARR = 4
 K_SEP = 5
 K_FIRST = 6
+_WIDTH = (0, 1, 3, 3, 7, 1, 2)  # words per record, by kind
 
 
 def ceil_log(n: int, base: int) -> int:
@@ -97,72 +104,88 @@ def ceil_log(n: int, base: int) -> int:
 
 
 class BlockStore:
-    """A flat array of blocks; reads are explicit and counted."""
+    """Blocks as int64 words in one array, in file order: block i's records
+    are words[bounds[2i]:bounds[2i+1]], its metadata runs up to
+    bounds[2i+2], and kinds[i] is its kind. Reads are explicit and counted."""
 
     def __init__(self, block_elems: int):
         self.B = block_elems
-        self.blocks: list = []
+        self.words, self.kinds = array("q"), bytearray()
+        self.bounds = array("q", [0])
 
-    def append(self, kind: int, recs: tuple, meta: tuple = ()) -> int:
-        self.blocks.append((kind, recs, meta))
-        return len(self.blocks) - 1
+    def append(self, kind: int, recs: Sequence[int], meta=()) -> int:
+        """A block of the records' words `recs`, flat, and `meta`."""
+        self.words.extend(recs)
+        self.words.extend(meta)
+        self.bounds.extend((len(self.words) - len(meta), len(self.words)))
+        self.kinds.append(kind)
+        return len(self.kinds) - 1
 
-    def read(self, bid: int, meter=None, locate: bool = False):
+    def read(self, bid: int, meter=None, locate: bool = False) -> tuple:
+        """(start, end) word offsets of block `bid`'s records; meta follows."""
         if meter is not None:
             if locate:
                 meter.locate_ops += 1
             else:
                 meter.block_reads += 1
-        return self.blocks[bid]
+        return self.bounds[2 * bid], self.bounds[2 * bid + 1]
 
-    def write_region(self, kind: int, records: Sequence[tuple]) -> tuple:
-        """Pack records B per block, contiguously; returns (start, count)."""
-        start = len(self.blocks)
-        for i in range(0, len(records), self.B):
-            chunk = tuple(records[i:i + self.B])
-            self.append(kind, chunk)
-        return start, len(records)
+    def block(self, bid: int) -> tuple:
+        """Block `bid` decoded: (kind, its records as tuples, its metadata)."""
+        kind, words, w = self.kinds[bid], self.words, _WIDTH[self.kinds[bid]]
+        lo, mid, end = self.bounds[2 * bid:2 * bid + 3]
+        recs = (tuple(words[i:i + w]) for i in range(lo, mid, w or 1))
+        return kind, tuple(recs), tuple(words[mid:end])
+
+    def write_region(self, kind: int, flat: Sequence[int]) -> tuple:
+        """Pack flat record words, B records per block; (start, count)."""
+        start, step = len(self.kinds), self.B * _WIDTH[kind]
+        for i in range(0, len(flat), step):
+            self.append(kind, flat[i:i + step])
+        return start, len(flat) // _WIDTH[kind]
 
     # -- serialization ------------------------------------------------------
 
     def to_bytes(self) -> bytes:
         """The block array, each block followed by the CRC32 of its bytes."""
-        out = []
-        for kind, recs, meta in self.blocks:
-            flat = [x for r in recs for x in r]
-            body = struct.pack(f"<BII{len(flat)}q{len(meta)}q", kind,
-                               len(recs), len(meta), *flat, *meta)
-            out += (body, struct.pack("<I", zlib.crc32(body)))
+        words = array("q", self.words) if SWAP else self.words
+        if SWAP:
+            words.byteswap()
+        raw, bounds, out = memoryview(words).cast("B"), self.bounds, []
+        for bid, kind in enumerate(self.kinds):
+            lo, mid, end = bounds[2 * bid:2 * bid + 3]
+            head = struct.pack("<BII", kind, (mid - lo) // (_WIDTH[kind] or 1),
+                               end - mid)
+            crc = zlib.crc32(raw[8 * lo:8 * end], zlib.crc32(head))
+            out += (head, raw[8 * lo:8 * end], struct.pack("<I", crc))
         return b"".join(out)
 
     @classmethod
     def from_bytes(cls, data: bytes, off: int, nblocks: int,
                    block_elems: int) -> "BlockStore":
-        """Parse `nblocks` blocks from data[off:], which they must fill."""
+        """Parse `nblocks` blocks from data[off:], which they must fill
+        (struct.error if they overrun it)."""
         store = cls(block_elems)
-        view = memoryview(data)
+        view, words, bounds = memoryview(data), store.words, store.bounds
         for bid in range(nblocks):
             kind, nrec, nmeta = struct.unpack_from("<BII", data, off)
-            if kind not in _REC_WIDTH:
-                raise IndexFileError(f"block {bid}: unknown kind {kind}")
-            w = _REC_WIDTH[kind]
-            end = off + 9 + 8 * (nrec * w + nmeta)
-            if end + 4 > len(data):
-                raise IndexFileError(f"block {bid}: truncated")
+            if kind >= len(_WIDTH) or nrec and kind == K_DIR \
+                    or nmeta and kind not in (K_DIR, K_PST):
+                raise IndexFileError(f"block {bid}: kind {kind} with {nrec} "
+                                     f"records and {nmeta} metadata words")
+            nrec *= _WIDTH[kind]  # now in words
+            end = off + 9 + 8 * (nrec + nmeta)
             if zlib.crc32(view[off:end]) != struct.unpack_from("<I", data, end)[0]:
                 raise IndexFileError(f"block {bid}: checksum mismatch")
-            flat = struct.unpack_from(f"<{nrec * w}q", data, off + 9)
-            recs = tuple(flat[i:i + w] for i in range(0, nrec * w, w)) if w else ()
-            meta = struct.unpack_from(f"<{nmeta}q", data, end - 8 * nmeta)
-            store.blocks.append((kind, recs, meta))
+            words.frombytes(view[off + 9:end])
+            bounds.extend((len(words) - nmeta, len(words)))
+            store.kinds.append(kind)
             off = end + 4
         if off != len(data):
             raise IndexFileError(f"{len(data) - off} trailing bytes")
+        if SWAP:
+            words.byteswap()
         return store
-
-
-_REC_WIDTH = {K_DIR: 0, K_VALS: 1, K_LIST: 3, K_PST: 3, K_KARR: 7, K_SEP: 1,
-              K_FIRST: 2}
 
 
 def _build_block_pst(store: BlockStore, pts: list) -> int:
@@ -177,46 +200,18 @@ def _build_block_pst(store: BlockStore, pts: list) -> int:
     byy = sorted(pts, key=lambda r: (r[1], r[0]))
     top = sorted(byy[:B])
     rest = sorted(byy[B:])
-    meta = []
+    meta = [0]  # child count, then per child (bid, xlo, xhi, min y)
     if rest:
-        nc = min(B, -(-len(rest) // B))
+        meta[0] = nc = min(B, -(-len(rest) // B))
         base, extra = divmod(len(rest), nc)
         lo = 0
-        kids = []
         for i in range(nc):
             sz = base + (1 if i < extra else 0)
             chunk = rest[lo:lo + sz]
             lo += sz
-            bid = _build_block_pst(store, chunk)
-            kids.append((bid, chunk[0][0], chunk[-1][0],
-                         min(r[1] for r in chunk)))
-        meta = [len(kids)]
-        for k in kids:
-            meta.extend(k)
-    else:
-        meta = [0]
-    return store.append(K_PST, tuple(top), tuple(meta))
-
-
-def _query_block_pst(store: BlockStore, root: int, a: int, b: int, c: int,
-                     out: list, meter=None) -> None:
-    """Append to `out` the colors of the points with a <= x <= b, y < c. A
-    block's records ascend by x, so only its slice [a, b] is tested."""
-    if root < 0:
-        return
-    stack = [root]
-    while stack:
-        _, recs, meta = store.read(stack.pop(), meter)
-        lo = bisect.bisect_left(recs, (a,))
-        for _, y, color in recs[lo:bisect.bisect_left(recs, (b + 1,), lo)]:
-            if y < c:
-                out.append(color)
-        nchild = meta[0]
-        for i in range(nchild):
-            bid, xlo, xhi, miny = meta[1 + 4 * i:5 + 4 * i]
-            if xhi < a or xlo > b or miny >= c:
-                continue
-            stack.append(bid)
+            meta += (_build_block_pst(store, chunk), chunk[0][0], chunk[-1][0],
+                     min(r[1] for r in chunk))
+    return store.append(K_PST, [x for r in top for x in r], meta)
 
 
 def _require(ok: bool, what: str) -> None:
@@ -232,10 +227,9 @@ class EmIndex:
         self.B = store.B
         self.n = n
         self.ncolors = ncolors
-        blocks = store.blocks
-        _require(self.B >= 2 and bool(blocks) and blocks[0][0] == K_DIR,
+        _require(self.B >= 2 and bool(store.kinds) and store.kinds[0] == K_DIR,
                  "no directory block")
-        meta = blocks[0][2]
+        meta = store.block(0)[2]
         _require(len(meta) >= 5, "short directory")
         self.cap, self.nleaves, self.vals_start, self.first_start, nlevels = \
             meta[:5]
@@ -252,25 +246,27 @@ class EmIndex:
         self.leaf_dir = [tuple(meta[i:i + 3])
                          for i in range(leaves_at, len(meta), 3)]
         _require(len(meta) == leaves_at + 3 * self.nleaves, "directory size")
+        self._view = memoryview(store.words)  # the words' size is fixed now
         self._check()
 
     def _region(self, start: int, count: int, kind: int, what: str) -> None:
         """`count` records packed B per block from block `start` on."""
-        nb = -(-count // self.B)
+        nb, w, bounds = -(-count // self.B), _WIDTH[kind], self.store.bounds
         _require(count == 0 or count > 0 and 0 < start
-                 and start + nb <= len(self.store.blocks),
+                 and start + nb <= len(self.store.kinds),
                  f"{what} outside the file")
-        for i in range(nb):
-            k, recs, _ = self.store.blocks[start + i]
-            _require(k == kind and len(recs) == min(self.B, count - i * self.B),
-                     f"{what}: block {start + i}")
+        for i, bid in enumerate(range(start, start + nb)):
+            _require(self.store.kinds[bid] == kind and bounds[2 * bid + 1]
+                     - bounds[2 * bid] == w * min(self.B, count - i * self.B),
+                     f"{what}: block {bid}")
 
     def _check(self) -> None:
         """Directory entries, separator levels, first points, K records and
         PST children, so that no query on a loaded file reads outside the
         store, loops, or trusts a record order or PST bound that the records
-        contradict."""
-        blocks, B = self.store.blocks, self.B
+        contradict. Only directory and PST blocks hold metadata, so a
+        region's records are contiguous words."""
+        view, bounds, B = self._view, self.store.bounds, self.B
         self._region(self.vals_start, self.n, K_VALS, "values")
         # separator level l holds the last record of each block of level l-1
         child_start, count = self.vals_start, -(-self.n // B)
@@ -278,8 +274,8 @@ class EmIndex:
             _require(count > 1, "separator level count")
             self._region(start, count, K_SEP, "separators")
             for j in range(count):
-                _require(blocks[start + j // B][1][j % B]
-                         == blocks[child_start + j][1][-1],
+                _require(view[bounds[2 * start] + j]
+                         == view[bounds[2 * (child_start + j) + 1] - 1],
                          f"separator block {start + j // B}")
             child_start, count = start, -(-count // B)
         _require(count <= 1, "separator level count")
@@ -290,16 +286,15 @@ class EmIndex:
         _require(offs[0] == 0 and all(map(operator.le, offs, offs[1:])),
                  "first-point offsets")
         self._region(self.first_start, offs[-1], K_FIRST, "first points")
-        recs = [r for bid in range(self.first_start,
-                                   self.first_start + -(-offs[-1] // B))
-                for r in blocks[bid][1]]
-        colors = [r[1] for r in recs]
+        lo = bounds[2 * self.first_start] if offs[-1] else 0
+        prevpos = view[lo:lo + 2 * offs[-1]:2]
+        colors = view[lo + 1:lo + 2 * offs[-1]:2]
         _require(not colors or 0 <= min(colors) and max(colors) < self.ncolors,
                  "first-point color")
         g, size = 0, 2 * self.cap
         for _ in self.level_base:
             for start in range(0, self.n, size):
-                ps = [r[0] for r in recs[offs[g]:offs[g + 1]]]
+                ps = prevpos[offs[g]:offs[g + 1]]
                 _require(not ps or -1 <= ps[0] and ps[-1] < start
                          and all(map(operator.le, ps, ps[1:])),
                          f"first points of aligned block {g}")
@@ -310,7 +305,7 @@ class EmIndex:
         for _, k_start, k_len in self.leaf_dir:
             self._region(k_start, k_len, K_KARR, "K array")
             for bid in range(k_start, k_start + -(-k_len // B)):
-                for side, _, _, rl_s, rl_n, lr_s, lr_n in blocks[bid][1]:
+                for side, _, _, rl_s, rl_n, lr_s, lr_n in self.store.block(bid)[1]:
                     _require(side in (1, 2) and rl_n <= self.cap
                              and lr_n <= self.cap, f"K record in block {bid}")
                     lists.update(((rl_s, rl_n), (lr_s, lr_n)))
@@ -323,20 +318,21 @@ class EmIndex:
         seen = {root for root, _, _ in self.leaf_dir}
         _require(len(seen) == self.nleaves, "shared PST root")
         span = {}  # PST block -> (xlo, xhi, min y) of its subtree
-        for bid, (kind, recs, meta) in enumerate(blocks):
+        for bid, kind in enumerate(self.store.kinds):
             if kind != K_PST:
                 continue
-            _require(bool(recs) and bool(meta) and len(meta) == 1 + 4 * meta[0],
+            lo, mid, end = bounds[2 * bid:2 * bid + 3]
+            xs, meta = view[lo:mid:3], view[mid:end]
+            _require(bool(xs) and bool(meta) and len(meta) == 1 + 4 * meta[0],
                      f"PST block {bid}")
-            xs = [r[0] for r in recs]
             _require(all(map(operator.lt, xs, xs[1:])),
                      f"PST block {bid}: records out of x order")
-            xlo, xhi, miny = xs[0], xs[-1], min(r[1] for r in recs)
+            xlo, xhi, miny = xs[0], xs[-1], min(view[lo + 1:mid:3])
             for i in range(1, len(meta), 4):
                 child = meta[i]
                 _require(child in span and child not in seen,
                          f"PST child {child} of block {bid}")
-                _require(span[child] == meta[i + 1:i + 4],
+                _require(span[child] == tuple(meta[i + 1:i + 4]),
                          f"PST child {child} of block {bid}: bounds")
                 seen.add(child)
                 xlo, xhi = min(xlo, meta[i + 1]), max(xhi, meta[i + 2])
@@ -366,7 +362,7 @@ class EmIndex:
 
         store = BlockStore(B)
         store.append(K_DIR, ())  # placeholder, filled at the end
-        vals_start, _ = store.write_region(K_VALS, [(v,) for v in values])
+        vals_start, _ = store.write_region(K_VALS, values)
         # separator levels bottom-up: record j is the last value under block j
         # of the level below
         levels = []
@@ -376,10 +372,11 @@ class EmIndex:
                     for i in range(0, len(keys), B)]
             if len(keys) <= 1:
                 break
-            levels.append(store.write_region(K_SEP, [(k,) for k in keys])[0])
+            levels.append(store.write_region(K_SEP, keys)[0])
         _, offsets, keys, pos = first_points(lay)
-        first_start, _ = store.write_region(K_FIRST, list(zip(
-            (keys % (n + 1) - 1).tolist(), [colors[i] for i in pos.tolist()])))
+        first_start, _ = store.write_region(K_FIRST, [x for r in zip(
+            (keys % (n + 1) - 1).tolist(), [colors[i] for i in pos.tolist()])
+            for x in r])
         leaf_psts = [_build_block_pst(store, list(zip(values[lo:lo + cap],
                                                       prevs[lo:lo + cap],
                                                       colors[lo:lo + cap])))
@@ -393,13 +390,15 @@ class EmIndex:
             node = stack.pop()
             if node.parent is not None:
                 if node is node.parent.left:
-                    ent = [(lay.last_v[i], 0, lay.last_c[i])
-                           for i in range(node.r_hi - 1, node.r_lo - 1, -1)]
+                    lo, hi = node.r_lo, node.r_hi
+                    ent = zip(lay.last_v[lo:hi][::-1], [0] * (hi - lo),
+                              lay.last_c[lo:hi][::-1])
                 else:
                     lo, hi = node.l_lo, node.l_hi
-                    ent = list(zip(lay.first_v[lo:hi], lay.first_p[lo:hi],
-                                   lay.first_c[lo:hi]))
-                ptr[node] = store.write_region(K_LIST, ent)
+                    ent = zip(lay.first_v[lo:hi], lay.first_p[lo:hi],
+                              lay.first_c[lo:hi])
+                ptr[node] = store.write_region(K_LIST,
+                                               [x for e in ent for x in e])
             if node.left is not None:
                 stack += (node.right, node.left)
 
@@ -411,11 +410,12 @@ class EmIndex:
             node = leaf
             while node.parent is not None:
                 p = node.parent
-                entries.append((1 if p.left is node else 2, p.m, p.height,
-                                *ptr[p.left], *ptr[p.right]))
+                entries += (1 if p.left is node else 2, p.m, p.height,
+                            *ptr[p.left], *ptr[p.right])
                 node = p
             meta += (pst_root, *store.write_region(K_KARR, entries))
-        store.blocks[0] = (K_DIR, (), tuple(meta))
+        store.words[0:0] = array("q", meta)  # into block 0, appended empty
+        store.bounds[2:] = array("q", [x + len(meta) for x in store.bounds[2:]])
         return cls(store, n, ncolors)
 
     # -- locate phase -------------------------------------------------------------
@@ -425,34 +425,47 @@ class EmIndex:
         per separator level, then one of the value block."""
         if self.n == 0:
             return self.n, None
-        j = 0  # block index within the current level
+        view, j = self._view, 0  # j: block index within the level
         for start in self._descent:
-            _, recs, _ = self.store.read(start + j, meter, locate)
-            i = bisect.bisect_left(recs, (a,))
-            if i == len(recs):  # only at the top: a exceeds every value
+            lo, hi = self.store.read(start + j, meter, locate)
+            i = bisect.bisect_left(view, a, lo, hi)
+            if i == hi:  # only at the top: a exceeds every value
                 return self.n, None
-            j = j * self.B + i
-        return j, recs[i][0]
+            j = j * self.B + i - lo
+        return j, view[i]
 
-    def _hra(self, leaf_idx: int, a: int, b: int, meter=None) -> Optional[tuple]:
-        """K-array search; returns the chosen entry or None. Entries run
-        bottom-up, so the highest range ancestor is the last one whose side
-        condition holds: m <= b for a left parent, m > a for a right one."""
+    def _hra(self, leaf_idx: int, a: int, b: int, meter=None) -> Optional[int]:
+        """K-array search; the chosen entry's word offset, or None. Entries
+        run bottom-up, so the highest range ancestor is the last one whose
+        side condition holds: m <= b for a left parent, m > a for a right
+        one."""
         _, k_start, k_len = self.leaf_dir[leaf_idx]
-        best = None
+        view, best = self._view, None
         for bid in range(k_start, k_start + -(-k_len // self.B)):
-            for entry in self.store.read(bid, meter, locate=True)[1]:
-                if (entry[1] <= b) if entry[0] == 1 else (entry[1] > a):
-                    best = entry
+            lo, hi = self.store.read(bid, meter, locate=True)
+            for o in range(lo, hi, 7):
+                if (view[o + 1] <= b) if view[o] == 1 else (view[o + 1] > a):
+                    best = o
         return best
 
     # -- reporting phase -------------------------------------------------------------
 
-    def _iter_list(self, start: int, length: int, meter=None):
-        """The records of a region, read block by block as they are taken
-        (`_check` made each block hold min(B, the rest) of them)."""
-        for bid in range(start, start + -(-length // self.B)):
-            yield from self.store.read(bid, meter)[1]
+    def _pst(self, root: int, a: int, b: int, out: list, meter=None) -> None:
+        """Append to `out` the colors of the leaf PST's points with
+        a <= x <= b and y < a. A block's records ascend by x, so only its
+        slice [a, b] is tested."""
+        view = self._view
+        stack = [root] if root >= 0 else []
+        while stack:
+            lo, mid = self.store.read(stack.pop(), meter)
+            xs = view[lo:mid:3]
+            i = lo + 3 * bisect.bisect_left(xs, a)
+            j = lo + 3 * bisect.bisect_right(xs, b)
+            out += [c for y, c in zip(view[i + 1:j:3], view[i + 2:j:3])
+                    if y < a]
+            kids = range(mid + 1, mid + 1 + 4 * view[mid], 4)
+            stack += [view[o] for o in kids
+                      if view[o + 1] <= b and view[o + 2] >= a > view[o + 3]]
 
     def query(self, a: int, b: int, meter=None) -> list:
         """Distinct colors of [a, b]; the emission stream is duplicate-free."""
@@ -466,33 +479,40 @@ class EmIndex:
         entry = self._hra(leaf_idx, a, b, meter)
         out: list = []
         if entry is None:
-            _query_block_pst(self.store, self.leaf_dir[leaf_idx][0], a, b, a,
-                             out, meter)
+            self._pst(self.leaf_dir[leaf_idx][0], a, b, out, meter)
             return out
 
         # a full-length list whose last entry lies strictly inside the range
         # may leave colors out; one whose last entry is a (R) or b (L) holds
         # every color of its side
-        _, _, _, rl_start, rl_len, lr_start, lr_len = entry
-        cap = self.cap
+        view, cap, B = self._view, self.cap, self.B
+        rl_start, rl_len, lr_start, lr_len = view[entry + 3:entry + 7]
         if (rl_len == cap and self._last_value(rl_start, rl_len, meter) > a
                 or lr_len == cap
                 and self._last_value(lr_start, lr_len, meter) < b):
             return self._wide(a, b, pos, meter)
-        for v, _, color in self._iter_list(rl_start, rl_len, meter):
-            if v < a:
+        # read each list a block at a time (`_check` made each hold min(B, the
+        # rest)): R, descending, down to a; L up to b, where prev < a
+        for bid in range(rl_start, rl_start + -(-rl_len // B)):
+            lo, hi = self.store.read(bid, meter)
+            cut = lo + 3 * bisect.bisect_right(view[lo:hi:3], -a,
+                                               key=operator.neg)
+            out += view[lo + 2:cut:3]
+            if cut < hi:
                 break
-            out.append(color)
-        for v, pv, color in self._iter_list(lr_start, lr_len, meter):
-            if v > b:
+        for bid in range(lr_start, lr_start + -(-lr_len // B)):
+            lo, hi = self.store.read(bid, meter)
+            cut = lo + 3 * bisect.bisect_right(view[lo:hi:3], b)
+            out += [c for p, c in zip(view[lo + 1:cut:3], view[lo + 2:cut:3])
+                    if p < a]
+            if cut < hi:
                 break
-            if pv < a:
-                out.append(color)
         return out
 
     def _last_value(self, start: int, length: int, meter=None) -> int:
         """The value of a list's last entry, in one read."""
-        return self.store.read(start + (length - 1) // self.B, meter)[1][-1][0]
+        return self._view[
+            self.store.read(start + (length - 1) // self.B, meter)[1] - 3]
 
     def _wide(self, a: int, b: int, j: int, meter=None) -> list:
         """Distinct colors of [a, b], which holds succ(a) = point j, by
@@ -503,27 +523,26 @@ class EmIndex:
                                     self.level_base)
         out: list = []
         for leaf in leaves:
-            _query_block_pst(self.store, self.leaf_dir[leaf][0], a, b, a, out,
-                             meter)
-        B, offs, key = self.B, self.first_offsets, (j,)
+            self._pst(self.leaf_dir[leaf][0], a, b, out, meter)
+        B, offs, view = self.B, self.first_offsets, self._view
         for g in groups:
             i, end = offs[g], offs[g + 1]
             while i < end:
-                bid, lo = divmod(i, B)
-                recs = self.store.read(self.first_start + bid, meter)[1]
-                hi = min(B, lo + end - i)
-                cut = bisect.bisect_left(recs, key, lo, hi)
-                out += [color for _, color in recs[lo:cut]]
+                bid, k = divmod(i, B)
+                lo, _ = self.store.read(self.first_start + bid, meter)
+                hi = min(B, k + end - i)
+                cut = bisect.bisect_left(view[lo:lo + 2 * hi:2], j, k)
+                out += view[lo + 2 * k + 1:lo + 2 * cut:2]
                 if cut < hi:
                     break
-                i += hi - lo
+                i += hi - k
         return out
 
     # -- serialization ------------------------------------------------------------
 
     def to_bytes(self) -> bytes:
         head = HEADER.pack(MAGIC, VERSION, self.n, self.B, self.ncolors,
-                           len(self.store.blocks))
+                           len(self.store.kinds))
         return b"".join((head, struct.pack("<I", zlib.crc32(head)),
                          self.store.to_bytes()))
 
@@ -560,12 +579,13 @@ class EmIndex:
     def audit_lists(self) -> None:
         """Every L list ascending with prevs, every R list descending, each
         with distinct colors (IndexFileError)."""
-        for kind, recs, _ in self.store.blocks:
+        for bid, kind in enumerate(self.store.kinds):
             if kind != K_KARR:
                 continue
-            for _, _, _, rl_s, rl_n, lr_s, lr_n in recs:
+            for _, _, _, rl_s, rl_n, lr_s, lr_n in self.store.block(bid)[1]:
                 for start, length, sign in ((rl_s, rl_n, -1), (lr_s, lr_n, 1)):
-                    ents = list(self._iter_list(start, length))
+                    ents = [e for lb in range(start, start + -(-length // self.B))
+                            for e in self.store.block(lb)[1]]
                     keys = [sign * e[0] for e in ents]
                     _require(keys == sorted(keys)
                              and len({e[2] for e in ents}) == len(ents),

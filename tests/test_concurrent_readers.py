@@ -23,7 +23,9 @@ def test_threaded_readers_share_one_index():
         w = rng.choice((8, 64, 512, u // 4))
         queries.append((a, min(u, a + w)))
     want = [fo.report(a, b) for a, b in queries]
-    indexes = [StaticIndex(pts), EmIndex.build(pts, B=8)]
+    em = EmIndex.build(pts, B=8)
+    # a loaded index's readers share one word array and its memoryview
+    indexes = [StaticIndex(pts), em, EmIndex.from_bytes(em.to_bytes())]
 
     def run(idx, meter, errors):
         for (a, b), expect in zip(queries, want):

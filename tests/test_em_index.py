@@ -1,7 +1,11 @@
+import gc
 import hashlib
 import math
 import random
 import struct
+import tracemalloc
+import types
+import zlib
 
 import numpy as np
 import pytest
@@ -10,8 +14,8 @@ import colorrange.em_index as em_index
 from colorrange.core import (ColoredPoint, CostMeter, FastOracle,
                              IndexFileError, InvalidColor, InvalidCoordinate,
                              InvalidRange, MAX_COORDINATE, Range, oracle_report)
-from colorrange.em_index import (K_FIRST, K_KARR, K_PST, K_SEP, EmIndex,
-                                  ceil_log)
+from colorrange.em_index import (HEADER, K_FIRST, K_KARR, K_PST, K_SEP,
+                                  MAGIC, VERSION, EmIndex, ceil_log)
 from conftest import random_instance
 
 
@@ -36,14 +40,16 @@ def test_structural_audit_multilevel():
     idx = EmIndex.build(pts, B=8)
     assert idx.nleaves > 2
     idx.audit_lists()
-    # reverse, in memory, the first block of an R list of 2 or more entries
-    blocks = idx.store.blocks
+    # reverse the first block of an R list of 2 or more entries: the file
+    # still loads, and the audit finds the list out of order
+    data = idx.to_bytes()
+    blocks = _decode(data).blocks
     start = next(r[3] for kind, recs, _ in blocks if kind == K_KARR
                  for r in recs if r[4] >= 2)
-    kind, recs, meta = blocks[start]
-    blocks[start] = (kind, recs[::-1], meta)
+    bad = EmIndex.from_bytes(_rewritten(
+        data, _set_block(start, recs=blocks[start][1][::-1])))
     with pytest.raises(IndexFileError):
-        idx.audit_lists()
+        bad.audit_lists()
 
 
 def test_oracle_equivalence_and_no_duplicates():
@@ -120,6 +126,31 @@ def test_roundtrip_bitexact(tmp_path):
         assert m1.snapshot() == m2.snapshot()
 
 
+def _retained(make) -> int:
+    """Bytes that `make()` allocates and keeps, under tracemalloc."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = make()  # noqa: F841 (held while measured)
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("B, ncolors", [(8, 16), (8, 1 << 13), (64, 16),
+                                        (64, 1 << 13)])
+def test_memory_near_file_size(B, ncolors):
+    # the index is its own file image: built, or loaded from its file, it
+    # keeps at most 1.25 times the file's bytes
+    rng = random.Random(B * ncolors)
+    pts = random_instance(rng, 1 << 13, 1 << 17, ncolors)
+    data = EmIndex.build(pts, B=B).to_bytes()
+    assert _retained(lambda: EmIndex.build(pts, B=B)) <= 1.25 * len(data)
+    assert _retained(lambda: EmIndex.from_bytes(data)) <= 1.25 * len(data)
+
+
 def test_bad_file_rejected(tmp_path):
     p = tmp_path / "junk.bin"
     p.write_bytes(b"NOPE" + b"\x00" * 40)
@@ -172,41 +203,84 @@ def test_bit_flips_detected():
         assert _all_answers(idx) == want, bit
 
 
-def _rewritten(data: bytes, edit) -> bytes:
-    """`data` loaded, changed in memory by `edit(idx)`, and written again
-    with fresh CRCs, so only the structural checks can reject it."""
+_WIDTH = (0, 1, 3, 3, 7, 1, 2)  # words per record, by block kind
+
+
+def _decode(data: bytes) -> types.SimpleNamespace:
+    """The file's header fields and its blocks, each as (kind, records as
+    tuples, metadata), read with `struct` alone."""
+    _, _, n, B, ncolors, nblocks = HEADER.unpack_from(data)
+    off, blocks = HEADER.size + 4, []
+    for _ in range(nblocks):
+        kind, nrec, nmeta = struct.unpack_from("<BII", data, off)
+        w = _WIDTH[kind]
+        flat = struct.unpack_from(f"<{nrec * w}q", data, off + 9)
+        meta = struct.unpack_from(f"<{nmeta}q", data, off + 9 + 8 * len(flat))
+        recs = tuple(flat[i:i + w] for i in range(0, len(flat), w or 1))
+        blocks.append((kind, recs, meta))
+        off += 13 + 8 * (len(flat) + nmeta)
+    return types.SimpleNamespace(n=n, B=B, ncolors=ncolors, blocks=blocks)
+
+
+def _encode(f: types.SimpleNamespace) -> bytes:
+    """`_decode`'s inverse, with fresh CRCs; a block's record count is the
+    length of its records."""
+    head = HEADER.pack(MAGIC, VERSION, f.n, f.B, f.ncolors, len(f.blocks))
+    out = [head, struct.pack("<I", zlib.crc32(head))]
+    for kind, recs, meta in f.blocks:
+        flat = [x for r in recs for x in r]
+        body = struct.pack(f"<BII{len(flat)}q{len(meta)}q", kind, len(recs),
+                           len(meta), *flat, *meta)
+        out += (body, struct.pack("<I", zlib.crc32(body)))
+    return b"".join(out)
+
+
+def test_file_words_little_endian():
+    # every block, decoded as little-endian i64 by `struct` alone, is the
+    # block the loaded store holds
+    data = _small_file()
     idx = EmIndex.from_bytes(data)
-    edit(idx)
-    return idx.to_bytes()
+    blocks = _decode(data).blocks
+    assert len(blocks) == len(idx.store.kinds) > 20
+    for bid, block in enumerate(blocks):
+        assert idx.store.block(bid) == block, bid
+
+
+def _rewritten(data: bytes, edit) -> bytes:
+    """`data` decoded, changed by `edit(f)` and written again with fresh
+    CRCs, so only the structural checks can reject it."""
+    f = _decode(data)
+    edit(f)
+    return _encode(f)
 
 
 def _set_block(bid, kind=None, recs=None, meta=None):
-    def edit(idx):
-        k, r, m = idx.store.blocks[bid]
-        idx.store.blocks[bid] = (k if kind is None else kind,
-                                 r if recs is None else recs,
-                                 m if meta is None else meta)
+    def edit(f):
+        k, r, m = f.blocks[bid]
+        f.blocks[bid] = (k if kind is None else kind,
+                         r if recs is None else recs,
+                         m if meta is None else meta)
     return edit
 
 
 def _set_meta(bid, i, value):
-    def edit(idx):
-        k, r, m = idx.store.blocks[bid]
-        idx.store.blocks[bid] = (k, r, m[:i] + (value,) + m[i + 1:])
+    def edit(f):
+        k, r, m = f.blocks[bid]
+        f.blocks[bid] = (k, r, m[:i] + (value,) + m[i + 1:])
     return edit
 
 
 def _edits(*edits):
-    def edit(idx):
+    def edit(f):
         for e in edits:
-            e(idx)
+            e(f)
     return edit
 
 
 def test_bad_pointers_raise_at_load():
     data = _small_file()
     idx = EmIndex.from_bytes(data)
-    blocks = idx.store.blocks
+    blocks = [idx.store.block(bid) for bid in range(len(idx.store.kinds))]
     offs = 5 + len(idx.levels)  # the first-point offsets in the directory
     leaf0 = offs + len(idx.first_offsets)  # leaf 0's PST root
     _, k_start, _ = idx.leaf_dir[0]
@@ -262,9 +336,13 @@ def test_bad_pointers_raise_at_load():
         "separator level count": _set_meta(0, 4, len(idx.levels) + 1),
         "values block kind": _set_block(idx.vals_start, kind=K_SEP),
         "cap": _set_meta(0, 0, 0),
-        "point count": lambda idx: setattr(idx, "n", idx.n - 1),
+        "point count": lambda f: setattr(f, "n", f.n - 1),
         "PST records out of x order": _set_block(pst, recs=(
             blocks[pst][1][1], blocks[pst][1][0]) + blocks[pst][1][2:]),
+        # a record count or metadata the kind does not hold, which
+        # `to_bytes` would not write back
+        "directory block with records": _set_block(0, recs=((),)),
+        "values block with metadata": _set_block(idx.vals_start, meta=(7,)),
     }
     loaded = []
     for name, edit in edits.items():
@@ -276,7 +354,8 @@ def test_bad_pointers_raise_at_load():
             continue
         loaded.append(name)
     assert loaded == []
-    assert _rewritten(data, lambda idx: None) == data
+    assert len(edits) == 30
+    assert _rewritten(data, lambda f: None) == data
 
 
 def _locate_and_report_reads(n: int, B: int) -> tuple:
