@@ -26,8 +26,7 @@ from __future__ import annotations
 import math
 from typing import Iterable
 
-from .core import (ColArray, ColoredPoint, InvalidRange, NotFound,
-                   PREV_SENTINEL)
+from .core import ColoredPoint, InvalidRange, NotFound, PREV_SENTINEL
 from .pst import ColorPst
 from .slow_index import SlowIndex
 from .stripe import StripeIndex
@@ -47,7 +46,6 @@ class DynamicIndex:
         self._prev = fwd.prev_of
         self._next = fwd.next_of  # None past the color's last element
         self.ncolors = 1 + max(self.by_color, default=-1)
-        self._col = ColArray(self.ncolors)
         self.tree = WbTree(self.colors)
         self.last_fallback_cap = None  # set per query when a cap fires
         self._attach_all()
@@ -64,29 +62,32 @@ class DynamicIndex:
         self.stripe_max = StripeIndex(self._stripe_maxy, group_cap=group_cap)
         self.hmin: dict = {}
         self.hmax: dict = {}
+        # leaves in order give the tagged values sorted, for the bulk loads
+        mins: list = []
+        maxs: list = []
         leaf = self.tree.first_leaf
         while leaf is not None:
             leaf.dstruct = self._leaf_pst(leaf)
+            for v in leaf.values:
+                h = self.hmin[v] = self._tag_min(v, leaf)
+                if h >= 0:
+                    mins.append((v, h + 1))
+                h = self.hmax[v] = self._tag_max(v, leaf)
+                if h >= 0:
+                    maxs.append((v, h + 1))
             leaf = leaf.next_leaf
-        for v in self.colors:
-            h = self._tag_min(v)
-            self.hmin[v] = h
-            if h >= 0:
-                self.stripe_min.insert(v, h + 1)
-            h = self._tag_max(v)
-            self.hmax[v] = h
-            if h >= 0:
-                self.stripe_max.insert(v, h + 1)
+        self.stripe_min.load(mins)
+        self.stripe_max.load(maxs)
 
     def _leaf_pst(self, leaf) -> ColorPst:
         return ColorPst((v, self._prev(v), self.colors[v]) for v in leaf.values)
 
     # -- exact tags --------------------------------------------------------------
 
-    def _tag_min(self, value) -> int:
+    def _tag_min(self, value, leaf=None) -> int:
         """Height of the highest ancestor whose live min exceeds prev(value)."""
         prev = self._prev(value)
-        node = self.tree.leaf_for(value)
+        node = self.tree.leaf_for(value) if leaf is None else leaf
         if node.submin is None or node.submin <= prev:
             return -1
         h = 0
@@ -96,11 +97,11 @@ class DynamicIndex:
             p = p.parent
         return h
 
-    def _tag_max(self, value) -> int:
+    def _tag_max(self, value, leaf=None) -> int:
         nxt = self._next(value)
         if nxt is None:
             nxt = _INF
-        node = self.tree.leaf_for(value)
+        node = self.tree.leaf_for(value) if leaf is None else leaf
         if node.submax is None or node.submax >= nxt:
             return -1
         h = 0
@@ -110,8 +111,8 @@ class DynamicIndex:
             p = p.parent
         return h
 
-    def _retag_min(self, value) -> None:
-        new = self._tag_min(value)
+    def _retag_min(self, value, leaf=None) -> None:
+        new = self._tag_min(value, leaf)
         old = self.hmin.get(value)
         if old == new:
             return
@@ -148,9 +149,7 @@ class DynamicIndex:
         # color maps, so a rebuild's _attach_all already sees it
         self.slow.insert(value, color)
         ev = self.tree.insert(value)
-        if color >= self.ncolors:
-            self.ncolors = color + 1
-            self._col.grow(self.ncolors)
+        self.ncolors = max(self.ncolors, color + 1)
         if ev["rebuilt"]:
             self._attach_all()
             return
@@ -165,24 +164,23 @@ class DynamicIndex:
                 right.dstruct = self._leaf_pst(right)
                 rebuilt_leaves.add(id(left))
                 rebuilt_leaves.add(id(right))
+        leaf = self.tree.leaf_for(value)
         if not rebuilt_leaves:
-            self.tree.leaf_for(value).dstruct.insert(value, e_p, color)
+            leaf.dstruct.insert(value, e_p, color)
         if e_n is not None:
             # prev(e_n) changed from e_p to value
             nleaf = self.tree.leaf_for(e_n)
             if id(nleaf) not in rebuilt_leaves:
                 nleaf.dstruct.update_prev(e_n, e_p, value, color)
 
-        h = self._tag_min(value)
-        self.hmin[value] = h
+        h = self.hmin[value] = self._tag_min(value, leaf)
         if h >= 0:
             self.stripe_min.insert(value, h + 1)
-        h = self._tag_max(value)
-        self.hmax[value] = h
+        h = self.hmax[value] = self._tag_max(value, leaf)
         if h >= 0:
             self.stripe_max.insert(value, h + 1)
         if e_n is not None:
-            self._retag_min(e_n)
+            self._retag_min(e_n, nleaf)
         if e_p != PREV_SENTINEL:
             self._retag_max(e_p)
 
@@ -208,7 +206,7 @@ class DynamicIndex:
         if e_n is not None:
             nleaf = self.tree.leaf_for(e_n)
             nleaf.dstruct.update_prev(e_n, value, e_p, color)
-            self._retag_min(e_n)
+            self._retag_min(e_n, nleaf)
         if e_p != PREV_SENTINEL:
             self._retag_max(e_p)
 
@@ -267,11 +265,10 @@ class DynamicIndex:
         leaf = self.tree.leaf_for(e)
         u = self.tree.dyn_hra(leaf, a, b)
         if u is None:
-            out = leaf.dstruct.query(a, b, meter)
-            return self._col.dedup(out)
+            return leaf.dstruct.query(a, b, meter)
         subs = WbTree.child_subranges(u, a, b)
         c = u.height  # tag >= height(child) means y = tag + 1 >= u.height
-        raw: list = []
+        out: list = []
         first_child = subs[0][0]
         for i, ai, bi in subs:
             child = u.children[i]
@@ -282,10 +279,14 @@ class DynamicIndex:
             pts, over = stripe.query(ai, bi, c, meter=meter, cap=cap)
             if over or len(pts) >= cap:
                 self.last_fallback_cap = cap
-                out = self.slow.query(a, b, meter=meter)
-                return self._col.dedup(out)
-            raw.extend(self.colors[x] for x, _ in pts)
-        return self._col.dedup(raw)
+                return self.slow.query(a, b, meter=meter)
+            # the first child's hits are its colors' rightmost points, one
+            # per color; a later child's hit is new only if its prev is < a
+            if i == first_child:
+                out.extend(self.colors[x] for x, _ in pts)
+            else:
+                out.extend(self.colors[x] for x, _ in pts if self._prev(x) < a)
+        return out
 
     # -- test hooks ----------------------------------------------------------------
 

@@ -13,11 +13,11 @@ under updates: a placement can only be invalidated by deleting prev(e)
 itself, which relocates e explicitly.
 
 A query [a, b] walks the path to succ(a) below the LCA of the boundary
-leaves, reporting C(u) above a by value, right siblings and covered children
+leaves, scanning C(u) above a by value, right siblings and covered children
 by prev < a, the rightmost child by value <= b, and the LCA plus its proper
-ancestors with both filters. Every color is emitted at most twice; dropping
-emissions with prev >= a leaves exactly the leftmost in-range element per
-distinct color.
+ancestors with both filters. Each scanned element is emitted only when its
+prev lies below a, so the stream holds exactly the leftmost in-range element
+of every distinct color, each once.
 
 k-leftmost color selection binary-searches the right boundary using capped
 counting queries, then reports the reduced range. k-rightmost selection is its
@@ -32,7 +32,7 @@ import bisect
 import math
 from typing import Iterable, Optional
 
-from .core import (ColArray, DuplicateX, InvalidColor, NotFound,
+from .core import (DuplicateX, InvalidColor, InvalidRange, NotFound,
                    PREV_SENTINEL, check_coordinate)
 
 LEAF_CUTOFF = 4
@@ -152,9 +152,9 @@ class SlowTree:
 
     # -- C-set placement -----------------------------------------------------
 
-    def _placement_for(self, value, prev) -> Optional[_Node]:
+    def _placement_for(self, value, prev, path=None) -> Optional[_Node]:
         """Highest node on value's path whose live min exceeds prev."""
-        path = self.path_of(value)
+        path = path or self.path_of(value)
         best = None
         for node in reversed(path):  # leaf first
             if node.minv is not None and node.minv > prev:
@@ -163,9 +163,9 @@ class SlowTree:
                 break
         return best
 
-    def _place(self, value) -> None:
+    def _place(self, value, path=None) -> None:
         prev = self.prev_of(value)
-        node = self._placement_for(value, prev)
+        node = self._placement_for(value, prev, path)
         self.placed[value] = node
         if node is not None:
             node.c_insert(value, self.colors[value], prev)
@@ -197,7 +197,7 @@ class SlowTree:
             if node.maxv is None or value > node.maxv:
                 node.maxv = value
 
-        self._place(value)
+        self._place(value, path)
         nxt = self.next_of(value)
         if nxt is not None:
             self._unplace(nxt)
@@ -219,23 +219,30 @@ class SlowTree:
         del self.vals[i]
         color = self.colors.pop(value)
         lst = self.by_color[color]
-        lst.remove(value)
+        del lst[bisect.bisect_left(lst, value)]
         if not lst:
             del self.by_color[color]
 
         path = self.path_of(value)
-        path[-1].bucket.remove(value)
+        bucket = path[-1].bucket
+        del bucket[bisect.bisect_left(bucket, value)]
         for node in path:
             node.size -= 1
+        # bottom-up, up to the first node whose bounds were not the value (so
+        # no ancestor's were); children ascend: a bound is the nearest child's
         for node in reversed(path):
+            if node.minv != value and node.maxv != value:
+                break
             if node.is_leaf:
-                node.minv = node.bucket[0] if node.bucket else None
-                node.maxv = node.bucket[-1] if node.bucket else None
-            else:
-                mins = [c.minv for c in node.children if c.minv is not None]
-                maxs = [c.maxv for c in node.children if c.maxv is not None]
-                node.minv = min(mins) if mins else None
-                node.maxv = max(maxs) if maxs else None
+                node.minv = bucket[0] if bucket else None
+                node.maxv = bucket[-1] if bucket else None
+                continue
+            if node.minv == value:
+                node.minv = next((c.minv for c in node.children
+                                  if c.minv is not None), None)
+            if node.maxv == value:
+                node.maxv = next((c.maxv for c in reversed(node.children)
+                                  if c.maxv is not None), None)
 
         self._unplace(value)
         if nxt is not None:
@@ -292,11 +299,11 @@ class SlowTree:
     # -- queries ---------------------------------------------------------------
 
     def query(self, a, b, meter=None, cap: Optional[int] = None):
-        """Raw emissions [(value, color, prev)] for [a, b] plus overflow flag.
+        """Emissions [(value, color, prev)] for [a, b] plus overflow flag.
 
-        Every color appears at most twice; emissions with prev >= a are the
-        step-(iii) artifacts. With `cap`, returns (partial, True) once more
-        than cap emissions accumulate.
+        Only elements with prev < a are emitted: the leftmost in-range
+        element of each distinct color, once. With `cap`, returns
+        (partial, True) once more than cap emissions accumulate.
         """
         out: list = []
         touches = 0
@@ -315,16 +322,15 @@ class SlowTree:
         leaf_a, leaf_b = pa[-1], pb[-1]
 
         def emit(value, color, prev):
-            out.append((value, color, prev))
+            if prev < a:
+                out.append((value, color, prev))
 
         if leaf_a is leaf_b:
             touches += 1
             for v in leaf_a.bucket:
                 if a <= v <= b:
                     touches += 1
-                    p = self.prev_of(v)
-                    if p < a:
-                        emit(v, self.colors[v], p)
+                    emit(v, self.colors[v], self.prev_of(v))
             if meter is not None:
                 meter.touches += touches
             return out, False
@@ -361,9 +367,7 @@ class SlowTree:
             for v in leaf_a.bucket:
                 if v >= a and self.placed[v] is None:
                     touches += 1
-                    p = self.prev_of(v)
-                    if p < a:
-                        emit(v, self.colors[v], p)
+                    emit(v, self.colors[v], self.prev_of(v))
 
         # (ii) right siblings below vq, and vq's covered children: prev < a
         if not over():
@@ -412,10 +416,8 @@ class SlowTree:
 
     def count_capped(self, a, b, k) -> int:
         """Distinct-color count, reported exactly up to k (k+1 means > k)."""
-        ems, overflow = self.query(a, b, cap=2 * k)
-        if overflow:
-            return k + 1
-        return sum(1 for _, _, p in ems if p < a)
+        ems, overflow = self.query(a, b, cap=k)
+        return k + 1 if overflow else len(ems)
 
     def k_leftmost(self, a, b, k, meter=None) -> list:
         """The k leftmost distinct colors of [a, b], as (value, color) pairs
@@ -435,7 +437,7 @@ class SlowTree:
                     lo = mid + 1
             bprime = lo
         ems, _ = self.query(a, bprime, meter=meter)
-        hits = sorted((v, c) for v, c, p in ems if p < a)
+        hits = sorted((v, c) for v, c, _ in ems)
         return hits[:k]
 
     def k_rightmost(self, a, b, k, meter=None) -> list:
@@ -457,10 +459,9 @@ class SlowTree:
             aprime = lo
         ems, _ = self.query(aprime, b, meter=meter)
         hits = []
-        for _, c, p in ems:
-            if p < aprime:
-                lst = self.by_color[c]
-                hits.append((lst[bisect.bisect_right(lst, b) - 1], c))
+        for _, c, _ in ems:
+            lst = self.by_color[c]
+            hits.append((lst[bisect.bisect_right(lst, b) - 1], c))
         hits.sort(reverse=True)
         return hits[:k]
 
@@ -473,6 +474,9 @@ class SlowTree:
             got = self.placed[v]
             assert got is want, f"placement of {v}"
         for node in self._nodes_under(self.root):
+            live = self._values_under(node)
+            assert node.minv == (live[0] if live else None), "minv"
+            assert node.maxv == (live[-1] if live else None), "maxv"
             members = sorted(node.cmap)
             assert members == node.cvals
             assert sorted((p, v) for v, (_, p) in node.cmap.items()) == node.cprevs
@@ -519,7 +523,6 @@ class SlowIndex:
             if c < 0:
                 raise InvalidColor(c)
         self.fwd = SlowTree(pts)
-        self._col = ColArray(1 + max(self.fwd.by_color, default=-1))
 
     def __len__(self):
         return len(self.fwd.vals)
@@ -528,26 +531,29 @@ class SlowIndex:
         if color < 0:
             raise InvalidColor(color)
         self.fwd.insert(value, color)
-        self._col.grow(color + 1)
 
     def delete(self, value) -> None:
         self.fwd.delete(value)
 
     def query(self, a, b, meter=None) -> list:
         """Distinct colors of [a, b] (leftmost-occurrence order)."""
+        if a > b:
+            raise InvalidRange(f"[{a}, {b}]")
         a = max(a, 1)  # no point lies below 1, and prev 0 must stay below a
         ems, _ = self.fwd.query(a, b, meter=meter)
-        hits = sorted((v, c) for v, c, p in ems if p < a)
-        colors = [c for _, c in hits]
-        deduped = self._col.dedup(colors)
-        if len(deduped) != len(colors):
+        colors = [c for _, c, _ in sorted(ems)]
+        if len(set(colors)) != len(colors):
             raise RuntimeError(f"prev-filter missed a duplicate in [{a}, {b}]")
-        return deduped
+        return colors
 
     def k_leftmost(self, a, b, k, meter=None) -> list:
+        if a > b:
+            raise InvalidRange(f"[{a}, {b}]")
         return [c for _, c in self.fwd.k_leftmost(a, b, k, meter=meter)]
 
     def k_rightmost(self, a, b, k, meter=None) -> list:
+        if a > b:
+            raise InvalidRange(f"[{a}, {b}]")
         return [c for _, c in self.fwd.k_rightmost(a, b, k, meter=meter)]
 
     def k_leftmost_elements(self, a, b, k) -> list:

@@ -11,6 +11,10 @@ exact hmin/hmax over points with y >= c is recoverable from those probes
 
 Per-threshold structures R_h hold the multiset of table values for
 one-dimensional reporting, and Rbar holds all x-coordinates for one-reporting.
+
+An empty stripe bulk-loads from points sorted by x: groups of group_cap points
+(a short last chunk joins the group before) get their tables built and
+registered once, and Rbar one pass, with no per-point insert or rebalance.
 """
 
 from __future__ import annotations
@@ -154,9 +158,34 @@ class StripeIndex:
 
     # -- updates -----------------------------------------------------------
 
-    def insert(self, x: int, y: int) -> None:
+    def _check_y(self, y: int) -> None:
         if not 1 <= y <= self.max_y:
             raise ValueError(f"y {y} outside [1, {self.max_y}]")
+
+    def load(self, pairs: list) -> None:
+        """Fill an empty stripe from (x, y) pairs sorted by x."""
+        if self.groups:
+            raise ValueError("load needs an empty stripe")
+        for (x, _), (nx, _) in zip(pairs, pairs[1:]):
+            if nx <= x:
+                raise DuplicateX(x) if nx == x else ValueError("x not sorted")
+        for _, y in pairs:
+            self._check_y(y)
+        cap = self.group_cap
+        cuts = list(range(0, len(pairs), cap))
+        if len(cuts) > 1 and len(pairs) - cuts[-1] < cap // 2:
+            cuts.pop()
+        for lo, hi in zip(cuts, cuts[1:] + [len(pairs)]):
+            g = _Group()
+            g.xs = [x for x, _ in pairs[lo:hi]]
+            g.ymap = dict(pairs[lo:hi])
+            g.rebuild(self.decomp)
+            self._register(g)
+            self.groups.append(g)
+        self.rbar = SortedArrayLocator(x for x, _ in pairs)
+
+    def insert(self, x: int, y: int) -> None:
+        self._check_y(y)
         self.rbar.insert(x)  # raises DuplicateX on repeats
         if not self.groups:
             g = _Group()
@@ -267,41 +296,45 @@ class StripeIndex:
         """Points with a <= x <= b and y >= c, plus an overflow flag.
 
         With `cap`, returns (partial, True) as soon as cap points are found.
+        The visited groups go to last_group_visits only on return.
         """
-        self.last_group_visits = {}
-        if a > b or c > self.max_y:
-            return [], False
-        c = max(1, c)
-        if meter is not None:
-            meter.locate_ops += 1
-        x0 = self.rbar.any_in(a, b)
-        if x0 is None:
-            return [], False
-        lo = self._group_index_for(a)
-        if self.groups[lo].xs[-1] < a:
-            lo += 1
-        hi = self._group_index_for(b)
-        out: list = []
-        if lo == hi:
-            self.last_group_visits[lo] = 1
-            over = self._group_query(self.groups[lo], a, b, c, meter, out, cap)
-            return out, over
-        visits = self.last_group_visits
-        for f in query_thresholds(c, self.tau, self.ndigits, self.H):
-            lst = self.rh.get(f)
-            if not lst:
-                continue
-            i = bisect.bisect_left(lst, a)
-            j = bisect.bisect_right(lst, b)
-            hit_by_f = set()
-            for v in lst[i:j]:
-                hit_by_f.add(self._group_index_for(v))
-            for gi in hit_by_f:
-                visits[gi] = visits.get(gi, 0) + 1
-        for gi in sorted(visits):
-            if self._group_query(self.groups[gi], a, b, c, meter, out, cap):
-                return out, True
-        return out, False
+        visits: dict = {}
+        try:
+            if a > b or c > self.max_y:
+                return [], False
+            c = max(1, c)
+            if meter is not None:
+                meter.locate_ops += 1
+            x0 = self.rbar.any_in(a, b)
+            if x0 is None:
+                return [], False
+            lo = self._group_index_for(a)
+            if self.groups[lo].xs[-1] < a:
+                lo += 1
+            hi = self._group_index_for(b)
+            out: list = []
+            if lo == hi:
+                visits[lo] = 1
+                over = self._group_query(self.groups[lo], a, b, c, meter, out,
+                                         cap)
+                return out, over
+            for f in query_thresholds(c, self.tau, self.ndigits, self.H):
+                lst = self.rh.get(f)
+                if not lst:
+                    continue
+                i = bisect.bisect_left(lst, a)
+                j = bisect.bisect_right(lst, b)
+                hit_by_f = set()
+                for v in lst[i:j]:
+                    hit_by_f.add(self._group_index_for(v))
+                for gi in hit_by_f:
+                    visits[gi] = visits.get(gi, 0) + 1
+            for gi in sorted(visits):
+                if self._group_query(self.groups[gi], a, b, c, meter, out, cap):
+                    return out, True
+            return out, False
+        finally:
+            self.last_group_visits = visits
 
     # -- test hooks ----------------------------------------------------------
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from colorrange.core import (ColoredPoint, CostMeter, FastOracle, InvalidColor,
-                             Range,
+                             InvalidRange, Range,
                              oracle_k_leftmost, oracle_k_rightmost,
                              oracle_report)
 from colorrange.slow_index import SlowIndex, SlowTree
@@ -32,7 +32,7 @@ def test_query_matches_oracle_static():
             assert len(got) == len(set(got))
 
 
-def test_emissions_at_most_twice_per_color():
+def test_emissions_once_per_color():
     rng = random.Random(67)
     for _ in range(30):
         pts = random_instance(rng, rng.randrange(2, 400), 1500, 6)
@@ -42,13 +42,11 @@ def test_emissions_at_most_twice_per_color():
             b = rng.randrange(a, 1520)
             ems, over = tree.query(a, b)
             assert not over
-            per = {}
-            for v, c, p in ems:
-                per[c] = per.get(c, 0) + 1
-            assert all(n <= 2 for n in per.values())
-            # and exactly one emission per color after the prev-filter
-            filtered = [c for _, c, p in ems if p < a]
-            assert sorted(set(filtered)) == sorted(filtered)
+            # only leftmost in-range elements: prev below a, one per color
+            assert all(a <= v <= b and p < a for v, _, p in ems)
+            colors = [c for _, c, _ in ems]
+            assert len(colors) == len(set(colors))
+            assert set(colors) == oracle_report(pts, Range(a, b))
 
 
 def test_updates_against_oracle_interleaved():
@@ -228,3 +226,16 @@ def test_query_raises_on_broken_prev_filter():
     idx.fwd.query = lambda a, b, meter=None: ([(10, 0, 0), (20, 0, 0)], False)
     with pytest.raises(RuntimeError):
         idx.query(1, 40)
+
+
+def test_inverted_range_raises():
+    idx = SlowIndex([ColoredPoint(10, 0), ColoredPoint(20, 1)])
+    for call in (lambda: idx.query(30, 10),
+                 lambda: idx.k_leftmost(30, 10, 2),
+                 lambda: idx.k_rightmost(30, 10, 2),
+                 lambda: idx.k_leftmost(30, 10, 0)):
+        with pytest.raises(InvalidRange):
+            call()
+    assert idx.k_leftmost(1, 30, 0) == []
+    assert idx.k_rightmost(1, 30, -1) == []
+    assert idx.query(20, 20) == [1]

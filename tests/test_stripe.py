@@ -151,3 +151,86 @@ def test_cap_overflow():
     assert over and len(pts) == 5
     pts, over = s.query(1, 40, 1, cap=1000)
     assert not over and len(pts) == 40
+
+
+def _random_points(rng, n, universe, max_y):
+    return {x: rng.randrange(1, max_y + 1)
+            for x in rng.sample(range(1, universe), n)}
+
+
+def test_load_answers_like_inserts():
+    rng = random.Random(83)
+    for _ in range(25):
+        max_y = rng.choice([3, 7, 16])
+        group_cap = rng.choice([4, 5, 9])
+        live = _random_points(rng, rng.randrange(0, 300), 3000, max_y)
+        loaded = StripeIndex(max_y=max_y, group_cap=group_cap)
+        loaded.load(sorted(live.items()))
+        inserted = StripeIndex(max_y=max_y, group_cap=group_cap)
+        for x, y in live.items():
+            inserted.insert(x, y)
+        assert len(loaded) == len(live)
+        # every group but a lone one holds at least group_cap // 2 points
+        if len(loaded.groups) > 1:
+            assert min(len(g.xs) for g in loaded.groups) >= group_cap // 2
+        assert max((len(g.xs) for g in loaded.groups), default=0) \
+            <= 2 * group_cap
+        for _ in range(200):
+            a = rng.randrange(1, 3000)
+            b = rng.randrange(a, 3000)
+            c = rng.randrange(1, max_y + 1)
+            want = brute(live, a, b, c)
+            assert sorted(loaded.query(a, b, c)[0]) == want
+            assert sorted(inserted.query(a, b, c)[0]) == want
+            cap = rng.randrange(1, 12)
+            pts, over = loaded.query(a, b, c, cap=cap)
+            assert over == (len(want) >= cap)
+            assert len(pts) == min(cap, len(want))
+            assert set(pts) <= set(want)
+
+
+def test_load_then_updates_keep_selection_fact():
+    rng = random.Random(89)
+    for _ in range(30):
+        max_y = rng.choice([5, 9, 16])
+        s = StripeIndex(max_y=max_y, group_cap=5)
+        live = _random_points(rng, rng.randrange(1, 200), 2000, max_y)
+        s.load(sorted(live.items()))
+
+        def check():
+            for gi in range(len(s.groups)):
+                for c in range(1, max_y + 1):
+                    assert s.recovered_hminmax(gi, c) == s.brute_hminmax(gi, c)
+
+        check()
+        for _ in range(rng.randrange(20, 150)):
+            if rng.random() < 0.5 or not live:
+                x = rng.randrange(1, 2000)
+                if x not in live:
+                    live[x] = rng.randrange(1, max_y + 1)
+                    s.insert(x, live[x])
+            else:
+                x = rng.choice(list(live))
+                del live[x]
+                s.delete(x)
+        check()
+        a, b = 1, 2000
+        assert sorted(s.query(a, b, 1)[0]) == brute(live, a, b, 1)
+
+
+def test_load_rejects_bad_input():
+    s = StripeIndex(max_y=4, group_cap=4)
+    with pytest.raises(ValueError):
+        s.load([(1, 2), (5, 0)])
+    with pytest.raises(ValueError):
+        s.load([(1, 2), (5, 5)])
+    with pytest.raises(DuplicateX):
+        s.load([(1, 2), (5, 3), (5, 1)])
+    with pytest.raises(ValueError):
+        s.load([(5, 2), (1, 3)])
+    # a rejected load leaves the stripe empty
+    assert len(s) == 0 and not s.groups
+    s.load([(1, 2), (5, 3)])
+    with pytest.raises(ValueError):
+        s.load([(9, 1)])
+    assert sorted(s.query(1, 10, 1)[0]) == [(1, 2), (5, 3)]
