@@ -13,7 +13,7 @@ from .core import (ColArray, ColorRemap, ColoredPoint, CostMeter,
                    oracle_report)
 from .dynamic_index import DynamicIndex
 from .em_index import BlockStore, EmIndex
-from .pst import ColorPst, Pst
+from .pst import ColorPst
 from .slow_index import SlowIndex
 from .static_index import StaticIndex
 from .stripe import StripeIndex
@@ -25,7 +25,7 @@ __all__ = [
     "InvalidCoordinate", "InvalidRange", "NotFound", "Range",
     "compute_prev", "make_range", "normalize_input", "oracle_k_leftmost",
     "oracle_k_rightmost", "oracle_report",
-    "BlockStore", "ColorPst", "DynamicIndex", "EmIndex", "Pst", "SlowIndex",
+    "BlockStore", "ColorPst", "DynamicIndex", "EmIndex", "SlowIndex",
     "StaticIndex", "StripeIndex", "WbTree",
 ]
 

@@ -67,7 +67,7 @@ class DynamicIndex:
         maxs: list = []
         leaf = self.tree.first_leaf
         while leaf is not None:
-            leaf.dstruct = self._leaf_pst(leaf)
+            leaf.dstruct = self._leaf_store(leaf)
             for v in leaf.values:
                 h = self.hmin[v] = self._tag_min(v, leaf)
                 if h >= 0:
@@ -79,7 +79,7 @@ class DynamicIndex:
         self.stripe_min.load(mins)
         self.stripe_max.load(maxs)
 
-    def _leaf_pst(self, leaf) -> ColorPst:
+    def _leaf_store(self, leaf) -> ColorPst:
         return ColorPst((v, self._prev(v), self.colors[v]) for v in leaf.values)
 
     # -- exact tags --------------------------------------------------------------
@@ -160,8 +160,8 @@ class DynamicIndex:
         rebuilt_leaves = set()
         for _, left, right, h in ev["splits"]:
             if h == 0:
-                left.dstruct = self._leaf_pst(left)
-                right.dstruct = self._leaf_pst(right)
+                left.dstruct = self._leaf_store(left)
+                right.dstruct = self._leaf_store(right)
                 rebuilt_leaves.add(id(left))
                 rebuilt_leaves.add(id(right))
         leaf = self.tree.leaf_for(value)
@@ -171,7 +171,7 @@ class DynamicIndex:
             # prev(e_n) changed from e_p to value
             nleaf = self.tree.leaf_for(e_n)
             if id(nleaf) not in rebuilt_leaves:
-                nleaf.dstruct.update_prev(e_n, e_p, value, color)
+                nleaf.dstruct.update_prev(e_n, value)
 
         h = self.hmin[value] = self._tag_min(value, leaf)
         if h >= 0:
@@ -190,7 +190,6 @@ class DynamicIndex:
     def delete(self, value: int) -> None:
         if value not in self.colors:
             raise NotFound(value)
-        color = self.colors[value]
         e_p = self._prev(value)
         e_n = self._next(value)
         old_leaf = self.tree.leaf_for(value)
@@ -205,7 +204,7 @@ class DynamicIndex:
         old_leaf.dstruct.delete(value)
         if e_n is not None:
             nleaf = self.tree.leaf_for(e_n)
-            nleaf.dstruct.update_prev(e_n, value, e_p, color)
+            nleaf.dstruct.update_prev(e_n, e_p)
             self._retag_min(e_n, nleaf)
         if e_p != PREV_SENTINEL:
             self._retag_max(e_p)

@@ -11,6 +11,13 @@ exact hmin/hmax over points with y >= c is recoverable from those probes
 
 Per-threshold structures R_h hold the multiset of table values for
 one-dimensional reporting, and Rbar holds all x-coordinates for one-reporting.
+The groups' first x-coordinates sit in one sorted list, so finding the group
+of a value is one bisect.
+
+Each group also keeps its points as (-y, x) pairs sorted ascending: the
+points with y >= c are a prefix, found by one bisect. A group that lies
+inside [a, b] reports that prefix as it is; only the at most two boundary
+groups filter it by x, scanning at most 2 * group_cap points each.
 
 An empty stripe bulk-loads from points sorted by x: groups of group_cap points
 (a short last chunk joins the group before) get their tables built and
@@ -19,13 +26,12 @@ registered once, and Rbar one pass, with no per-point insert or rebalance.
 
 from __future__ import annotations
 
-import bisect
 import math
+from bisect import bisect_left, bisect_right, insort
 from typing import Optional
 
 from .backends import SortedArrayLocator
 from .core import DuplicateX, NotFound
-from .pst import Pst
 
 
 def _digits(h: int, tau: int, ndigits: int) -> list:
@@ -65,14 +71,14 @@ def query_thresholds(c: int, tau: int, ndigits: int, cap_h: int) -> list:
 
 
 class _Group:
-    __slots__ = ("xs", "ymap", "gmin", "gmax", "hpst")
+    __slots__ = ("xs", "ymap", "gmin", "gmax", "byy")
 
     def __init__(self):
         self.xs: list = []       # sorted x coordinates
         self.ymap: dict = {}     # x -> y
         self.gmin: dict = {}     # threshold -> x
         self.gmax: dict = {}
-        self.hpst: Optional[Pst] = None  # y negated: query y >= c as y' < 1-c
+        self.byy: list = []      # (-y, x) sorted: y >= c is a prefix
 
     def rebuild(self, decomp) -> None:
         self.gmin.clear()
@@ -85,7 +91,7 @@ class _Group:
                 g = self.gmax.get(t)
                 if g is None or x > g:
                     self.gmax[t] = x
-        self.hpst = Pst((x, -self.ymap[x]) for x in self.xs)
+        self.byy = sorted((-self.ymap[x], x) for x in self.xs)
 
     def table_entries(self) -> list:
         """(threshold, value) pairs currently registered, min and max."""
@@ -110,6 +116,7 @@ class StripeIndex:
         self.ndigits += 1  # room for the top digit of H itself
         self.group_cap = group_cap if group_cap is not None else max(4, max_y)
         self.groups: list[_Group] = []
+        self.firsts: list = []  # groups[i].xs[0], for bisect
         self.rh: dict = {}  # threshold -> sorted value list (multiset)
         self.rbar = SortedArrayLocator()
         self._decomp_cache: dict = {}
@@ -128,11 +135,11 @@ class StripeIndex:
         lst = self.rh.get(t)
         if lst is None:
             lst = self.rh[t] = []
-        bisect.insort(lst, v)
+        insort(lst, v)
 
     def _rh_remove(self, t: int, v: int) -> None:
         lst = self.rh[t]
-        i = bisect.bisect_left(lst, v)
+        i = bisect_left(lst, v)
         del lst[i]
 
     def _register(self, g: _Group) -> None:
@@ -144,14 +151,7 @@ class StripeIndex:
             self._rh_remove(t, v)
 
     def _group_index_for(self, x: int) -> int:
-        lo, hi = 0, len(self.groups)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self.groups[mid].xs[0] <= x:
-                lo = mid + 1
-            else:
-                hi = mid
-        return max(0, lo - 1)
+        return max(0, bisect_right(self.firsts, x) - 1)
 
     def __len__(self):
         return len(self.rbar)
@@ -182,6 +182,7 @@ class StripeIndex:
             g.rebuild(self.decomp)
             self._register(g)
             self.groups.append(g)
+        self.firsts = [g.xs[0] for g in self.groups]
         self.rbar = SortedArrayLocator(x for x, _ in pairs)
 
     def insert(self, x: int, y: int) -> None:
@@ -194,12 +195,14 @@ class StripeIndex:
             g.rebuild(self.decomp)
             self._register(g)
             self.groups.append(g)
+            self.firsts.append(x)
             return
         gi = self._group_index_for(x)
         g = self.groups[gi]
-        bisect.insort(g.xs, x)
+        insort(g.xs, x)
+        self.firsts[gi] = g.xs[0]
         g.ymap[x] = y
-        g.hpst.insert(x, -y)
+        insort(g.byy, (-y, x))
         for t in self.decomp(y):
             cur = g.gmin.get(t)
             if cur is None or x < cur:
@@ -221,8 +224,8 @@ class StripeIndex:
         gi = self._group_index_for(x)
         g = self.groups[gi]
         y = g.ymap.pop(x)
-        g.xs.remove(x)
-        g.hpst.delete(x)
+        del g.xs[bisect_left(g.xs, x)]
+        del g.byy[bisect_left(g.byy, (-y, x))]
         for t in self.decomp(y):
             if g.gmin.get(t) == x:
                 self._rh_remove(t, x)
@@ -249,7 +252,10 @@ class StripeIndex:
         if not g.xs:
             self._unregister(g)
             del self.groups[gi]
-        elif len(g.xs) < max(1, self.group_cap // 2) and len(self.groups) > 1:
+            del self.firsts[gi]
+            return
+        self.firsts[gi] = g.xs[0]
+        if len(g.xs) < max(1, self.group_cap // 2) and len(self.groups) > 1:
             self._merge(gi)
 
     def _split(self, gi: int) -> None:
@@ -265,6 +271,7 @@ class StripeIndex:
         self._register(g)
         self._register(right)
         self.groups.insert(gi + 1, right)
+        self.firsts.insert(gi + 1, right.xs[0])
 
     def _merge(self, gi: int) -> None:
         other = gi + 1 if gi + 1 < len(self.groups) else gi - 1
@@ -277,6 +284,7 @@ class StripeIndex:
         a.rebuild(self.decomp)
         self._register(a)
         del self.groups[hi]
+        del self.firsts[hi]
         if len(a.xs) > 2 * self.group_cap:
             self._split(lo)
 
@@ -284,12 +292,23 @@ class StripeIndex:
 
     def _group_query(self, g: _Group, a: int, b: int, c: int, meter, out,
                      cap: Optional[int]) -> bool:
-        """Append g's points in [a,b] x [c,H] to out; True when cap is hit."""
-        hits = g.hpst.query(a, b, 1 - c, meter=meter,
-                            cap=None if cap is None else cap - len(out))
-        for x, ny, _ in hits:
-            out.append((x, -ny))
-        return cap is not None and len(out) >= cap
+        """Append g's points in [a,b] x [c,H] to out; True when cap is hit.
+
+        Metering: every appended point is a touch; the bisection and the
+        prefix points the x filter drops count as locate navigation.
+        """
+        j = bisect_left(g.byy, (1 - c,))  # entries with -y <= -c
+        if a <= g.xs[0] and g.xs[-1] <= b:
+            hits = g.byy[:j]
+        else:
+            hits = [p for p in g.byy[:j] if a <= p[1] <= b]
+        full = cap is not None and len(out) + len(hits) >= cap
+        kept = hits[:cap - len(out)] if full else hits
+        if meter is not None:
+            meter.locate_ops += 1 + j - len(hits)
+            meter.touches += len(kept)
+        out += [(x, -ny) for ny, x in kept]
+        return full
 
     def query(self, a: int, b: int, c: int, meter=None,
               cap: Optional[int] = None) -> tuple[list, bool]:
@@ -313,6 +332,7 @@ class StripeIndex:
                 lo += 1
             hi = self._group_index_for(b)
             out: list = []
+            firsts = self.firsts
             if lo == hi:
                 visits[lo] = 1
                 over = self._group_query(self.groups[lo], a, b, c, meter, out,
@@ -322,12 +342,10 @@ class StripeIndex:
                 lst = self.rh.get(f)
                 if not lst:
                     continue
-                i = bisect.bisect_left(lst, a)
-                j = bisect.bisect_right(lst, b)
-                hit_by_f = set()
-                for v in lst[i:j]:
-                    hit_by_f.add(self._group_index_for(v))
-                for gi in hit_by_f:
+                i = bisect_left(lst, a)
+                j = bisect_right(lst, b)
+                # a table value is some group's x, so its bisect is >= 1
+                for gi in {bisect_right(firsts, v) - 1 for v in lst[i:j]}:
                     visits[gi] = visits.get(gi, 0) + 1
             for gi in sorted(visits):
                 if self._group_query(self.groups[gi], a, b, c, meter, out, cap):

@@ -42,7 +42,7 @@ class WbLeaf:
         self.next_leaf = None
         self.k1 = []                  # [(m, node)] bottom-up, non-increasing
         self.k2 = []                  # [(m, node)] bottom-up, non-decreasing
-        self.dstruct = None           # client payload (leaf color PST)
+        self.dstruct = None           # client payload (the leaf store)
 
     @property
     def size(self):

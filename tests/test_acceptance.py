@@ -226,7 +226,8 @@ def test_criterion_2_and_7_dynamic_mixed():
         if touched_leaf is not None:
             idx.tree.check_weight_bounds()
             if touched_leaf.dstruct is not None:
-                touched_leaf.dstruct.pst.check_invariants()
+                touched_leaf.dstruct.check_invariants()
+                assert touched_leaf.dstruct.vals == touched_leaf.values
         if step % 100 == 99:
             checks += 1
             sample = rng.sample(oracle.vals, min(64, len(oracle.vals)))

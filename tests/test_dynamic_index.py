@@ -253,3 +253,44 @@ def test_high_level_split_refresh_path():
             assert idx.hmin[v] >= node.height
         for v in idx.right_set(node):
             assert idx.hmax[v] >= node.height
+
+
+def _leaves(idx):
+    leaf = idx.tree.first_leaf
+    while leaf is not None:
+        yield leaf
+        leaf = leaf.next_leaf
+
+
+def test_leaf_rows_track_prev_links():
+    """Every leaf store holds (v, prev(v), color(v)) for its leaf's values,
+    through leaf splits and global rebuilds (a missed update_prev shows)."""
+    rng = random.Random(109)
+    pts = random_instance(rng, 200, 4000, 5)
+    idx = DynamicIndex(pts)
+    live = {p.value: p.color for p in pts}
+    splits = rebuilds = 0
+    for step in range(1500):
+        n0, nleaves = idx.tree.n0, sum(1 for _ in _leaves(idx))
+        if rng.random() < 0.75 or len(live) < 20:
+            # most inserts append past the maximum, as a time series does
+            v = (max(live) + rng.randrange(1, 4) if rng.random() < 0.7
+                 else rng.randrange(1, 4000))
+            if v in live:
+                continue
+            live[v] = rng.randrange(5)
+            idx.insert(v, live[v])
+        else:
+            v = rng.choice(list(live))
+            del live[v]
+            idx.delete(v)
+        if idx.tree.n0 != n0:
+            rebuilds += 1
+        elif sum(1 for _ in _leaves(idx)) > nleaves:
+            splits += 1
+        for leaf in _leaves(idx):
+            d = leaf.dstruct
+            d.check_invariants()
+            assert list(zip(d.vals, d.prevs, d.cols)) == \
+                [(v, idx._prev(v), idx.colors[v]) for v in leaf.values], step
+    assert splits >= 5 and rebuilds >= 2

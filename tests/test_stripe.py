@@ -234,3 +234,46 @@ def test_load_rejects_bad_input():
     with pytest.raises(ValueError):
         s.load([(9, 1)])
     assert sorted(s.query(1, 10, 1)[0]) == [(1, 2), (5, 3)]
+
+
+def test_group_lists_and_firsts_stay_in_step():
+    """After load, inserts and deletes (with splits and merges) every group's
+    (-y, x) list and the stripe's first-x list match a recomputation, and
+    capped queries agree with brute force."""
+    rng = random.Random(97)
+    splits = merges = 0
+    for _ in range(12):
+        max_y = rng.choice([3, 7, 16])
+        group_cap = rng.choice([4, 5, 8])
+        s = StripeIndex(max_y=max_y, group_cap=group_cap)
+        live = _random_points(rng, rng.randrange(0, 120), 1500, max_y)
+        s.load(sorted(live.items()))
+        for step in range(300):
+            ngroups = len(s.groups)
+            if rng.random() < 0.5 or not live:
+                x = rng.randrange(1, 1500)
+                if x in live:
+                    continue
+                live[x] = rng.randrange(1, max_y + 1)
+                s.insert(x, live[x])
+                splits += len(s.groups) > ngroups
+            else:
+                x = rng.choice(list(live))
+                del live[x]
+                s.delete(x)
+                merges += len(s.groups) < ngroups
+            for g in s.groups:
+                assert g.byy == sorted((-g.ymap[x], x) for x in g.xs), step
+            assert s.firsts == [g.xs[0] for g in s.groups], step
+            a = rng.randrange(1, 1500)
+            b = rng.randrange(a, 1500)
+            c = rng.randrange(1, max_y + 1)
+            want = brute(live, a, b, c)
+            pts, over = s.query(a, b, c)
+            assert sorted(pts) == want and not over
+            cap = rng.randrange(1, 10)
+            pts, over = s.query(a, b, c, cap=cap)
+            assert over == (len(want) >= cap)
+            assert len(pts) == min(cap, len(want))
+            assert set(pts) <= set(want)
+    assert splits >= 10 and merges >= 10
