@@ -19,8 +19,8 @@ import random
 import sys
 import time
 
-from .core import (ColoredPoint, FastOracle, IndexFileError, load_dataset,
-                   normalize_input, save_dataset)
+from .core import (FastOracle, IndexFileError, load_dataset, normalize_input,
+                   save_dataset)
 from .dynamic_index import DynamicIndex
 from .em_index import MAGIC, VERSION, EmIndex
 from .slow_index import SlowIndex
@@ -69,34 +69,6 @@ def random_queries(seed: int, count: int, universe: int) -> list:
     return ops
 
 
-class Oracle:
-    """Lockstep reference: a plain dict plus vectorized range scans."""
-
-    def __init__(self, points):
-        self.live = {p.value: p.color for p in points}
-        self._fo = None
-
-    def insert(self, value, color):
-        self.live[value] = color
-        self._fo = None
-
-    def delete(self, value):
-        del self.live[value]
-        self._fo = None
-
-    def _oracle(self) -> FastOracle:
-        if self._fo is None:
-            pts = [ColoredPoint(v, c) for v, c in sorted(self.live.items())]
-            self._fo = FastOracle(pts)
-        return self._fo
-
-    def report(self, a, b):
-        return self._oracle().report(a, b)
-
-    def k_leftmost(self, a, b, k):
-        return self._oracle().k_leftmost(a, b, k)
-
-
 def build_index(kind: str, points, block_size: int):
     if kind == "static":
         return StaticIndex(points)
@@ -140,7 +112,7 @@ def replay_diverges(points, remap_base, kind, block_size, ops, corrupt):
     """Replay ops from scratch; returns (index, op, got, want) or None."""
     remap = remap_base
     index = build_index(kind, points, block_size)
-    oracle = Oracle(points)
+    oracle = FastOracle(points)
     corrupt_state = {"n": 0} if corrupt else None
     for i, op in enumerate(ops):
         tag, got = _apply(index, kind, op, remap, corrupt_state)

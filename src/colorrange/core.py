@@ -268,7 +268,8 @@ class FastOracle:
     """numpy-vectorized equivalent of the scan oracles, for large test runs.
 
     Semantically identical to oracle_report / oracle_k_leftmost; used where a
-    pure-Python scan would dominate the runtime of randomized suites.
+    pure-Python scan would dominate the runtime of randomized suites, and as
+    the live reference of update replays (each update is O(n)).
     """
 
     def __init__(self, points: Sequence[ColoredPoint]):
@@ -281,6 +282,20 @@ class FastOracle:
         lo = int(np.searchsorted(self.values, a, side="left"))
         hi = int(np.searchsorted(self.values, b, side="right"))
         return lo, hi
+
+    def insert(self, value: int, color: int) -> None:
+        i = int(np.searchsorted(self.values, value))
+        if i < len(self.values) and self.values[i] == value:
+            raise DuplicateX(value)
+        self.values = np.insert(self.values, i, value)
+        self.colors = np.insert(self.colors, i, color)
+
+    def delete(self, value: int) -> None:
+        i = int(np.searchsorted(self.values, value))
+        if i == len(self.values) or self.values[i] != value:
+            raise NotFound(value)
+        self.values = np.delete(self.values, i)
+        self.colors = np.delete(self.colors, i)
 
     def report(self, a: int, b: int) -> set:
         lo, hi = self.window(a, b)

@@ -35,16 +35,20 @@ from .wbtree import WbTree
 _INF = 1 << 62
 
 
+def _ceil_sqrt(n: int) -> int:
+    """ceil(sqrt(n)) for n >= 1, and 1 for n = 0."""
+    return math.isqrt(max(n, 1) - 1) + 1
+
+
 class DynamicIndex:
     def __init__(self, points: Iterable[ColoredPoint] = ()):
         self.slow = SlowIndex(points)
-        # the slow tree's value -> color map and per-color sorted value lists
-        # are the only copy; the slow index keeps them up to date
-        fwd = self.slow.fwd
-        self.colors: dict = fwd.colors
-        self.by_color: dict = fwd.by_color
-        self._prev = fwd.prev_of
-        self._next = fwd.next_of  # None past the color's last element
+        # the slow index's value -> color map and per-color sorted value
+        # lists are the only copy; the slow index keeps them up to date
+        self.colors: dict = self.slow.colors
+        self.by_color: dict = self.slow.by_color
+        self._prev = self.slow.prev_of
+        self._next = self.slow.next_of  # None past the color's last element
         self.ncolors = 1 + max(self.by_color, default=-1)
         self.tree = WbTree(self.colors)
         self.last_fallback_cap = None  # set per query when a cap fires
@@ -164,7 +168,7 @@ class DynamicIndex:
                 right.dstruct = self._leaf_store(right)
                 rebuilt_leaves.add(id(left))
                 rebuilt_leaves.add(id(right))
-        leaf = self.tree.leaf_for(value)
+        leaf = ev["leaf"]
         if not rebuilt_leaves:
             leaf.dstruct.insert(value, e_p, color)
         if e_n is not None:
@@ -192,7 +196,6 @@ class DynamicIndex:
             raise NotFound(value)
         e_p = self._prev(value)
         e_n = self._next(value)
-        old_leaf = self.tree.leaf_for(value)
         self.slow.delete(value)
         ev = self.tree.delete(value)
         if ev["rebuilt"]:
@@ -201,7 +204,7 @@ class DynamicIndex:
             self._attach_all()
             return
         self._drop_tags(value)
-        old_leaf.dstruct.delete(value)
+        ev["leaf"].dstruct.delete(value)
         if e_n is not None:
             nleaf = self.tree.leaf_for(e_n)
             nleaf.dstruct.update_prev(e_n, e_p)
@@ -271,9 +274,7 @@ class DynamicIndex:
         first_child = subs[0][0]
         for i, ai, bi in subs:
             child = u.children[i]
-            cap = max(1, math.isqrt(max(child.size, 1)))
-            if child.size and cap * cap < child.size:
-                cap += 1
+            cap = _ceil_sqrt(child.size)
             stripe = self.stripe_max if i == first_child else self.stripe_min
             pts, over = stripe.query(ai, bi, c, meter=meter, cap=cap)
             if over or len(pts) >= cap:
@@ -303,10 +304,7 @@ class DynamicIndex:
                 c = self.colors[v]
                 if c not in mins or v < mins[c]:
                     mins[c] = v
-        k = max(1, math.isqrt(max(node.size, 1)))
-        if node.size and k * k < node.size:
-            k += 1
-        return sorted(mins.values())[:k]
+        return sorted(mins.values())[:_ceil_sqrt(node.size)]
 
     def right_set(self, node) -> list:
         maxs: dict = {}
@@ -315,7 +313,4 @@ class DynamicIndex:
                 c = self.colors[v]
                 if c not in maxs or v > maxs[c]:
                     maxs[c] = v
-        k = max(1, math.isqrt(max(node.size, 1)))
-        if node.size and k * k < node.size:
-            k += 1
-        return sorted(maxs.values(), reverse=True)[:k]
+        return sorted(maxs.values(), reverse=True)[:_ceil_sqrt(node.size)]

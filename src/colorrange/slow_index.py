@@ -2,22 +2,25 @@
 
 A node over s elements has ceil(sqrt(s)) children, so depth-d nodes hold
 about n^((1/2)^d) elements and the height is O(loglog n). Leaves are small
-buckets (at most LEAF_CUTOFF elements at build time).
+buckets (at most LEAF_CUTOFF elements at build time); in order, the buckets
+are the one sorted copy of the live values.
 
 Each element e is stored in exactly one C-set: at the highest node u whose
 subtree excludes prev(e) (nothing, if prev(e) shares e's leaf). Per node the
-C-set is kept three ways: V sorted by value, P sorted by prev, and a value ->
-(color, prev) map. Because subtree spans are contiguous, membership tests are
-single comparisons against live subtree minima, and placements stay valid
-under updates: a placement can only be invalidated by deleting prev(e)
-itself, which relocates e explicitly.
+C-set is kept two ways: V as (value, prev) pairs sorted by value, and P as
+(prev, value) pairs sorted by prev; colors come from the value -> color map.
+Because subtree spans are contiguous, membership tests are single comparisons
+against live subtree minima, and placements stay valid under updates: a
+placement can only be invalidated by deleting prev(e) itself, which relocates
+e explicitly.
 
-A query [a, b] walks the path to succ(a) below the LCA of the boundary
-leaves, scanning C(u) above a by value, right siblings and covered children
-by prev < a, the rightmost child by value <= b, and the LCA plus its proper
-ancestors with both filters. Each scanned element is emitted only when its
-prev lies below a, so the stream holds exactly the leftmost in-range element
-of every distinct color, each once.
+A query [a, b] descends to succ(a) and to pred(b) by the live subtree bounds,
+then walks the path to succ(a) below the LCA of the boundary leaves, scanning
+C(u) above a by value, right siblings and covered children by prev < a, the
+rightmost child by value <= b, and the LCA plus its proper ancestors with both
+filters. Each scanned element is emitted only when its prev lies below a, so
+the stream holds exactly the leftmost in-range element of every distinct
+color, each once.
 
 k-leftmost color selection binary-searches the right boundary using capped
 counting queries, then reports the reduced range. k-rightmost selection is its
@@ -40,7 +43,7 @@ LEAF_CUTOFF = 4
 
 class _Node:
     __slots__ = ("children", "seps", "parent", "size", "cap", "alive",
-                 "minv", "maxv", "bucket", "cvals", "cprevs", "cmap", "depth")
+                 "minv", "maxv", "bucket", "cvals", "cprevs", "depth")
 
     def __init__(self):
         self.children: list = []
@@ -52,37 +55,39 @@ class _Node:
         self.minv = None           # live subtree min/max
         self.maxv = None
         self.bucket: list = []     # leaf only: sorted live values
-        self.cvals: list = []      # V(u): C-set values, sorted
+        self.cvals: list = []      # V(u): (value, prev), sorted
         self.cprevs: list = []     # P(u): (prev, value), sorted
-        self.cmap: dict = {}       # value -> (color, prev)
         self.depth = 0
 
     @property
     def is_leaf(self):
         return not self.children
 
-    def c_insert(self, value, color, prev):
-        bisect.insort(self.cvals, value)
+    def c_insert(self, value, prev):
+        bisect.insort(self.cvals, (value, prev))
         bisect.insort(self.cprevs, (prev, value))
-        self.cmap[value] = (color, prev)
 
     def c_remove(self, value):
-        color, prev = self.cmap.pop(value)
-        i = bisect.bisect_left(self.cvals, value)
+        i = bisect.bisect_left(self.cvals, (value, -1))
+        prev = self.cvals[i][1]
         del self.cvals[i]
-        i = bisect.bisect_left(self.cprevs, (prev, value))
-        del self.cprevs[i]
-        return color, prev
+        del self.cprevs[bisect.bisect_left(self.cprevs, (prev, value))]
 
 
-class SlowTree:
-    def __init__(self, items: Iterable[tuple] = ()):
+class SlowIndex:
+    """Color reporting plus k-leftmost and k-rightmost color selection, all
+    answered by one tree."""
+
+    def __init__(self, points: Iterable[tuple] = ()):
+        pts = list(points)
+        for _, c in pts:
+            if c < 0:
+                raise InvalidColor(c)
         # coordinates >= 1 keep the prev-sentinel 0 below every element
-        items = sorted((check_coordinate(v), c) for v, c in items)
-        self.vals: list = [v for v, _ in items]
+        items = sorted((check_coordinate(v), c) for v, c in pts)
         self.colors: dict = {v: c for v, c in items}
-        if len(self.colors) < len(self.vals):
-            raise DuplicateX(next(v for v, w in zip(self.vals, self.vals[1:])
+        if len(self.colors) < len(items):
+            raise DuplicateX(next(v for (v, _), (w, _) in zip(items, items[1:])
                                   if v == w))
         self.by_color: dict = {}
         for v, c in items:
@@ -90,14 +95,18 @@ class SlowTree:
         self.placed: dict = {}
         self._rebuild_tree()
 
+    def __len__(self):
+        return len(self.colors)
+
     # -- construction --------------------------------------------------------
 
     def _rebuild_tree(self) -> None:
-        self.n0 = max(1, len(self.vals))
+        vals = sorted(self.colors)
+        self.n0 = max(1, len(vals))
         self.deleted_total = 0
-        self.root = self._build(self.vals, 0)
+        self.root = self._build(vals, 0)
         self.placed.clear()
-        for v in self.vals:
+        for v in vals:
             self._place(v)
 
     def _build(self, values: list, depth: int) -> _Node:
@@ -140,6 +149,25 @@ class SlowTree:
                 return out
             node = node.children[bisect.bisect_right(node.seps, value)]
 
+    def near_path(self, x, right: bool) -> Optional[list]:
+        """path_of(succ(x)) if right, else path_of(pred(x)); None if there is
+        no such value. Children on the far side of x's route cannot hold it,
+        so each step moves from the route to the nearest child whose live
+        bounds reach x: max >= x going right, min <= x going left."""
+        reach = ((lambda n: n.maxv is not None and n.maxv >= x) if right else
+                 (lambda n: n.minv is not None and n.minv <= x))
+        node = self.root
+        if not reach(node):
+            return None
+        out = [node]
+        while not node.is_leaf:
+            i = bisect.bisect_right(node.seps, x)
+            while not reach(node.children[i]):
+                i += 1 if right else -1
+            node = node.children[i]
+            out.append(node)
+        return out
+
     def prev_of(self, value) -> int:
         lst = self.by_color[self.colors[value]]
         i = bisect.bisect_left(lst, value)
@@ -168,7 +196,7 @@ class SlowTree:
         node = self._placement_for(value, prev, path)
         self.placed[value] = node
         if node is not None:
-            node.c_insert(value, self.colors[value], prev)
+            node.c_insert(value, prev)
 
     def _unplace(self, value) -> None:
         node = self.placed.pop(value)
@@ -178,11 +206,11 @@ class SlowTree:
     # -- updates --------------------------------------------------------------
 
     def insert(self, value, color) -> None:
+        if color < 0:
+            raise InvalidColor(color)
         value = check_coordinate(value)
-        i = bisect.bisect_left(self.vals, value)
-        if i < len(self.vals) and self.vals[i] == value:
+        if value in self.colors:
             raise DuplicateX(value)
-        self.vals.insert(i, value)
         self.colors[value] = color
         lst = self.by_color.setdefault(color, [])
         bisect.insort(lst, value)
@@ -212,11 +240,9 @@ class SlowTree:
                 self._split(node)
 
     def delete(self, value) -> None:
-        i = bisect.bisect_left(self.vals, value)
-        if i >= len(self.vals) or self.vals[i] != value:
+        if value not in self.colors:
             raise NotFound(value)
         nxt = self.next_of(value)
-        del self.vals[i]
         color = self.colors.pop(value)
         lst = self.by_color[color]
         del lst[bisect.bisect_left(lst, value)]
@@ -298,7 +324,18 @@ class SlowTree:
 
     # -- queries ---------------------------------------------------------------
 
-    def query(self, a, b, meter=None, cap: Optional[int] = None):
+    def query(self, a, b, meter=None) -> list:
+        """Distinct colors of [a, b] (leftmost-occurrence order)."""
+        if a > b:
+            raise InvalidRange(f"[{a}, {b}]")
+        a = max(a, 1)  # no point lies below 1, and prev 0 must stay below a
+        ems, _ = self.emissions(a, b, meter=meter)
+        colors = [c for _, c, _ in sorted(ems)]
+        if len(set(colors)) != len(colors):
+            raise RuntimeError(f"prev-filter missed a duplicate in [{a}, {b}]")
+        return colors
+
+    def emissions(self, a, b, meter=None, cap: Optional[int] = None):
         """Emissions [(value, color, prev)] for [a, b] plus overflow flag.
 
         Only elements with prev < a are emitted: the leftmost in-range
@@ -307,30 +344,28 @@ class SlowTree:
         """
         out: list = []
         touches = 0
-        i = bisect.bisect_left(self.vals, a)
-        if i >= len(self.vals) or self.vals[i] > b:
-            if meter is not None:
-                meter.locate_ops += 1
-            return out, False
-        ea = self.vals[i]
-        eb = self.vals[bisect.bisect_right(self.vals, b) - 1]
         if meter is not None:
             meter.locate_ops += 1
+        pa = self.near_path(a, True)
+        if pa is None:
+            return out, False
+        leaf_a = pa[-1]
+        if leaf_a.bucket[bisect.bisect_left(leaf_a.bucket, a)] > b:
+            return out, False
+        pb = self.near_path(b, False)
+        leaf_b = pb[-1]
+        colors = self.colors
 
-        pa = self.path_of(ea)
-        pb = self.path_of(eb)
-        leaf_a, leaf_b = pa[-1], pb[-1]
-
-        def emit(value, color, prev):
+        def emit(value, prev):
             if prev < a:
-                out.append((value, color, prev))
+                out.append((value, colors[value], prev))
 
         if leaf_a is leaf_b:
             touches += 1
             for v in leaf_a.bucket:
                 if a <= v <= b:
                     touches += 1
-                    emit(v, self.colors[v], self.prev_of(v))
+                    emit(v, self.prev_of(v))
             if meter is not None:
                 meter.touches += touches
             return out, False
@@ -345,8 +380,6 @@ class SlowTree:
         r_idx = vq.children.index(cb)
         below = pa[k:]  # ca ... leaf_a
 
-        overflow = False
-
         def over():
             return cap is not None and len(out) > cap
 
@@ -355,11 +388,10 @@ class SlowTree:
         # the bucket), which still qualify when the bucket straddles a
         for u in below:
             touches += 1
-            j = bisect.bisect_left(u.cvals, a)
-            for v in u.cvals[j:]:
+            j = bisect.bisect_left(u.cvals, (a, -1))
+            for v, p in u.cvals[j:]:
                 touches += 1
-                c, p = u.cmap[v]
-                emit(v, c, p)
+                emit(v, p)
             if over():
                 break
         if not over():
@@ -367,7 +399,7 @@ class SlowTree:
             for v in leaf_a.bucket:
                 if v >= a and self.placed[v] is None:
                     touches += 1
-                    emit(v, self.colors[v], self.prev_of(v))
+                    emit(v, self.prev_of(v))
 
         # (ii) right siblings below vq, and vq's covered children: prev < a
         if not over():
@@ -384,29 +416,28 @@ class SlowTree:
                 j = bisect.bisect_left(s.cprevs, (a, -1))
                 for p, v in s.cprevs[:j]:
                     touches += 1
-                    emit(v, s.cmap[v][0], p)
+                    emit(v, p)
                 if over():
                     break
 
-        # (iii) C(v_r) up to b by value (may emit non-leftmost occurrences)
+        # (iii) C(v_r) up to b by value (may emit non-leftmost occurrences);
+        # prev < value, so (b, b) sorts after every pair of value b
         if not over():
             touches += 1
-            j = bisect.bisect_right(cb.cvals, b)
-            for v in cb.cvals[:j]:
+            j = bisect.bisect_left(cb.cvals, (b, b))
+            for v, p in cb.cvals[:j]:
                 touches += 1
-                c, p = cb.cmap[v]
-                emit(v, c, p)
+                emit(v, p)
 
         # (iv) vq and its proper ancestors: C(w) within [a, b]
         if not over():
             for w in reversed(pa[:k]):
                 touches += 1
-                j = bisect.bisect_left(w.cvals, a)
-                jj = bisect.bisect_right(w.cvals, b)
-                for v in w.cvals[j:jj]:
+                j = bisect.bisect_left(w.cvals, (a, -1))
+                jj = bisect.bisect_left(w.cvals, (b, b))
+                for v, p in w.cvals[j:jj]:
                     touches += 1
-                    c, p = w.cmap[v]
-                    emit(v, c, p)
+                    emit(v, p)
                 if over():
                     break
 
@@ -416,15 +447,25 @@ class SlowTree:
 
     def count_capped(self, a, b, k) -> int:
         """Distinct-color count, reported exactly up to k (k+1 means > k)."""
-        ems, overflow = self.query(a, b, cap=k)
+        ems, overflow = self.emissions(a, b, cap=k)
         return k + 1 if overflow else len(ems)
 
     def k_leftmost(self, a, b, k, meter=None) -> list:
+        if a > b:
+            raise InvalidRange(f"[{a}, {b}]")
+        return [c for _, c in self.k_leftmost_elements(a, b, k, meter=meter)]
+
+    def k_rightmost(self, a, b, k, meter=None) -> list:
+        if a > b:
+            raise InvalidRange(f"[{a}, {b}]")
+        return [c for _, c in self.k_rightmost_elements(a, b, k, meter=meter)]
+
+    def k_leftmost_elements(self, a, b, k, meter=None) -> list:
         """The k leftmost distinct colors of [a, b], as (value, color) pairs
         ordered by first occurrence."""
         if k <= 0 or a > b:
             return []
-        a = max(a, 1)  # as in SlowIndex.query
+        a = max(a, 1)  # as in query
         if self.count_capped(a, b, k) < k:
             bprime = b
         else:
@@ -436,16 +477,16 @@ class SlowTree:
                 else:
                     lo = mid + 1
             bprime = lo
-        ems, _ = self.query(a, bprime, meter=meter)
+        ems, _ = self.emissions(a, bprime, meter=meter)
         hits = sorted((v, c) for v, c, _ in ems)
         return hits[:k]
 
-    def k_rightmost(self, a, b, k, meter=None) -> list:
+    def k_rightmost_elements(self, a, b, k, meter=None) -> list:
         """The k rightmost distinct colors of [a, b], as (value, color) pairs
         ordered by last occurrence, rightmost first."""
         if k <= 0 or a > b:
             return []
-        a = max(a, 1)  # as in SlowIndex.query
+        a = max(a, 1)  # as in query
         if self.count_capped(a, b, k) < k:
             aprime = a
         else:
@@ -457,7 +498,7 @@ class SlowTree:
                 else:
                     hi = mid - 1
             aprime = lo
-        ems, _ = self.query(aprime, b, meter=meter)
+        ems, _ = self.emissions(aprime, b, meter=meter)
         hits = []
         for _, c, _ in ems:
             lst = self.by_color[c]
@@ -469,7 +510,8 @@ class SlowTree:
 
     def check_consistency(self) -> None:
         """Maintained placements/C-sets equal the from-scratch recomputation."""
-        for v in self.vals:
+        assert self._values_under(self.root) == sorted(self.colors), "buckets"
+        for v in self.colors:
             want = self._placement_for(v, self.prev_of(v))
             got = self.placed[v]
             assert got is want, f"placement of {v}"
@@ -477,14 +519,13 @@ class SlowTree:
             live = self._values_under(node)
             assert node.minv == (live[0] if live else None), "minv"
             assert node.maxv == (live[-1] if live else None), "maxv"
-            members = sorted(node.cmap)
-            assert members == node.cvals
-            assert sorted((p, v) for v, (_, p) in node.cmap.items()) == node.cprevs
-            for v, (c, p) in node.cmap.items():
-                assert self.colors[v] == c and self.prev_of(v) == p
+            assert node.cvals == sorted(node.cvals)
+            assert sorted((p, v) for v, p in node.cvals) == node.cprevs
+            for v, p in node.cvals:
+                assert self.placed[v] is node and self.prev_of(v) == p
         # definitional chain form: nodes with prev(e) < live-min form a prefix
         # of the leaf-to-root path, topped by the placement node
-        for v in self.vals:
+        for v in self.colors:
             path = self.path_of(v)
             flags = [n.minv > self.prev_of(v) for n in reversed(path)]
             run = 0
@@ -501,7 +542,7 @@ class SlowTree:
                 assert want is list(reversed(path))[run - 1]
 
     def check_fanout_law(self) -> None:
-        n = max(2, len(self.vals))
+        n = max(2, len(self.colors))
         stack = [self.root]
         while stack:
             node = stack.pop()
@@ -511,53 +552,3 @@ class SlowTree:
             assert math.ceil(nominal / 2) <= len(node.children) <= 2 * nominal, \
                 (node.depth, len(node.children), nominal)
             stack.extend(node.children)
-
-
-class SlowIndex:
-    """Public facade over one SlowTree: color reporting plus k-leftmost and
-    k-rightmost color selection, all answered by the same tree."""
-
-    def __init__(self, points: Iterable[tuple] = ()):
-        pts = list(points)
-        for _, c in pts:
-            if c < 0:
-                raise InvalidColor(c)
-        self.fwd = SlowTree(pts)
-
-    def __len__(self):
-        return len(self.fwd.vals)
-
-    def insert(self, value, color) -> None:
-        if color < 0:
-            raise InvalidColor(color)
-        self.fwd.insert(value, color)
-
-    def delete(self, value) -> None:
-        self.fwd.delete(value)
-
-    def query(self, a, b, meter=None) -> list:
-        """Distinct colors of [a, b] (leftmost-occurrence order)."""
-        if a > b:
-            raise InvalidRange(f"[{a}, {b}]")
-        a = max(a, 1)  # no point lies below 1, and prev 0 must stay below a
-        ems, _ = self.fwd.query(a, b, meter=meter)
-        colors = [c for _, c, _ in sorted(ems)]
-        if len(set(colors)) != len(colors):
-            raise RuntimeError(f"prev-filter missed a duplicate in [{a}, {b}]")
-        return colors
-
-    def k_leftmost(self, a, b, k, meter=None) -> list:
-        if a > b:
-            raise InvalidRange(f"[{a}, {b}]")
-        return [c for _, c in self.fwd.k_leftmost(a, b, k, meter=meter)]
-
-    def k_rightmost(self, a, b, k, meter=None) -> list:
-        if a > b:
-            raise InvalidRange(f"[{a}, {b}]")
-        return [c for _, c in self.fwd.k_rightmost(a, b, k, meter=meter)]
-
-    def k_leftmost_elements(self, a, b, k) -> list:
-        return self.fwd.k_leftmost(a, b, k)
-
-    def k_rightmost_elements(self, a, b, k) -> list:
-        return self.fwd.k_rightmost(a, b, k)

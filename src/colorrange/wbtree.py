@@ -209,7 +209,8 @@ class WbTree:
 
     def insert(self, value) -> dict:
         """Insert a value; returns {'splits': [(parent, left, right, height)],
-        'rebuilt': bool}. Split events are ordered bottom-up."""
+        'rebuilt': bool, 'leaf': the leaf now holding the value} ('leaf' only
+        when not rebuilt). Split events are ordered bottom-up."""
         leaf = self.leaf_for(value)
         i = bisect.bisect_left(leaf.values, value)
         if i < len(leaf.values) and leaf.values[i] == value:
@@ -235,10 +236,14 @@ class WbTree:
                     (not cur.is_leaf() and len(cur.children) > MAX_CHILDREN):
                 left, right = self._split(cur)
                 events.append((left.parent, left, right, left.height))
+                if cur is leaf and value >= right.values[0]:
+                    leaf = right
             cur = parent
-        return {"splits": events, "rebuilt": False}
+        return {"splits": events, "rebuilt": False, "leaf": leaf}
 
     def delete(self, value) -> dict:
+        """Delete a value; returns {'rebuilt': bool, 'leaf': the leaf that
+        held the value} ('leaf' only when not rebuilt)."""
         leaf = self.leaf_for(value)
         i = bisect.bisect_left(leaf.values, value)
         if i >= len(leaf.values) or leaf.values[i] != value:
@@ -256,7 +261,7 @@ class WbTree:
         if self.deleted_total >= max(1, self.n0 // 2):
             self.rebuild(list(self.iter_values()))
             return {"rebuilt": True}
-        return {"rebuilt": False}
+        return {"rebuilt": False, "leaf": leaf}
 
     def _capacity(self, height: int) -> int:
         return 2 * (BRANCHING ** height) * self.leaf_param

@@ -276,7 +276,7 @@ def test_criterion_2_and_7_slow_mixed():
             assert set(idx.query(a, b)) == oracle.report(a, b), (a, b, step)
         if step % 100 == 99:
             checks += 1
-            idx.fwd.check_consistency()
+            idx.check_consistency()
     report(2, f"slow mixed x{OPS_MIXED}", note=f"{time.time() - t0:.0f}s")
     report(7, "slow C/P/V recomputation equality",
            note=f"every 100 ops, {checks} full recomputations")

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from colorrange.core import (ColArray, ColoredPoint, DuplicateCoordinate,
-                             FastOracle, InvalidCoordinate, InvalidRange,
-                             MAX_COORDINATE, Range, compute_prev,
+                             DuplicateX, FastOracle, InvalidCoordinate,
+                             InvalidRange, MAX_COORDINATE, NotFound, Range,
+                             compute_prev,
                              make_range, normalize_input, oracle_k_leftmost,
                              oracle_k_rightmost, oracle_report)
 from conftest import random_instance
@@ -143,6 +144,36 @@ def test_fast_oracle_matches_scan():
         k = rng.randrange(0, 15)
         assert fo.k_leftmost(a, b, k) == oracle_k_leftmost(pts, Range(a, b), k)
         assert fo.k_rightmost(a, b, k) == oracle_k_rightmost(pts, Range(a, b), k)
+
+
+def test_fast_oracle_updates_match_scan():
+    rng = random.Random(13)
+    pts = random_instance(rng, 200, 2000, 9)
+    fo = FastOracle(pts)
+    live = {p.value: p.color for p in pts}
+    for _ in range(400):
+        if rng.random() < 0.5 or not live:
+            v = rng.randrange(1, 2001)
+            if v in live:
+                with pytest.raises(DuplicateX):
+                    fo.insert(v, 0)
+                continue
+            live[v] = rng.randrange(9)
+            fo.insert(v, live[v])
+        else:
+            v = rng.choice(list(live))
+            del live[v]
+            fo.delete(v)
+            with pytest.raises(NotFound):
+                fo.delete(v)
+        cur = sorted(ColoredPoint(v, c) for v, c in live.items())
+        a = rng.randrange(1, 2001)
+        b = rng.randrange(a, 2001)
+        assert fo.report(a, b) == oracle_report(cur, Range(a, b))
+        k = rng.randrange(0, 12)
+        assert fo.k_leftmost(a, b, k) == oracle_k_leftmost(cur, Range(a, b), k)
+        assert fo.k_rightmost(a, b, k) == oracle_k_rightmost(cur, Range(a, b), k)
+    assert fo.values.tolist() == sorted(live)
 
 
 def test_make_range_validates():

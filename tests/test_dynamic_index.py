@@ -106,12 +106,12 @@ def test_color_maps_shared_with_slow_tree():
     rng = random.Random(7)
     pts = random_instance(rng, 200, 2000, 6)
     idx = DynamicIndex(pts)
-    assert idx.colors is idx.slow.fwd.colors
-    assert idx.by_color is idx.slow.fwd.by_color
+    assert idx.colors is idx.slow.colors
+    assert idx.by_color is idx.slow.by_color
     for v in list(idx.colors)[::3]:
         idx.delete(v)
     idx.insert(2001, 9)
-    assert idx.colors is idx.slow.fwd.colors
+    assert idx.colors is idx.slow.colors
     assert idx.colors[2001] == 9 and idx.by_color[9] == [2001]
     assert len(idx) == len(idx.slow)
 

@@ -1,3 +1,4 @@
+import bisect
 import random
 
 import pytest
@@ -6,7 +7,7 @@ from colorrange.core import (ColoredPoint, CostMeter, FastOracle, InvalidColor,
                              InvalidRange, Range,
                              oracle_k_leftmost, oracle_k_rightmost,
                              oracle_report)
-from colorrange.slow_index import SlowIndex, SlowTree
+from colorrange.slow_index import SlowIndex
 from conftest import random_instance
 
 
@@ -14,7 +15,7 @@ def test_fanout_law_fresh_builds():
     rng = random.Random(61)
     for n in (5, 17, 64, 300, 1000, 4096):
         pts = random_instance(rng, n, 8 * n, 9)
-        t = SlowTree((p.value, p.color) for p in pts)
+        t = SlowIndex((p.value, p.color) for p in pts)
         t.check_fanout_law()
         t.check_consistency()
 
@@ -36,11 +37,11 @@ def test_emissions_once_per_color():
     rng = random.Random(67)
     for _ in range(30):
         pts = random_instance(rng, rng.randrange(2, 400), 1500, 6)
-        tree = SlowTree((p.value, p.color) for p in pts)
+        tree = SlowIndex((p.value, p.color) for p in pts)
         for _ in range(80):
             a = rng.randrange(1, 1520)
             b = rng.randrange(a, 1520)
-            ems, over = tree.query(a, b)
+            ems, over = tree.emissions(a, b)
             assert not over
             # only leftmost in-range elements: prev below a, one per color
             assert all(a <= v <= b and p < a for v, _, p in ems)
@@ -72,33 +73,26 @@ def test_updates_against_oracle_interleaved():
             want = {c for v, c in live.items() if a <= v <= b}
             assert set(idx.query(a, b)) == want
         if step % 100 == 99:
-            idx.fwd.check_consistency()
+            idx.check_consistency()
 
 
 def test_insert_placement_examples():
     # a globally new color lands in the root's C-set
     pts = [ColoredPoint(v, 0) for v in (10, 20, 30, 40, 50, 60, 70, 80, 90)]
-    t = SlowTree((p.value, p.color) for p in pts)
+    t = SlowIndex((p.value, p.color) for p in pts)
     t.insert(55, 7)
     assert t.placed[55] is t.root
     # inserting e just left of a same-color element in the same bucket
-    # evicts that element from every C-set
-    leaf = t.leaf_of(55)
-    neighbor = None
-    for v in t.vals:
-        if t.leaf_of(v) is leaf and v > 55:
-            neighbor = v
-            break
-    if neighbor is not None:
-        t2_items = [(v, t.colors[v]) for v in t.vals]
-        t.insert(54, t.colors[neighbor])
-        # now give neighbor the same color as 54's predecessor chain
-        t.check_consistency()
+    # evicts that element from every C-set: its prev is now e, in its bucket
+    neighbor = next(v for v in t.leaf_of(55).bucket if v > 55)
+    t.insert(54, t.colors[neighbor])
+    assert t.placed[neighbor] is None
+    t.check_consistency()
 
 
 def test_same_bucket_eviction():
-    t = SlowTree([(10, 0), (11, 1), (12, 0), (500, 2), (600, 2), (700, 2),
-                  (800, 2), (900, 2)])
+    t = SlowIndex([(10, 0), (11, 1), (12, 0), (500, 2), (600, 2), (700, 2),
+                   (800, 2), (900, 2)])
     # 12's prev is 10; they share a bucket iff bucket spans both
     t.check_consistency()
     leaf10 = t.leaf_of(10)
@@ -111,12 +105,55 @@ def test_same_bucket_eviction():
 
 
 def test_delete_sole_color_element():
-    t = SlowTree([(1, 0), (2, 1), (3, 0), (9, 2), (20, 1), (30, 0), (40, 2),
-                  (50, 1)])
-    t.delete(9)  # color 2's relocation of a successor is vacuous here? no: 40
+    t = SlowIndex([(1, 0), (2, 1), (3, 0), (9, 2), (20, 1), (30, 0), (40, 2),
+                   (50, 1)])
+    t.delete(9)  # 40, color 2's next element, now has prev 0: root C-set
     t.check_consistency()
-    ems, _ = t.query(1, 50)
+    assert t.placed[40] is t.root
+    ems, _ = t.emissions(1, 50)
     assert {c for _, c, _ in ems} == {0, 1, 2}
+
+
+def test_descents_and_queries_across_emptied_runs():
+    rng = random.Random(71)
+    pts = random_instance(rng, 400, 4000, 7)
+    idx = SlowIndex(pts)
+    root, kids = idx.root, idx.root.children
+    # two adjacent internal nodes, two adjacent buckets and one lone bucket
+    runs = [idx._values_under(kids[1]) + idx._values_under(kids[2]),
+            kids[5].children[1].bucket + kids[5].children[2].bucket,
+            list(kids[9].children[0].bucket)]
+    doomed = [v for run in runs for v in run]
+    assert len(doomed) < idx.n0 // 2  # no rebuild
+    for v in doomed:
+        idx.delete(v)
+    assert idx.root is root and kids[1].minv is None and kids[2].maxv is None
+    assert not kids[1].is_leaf and not kids[5].children[1].bucket
+    idx.check_consistency()
+
+    values = sorted(idx.colors)
+    for x in range(0, 4002):
+        i = bisect.bisect_left(values, x)
+        want = idx.path_of(values[i]) if i < len(values) else None
+        assert idx.near_path(x, True) == want, x
+        j = bisect.bisect_right(values, x) - 1
+        want = idx.path_of(values[j]) if j >= 0 else None
+        assert idx.near_path(x, False) == want, x
+
+    live = [ColoredPoint(v, idx.colors[v]) for v in values]
+    ends = sorted({x for run in runs
+                   for x in [min(run), max(run)] +
+                   rng.sample(range(min(run), max(run) + 1), 4)})
+    for a in ends:
+        for b in ends:
+            if a > b:
+                continue
+            want = oracle_report(live, Range(a, b))
+            got = idx.query(a, b)
+            assert set(got) == want and len(got) == len(want), (a, b)
+            ems, over = idx.emissions(a, b)
+            assert not over
+            assert sorted(c for _, c, _ in ems) == sorted(want), (a, b)
 
 
 def test_k_leftmost_exhaustive_small():
@@ -163,7 +200,7 @@ def test_k_rightmost_matches_oracle():
             k = rng.randrange(1, 9)
             assert idx.k_rightmost(a, b, k) == \
                 oracle_k_rightmost(cur, Range(a, b), k)
-        idx.fwd.check_consistency()
+        idx.check_consistency()
 
 
 def test_k_leftmost_randomized_midsize():
@@ -183,7 +220,7 @@ def test_touch_scaling_does_not_regress():
     ratios = []
     for n in (1 << 8, 1 << 11, 1 << 14):
         pts = random_instance(rng, n, 8 * n, 24)
-        tree = SlowTree((p.value, p.color) for p in pts)
+        tree = SlowIndex((p.value, p.color) for p in pts)
         meter = CostMeter()
         worst = 0.0
         samples = []
@@ -191,7 +228,7 @@ def test_touch_scaling_does_not_regress():
             a = rng.randrange(1, 8 * n)
             b = rng.randrange(a, 8 * n)
             meter.reset()
-            ems, _ = tree.query(a, b, meter=meter)
+            ems, _ = tree.emissions(a, b, meter=meter)
             n_ab = tree_count(tree, a, b)
             k = len({c for _, c, p in ems if p < a})
             bound = n_ab ** 0.5 + max(1, n.bit_length() - 1).bit_length() + k
@@ -204,8 +241,7 @@ def test_touch_scaling_does_not_regress():
 
 
 def tree_count(tree, a, b):
-    import bisect
-    return bisect.bisect_right(tree.vals, b) - bisect.bisect_left(tree.vals, a)
+    return sum(a <= v <= b for v in tree.colors)
 
 
 def test_negative_color_rejected():
@@ -215,7 +251,7 @@ def test_negative_color_rejected():
         idx.insert(25, -1)
     assert len(idx) == 3
     assert sorted(idx.query(1, 40)) == [0, 1, 2]
-    idx.fwd.check_consistency()
+    idx.check_consistency()
     with pytest.raises(InvalidColor):
         SlowIndex(pts + [ColoredPoint(40, -1)])
 
@@ -223,7 +259,7 @@ def test_negative_color_rejected():
 def test_query_raises_on_broken_prev_filter():
     idx = SlowIndex([ColoredPoint(10, 0), ColoredPoint(20, 0)])
     # a broken tree that reports both elements of color 0 as leftmost
-    idx.fwd.query = lambda a, b, meter=None: ([(10, 0, 0), (20, 0, 0)], False)
+    idx.emissions = lambda a, b, meter=None: ([(10, 0, 0), (20, 0, 0)], False)
     with pytest.raises(RuntimeError):
         idx.query(1, 40)
 

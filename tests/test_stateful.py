@@ -91,7 +91,7 @@ class _IndexMachine(RuleBasedStateMachine):
 
     def teardown(self):
         if self.index is not None:
-            self.slow().fwd.check_consistency()
+            self.slow().check_consistency()
 
 
 _SETTINGS = settings(max_examples=30, stateful_step_count=50, deadline=None)

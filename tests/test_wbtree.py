@@ -64,6 +64,7 @@ def test_ascending_inserts_split_leaf():
     assert inserted >= room  # no split before the capacity was exceeded
     parent, left, right, h = events[0]
     assert h == 0 and right.values[0] in parent.seps
+    assert ev["leaf"] is right and v in right.values  # the half holding v
     assert left.next_leaf is right and right.prev_leaf is left
     t.check_weight_bounds()
     t.check_k_monotone()
@@ -143,11 +144,13 @@ def test_dyn_hra_matches_ancestor_scan_on_interleavings():
                 v = rng.randrange(1, 40_000)
                 if v not in live:
                     live.add(v)
-                    t.insert(v)
+                    ev = t.insert(v)
+                    assert ev["rebuilt"] or ev["leaf"] is t.leaf_for(v)
             elif r < 0.55 and live:
                 v = rng.choice(tuple(live))
                 live.discard(v)
-                t.delete(v)
+                ev = t.delete(v)
+                assert ev["rebuilt"] or ev["leaf"] is t.leaf_for(v)
             else:
                 a = rng.randrange(1, 40_000)
                 b = rng.randrange(a, 40_000)
