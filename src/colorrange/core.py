@@ -226,6 +226,29 @@ def compute_prev(points: Sequence[ColoredPoint]) -> list[int]:
     return out
 
 
+def color_maps(points: Iterable[tuple]) -> tuple[dict, dict]:
+    """The value -> color map and each color's sorted values of (value,
+    color) pairs, the state an updatable index keeps prev/next links in.
+
+    Raises InvalidColor for a negative color, InvalidCoordinate for a value
+    outside [1, MAX_COORDINATE] (so the prev-sentinel 0 stays below every
+    value) and DuplicateX for a repeated value.
+    """
+    pts = list(points)
+    for _, c in pts:
+        if c < 0:
+            raise InvalidColor(c)
+    items = sorted((check_coordinate(v), c) for v, c in pts)
+    colors = {v: c for v, c in items}
+    if len(colors) < len(items):
+        raise DuplicateX(next(v for (v, _), (w, _) in zip(items, items[1:])
+                              if v == w))
+    by_color: dict = {}
+    for v, c in items:
+        by_color.setdefault(c, []).append(v)
+    return colors, by_color
+
+
 def oracle_report(points: Sequence[ColoredPoint], q: Range) -> set:
     """Distinct colors of points with a <= value <= b, by linear scan."""
     a, b = q

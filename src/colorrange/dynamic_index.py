@@ -7,28 +7,44 @@ rightmost. Because subtree spans are contiguous, hmin(e) is simply the height
 of the highest ancestor whose live subtree minimum exceeds prev(e), so a tag
 recomputation is one upward walk.
 
-Queries find the highest range ancestor u, split [a, b] across u's children,
-and ask two narrow-stripe structures (x = value, y = tag + 1) for elements
-with tag at least the child height: the leftmost child by hmax, the others by
-hmin. Each subquery is capped at ceil(sqrt(child subtree size)); hitting a
-cap proves the answer is large and the query is re-run on the slow index,
-whose cost O(sqrt(n_ab) + k) is then O(k).
+Every node v below the root also keeps its color extremes (`ColorExtremes`):
+F(v), the first point of each color in v (prev below v), and Λ(v), the last
+point of each color in v (next above v). These are exactly the elements whose
+exact tags reach v's height.
+
+Queries find the highest range ancestor u and split [a, b] across u's
+children f..g. Each child's slice is read off its lists: Λ(f) above a, all of
+F(v) for a middle child v, F(g) up to b. While every slice stays below its
+child's cap ceil(sqrt(child size)), two narrow-stripe structures
+(x = value, y = tag + 1) answer the children, as the paper does: the
+leftmost child by hmax, the others by hmin, each a subset of its slice. Once
+a slice reaches its cap the answer has at least that many colors, and the
+lists answer in O(1 + k): Λ(f) above a, the prefix of F(v) by prev below a
+for each middle child, and F(g) up to b with prev below a.
 
 Tag maintenance: tags are recomputed exactly for the inserted/deleted element
 and its same-color neighbors; all other events can only raise true tags,
 which keeps stored tags <= true tags. Splits refresh the raised extremes of
 the new nodes (below the loglog level, all elements of both halves are simply
-rescanned); a global rebuild recomputes everything.
+rescanned; above it, F of the right half and Λ of the left half); a global
+rebuild recomputes everything.
+
+List maintenance: an update changes the lists only for the element itself on
+its own path, for next(x), whose F entries leave the nodes that hold both and
+change their prev below them, and for prev(x), whose Λ entries leave the
+nodes that hold both. A split rebuilds the lists of both halves from their
+children; a global rebuild rebuilds all of them.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right, insort
 from typing import Iterable
 
-from .core import ColoredPoint, InvalidRange, NotFound, PREV_SENTINEL
+from .core import (ColoredPoint, DuplicateX, InvalidColor, InvalidRange,
+                   NotFound, PREV_SENTINEL, check_coordinate, color_maps)
 from .pst import ColorPst
-from .slow_index import SlowIndex
 from .stripe import StripeIndex
 from .wbtree import WbTree
 
@@ -40,24 +56,133 @@ def _ceil_sqrt(n: int) -> int:
     return math.isqrt(max(n, 1) - 1) + 1
 
 
+class ColorExtremes:
+    """F(v) and Λ(v) of one base-tree node v, as parallel sorted lists.
+
+    F(v), the first point of each color in v (its prev lies below
+    v.submin), is kept by value as `fvals`/`fprevs`/`fcols` and by
+    (prev, color) as `pprevs`/`pcols`. Λ(v), the last point of each color in
+    v (its next lies above v.submax, or is missing), is kept by value as
+    `lvals`/`lcols`. Each list holds one entry per color of v.
+    """
+
+    __slots__ = ("fvals", "fprevs", "fcols", "pprevs", "pcols", "lvals",
+                 "lcols")
+
+    def __init__(self, firsts: list, lasts: list):
+        """`firsts`: (value, prev, color) rows and `lasts`: (value, color)
+        rows, each sorted by value."""
+        self.fvals = [v for v, _, _ in firsts]
+        self.fprevs = [p for _, p, _ in firsts]
+        self.fcols = [c for _, _, c in firsts]
+        by_prev = sorted((p, c) for _, p, c in firsts)
+        self.pprevs = [p for p, _ in by_prev]
+        self.pcols = [c for _, c in by_prev]
+        self.lvals = [v for v, _ in lasts]
+        self.lcols = [c for _, c in lasts]
+
+    @classmethod
+    def of_leaf(cls, store: ColorPst) -> "ColorExtremes":
+        """From a leaf's (value, prev, color) rows."""
+        rows = list(zip(store.vals, store.prevs, store.cols))
+        lo = store.vals[0] if rows else None
+        seen: set = set()
+        lasts = []
+        for v, _, c in reversed(rows):
+            if c not in seen:
+                seen.add(c)
+                lasts.append((v, c))
+        lasts.reverse()
+        return cls([r for r in rows if r[1] < lo], lasts)
+
+    @classmethod
+    def of_children(cls, node) -> "ColorExtremes":
+        """From the children's lists: F(v) is the children's F entries with
+        prev below v, Λ(v) their Λ entries of colors no later child holds."""
+        lo = node.submin
+        firsts = [r for ch in node.children
+                  for r in zip(ch.extremes.fvals, ch.extremes.fprevs,
+                               ch.extremes.fcols) if r[1] < lo]
+        seen: set = set()
+        chunks = []
+        for ch in reversed(node.children):
+            e = ch.extremes
+            chunks.append([(v, c) for v, c in zip(e.lvals, e.lcols)
+                           if c not in seen])
+            seen.update(e.lcols)
+        return cls(firsts, [r for chunk in reversed(chunks) for r in chunk])
+
+    def _prev_slot(self, prev, color) -> int:
+        # (prev, color) is unique: a prev above the sentinel names its color
+        lo = bisect_left(self.pprevs, prev)
+        hi = bisect_right(self.pprevs, prev, lo)
+        return bisect_left(self.pcols, color, lo, hi)
+
+    def add_first(self, value, prev, color) -> None:
+        i = bisect_left(self.fvals, value)
+        self.fvals.insert(i, value)
+        self.fprevs.insert(i, prev)
+        self.fcols.insert(i, color)
+        j = self._prev_slot(prev, color)
+        self.pprevs.insert(j, prev)
+        self.pcols.insert(j, color)
+
+    def drop_first(self, value) -> None:
+        """Remove value from F if it is there."""
+        i = bisect_left(self.fvals, value)
+        if i == len(self.fvals) or self.fvals[i] != value:
+            return
+        j = self._prev_slot(self.fprevs[i], self.fcols[i])
+        del self.fvals[i], self.fprevs[i], self.fcols[i]
+        del self.pprevs[j], self.pcols[j]
+
+    def set_first_prev(self, value, prev) -> None:
+        """Change the prev of value, which is in F."""
+        i = bisect_left(self.fvals, value)
+        color = self.fcols[i]
+        j = self._prev_slot(self.fprevs[i], color)
+        del self.pprevs[j], self.pcols[j]
+        self.fprevs[i] = prev
+        j = self._prev_slot(prev, color)
+        self.pprevs.insert(j, prev)
+        self.pcols.insert(j, color)
+
+    def add_last(self, value, color) -> None:
+        i = bisect_left(self.lvals, value)
+        self.lvals.insert(i, value)
+        self.lcols.insert(i, color)
+
+    def drop_last(self, value) -> None:
+        """Remove value from Λ if it is there."""
+        i = bisect_left(self.lvals, value)
+        if i < len(self.lvals) and self.lvals[i] == value:
+            del self.lvals[i], self.lcols[i]
+
+
 class DynamicIndex:
     def __init__(self, points: Iterable[ColoredPoint] = ()):
-        self.slow = SlowIndex(points)
-        # the slow index's value -> color map and per-color sorted value
-        # lists are the only copy; the slow index keeps them up to date
-        self.colors: dict = self.slow.colors
-        self.by_color: dict = self.slow.by_color
-        self._prev = self.slow.prev_of
-        self._next = self.slow.next_of  # None past the color's last element
-        self.ncolors = 1 + max(self.by_color, default=-1)
+        # value -> color, and each color's live values in sorted order
+        self.colors, self.by_color = color_maps(points)
         self.tree = WbTree(self.colors)
-        self.last_fallback_cap = None  # set per query when a cap fires
+        self.last_fallback_cap = None  # set per query when a cap is reached
         self._attach_all()
+
+    def _prev(self, value) -> int:
+        lst = self.by_color[self.colors[value]]
+        i = bisect_left(lst, value)
+        return lst[i - 1] if i > 0 else PREV_SENTINEL
+
+    def _next(self, value):
+        """The next value of value's color, or None past its last."""
+        lst = self.by_color[self.colors[value]]
+        i = bisect_right(lst, value)
+        return lst[i] if i < len(lst) else None
 
     # -- bulk (re)construction ------------------------------------------------
 
     def _attach_all(self) -> None:
-        """Rebuild leaf structures, tags, and stripes from the current tree."""
+        """Rebuild leaf structures, color extremes, tags, and stripes from the
+        current tree."""
         n0 = self.tree.n0
         height_room = max(4, int(math.log2(2 * n0 + 4)) + 2)
         self._stripe_maxy = height_room + 2
@@ -82,9 +207,19 @@ class DynamicIndex:
             leaf = leaf.next_leaf
         self.stripe_min.load(mins)
         self.stripe_max.load(maxs)
+        # preorder puts every parent before its children, so its reverse
+        # builds each node's lists after its children's
+        for node in reversed(list(self.tree.iter_nodes())):
+            if node is not self.tree.root:
+                self._build_extremes(node)
 
     def _leaf_store(self, leaf) -> ColorPst:
         return ColorPst((v, self._prev(v), self.colors[v]) for v in leaf.values)
+
+    @staticmethod
+    def _build_extremes(node) -> None:
+        node.extremes = (ColorExtremes.of_leaf(node.dstruct) if node.is_leaf()
+                         else ColorExtremes.of_children(node))
 
     # -- exact tags --------------------------------------------------------------
 
@@ -126,8 +261,8 @@ class DynamicIndex:
         if new >= 0:
             self.stripe_min.insert(value, new + 1)
 
-    def _retag_max(self, value) -> None:
-        new = self._tag_max(value)
+    def _retag_max(self, value, leaf=None) -> None:
+        new = self._tag_max(value, leaf)
         old = self.hmax.get(value)
         if old == new:
             return
@@ -149,11 +284,15 @@ class DynamicIndex:
         return len(self.colors)
 
     def insert(self, value: int, color: int) -> None:
-        # the slow index validates the point, then adds it to the shared
-        # color maps, so a rebuild's _attach_all already sees it
-        self.slow.insert(value, color)
+        if color < 0:
+            raise InvalidColor(color)
+        value = check_coordinate(value)
+        if value in self.colors:
+            raise DuplicateX(value)
+        # the maps come first, so a rebuild's _attach_all already sees value
+        self.colors[value] = color
+        insort(self.by_color.setdefault(color, []), value)
         ev = self.tree.insert(value)
-        self.ncolors = max(self.ncolors, color + 1)
         if ev["rebuilt"]:
             self._attach_all()
             return
@@ -163,6 +302,9 @@ class DynamicIndex:
 
         rebuilt_leaves = set()
         for _, left, right, h in ev["splits"]:
+            # both halves get fresh lists below, once their children have
+            # theirs; until then the list updates pass them by
+            left.extremes = right.extremes = None
             if h == 0:
                 left.dstruct = self._leaf_store(left)
                 right.dstruct = self._leaf_store(right)
@@ -171,11 +313,17 @@ class DynamicIndex:
         leaf = ev["leaf"]
         if not rebuilt_leaves:
             leaf.dstruct.insert(value, e_p, color)
+        nleaf = None
         if e_n is not None:
             # prev(e_n) changed from e_p to value
             nleaf = self.tree.leaf_for(e_n)
             if id(nleaf) not in rebuilt_leaves:
                 nleaf.dstruct.update_prev(e_n, value)
+
+        self._extremes_insert(value, color, e_p, e_n, leaf, nleaf)
+        for _, left, right, _ in ev["splits"]:
+            self._build_extremes(left)
+            self._build_extremes(right)
 
         h = self.hmin[value] = self._tag_min(value, leaf)
         if h >= 0:
@@ -196,7 +344,11 @@ class DynamicIndex:
             raise NotFound(value)
         e_p = self._prev(value)
         e_n = self._next(value)
-        self.slow.delete(value)
+        color = self.colors.pop(value)
+        lst = self.by_color[color]
+        del lst[bisect_left(lst, value)]
+        if not lst:
+            del self.by_color[color]
         ev = self.tree.delete(value)
         if ev["rebuilt"]:
             self.hmin.pop(value)
@@ -204,13 +356,76 @@ class DynamicIndex:
             self._attach_all()
             return
         self._drop_tags(value)
-        ev["leaf"].dstruct.delete(value)
+        leaf = ev["leaf"]
+        leaf.dstruct.delete(value)
+        nleaf = None
         if e_n is not None:
             nleaf = self.tree.leaf_for(e_n)
             nleaf.dstruct.update_prev(e_n, e_p)
+        self._extremes_delete(value, color, e_p, e_n, leaf, nleaf)
+        if e_n is not None:
             self._retag_min(e_n, nleaf)
         if e_p != PREV_SENTINEL:
             self._retag_max(e_p)
+
+    # -- color extremes ------------------------------------------------------------
+
+    @staticmethod
+    def _extremes_insert(value, color, e_p, e_n, leaf, nleaf) -> None:
+        """Lists after inserting value, with prev e_p and next e_n (or None),
+        into `leaf`; e_n lies in `nleaf`. Nodes without lists (the root, the
+        halves of this insert's splits) are passed by."""
+        node = leaf
+        while node is not None:
+            e = node.extremes
+            if e is not None:
+                lo, hi = node.submin, node.submax
+                if e_p < lo:
+                    e.add_first(value, e_p, color)
+                if e_n is None or e_n > hi:
+                    e.add_last(value, color)
+                else:
+                    e.drop_first(e_n)  # value now precedes e_n in node
+                if e_p >= lo:
+                    e.drop_last(e_p)  # value now follows e_p in node
+            node = node.parent
+        if e_n is not None:
+            DynamicIndex._move_first_prev(e_n, value, nleaf, leaf)
+
+    @staticmethod
+    def _extremes_delete(value, color, e_p, e_n, leaf, nleaf) -> None:
+        """Lists after deleting value, which had prev e_p and next e_n (or
+        None), from `leaf`; e_n lies in `nleaf`. A node emptied by the
+        delete has submin and submax None."""
+        node = leaf
+        while node is not None:
+            e = node.extremes
+            if e is not None:
+                e.drop_first(value)
+                e.drop_last(value)
+                lo, hi = node.submin, node.submax
+                # e_n now follows e_p in node, or is first there
+                if e_n is not None and hi is not None and e_n <= hi \
+                        and e_p < lo:
+                    e.add_first(e_n, e_p, color)
+                # e_p is now followed by e_n outside node, or is last
+                if lo is not None and e_p >= lo and \
+                        (e_n is None or e_n > hi):
+                    e.add_last(e_p, color)
+            node = node.parent
+        if e_n is not None:
+            DynamicIndex._move_first_prev(e_n, e_p, nleaf, leaf)
+
+    @staticmethod
+    def _move_first_prev(succ, prev, succ_leaf, leaf) -> None:
+        """Give succ the prev `prev` in F of the nodes that hold succ but not
+        the updated value, whose leaf is `leaf`: the ancestors of succ_leaf
+        below the lowest common one (all leaves lie at height 0)."""
+        a, b = leaf, succ_leaf
+        while a is not b:
+            if b.extremes is not None:
+                b.extremes.set_first_prev(succ, prev)
+            a, b = a.parent, b.parent
 
     def _split_refresh(self, parent, left, right, height) -> None:
         """Repair tags after a node split.
@@ -219,37 +434,27 @@ class DynamicIndex:
         whose prev crossed the new boundary, hmax symmetrically in the left
         half, and (for a root split) the extremes of the whole tree. Below the
         loglog level both halves are rescanned outright; above it, only the
-        color extremes of the affected nodes are refreshed: the leftmost
-        element per color from the slow index's k-leftmost selection, the
-        rightmost from its k-rightmost selection on the same tree.
+        color extremes of the affected nodes are retagged: F of the right
+        half, Λ of the left half, and for a fresh root each color's first and
+        last value.
         """
         if height <= self.tree.loglog:
             for node in (left, right):
                 for lf in self.tree.leaves_under(node):
                     for v in lf.values:
-                        self._retag_min(v)
-                        self._retag_max(v)
+                        self._retag_min(v, lf)
+                        self._retag_max(v, lf)
         else:
-            self._refresh_extremes(right, min_side=True)
-            self._refresh_extremes(left, min_side=False)
+            for v in right.extremes.fvals:
+                self._retag_min(v)
+            for v in left.extremes.lvals:
+                self._retag_max(v)
         if parent is self.tree.root and parent.height == height + 1 and \
                 len(parent.children) == 2:
             # fresh root: every global color extreme gained a level
-            self._refresh_extremes(parent, min_side=True)
-            self._refresh_extremes(parent, min_side=False)
-
-    def _refresh_extremes(self, node, min_side: bool) -> None:
-        lo, hi = node.submin, node.submax
-        if lo is None:
-            return
-        if min_side:
-            hits = self.slow.k_leftmost_elements(lo, hi, self.ncolors)
-            for v, _ in hits:
-                self._retag_min(v)
-        else:
-            hits = self.slow.k_rightmost_elements(lo, hi, self.ncolors)
-            for v, _ in hits:
-                self._retag_max(v)
+            for lst in self.by_color.values():
+                self._retag_min(lst[0])
+                self._retag_max(lst[-1])
 
     # -- queries -----------------------------------------------------------------
 
@@ -269,23 +474,52 @@ class DynamicIndex:
         if u is None:
             return leaf.dstruct.query(a, b, meter)
         subs = WbTree.child_subranges(u, a, b)
+        kids = u.children
+        f, g = subs[0][0], subs[-1][0]
+        first, last = kids[f].extremes, kids[g].extremes
+        i = bisect_left(first.lvals, a)   # Λ(f) from a on
+        j = bisect_right(last.fvals, b)   # F(g) up to b
+        if meter is not None:
+            meter.locate_ops += 2
+        sizes = [len(first.lvals) - i]
+        sizes += [len(kids[k].extremes.fvals) for k in range(f + 1, g)]
+        sizes.append(j)
+        for k, size in enumerate(sizes, f):
+            cap = _ceil_sqrt(kids[k].size)
+            if size >= cap:
+                # the slice holds distinct colors of [a, b], so k >= cap
+                self.last_fallback_cap = cap
+                return self._query_lists(kids, f, g, i, j, a, meter)
+        # a child's stripe hits lie in its slice (stored tags never exceed
+        # exact ones), so no stripe query can reach its child's cap
         c = u.height  # tag >= height(child) means y = tag + 1 >= u.height
         out: list = []
-        first_child = subs[0][0]
-        for i, ai, bi in subs:
-            child = u.children[i]
-            cap = _ceil_sqrt(child.size)
-            stripe = self.stripe_max if i == first_child else self.stripe_min
-            pts, over = stripe.query(ai, bi, c, meter=meter, cap=cap)
-            if over or len(pts) >= cap:
-                self.last_fallback_cap = cap
-                return self.slow.query(a, b, meter=meter)
+        for k, ak, bk in subs:
             # the first child's hits are its colors' rightmost points, one
             # per color; a later child's hit is new only if its prev is < a
-            if i == first_child:
+            if k == f:
+                pts, _ = self.stripe_max.query(ak, bk, c, meter=meter)
                 out.extend(self.colors[x] for x, _ in pts)
             else:
+                pts, _ = self.stripe_min.query(ak, bk, c, meter=meter)
                 out.extend(self.colors[x] for x, _ in pts if self._prev(x) < a)
+        return out
+
+    @staticmethod
+    def _query_lists(kids, f, g, i, j, a, meter) -> list:
+        """Colors of [a, b] from the lists of children f..g of the range
+        ancestor, given i = first index of Λ(f) >= a and j = number of
+        entries of F(g) <= b. Every entry read but F(g)'s is reported."""
+        first, last = kids[f].extremes, kids[g].extremes
+        out = first.lcols[i:]
+        for k in range(f + 1, g):
+            e = kids[k].extremes
+            out += e.pcols[:bisect_left(e.pprevs, a)]
+        reported = len(out)
+        out += [col for p, col in zip(last.fprevs[:j], last.fcols[:j]) if p < a]
+        if meter is not None:
+            meter.locate_ops += g - f - 1
+            meter.touches += reported + j
         return out
 
     # -- test hooks ----------------------------------------------------------------

@@ -36,7 +36,7 @@ import math
 from typing import Iterable, Optional
 
 from .core import (DuplicateX, InvalidColor, InvalidRange, NotFound,
-                   PREV_SENTINEL, check_coordinate)
+                   PREV_SENTINEL, check_coordinate, color_maps)
 
 LEAF_CUTOFF = 4
 
@@ -79,19 +79,7 @@ class SlowIndex:
     answered by one tree."""
 
     def __init__(self, points: Iterable[tuple] = ()):
-        pts = list(points)
-        for _, c in pts:
-            if c < 0:
-                raise InvalidColor(c)
-        # coordinates >= 1 keep the prev-sentinel 0 below every element
-        items = sorted((check_coordinate(v), c) for v, c in pts)
-        self.colors: dict = {v: c for v, c in items}
-        if len(self.colors) < len(items):
-            raise DuplicateX(next(v for (v, _), (w, _) in zip(items, items[1:])
-                                  if v == w))
-        self.by_color: dict = {}
-        for v, c in items:
-            self.by_color.setdefault(c, []).append(v)
+        self.colors, self.by_color = color_maps(points)
         self.placed: dict = {}
         self._rebuild_tree()
 

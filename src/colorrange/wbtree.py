@@ -30,7 +30,7 @@ MAX_CHILDREN = 4 * BRANCHING
 
 class WbLeaf:
     __slots__ = ("values", "parent", "height", "deleted", "exempt_lower",
-                 "prev_leaf", "next_leaf", "k1", "k2", "dstruct")
+                 "prev_leaf", "next_leaf", "k1", "k2", "dstruct", "extremes")
 
     def __init__(self, values):
         self.values = values          # sorted live values
@@ -43,6 +43,7 @@ class WbLeaf:
         self.k1 = []                  # [(m, node)] bottom-up, non-increasing
         self.k2 = []                  # [(m, node)] bottom-up, non-decreasing
         self.dstruct = None           # client payload (the leaf store)
+        self.extremes = None          # client payload (color extremes)
 
     @property
     def size(self):
@@ -62,7 +63,7 @@ class WbLeaf:
 
 class WbNode:
     __slots__ = ("children", "seps", "parent", "height", "size", "deleted",
-                 "exempt_lower", "submin", "submax")
+                 "exempt_lower", "submin", "submax", "extremes")
 
     def __init__(self, children, seps):
         self.children = children
@@ -74,6 +75,7 @@ class WbNode:
         self.exempt_lower = False
         self.submin = None
         self.submax = None
+        self.extremes = None          # client payload (color extremes)
         for c in children:
             c.parent = self
         self._refresh_extremes()

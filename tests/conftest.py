@@ -30,3 +30,34 @@ def random_instance(rng: random.Random, n: int, u: int, c: int):
 @pytest.fixture
 def rng():
     return random.Random(0xC01)
+
+
+def check_extremes(idx, live: dict) -> None:
+    """Assert that every node of a DynamicIndex below the root holds F and Λ
+    as a recomputation from the live points (value -> color) finds them: F
+    by value and by (prev, color), Λ by value; the root holds none. Also
+    checks the index's own color maps against `live`."""
+    assert idx.colors == live
+    prev_of, next_of, by_color = {}, {}, {}
+    for v in sorted(live):
+        same = by_color.setdefault(live[v], [])
+        prev_of[v] = same[-1] if same else 0
+        if same:
+            next_of[same[-1]] = v
+        same.append(v)
+    assert idx.by_color == by_color
+    tree = idx.tree
+    assert tree.root.extremes is None
+    for node in tree.iter_nodes():
+        if node is tree.root:
+            continue
+        inside = sorted(v for lf in tree.leaves_under(node) for v in lf.values)
+        firsts = [(v, prev_of[v], live[v]) for v in inside
+                  if prev_of[v] < inside[0]]
+        lasts = [(v, live[v]) for v in inside
+                 if next_of.get(v, inside[-1] + 1) > inside[-1]]
+        e = node.extremes
+        assert list(zip(e.fvals, e.fprevs, e.fcols)) == firsts, node.height
+        assert list(zip(e.pprevs, e.pcols)) == \
+            sorted((p, c) for _, p, c in firsts), node.height
+        assert list(zip(e.lvals, e.lcols)) == lasts, node.height

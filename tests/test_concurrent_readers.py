@@ -114,7 +114,8 @@ def test_threaded_readers_share_updated_dynamic_indexes():
     queries = random_queries(rng, u, 300)
     want = [fo.report(a, b) for a, b in queries]
 
-    # the threads share the dynamic index's stripes and its slow fallback
+    # the threads share the dynamic index's stripes and its color-extreme
+    # lists, which answer a query once a child's slice reaches its stripe cap
     dyn = indexes[0]
     stripe_queries = fallbacks = 0
     for a, b in queries:

@@ -7,7 +7,7 @@ from colorrange.core import (MAX_COORDINATE, ColoredPoint, DuplicateX,
                              NotFound, Range, oracle_report)
 from colorrange.dynamic_index import DynamicIndex
 from colorrange.slow_index import SlowIndex
-from conftest import random_instance
+from conftest import check_extremes, random_instance
 
 
 def test_build_and_query(e1):
@@ -102,18 +102,108 @@ def test_coordinates_outside_file_range_rejected(cls):
     assert sorted(idx.query(MAX_COORDINATE, MAX_COORDINATE)) == [3]
 
 
-def test_color_maps_shared_with_slow_tree():
+def test_color_maps_track_live_set():
     rng = random.Random(7)
     pts = random_instance(rng, 200, 2000, 6)
     idx = DynamicIndex(pts)
-    assert idx.colors is idx.slow.colors
-    assert idx.by_color is idx.slow.by_color
+    live = {p.value: p.color for p in pts}
+    check_extremes(idx, live)
     for v in list(idx.colors)[::3]:
         idx.delete(v)
+        del live[v]
     idx.insert(2001, 9)
-    assert idx.colors is idx.slow.colors
+    live[2001] = 9
+    check_extremes(idx, live)  # also compares colors and by_color
     assert idx.colors[2001] == 9 and idx.by_color[9] == [2001]
-    assert len(idx) == len(idx.slow)
+    assert len(idx) == len(live)
+
+
+def _state(idx) -> tuple:
+    """Everything a failed update must leave as it was."""
+    lists = [None if n.extremes is None else
+             tuple(list(getattr(n.extremes, f)) for f in n.extremes.__slots__)
+             for n in idx.tree.iter_nodes()]
+    answers = [sorted(idx.query(a, a + w)) for a in range(1, 4000, 97)
+               for w in (0, 40, 900, 4000)]
+    return (len(idx), dict(idx.colors), {c: list(v) for c, v in
+            idx.by_color.items()}, dict(idx.hmin), dict(idx.hmax), lists,
+            answers)
+
+
+def test_failed_updates_change_nothing():
+    rng = random.Random(11)
+    pts = random_instance(rng, 700, 4000, 9)
+    idx = DynamicIndex(pts)
+    before = _state(idx)
+    held = pts[350].value
+    free = next(v for v in range(1, 4000) if v not in idx.colors)
+    bad_ops = [
+        (InvalidColor, lambda: idx.insert(free, -1)),
+        (InvalidCoordinate, lambda: idx.insert(0, 1)),
+        (InvalidCoordinate, lambda: idx.insert(MAX_COORDINATE + 1, 1)),
+        (InvalidCoordinate, lambda: idx.insert(2.5, 1)),
+        (DuplicateX, lambda: idx.insert(held, 3)),
+        (DuplicateX, lambda: idx.insert(held, idx.colors[held])),
+        (NotFound, lambda: idx.delete(free)),
+        (NotFound, lambda: idx.delete(0)),
+    ]
+    for exc, op in bad_ops:
+        with pytest.raises(exc):
+            op()
+        assert _state(idx) == before
+    check_extremes(idx, {p.value: p.color for p in pts})
+
+
+def test_extremes_through_splits_and_rebuilds():
+    """F and Λ of every node match a recomputation after each update, through
+    leaf splits, internal splits (many appends past the maximum) and global
+    rebuilds (growth and deletions)."""
+    rng = random.Random(13)
+    pts = random_instance(rng, 1500, 6000, 7)
+    idx = DynamicIndex(pts)
+    live = {p.value: p.color for p in pts}
+    seen = {"leaf": 0, "internal": 0, "rebuild": 0}
+
+    def shape():
+        nodes = list(idx.tree.iter_nodes())
+        return (idx.tree.n0, sum(n.is_leaf() for n in nodes),
+                sum(not n.is_leaf() for n in nodes))
+
+    def step(op, v, c=None):
+        n0, leaves, internal = shape()
+        if op == "insert":
+            idx.insert(v, c)
+            live[v] = c
+        else:
+            idx.delete(v)
+            del live[v]
+        n0_after, leaves_after, internal_after = shape()
+        if n0_after != n0:
+            seen["rebuild"] += 1
+        else:
+            seen["leaf"] += leaves_after > leaves
+            seen["internal"] += internal_after > internal
+        check_extremes(idx, live)
+
+    top = max(live)
+    while not seen["internal"]:  # time-ordered appends split the right edge
+        top += rng.randrange(1, 3)
+        step("insert", top, rng.randrange(7))
+        r = rng.random()
+        if r < 0.2:
+            step("delete", rng.choice(sorted(live)))
+        elif r < 0.4:  # an insert with same-color points on both sides
+            v = rng.randrange(1, top)
+            if v not in live:
+                step("insert", v, rng.randrange(7))
+    while not seen["rebuild"]:  # deletions until the global rebuild
+        step("delete", rng.choice(sorted(live)))
+    assert seen["leaf"] >= 5 and seen["internal"] >= 1
+    for _ in range(200):
+        a = rng.randrange(1, top)
+        b = rng.randrange(a, top + 1)
+        assert set(idx.query(a, b)) == {c for v, c in live.items()
+                                        if a <= v <= b}
 
 
 def test_oracle_equivalence_interleaved():
