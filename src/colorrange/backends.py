@@ -1,4 +1,4 @@
-"""Sorted one-dimensional locator used by the stripes.
+"""Sorted one-dimensional locator used by `StripeIndex`.
 
 Given integer keys, find one element of [a, b] (one-reporting), or a
 successor/predecessor. SortedArrayLocator provides it with a sorted list and

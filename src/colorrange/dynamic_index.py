@@ -5,22 +5,19 @@ height of the highest base-tree ancestor in which e is its color's leftmost
 element (-1 if none, including the leaf), and hmax(e) mirrors it for
 rightmost. Because subtree spans are contiguous, hmin(e) is simply the height
 of the highest ancestor whose live subtree minimum exceeds prev(e), so a tag
-recomputation is one upward walk.
+recomputation is one upward walk. The paper's narrow stripes over these tags
+answer no query here; the tags are kept, and checked, as the paper defines
+them.
 
 Every node v below the root also keeps its color extremes (`ColorExtremes`):
 F(v), the first point of each color in v (prev below v), and Λ(v), the last
 point of each color in v (next above v). These are exactly the elements whose
 exact tags reach v's height.
 
-Queries find the highest range ancestor u and split [a, b] across u's
-children f..g. Each child's slice is read off its lists: Λ(f) above a, all of
-F(v) for a middle child v, F(g) up to b. While every slice stays below its
-child's cap ceil(sqrt(child size)), two narrow-stripe structures
-(x = value, y = tag + 1) answer the children, as the paper does: the
-leftmost child by hmax, the others by hmin, each a subset of its slice. Once
-a slice reaches its cap the answer has at least that many colors, and the
-lists answer in O(1 + k): Λ(f) above a, the prefix of F(v) by prev below a
-for each middle child, and F(g) up to b with prev below a.
+A range inside one leaf is answered by the leaf store. Any other query finds
+the highest range ancestor u and splits [a, b] across u's children f..g; the
+lists answer it in O(1 + k + g - f): Λ(f) above a, the prefix of F(v) by
+prev below a for each middle child, and F(g) up to b with prev below a.
 
 Tag maintenance: tags are recomputed exactly for the inserted/deleted element
 and its same-color neighbors; all other events can only raise true tags,
@@ -45,7 +42,6 @@ from typing import Iterable
 from .core import (ColoredPoint, DuplicateX, InvalidColor, InvalidRange,
                    NotFound, PREV_SENTINEL, check_coordinate, color_maps)
 from .pst import ColorPst
-from .stripe import StripeIndex
 from .wbtree import WbTree
 
 _INF = 1 << 62
@@ -164,7 +160,6 @@ class DynamicIndex:
         # value -> color, and each color's live values in sorted order
         self.colors, self.by_color = color_maps(points)
         self.tree = WbTree(self.colors)
-        self.last_fallback_cap = None  # set per query when a cap is reached
         self._attach_all()
 
     def _prev(self, value) -> int:
@@ -181,32 +176,17 @@ class DynamicIndex:
     # -- bulk (re)construction ------------------------------------------------
 
     def _attach_all(self) -> None:
-        """Rebuild leaf structures, color extremes, tags, and stripes from the
-        current tree."""
-        n0 = self.tree.n0
-        height_room = max(4, int(math.log2(2 * n0 + 4)) + 2)
-        self._stripe_maxy = height_room + 2
-        group_cap = max(4, math.ceil(math.log2(max(n0, 4))))
-        self.stripe_min = StripeIndex(self._stripe_maxy, group_cap=group_cap)
-        self.stripe_max = StripeIndex(self._stripe_maxy, group_cap=group_cap)
+        """Rebuild leaf structures, color extremes and tags from the current
+        tree."""
         self.hmin: dict = {}
         self.hmax: dict = {}
-        # leaves in order give the tagged values sorted, for the bulk loads
-        mins: list = []
-        maxs: list = []
         leaf = self.tree.first_leaf
         while leaf is not None:
             leaf.dstruct = self._leaf_store(leaf)
             for v in leaf.values:
-                h = self.hmin[v] = self._tag_min(v, leaf)
-                if h >= 0:
-                    mins.append((v, h + 1))
-                h = self.hmax[v] = self._tag_max(v, leaf)
-                if h >= 0:
-                    maxs.append((v, h + 1))
+                self.hmin[v] = self._tag_min(v, leaf)
+                self.hmax[v] = self._tag_max(v, leaf)
             leaf = leaf.next_leaf
-        self.stripe_min.load(mins)
-        self.stripe_max.load(maxs)
         # preorder puts every parent before its children, so its reverse
         # builds each node's lists after its children's
         for node in reversed(list(self.tree.iter_nodes())):
@@ -251,32 +231,10 @@ class DynamicIndex:
         return h
 
     def _retag_min(self, value, leaf=None) -> None:
-        new = self._tag_min(value, leaf)
-        old = self.hmin.get(value)
-        if old == new:
-            return
-        if old is not None and old >= 0:
-            self.stripe_min.delete(value)
-        self.hmin[value] = new
-        if new >= 0:
-            self.stripe_min.insert(value, new + 1)
+        self.hmin[value] = self._tag_min(value, leaf)
 
     def _retag_max(self, value, leaf=None) -> None:
-        new = self._tag_max(value, leaf)
-        old = self.hmax.get(value)
-        if old == new:
-            return
-        if old is not None and old >= 0:
-            self.stripe_max.delete(value)
-        self.hmax[value] = new
-        if new >= 0:
-            self.stripe_max.insert(value, new + 1)
-
-    def _drop_tags(self, value) -> None:
-        if self.hmin.pop(value) >= 0:
-            self.stripe_min.delete(value)
-        if self.hmax.pop(value) >= 0:
-            self.stripe_max.delete(value)
+        self.hmax[value] = self._tag_max(value, leaf)
 
     # -- updates ----------------------------------------------------------------
 
@@ -325,12 +283,8 @@ class DynamicIndex:
             self._build_extremes(left)
             self._build_extremes(right)
 
-        h = self.hmin[value] = self._tag_min(value, leaf)
-        if h >= 0:
-            self.stripe_min.insert(value, h + 1)
-        h = self.hmax[value] = self._tag_max(value, leaf)
-        if h >= 0:
-            self.stripe_max.insert(value, h + 1)
+        self._retag_min(value, leaf)
+        self._retag_max(value, leaf)
         if e_n is not None:
             self._retag_min(e_n, nleaf)
         if e_p != PREV_SENTINEL:
@@ -349,13 +303,11 @@ class DynamicIndex:
         del lst[bisect_left(lst, value)]
         if not lst:
             del self.by_color[color]
+        del self.hmin[value], self.hmax[value]
         ev = self.tree.delete(value)
         if ev["rebuilt"]:
-            self.hmin.pop(value)
-            self.hmax.pop(value)
             self._attach_all()
             return
-        self._drop_tags(value)
         leaf = ev["leaf"]
         leaf.dstruct.delete(value)
         nleaf = None
@@ -463,7 +415,6 @@ class DynamicIndex:
         if a > b:
             raise InvalidRange(f"[{a}, {b}]")
         a = max(a, 1)  # no point lies below 1, and prev 0 must stay below a
-        self.last_fallback_cap = None
         if meter is not None:
             meter.locate_ops += 1
         e = self.tree.succ(a)
@@ -473,37 +424,14 @@ class DynamicIndex:
         u = self.tree.dyn_hra(leaf, a, b)
         if u is None:
             return leaf.dstruct.query(a, b, meter)
-        subs = WbTree.child_subranges(u, a, b)
+        # a separator of u lies in (a, b], so f < g
+        f, g = u.route(a), u.route(b)
         kids = u.children
-        f, g = subs[0][0], subs[-1][0]
-        first, last = kids[f].extremes, kids[g].extremes
-        i = bisect_left(first.lvals, a)   # Λ(f) from a on
-        j = bisect_right(last.fvals, b)   # F(g) up to b
+        i = bisect_left(kids[f].extremes.lvals, a)   # Λ(f) from a on
+        j = bisect_right(kids[g].extremes.fvals, b)  # F(g) up to b
         if meter is not None:
             meter.locate_ops += 2
-        sizes = [len(first.lvals) - i]
-        sizes += [len(kids[k].extremes.fvals) for k in range(f + 1, g)]
-        sizes.append(j)
-        for k, size in enumerate(sizes, f):
-            cap = _ceil_sqrt(kids[k].size)
-            if size >= cap:
-                # the slice holds distinct colors of [a, b], so k >= cap
-                self.last_fallback_cap = cap
-                return self._query_lists(kids, f, g, i, j, a, meter)
-        # a child's stripe hits lie in its slice (stored tags never exceed
-        # exact ones), so no stripe query can reach its child's cap
-        c = u.height  # tag >= height(child) means y = tag + 1 >= u.height
-        out: list = []
-        for k, ak, bk in subs:
-            # the first child's hits are its colors' rightmost points, one
-            # per color; a later child's hit is new only if its prev is < a
-            if k == f:
-                pts, _ = self.stripe_max.query(ak, bk, c, meter=meter)
-                out.extend(self.colors[x] for x, _ in pts)
-            else:
-                pts, _ = self.stripe_min.query(ak, bk, c, meter=meter)
-                out.extend(self.colors[x] for x, _ in pts if self._prev(x) < a)
-        return out
+        return self._query_lists(kids, f, g, i, j, a, meter)
 
     @staticmethod
     def _query_lists(kids, f, g, i, j, a, meter) -> list:

@@ -74,7 +74,8 @@ class TreeLayout:
     entries [l_lo, l_hi) of `first_v`/`first_p`/`first_c` (prev in
     `first_p`), each by value ascending and holding the layout's own value,
     prev and color objects. `prevpos` is the position of each point's
-    predecessor, -1 for none."""
+    predecessor, -1 for none; only the builds read it, and `StaticIndex`
+    drops it once built."""
 
     def __init__(self, points: Sequence[ColoredPoint], cap: int):
         self.values = [p.value for p in points]
@@ -387,6 +388,7 @@ class StaticIndex(TreeLayout):
         super().__init__(points, max(2, math.ceil(math.log2(max(len(points), 2)))))
         self.leaf_arrays = LeafArrays(self)
         self.fallback = ArrayFallback(self, self.leaf_arrays)
+        del self.prevpos  # read only by the builds above
 
     # -- queries -----------------------------------------------------------
 

@@ -22,6 +22,10 @@ groups filter it by x, scanning at most 2 * group_cap points each.
 An empty stripe bulk-loads from points sorted by x: groups of group_cap points
 (a short last chunk joins the group before) get their tables built and
 registered once, and Rbar one pass, with no per-point insert or rebalance.
+
+The paper's dynamic index answers its queries from two of these stripes over
+its height tags. `DynamicIndex` answers them from its color-extreme lists
+instead, so this structure stands alone.
 """
 
 from __future__ import annotations

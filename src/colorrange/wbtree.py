@@ -373,18 +373,6 @@ class WbTree:
             return u1
         return u1 if u1.height >= u2.height else u2
 
-    @staticmethod
-    def child_subranges(u: WbNode, a, b) -> list:
-        """Partition [a, b] across u's children: [(child_index, a_i, b_i)]."""
-        f = u.route(a)
-        g = u.route(b)
-        out = []
-        for i in range(f, g + 1):
-            ai = a if i == f else u.seps[i - 1]
-            bi = b if i == g else u.seps[i] - 1
-            out.append((i, ai, bi))
-        return out
-
     # -- invariant checks (tests) ---------------------------------------------
 
     def check_weight_bounds(self) -> None:

@@ -32,6 +32,17 @@ def rng():
     return random.Random(0xC01)
 
 
+def dynamic_route(idx, a: int, b: int) -> str:
+    """The route a DynamicIndex takes for [a, b] (a >= 1): "empty", "leaf"
+    (the leaf store of succ(a)) or "lists" (the color-extreme lists of the
+    children of a range ancestor)."""
+    tree = idx.tree
+    e = tree.succ(a)
+    if e is None or e > b:
+        return "empty"
+    return "leaf" if tree.dyn_hra(tree.leaf_for(e), a, b) is None else "lists"
+
+
 def check_extremes(idx, live: dict) -> None:
     """Assert that every node of a DynamicIndex below the root holds F and Λ
     as a recomputation from the live points (value -> color) finds them: F

@@ -10,7 +10,7 @@ from colorrange.dynamic_index import DynamicIndex
 from colorrange.em_index import EmIndex
 from colorrange.slow_index import SlowIndex
 from colorrange.static_index import StaticIndex
-from conftest import random_instance
+from conftest import dynamic_route, random_instance
 
 THREADS = 4
 
@@ -114,16 +114,10 @@ def test_threaded_readers_share_updated_dynamic_indexes():
     queries = random_queries(rng, u, 300)
     want = [fo.report(a, b) for a, b in queries]
 
-    # the threads share the dynamic index's stripes and its color-extreme
-    # lists, which answer a query once a child's slice reaches its stripe cap
-    dyn = indexes[0]
-    stripe_queries = fallbacks = 0
-    for a, b in queries:
-        dyn.query(a, b)
-        stripe_queries += bool(dyn.stripe_min.last_group_visits or
-                               dyn.stripe_max.last_group_visits)
-        fallbacks += dyn.last_fallback_cap is not None
-    assert stripe_queries >= 30 and fallbacks >= 10
+    # the threads share the dynamic index's leaf stores and its color-extreme
+    # lists, which answer every query that spans children of a range ancestor
+    routes = [dynamic_route(indexes[0], a, b) for a, b in queries]
+    assert routes.count("leaf") >= 100 and routes.count("lists") >= 100
 
     errors: list = []
     single, threaded = run_readers(indexes, queries, want, errors)

@@ -2,12 +2,13 @@ import random
 
 import pytest
 
-from colorrange.core import (MAX_COORDINATE, ColoredPoint, DuplicateX,
-                             InvalidColor, InvalidCoordinate, InvalidRange,
-                             NotFound, Range, oracle_report)
+from colorrange.core import (MAX_COORDINATE, ColoredPoint, CostMeter,
+                             DuplicateX, FastOracle, InvalidColor,
+                             InvalidCoordinate, InvalidRange, NotFound, Range,
+                             oracle_report)
 from colorrange.dynamic_index import DynamicIndex
 from colorrange.slow_index import SlowIndex
-from conftest import check_extremes, random_instance
+from conftest import check_extremes, dynamic_route, random_instance
 
 
 def test_build_and_query(e1):
@@ -262,23 +263,58 @@ def test_tag_soundness_and_left_set_exactness():
                     assert idx.hmax[v] == idx.brute_tag_max(v), v
 
 
-def test_fallback_soundness():
-    # many colors packed densely: subquery caps fire; whenever one does, the
-    # final answer must be at least cap colors (the validity condition)
+def test_many_colors_range_ancestor_queries():
+    # many colors packed densely: most ranges span several children of a
+    # range ancestor, and the color-extreme lists answer them
     rng = random.Random(97)
     pts = [ColoredPoint(v, rng.randrange(700)) for v in
            sorted(rng.sample(range(1, 60_000), 3000))]
     idx = DynamicIndex(pts)
-    fired = 0
+    spanning = 0
     for _ in range(400):
         a = rng.randrange(1, 60_000)
         b = rng.randrange(a, 60_000)
         got = idx.query(a, b)
         assert set(got) == oracle_report(pts, Range(a, b))
-        if idx.last_fallback_cap is not None:
-            fired += 1
-            assert len(got) >= idx.last_fallback_cap
-    assert fired > 0, "workload never exercised the fallback"
+        assert len(got) == len(set(got))
+        spanning += dynamic_route(idx, a, b) == "lists"
+    assert spanning >= 300, "workload seldom reached the lists route"
+
+
+@pytest.mark.parametrize("n", [500, 2000, 9000])
+def test_query_touches_at_most_twice_its_colors(n):
+    """Output sensitivity of every route: a query that reports k >= 1 colors
+    touches at most 2k entries, after a stream of updates too."""
+    rng = random.Random(n)
+    u = 8 * n
+    meter = CostMeter()
+    for c in (3, 64, n // 4, n):
+        pts = random_instance(rng, n, u, c)
+        idx, fo = DynamicIndex(pts), FastOracle(pts)
+        live = {p.value for p in pts}
+        for _ in range(n // 10):
+            v = rng.randrange(1, u + 1)
+            if v in live:
+                live.remove(v)
+                idx.delete(v)
+                fo.delete(v)
+            else:
+                live.add(v)
+                color = rng.randrange(c)
+                idx.insert(v, color)
+                fo.insert(v, color)
+        reported = 0
+        for _ in range(600):
+            a = rng.randrange(1, u + 1)
+            b = min(u, a + rng.choice((8, 64, 512, u // 8, u)))
+            meter.reset()
+            got = idx.query(a, b, meter)
+            assert set(got) == fo.report(a, b)
+            k = len(got)
+            reported += k > 0
+            if k:
+                assert meter.touches <= 2 * k, (c, a, b, k, meter.touches)
+        assert reported >= 400
 
 
 def test_query_single_leaf_range():

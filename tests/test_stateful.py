@@ -38,7 +38,7 @@ class _IndexMachine(RuleBasedStateMachine):
         return [ColoredPoint(v, c) for v, c in sorted(self.live.items())]
 
     # a seeded random start is large enough for the WbTree to have several
-    # levels, so dynamic queries reach the stripes and the lists route
+    # levels, so dynamic queries reach both the leaf stores and the lists
     @initialize(seed=st.integers(0, 1 << 16), n=st.integers(0, 400),
                 ncolors=st.integers(1, 40))
     def build(self, seed, n, ncolors):

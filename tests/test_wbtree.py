@@ -112,26 +112,6 @@ def test_growth_rebuild():
     t.check_weight_bounds()
 
 
-def test_child_subranges_formula():
-    t = WbTree(range(1, 5000))
-    # find an internal node with >= 3 children to exercise the formula
-    node = t.root
-    while node.is_leaf():
-        pytest.skip("tree too small")
-    u = t.root
-    subs = WbTree.child_subranges(u, u.seps[0] - 5, u.seps[-1] + 5)
-    a, b = u.seps[0] - 5, u.seps[-1] + 5
-    assert subs[0][1] == a and subs[-1][2] == b
-    for (i0, a0, b0), (i1, a1, b1) in zip(subs, subs[1:]):
-        assert i1 == i0 + 1 and a1 == b0 + 1 and a1 == u.seps[i1 - 1]
-    # inside one child: a single subrange
-    assert WbTree.child_subranges(u, 1, 2) == [(0, 1, 2)]
-    # boundary: a exactly on a separator
-    m = u.seps[0]
-    subs = WbTree.child_subranges(u, m, m + 1)
-    assert subs[0][0] == 1 and subs[0][1] == m
-
-
 def test_dyn_hra_matches_ancestor_scan_on_interleavings():
     rng = random.Random(8)
     ops = 0
