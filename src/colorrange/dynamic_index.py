@@ -31,12 +31,24 @@ its own path, for next(x), whose F entries leave the nodes that hold both and
 change their prev below them, and for prev(x), whose Λ entries leave the
 nodes that hold both. A split rebuilds the lists of both halves from their
 children; a global rebuild rebuilds all of them.
+
+Work per update: one bisect into the color's `by_color` list places or
+removes x and names its neighbours prev(x) and next(x); one WbTree descent
+finds x's leaf. Each neighbour's leaf is found among x's leaf and the two
+beside it, with one more descent only when an emptied leaf lies between. The
+three exact tags (x's own, hmin of next(x), hmax of prev(x)) are one upward
+walk each from those leaves with the prev and next already known, and the
+lists are one walk up x's path plus next(x)'s path below the lowest common
+ancestor. A leaf split rebuilds both halves' rows, and a split up to loglog
+high retags its halves, in one pass each over the leaves, bisecting
+`by_color` once per color rather than once per value; a global rebuild does
+the same over all leaves. A query is one descent to the leaf of succ(a).
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from typing import Iterable
 
 from .core import (ColoredPoint, DuplicateX, InvalidColor, InvalidRange,
@@ -180,21 +192,43 @@ class DynamicIndex:
         tree."""
         self.hmin: dict = {}
         self.hmax: dict = {}
-        leaf = self.tree.first_leaf
-        while leaf is not None:
-            leaf.dstruct = self._leaf_store(leaf)
-            for v in leaf.values:
-                self.hmin[v] = self._tag_min(v, leaf)
-                self.hmax[v] = self._tag_max(v, leaf)
-            leaf = leaf.next_leaf
+        leaves = self.tree.leaves_under(self.tree.root)
+        self._leaf_stores(leaves)
+        self._retag_leaves(leaves)
         # preorder puts every parent before its children, so its reverse
         # builds each node's lists after its children's
         for node in reversed(list(self.tree.iter_nodes())):
             if node is not self.tree.root:
                 self._build_extremes(node)
 
-    def _leaf_store(self, leaf) -> ColorPst:
-        return ColorPst((v, self._prev(v), self.colors[v]) for v in leaf.values)
+    def _leaf_stores(self, leaves) -> None:
+        """Fresh (value, prev, color) rows for consecutive leaves, in order:
+        a prev is the run's previous value of its color, and only each
+        color's first value in the run bisects `by_color`."""
+        colors = self.colors
+        last: dict = {}
+        for leaf in leaves:
+            rows = []
+            for v in leaf.values:
+                c = colors[v]
+                rows.append((v, last[c] if c in last else self._prev(v), c))
+                last[c] = v
+            leaf.dstruct = ColorPst(rows)
+
+    def _retag_leaves(self, leaves) -> None:
+        """Exact tags for every value of consecutive leaves, in order: prev
+        from the leaf rows, next from one backward pass, and only each
+        color's last value in the run bisects `by_color`."""
+        hmin, hmax = self.hmin, self.hmax
+        following: dict = {}
+        for leaf in reversed(leaves):
+            d = leaf.dstruct
+            for v, p, c in zip(reversed(d.vals), reversed(d.prevs),
+                               reversed(d.cols)):
+                hmin[v] = self._tag_min(p, leaf)
+                hmax[v] = self._tag_max(
+                    following[c] if c in following else self._next(v), leaf)
+                following[c] = v
 
     @staticmethod
     def _build_extremes(node) -> None:
@@ -203,38 +237,40 @@ class DynamicIndex:
 
     # -- exact tags --------------------------------------------------------------
 
-    def _tag_min(self, value, leaf=None) -> int:
-        """Height of the highest ancestor whose live min exceeds prev(value)."""
-        prev = self._prev(value)
-        node = self.tree.leaf_for(value) if leaf is None else leaf
-        if node.submin is None or node.submin <= prev:
+    @staticmethod
+    def _tag_min(prev, leaf) -> int:
+        """hmin of a value in `leaf` whose prev is `prev`: the height of its
+        highest ancestor whose live min exceeds prev."""
+        if leaf.submin is None or leaf.submin <= prev:
             return -1
         h = 0
-        p = node.parent
+        p = leaf.parent
         while p is not None and p.submin > prev:
             h = p.height
             p = p.parent
         return h
 
-    def _tag_max(self, value, leaf=None) -> int:
-        nxt = self._next(value)
+    @staticmethod
+    def _tag_max(nxt, leaf) -> int:
+        """hmax of a value in `leaf` whose next is `nxt` (None past its
+        color's last)."""
         if nxt is None:
             nxt = _INF
-        node = self.tree.leaf_for(value) if leaf is None else leaf
-        if node.submax is None or node.submax >= nxt:
+        if leaf.submax is None or leaf.submax >= nxt:
             return -1
         h = 0
-        p = node.parent
+        p = leaf.parent
         while p is not None and p.submax < nxt:
             h = p.height
             p = p.parent
         return h
 
-    def _retag_min(self, value, leaf=None) -> None:
-        self.hmin[value] = self._tag_min(value, leaf)
+    def brute_tag_min(self, value) -> int:
+        """hmin(value) from scratch: a `by_color` bisect and a descent."""
+        return self._tag_min(self._prev(value), self.tree.leaf_for(value))
 
-    def _retag_max(self, value, leaf=None) -> None:
-        self.hmax[value] = self._tag_max(value, leaf)
+    def brute_tag_max(self, value) -> int:
+        return self._tag_max(self._next(value), self.tree.leaf_for(value))
 
     # -- updates ----------------------------------------------------------------
 
@@ -247,61 +283,66 @@ class DynamicIndex:
         value = check_coordinate(value)
         if value in self.colors:
             raise DuplicateX(value)
-        # the maps come first, so a rebuild's _attach_all already sees value
+        # the maps come first, so a rebuild's _attach_all already sees value;
+        # the bisect that places value also finds its same-color neighbours
         self.colors[value] = color
-        insort(self.by_color.setdefault(color, []), value)
+        same = self.by_color.setdefault(color, [])
+        i = bisect_left(same, value)
+        e_p = same[i - 1] if i else PREV_SENTINEL
+        e_n = same[i] if i < len(same) else None
+        same.insert(i, value)
         ev = self.tree.insert(value)
         if ev["rebuilt"]:
             self._attach_all()
             return
 
-        e_p = self._prev(value)
-        e_n = self._next(value)
-
-        rebuilt_leaves = set()
-        for _, left, right, h in ev["splits"]:
+        splits = ev["splits"]
+        fresh = ()  # the halves of a leaf split, whose rows are rebuilt
+        for _, left, right, h in splits:
             # both halves get fresh lists below, once their children have
             # theirs; until then the list updates pass them by
             left.extremes = right.extremes = None
             if h == 0:
-                left.dstruct = self._leaf_store(left)
-                right.dstruct = self._leaf_store(right)
-                rebuilt_leaves.add(id(left))
-                rebuilt_leaves.add(id(right))
+                fresh = (left, right)
+                self._leaf_stores(fresh)
         leaf = ev["leaf"]
-        if not rebuilt_leaves:
+        if leaf not in fresh:
             leaf.dstruct.insert(value, e_p, color)
         nleaf = None
         if e_n is not None:
             # prev(e_n) changed from e_p to value
-            nleaf = self.tree.leaf_for(e_n)
-            if id(nleaf) not in rebuilt_leaves:
+            nleaf = self.tree.leaf_near(e_n, leaf)
+            if nleaf not in fresh:
                 nleaf.dstruct.update_prev(e_n, value)
 
         self._extremes_insert(value, color, e_p, e_n, leaf, nleaf)
-        for _, left, right, _ in ev["splits"]:
+        for _, left, right, _ in splits:
             self._build_extremes(left)
             self._build_extremes(right)
 
-        self._retag_min(value, leaf)
-        self._retag_max(value, leaf)
+        if not splits or splits[0][3] > self.tree.loglog:
+            # (a split at most loglog high rescans value's leaf below)
+            self.hmin[value] = self._tag_min(e_p, leaf)
+            self.hmax[value] = self._tag_max(e_n, leaf)
         if e_n is not None:
-            self._retag_min(e_n, nleaf)
+            self.hmin[e_n] = self._tag_min(value, nleaf)
         if e_p != PREV_SENTINEL:
-            self._retag_max(e_p)
+            self.hmax[e_p] = self._tag_max(value,
+                                           self.tree.leaf_near(e_p, leaf))
 
-        for parent, left, right, h in ev["splits"]:
+        for parent, left, right, h in splits:
             self._split_refresh(parent, left, right, h)
 
     def delete(self, value: int) -> None:
         if value not in self.colors:
             raise NotFound(value)
-        e_p = self._prev(value)
-        e_n = self._next(value)
         color = self.colors.pop(value)
-        lst = self.by_color[color]
-        del lst[bisect_left(lst, value)]
-        if not lst:
+        same = self.by_color[color]
+        i = bisect_left(same, value)
+        e_p = same[i - 1] if i else PREV_SENTINEL
+        e_n = same[i + 1] if i + 1 < len(same) else None
+        del same[i]
+        if not same:
             del self.by_color[color]
         del self.hmin[value], self.hmax[value]
         ev = self.tree.delete(value)
@@ -312,13 +353,13 @@ class DynamicIndex:
         leaf.dstruct.delete(value)
         nleaf = None
         if e_n is not None:
-            nleaf = self.tree.leaf_for(e_n)
+            nleaf = self.tree.leaf_near(e_n, leaf)
             nleaf.dstruct.update_prev(e_n, e_p)
         self._extremes_delete(value, color, e_p, e_n, leaf, nleaf)
         if e_n is not None:
-            self._retag_min(e_n, nleaf)
+            self.hmin[e_n] = self._tag_min(e_p, nleaf)
         if e_p != PREV_SENTINEL:
-            self._retag_max(e_p)
+            self.hmax[e_p] = self._tag_max(e_n, self.tree.leaf_near(e_p, leaf))
 
     # -- color extremes ------------------------------------------------------------
 
@@ -390,23 +431,21 @@ class DynamicIndex:
         half, Λ of the left half, and for a fresh root each color's first and
         last value.
         """
-        if height <= self.tree.loglog:
-            for node in (left, right):
-                for lf in self.tree.leaves_under(node):
-                    for v in lf.values:
-                        self._retag_min(v, lf)
-                        self._retag_max(v, lf)
+        tree = self.tree
+        if height <= tree.loglog:
+            self._retag_leaves(tree.leaves_under(left)
+                               + tree.leaves_under(right))
         else:
             for v in right.extremes.fvals:
-                self._retag_min(v)
+                self.hmin[v] = self.brute_tag_min(v)
             for v in left.extremes.lvals:
-                self._retag_max(v)
-        if parent is self.tree.root and parent.height == height + 1 and \
+                self.hmax[v] = self.brute_tag_max(v)
+        if parent is tree.root and parent.height == height + 1 and \
                 len(parent.children) == 2:
             # fresh root: every global color extreme gained a level
             for lst in self.by_color.values():
-                self._retag_min(lst[0])
-                self._retag_max(lst[-1])
+                self.hmin[lst[0]] = self.brute_tag_min(lst[0])
+                self.hmax[lst[-1]] = self.brute_tag_max(lst[-1])
 
     # -- queries -----------------------------------------------------------------
 
@@ -417,10 +456,9 @@ class DynamicIndex:
         a = max(a, 1)  # no point lies below 1, and prev 0 must stay below a
         if meter is not None:
             meter.locate_ops += 1
-        e = self.tree.succ(a)
-        if e is None or e > b:
+        leaf, i = self.tree.succ_slot(a)
+        if leaf is None or leaf.values[i] > b:
             return []
-        leaf = self.tree.leaf_for(e)
         u = self.tree.dyn_hra(leaf, a, b)
         if u is None:
             return leaf.dstruct.query(a, b, meter)
@@ -451,12 +489,6 @@ class DynamicIndex:
         return out
 
     # -- test hooks ----------------------------------------------------------------
-
-    def brute_tag_min(self, value) -> int:
-        return self._tag_min(value)
-
-    def brute_tag_max(self, value) -> int:
-        return self._tag_max(value)
 
     def left_set(self, node) -> list:
         """Left(u): the ceil(sqrt(n(u))) smallest color-minima under node."""

@@ -8,12 +8,19 @@ after n0/2 deletions, or when the size grows past 2 * n0.
 
 Each node stores its routing separators seps[j] = m of child j+1 (assigned at
 split/build time from a then-live minimum, never updated afterwards), plus
-exact live submin/submax used by the dynamic index for height tags.
+exact live submin/submax used by the dynamic index for height tags. An insert
+widens them along its path. A delete recomputes a node's bounds from its
+children only where the deleted value was the node's min or max: where it was
+neither, every higher ancestor's min lies below it and max above it, so the
+walk stops changing bounds there (sizes and deletion counts still go up the
+whole path). A split leaves its parent's live set, and so its bounds, as they
+were.
 
 Per leaf, the highest-range-ancestor structure is two flat monotone arrays:
 K1 holds all left values (m_j(u) for j <= i at an i-node u) bottom-up, which
 never increase toward the root; K2 holds all right values, which never
-decrease. Both searches are plain binary searches (Facts 4-5).
+decrease. Each is a key list (K1 negated, so both ascend) beside a parallel
+list of the nodes, and both searches are one `bisect` (Facts 4-5).
 """
 
 from __future__ import annotations
@@ -30,7 +37,8 @@ MAX_CHILDREN = 4 * BRANCHING
 
 class WbLeaf:
     __slots__ = ("values", "parent", "height", "deleted", "exempt_lower",
-                 "prev_leaf", "next_leaf", "k1", "k2", "dstruct", "extremes")
+                 "prev_leaf", "next_leaf", "k1keys", "k1nodes", "k2keys",
+                 "k2nodes", "dstruct", "extremes")
 
     def __init__(self, values):
         self.values = values          # sorted live values
@@ -40,8 +48,10 @@ class WbLeaf:
         self.exempt_lower = False     # rightmost-at-level build artifact
         self.prev_leaf = None
         self.next_leaf = None
-        self.k1 = []                  # [(m, node)] bottom-up, non-increasing
-        self.k2 = []                  # [(m, node)] bottom-up, non-decreasing
+        self.k1keys = []              # -m bottom-up, non-decreasing
+        self.k1nodes = []             # the node of each K1 entry
+        self.k2keys = []              # m bottom-up, non-decreasing
+        self.k2nodes = []             # the node of each K2 entry
         self.dstruct = None           # client payload (the leaf store)
         self.extremes = None          # client payload (color extremes)
 
@@ -158,13 +168,29 @@ class WbTree:
             node = node.children[node.route(value)]
         return node
 
-    def succ(self, value) -> Optional[int]:
-        """Smallest live value >= value."""
+    def leaf_near(self, value, leaf) -> WbLeaf:
+        """The leaf holding the live `value`, looked for first in `leaf` and
+        its two neighbours by their first and last values; one descent only
+        when all three miss (an emptied leaf lies between)."""
+        for lf in (leaf, leaf.next_leaf, leaf.prev_leaf):
+            if lf is not None and lf.values and \
+                    lf.values[0] <= value <= lf.values[-1]:
+                return lf
+        return self.leaf_for(value)
+
+    def succ_slot(self, value) -> tuple:
+        """(leaf, i) with leaf.values[i] the smallest live value >= value,
+        or (None, 0) when there is none."""
         leaf = self.leaf_for(value)
         i = bisect.bisect_left(leaf.values, value)
         while leaf is not None and i >= len(leaf.values):
             leaf = leaf.next_leaf
             i = 0
+        return leaf, i
+
+    def succ(self, value) -> Optional[int]:
+        """Smallest live value >= value."""
+        leaf, i = self.succ_slot(value)
         return None if leaf is None else leaf.values[i]
 
     def pred(self, value) -> Optional[int]:
@@ -195,6 +221,7 @@ class WbTree:
                 stack.extend(n.children)
 
     def leaves_under(self, node) -> list:
+        """The leaves under node, in value order."""
         if node.is_leaf():
             return [node]
         out = []
@@ -204,7 +231,7 @@ class WbTree:
             if n.is_leaf():
                 out.append(n)
             else:
-                stack.extend(n.children)
+                stack.extend(reversed(n.children))
         return out
 
     # -- updates -------------------------------------------------------------
@@ -255,10 +282,14 @@ class WbTree:
         self.size -= 1
         self.deleted_total += 1
         node = leaf.parent
+        stale = True  # value was the min or max of the node below
         while node is not None:
             node.size -= 1
             node.deleted += 1
-            node._refresh_extremes()
+            if stale:
+                stale = value == node.submin or value == node.submax
+                if stale:
+                    node._refresh_extremes()
             node = node.parent
         if self.deleted_total >= max(1, self.n0 // 2):
             self.rebuild(list(self.iter_values()))
@@ -318,7 +349,6 @@ class WbTree:
             parent.children.insert(idx + 1, right)
             parent.seps.insert(idx, sep)
             right.parent = parent
-            parent._refresh_extremes()
         for lf in self.leaves_under(parent):
             self._refresh_hra(lf)
         return node, right
@@ -326,18 +356,20 @@ class WbTree:
     # -- highest range ancestor ----------------------------------------------
 
     def _refresh_hra(self, leaf: WbLeaf) -> None:
-        k1, k2 = [], []
+        k1keys, k1nodes, k2keys, k2nodes = [], [], [], []
         node = leaf
         while node.parent is not None:
             parent = node.parent
             idx = parent.children.index(node)
             for m in reversed(parent.seps[:idx]):
-                k1.append((m, parent))
+                k1keys.append(-m)
+                k1nodes.append(parent)
             for m in parent.seps[idx:]:
-                k2.append((m, parent))
+                k2keys.append(m)
+                k2nodes.append(parent)
             node = parent
-        leaf.k1 = k1
-        leaf.k2 = k2
+        leaf.k1keys, leaf.k1nodes = k1keys, k1nodes
+        leaf.k2keys, leaf.k2nodes = k2keys, k2nodes
 
     def dyn_hra(self, leaf: WbLeaf, a, b) -> Optional[WbNode]:
         """Highest ancestor u with a < m_i(u) <= b for some i >= 2, or None.
@@ -347,26 +379,10 @@ class WbTree:
         ends at the highest node with a qualifying left value; symmetrically
         for K2 (values > a, non-decreasing, search <= b).
         """
-        k1, k2 = leaf.k1, leaf.k2
-        u1 = u2 = None
-        lo, hi = 0, len(k1)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if k1[mid][0] > a:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo > 0:
-            u1 = k1[lo - 1][1]
-        lo, hi = 0, len(k2)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if k2[mid][0] <= b:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo > 0:
-            u2 = k2[lo - 1][1]
+        i = bisect.bisect_left(leaf.k1keys, -a)   # entries m > a
+        u1 = leaf.k1nodes[i - 1] if i else None
+        i = bisect.bisect_right(leaf.k2keys, b)   # entries m <= b
+        u2 = leaf.k2nodes[i - 1] if i else None
         if u1 is None:
             return u2
         if u2 is None:
@@ -393,8 +409,17 @@ class WbTree:
     def check_k_monotone(self) -> None:
         leaf = self.first_leaf
         while leaf is not None:
-            v1 = [m for m, _ in leaf.k1]
-            v2 = [m for m, _ in leaf.k2]
-            assert all(x >= y for x, y in zip(v1, v1[1:])), "K1 not non-increasing"
+            v1, v2 = leaf.k1keys, leaf.k2keys
+            assert len(v1) == len(leaf.k1nodes) and len(v2) == len(leaf.k2nodes)
+            assert all(x <= y for x, y in zip(v1, v1[1:])), "K1 not non-increasing"
             assert all(x <= y for x, y in zip(v2, v2[1:])), "K2 not non-decreasing"
             leaf = leaf.next_leaf
+
+    def check_bounds(self) -> None:
+        """Every node's submin/submax is the min/max of the live values under
+        it, or None when it holds none."""
+        for node in self.iter_nodes():
+            vals = [v for lf in self.leaves_under(node) for v in lf.values]
+            want = (min(vals), max(vals)) if vals else (None, None)
+            assert (node.submin, node.submax) == want, \
+                f"stale bounds at height {node.height}"

@@ -37,10 +37,10 @@ def dynamic_route(idx, a: int, b: int) -> str:
     (the leaf store of succ(a)) or "lists" (the color-extreme lists of the
     children of a range ancestor)."""
     tree = idx.tree
-    e = tree.succ(a)
-    if e is None or e > b:
+    leaf, i = tree.succ_slot(a)
+    if leaf is None or leaf.values[i] > b:
         return "empty"
-    return "leaf" if tree.dyn_hra(tree.leaf_for(e), a, b) is None else "lists"
+    return "leaf" if tree.dyn_hra(leaf, a, b) is None else "lists"
 
 
 def check_extremes(idx, live: dict) -> None:

@@ -1,4 +1,5 @@
 import random
+from bisect import bisect_left
 
 import pytest
 
@@ -420,3 +421,96 @@ def test_leaf_rows_track_prev_links():
             assert list(zip(d.vals, d.prevs, d.cols)) == \
                 [(v, idx._prev(v), idx.colors[v]) for v in leaf.values], step
     assert splits >= 5 and rebuilds >= 2
+
+
+def test_neighbour_leaf_lookup():
+    """An update finds the leaves of its same-color neighbours in its own
+    leaf or the two beside it, and descends again only when an emptied leaf
+    lies between: in the same leaf, the next, the previous, beyond an
+    emptied leaf, and in the other half of a leaf split by the insert."""
+    step = 10
+    base = DynamicIndex([ColoredPoint(step * i, 0) for i in range(1, 2001)])
+    leaves = base.tree.leaves_under(base.tree.root)
+    assert len(leaves) >= 16
+    live = {step * i: 0 for i in range(1, 2001)}
+    # colors 1-3 each mark the neighbours of one case in the leaves it needs
+    for lf, i, c in ((2, 10, 1), (2, 30, 1), (4, -3, 2), (6, 3, 2),
+                     (8, 5, 3), (12, 5, 3)):
+        live[leaves[lf].values[i]] = c
+    idx = DynamicIndex([ColoredPoint(v, c) for v, c in sorted(live.items())])
+    tree = idx.tree
+    leaves = tree.leaves_under(tree.root)
+
+    def update(op, value, color=None):
+        """Apply op, check the lists and the exact tags of value and its
+        same-color neighbours, and return the tree descents the op made."""
+        color = live.get(value, color)
+        descents = []
+        descend = tree.leaf_for
+        tree.leaf_for = lambda v: descents.append(v) or descend(v)
+        try:
+            if op == "insert":
+                idx.insert(value, color)
+                live[value] = color
+            else:
+                idx.delete(value)
+                del live[value]
+        finally:
+            del tree.leaf_for
+        check_extremes(idx, live)
+        same = sorted(v for v, c in live.items() if c == color)
+        i = bisect_left(same, value)
+        for v in same[max(i - 1, 0):i + 2]:
+            assert idx.hmin[v] == idx.brute_tag_min(v), (op, value, v)
+            assert idx.hmax[v] == idx.brute_tag_max(v), (op, value, v)
+        return len(descents)
+
+    def marked(color):
+        return [v for v, c in sorted(live.items()) if c == color]
+
+    leaf_of = tree.leaf_for
+
+    # same leaf: both neighbours in the value's own leaf
+    p, n = marked(1)
+    v = p + step * 10 + 1
+    assert leaf_of(p) is leaf_of(v) is leaf_of(n)
+    assert update("insert", v, 1) == 1
+    assert update("delete", v) == 1
+
+    # the previous and the next leaf
+    p, n = marked(2)
+    v = leaves[5].values[50] + 1
+    assert leaf_of(p) is leaves[4] and leaf_of(n) is leaves[6]
+    assert update("insert", v, 2) == 1
+    assert update("delete", v) == 1
+
+    # beyond an emptied leaf on either side: one more descent per neighbour
+    for lf in (leaves[9], leaves[11]):
+        for w in list(lf.values):
+            update("delete", w)
+        assert not lf.values
+    p, n = marked(3)
+    v = leaves[10].values[50] + 1
+    assert leaf_of(p) is leaves[8] and leaf_of(n) is leaves[12]
+    assert update("insert", v, 3) == 3
+    assert update("delete", v) == 3
+
+    # the other half of a leaf split by the insert: fill the leaf one short
+    # of its split, place the neighbour, then insert the value that splits
+    # it, in the left half with its next right of the middle (color 4) or in
+    # the right half with its prev left of it (color 5)
+    cap = tree._capacity(0)
+    mid = (cap + 1) // 2  # the left half's size after the split
+    for lf, color, (nb_slot, v_slot) in ((leaves[14], 4, (10, -10)),
+                                         (leaves[15], 5, (-10, 10))):
+        free = (w + d for w in list(lf.values) for d in (5, 3))
+        while len(lf.values) < cap - 1:
+            update("insert", next(free), 0)
+        # +1 of any value is free: the fill used offsets 3 and 5 only
+        nb, v = (lf.values[mid + s] + 1 for s in (nb_slot, v_slot))
+        update("insert", nb, color)
+        assert len(lf.values) == cap
+        assert update("insert", v, color) == 1
+        right = lf.next_leaf
+        assert len(lf.values) == mid and right.prev_leaf is lf
+        assert {leaf_of(nb), leaf_of(v)} == {lf, right}

@@ -3,8 +3,9 @@
 Hypothesis drives random sequences of insert, delete and query on SlowIndex
 and DynamicIndex, plus k_leftmost and k_rightmost on SlowIndex; every answer
 is compared with the oracles over the model's live points and must hold each
-color once. A third machine checks the dynamic index's per-node color
-extremes against a recomputation after every update.
+color once. At the end of a run the dynamic index's color extremes and node
+bounds are checked against a recomputation; a third machine checks the color
+extremes after every update.
 """
 
 import random
@@ -102,6 +103,7 @@ class DynamicIndexMachine(_IndexMachine):
     def teardown(self):
         if self.index is not None:
             check_extremes(self.index, self.live)
+            self.index.tree.check_bounds()
 
 
 class ExtremesMachine(DynamicIndexMachine):

@@ -1,3 +1,4 @@
+import bisect
 import random
 
 import pytest
@@ -194,3 +195,41 @@ def test_split_frequency_bound():
         budget = 2 * inserts / ((8 ** h) * t.leaf_param) + t.size / (
             (8 ** h) * t.leaf_param) + 2
         assert cnt <= budget, (h, cnt, budget)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_bounds_exact_after_deletes(seed):
+    """submin/submax stay exact through delete-heavy streams that take the
+    minimum and maximum of whole subtrees and empty whole leaves, and a
+    height-1 node, with a few inserts between."""
+    rng = random.Random(seed)
+    # 18 leaves: two full height-1 nodes and a last one of two leaves
+    t = WbTree(rng.sample(range(1, 60_000), 2592))
+    assert t.root.height == 2 and len(t.root.children[-1].children) == 2
+    live = sorted(t.iter_values())
+    emptied = 0
+    for step in range(300):
+        r = rng.random()
+        if step % 75 == 40:  # empty the leaf of a random value
+            leaf = t.leaf_for(rng.choice(live))
+            for v in list(leaf.values):
+                t.delete(v)
+                live.remove(v)
+            emptied += 1
+        elif r < 0.1:
+            v = rng.randrange(1, 60_000)
+            if v not in t:
+                t.insert(v)
+                bisect.insort(live, v)
+        else:
+            v = live[0] if r < 0.4 else live[-1] if r < 0.7 else \
+                rng.choice(live)
+            t.delete(v)
+            live.remove(v)
+        t.check_bounds()
+    last = t.root.children[-1]  # empty a whole height-1 node
+    for v in [v for lf in t.leaves_under(last) for v in lf.values]:
+        t.delete(v)
+        t.check_bounds()
+    assert last.submin is None and last.submax is None
+    assert emptied == 4 and t.deleted_total < t.n0 // 2  # no rebuild
