@@ -377,10 +377,10 @@ class DynamicIndex:
                     e.add_first(value, e_p, color)
                 if e_n is None or e_n > hi:
                     e.add_last(value, color)
-                else:
+                    if e_p >= lo:
+                        e.drop_last(e_p)  # value now follows e_p in node
+                elif e_p < lo:
                     e.drop_first(e_n)  # value now precedes e_n in node
-                if e_p >= lo:
-                    e.drop_last(e_p)  # value now follows e_p in node
             node = node.parent
         if e_n is not None:
             DynamicIndex._move_first_prev(e_n, value, nleaf, leaf)
@@ -389,14 +389,17 @@ class DynamicIndex:
     def _extremes_delete(value, color, e_p, e_n, leaf, nleaf) -> None:
         """Lists after deleting value, which had prev e_p and next e_n (or
         None), from `leaf`; e_n lies in `nleaf`. A node emptied by the
-        delete has submin and submax None."""
+        delete has submin and submax None. Value was in F(node) iff e_p
+        lies below node, and in Λ(node) iff e_n lies above it."""
         node = leaf
         while node is not None:
             e = node.extremes
             if e is not None:
-                e.drop_first(value)
-                e.drop_last(value)
                 lo, hi = node.submin, node.submax
+                if lo is None or e_p < lo:
+                    e.drop_first(value)
+                if e_n is None or hi is None or e_n > hi:
+                    e.drop_last(value)
                 # e_n now follows e_p in node, or is first there
                 if e_n is not None and hi is not None and e_n <= hi \
                         and e_p < lo:

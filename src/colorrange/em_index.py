@@ -235,7 +235,8 @@ class EmIndex:
             meta[:5]
         _require(self.cap >= 1 and self.nleaves == -(-n // self.cap)
                  and nlevels >= 0, "directory size")
-        self.level_base, nagg = fallback_levels(n, self.cap, self.nleaves)
+        self.level_base, nagg = fallback_levels(n, self.cap, self.nleaves,
+                                                2 * self.cap)
         # separator level start blocks, root level first
         self.levels = meta[5:5 + nlevels]
         self._descent = self.levels + (self.vals_start,)
@@ -373,10 +374,9 @@ class EmIndex:
             if len(keys) <= 1:
                 break
             levels.append(store.write_region(K_SEP, keys)[0])
-        _, offsets, keys, pos = first_points(lay)
+        _, offsets, prevpos, pos = first_points(lay, 2 * cap)
         first_start, _ = store.write_region(K_FIRST, [x for r in zip(
-            (keys % (n + 1) - 1).tolist(), [colors[i] for i in pos.tolist()])
-            for x in r])
+            prevpos, [colors[i] for i in pos.tolist()]) for x in r])
         leaf_psts = [_build_block_pst(store, list(zip(values[lo:lo + cap],
                                                       prevs[lo:lo + cap],
                                                       colors[lo:lo + cap])))
@@ -520,7 +520,7 @@ class EmIndex:
         aligned block the first points with prevpos < j, read page by page."""
         r, _ = self._locate(b + 1, meter, locate=False)
         leaves, groups = leaf_cover(j // self.cap, (r - 1) // self.cap,
-                                    self.level_base)
+                                    self.level_base, 2)
         out: list = []
         for leaf in leaves:
             self._pst(self.leaf_dir[leaf][0], a, b, out, meter)

@@ -2,27 +2,29 @@
 
 Layout (`TreeLayout`): a balanced binary tree whose leaves hold `cap`
 consecutive points. Each internal node stores its middle value m(u) = min of
-the right subtree, and each leaf its highest-range-ancestor arrays K1/K2. One
-list store holds, for every node, leaves included, R(u): the last point of
-each color in u, the `cap` largest kept, and L(u): the first point of each
-color in u, the `cap` smallest kept, both by value ascending. A leaf holds
-at most `cap` points, so its R and L list every color it holds. `StaticIndex`
-uses the layout with cap = ceil(log2 N) and keeps it in memory; `EmIndex`
-uses it with cap = B * ceil(log_B N) and pages it into blocks.
+the right subtree. One list store holds R(u): the last point of each color
+in u, the `cap` largest kept, and L(u): the first point of each color in u,
+the `cap` smallest kept, both by value ascending, only where they are read:
+R and L on every leaf, R on left internal children, L on right internal
+children, none on the root. A leaf holds at most `cap` points, so its R and
+L list every color it holds. `StaticIndex` uses the layout with cap =
+ceil(log2 N) and keeps it in memory; `EmIndex` uses it with cap = B *
+ceil(log_B N) and pages it into blocks.
 
-A query locates succ(a) with one binary search, asks its leaf for the
-highest range ancestor u with a < m(u) <= b via two monotone searches
-(Facts 2-3), then reads answers off R(u_l) and L(u_r). A range with no such
-ancestor lies in one leaf and is answered by that leaf's Cartesian tree
-(`LeafArrays`). A full-length R(u_l) whose smallest value exceeds a, or
+A query locates succ(a) with one binary search and asks its leaf for the
+highest range ancestor u with a < m(u) <= b (Facts 2-3): two `bisect` calls
+on the leaf's run of one flat K store, K2 (right parents) top-down and then
+K1 (left parents) bottom-up, which ascends by m. It then reads answers off
+R(u_l) and L(u_r). A range with no such ancestor lies in one leaf and is
+answered by that leaf's Cartesian tree (`LeafArrays`). A full-length R(u_l) whose smallest value exceeds a, or
 L(u_r) whose largest value is below b, may leave colors out, and the range
 then holds at least log N colors; that O(1) test sends the query to
 `ArrayFallback` before either list is walked. The fallback answers any range
-in O(log N + k): the edge leaves from their R and L, at most two single
-interior leaves from their Cartesian trees, and the other interior leaves as
-at most two aligned blocks per level, each of which keeps the first point of
-every color it holds sorted by the position of that point's predecessor, so
-one `searchsorted` finds every block's reported prefix.
+in O(log N + k): the edge leaves from their R and L, and the interior leaves
+as at most two aligned blocks per level, from blocks of one leaf up, each of
+which keeps the first point of every color it holds sorted by the position
+of that point's predecessor, so one `bisect` per block finds its reported
+prefix.
 
 The answer stream is duplicate-free by construction, so there is no dedup
 pass. Every route reports a point e of [a, b] only if prev(e) < a, which
@@ -42,6 +44,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from array import array
 from typing import Optional, Sequence
 
 import numpy as np
@@ -69,13 +72,13 @@ class _TreeNode:
 
 class TreeLayout:
     """The static tree over `points` (strictly ascending values >= 1, color
-    ids >= 0) with leaves of `cap` consecutive points, K1/K2, and the list
-    store: a node's R entries are [r_lo, r_hi) of `last_v`/`last_c`, its L
-    entries [l_lo, l_hi) of `first_v`/`first_p`/`first_c` (prev in
-    `first_p`), each by value ascending and holding the layout's own value,
-    prev and color objects. `prevpos` is the position of each point's
-    predecessor, -1 for none; only the builds read it, and `StaticIndex`
-    drops it once built."""
+    ids >= 0) with leaves of `cap` consecutive points, and the list store:
+    a node's R entries are [r_lo, r_hi) of `last_v`/`last_c`, its L entries
+    [l_lo, l_hi) of `first_v`/`first_p`/`first_c` (prev in `first_p`), each
+    by value ascending and holding the layout's own value, prev and color
+    objects; a list the node does not keep is an empty cut. `prevpos` is
+    the position of each point's predecessor, -1 for none; only the builds
+    read it, and `StaticIndex` drops it once built."""
 
     def __init__(self, points: Sequence[ColoredPoint], cap: int):
         self.values = [p.value for p in points]
@@ -100,19 +103,6 @@ class TreeLayout:
         inner: list[_TreeNode] = []
         self.root = self._build_tree(0, self.nleaves, inner) if self.nleaves else None
         self._build_lists(self.leaves + inner)
-        # per-leaf highest-range-ancestor arrays (Fact 3 monotone), entries
-        # (m, node): K1 the left parents bottom-up (m ascending), K2 the
-        # right parents (m descending)
-        self.k1: list[list] = []
-        self.k2: list[list] = []
-        for node in self.leaves:
-            k1, k2 = [], []
-            while node.parent is not None:
-                parent = node.parent
-                (k1 if parent.left is node else k2).append((parent.m, parent))
-                node = parent
-            self.k1.append(k1)
-            self.k2.append(k2)
 
     def _build_tree(self, lo: int, hi: int, inner: list) -> _TreeNode:
         node = _TreeNode()
@@ -131,9 +121,10 @@ class TreeLayout:
         return node
 
     def _build_lists(self, nodes: list) -> None:
-        """R and L of every node. A point of a node's points [s, e) is its
-        color's first there if its predecessor lies before s, its last if
-        its successor lies at or after e."""
+        """R of the leaves and left children, L of the leaves and right
+        children. A point of a node's points [s, e) is its color's first
+        there if its predecessor lies before s, its last if its successor
+        lies at or after e."""
         n, cap, prevpos = self.n, self.cap, self.prevpos
         pos = np.arange(n, dtype=np.int64)
         nextpos = np.full(n, n, dtype=np.int64)
@@ -143,11 +134,14 @@ class TreeLayout:
         r = l = 0
         for node in nodes:
             s, e = node.leaf_lo * cap, min(node.leaf_hi * cap, n)
-            lasts.append(s + np.flatnonzero(nextpos[s:e] >= e)[-cap:])
-            firsts.append(s + np.flatnonzero(prevpos[s:e] < s)[:cap])
+            parent, leaf = node.parent, node.left is None
             node.r_lo, node.l_lo = r, l
-            r += len(lasts[-1])
-            l += len(firsts[-1])
+            if leaf or parent is not None and parent.left is node:
+                lasts.append(s + np.flatnonzero(nextpos[s:e] >= e)[-cap:])
+                r += len(lasts[-1])
+            if leaf or parent is not None and parent.right is node:
+                firsts.append(s + np.flatnonzero(prevpos[s:e] < s)[:cap])
+                l += len(firsts[-1])
             node.r_hi, node.l_hi = r, l
         vals, prevs, colors = self.values, self.prevs, self.colors
         lasts = np.concatenate([pos[:0], *lasts]).tolist()
@@ -181,12 +175,13 @@ class TreeLayout:
                 if p < a]
 
 
-def fallback_levels(n: int, cap: int, nleaves: int) -> tuple:
+def fallback_levels(n: int, cap: int, nleaves: int, size: int) -> tuple:
     """(level_base, block count) of the aligned blocks over `n` points in
-    leaves of `cap`: level l >= 1 cuts the points into blocks of cap * 2^l
-    for each l that a range of interior leaves, at most nleaves - 2 of them,
-    can fill; level_base holds the global id of each level's block 0."""
-    level_base, nblocks, size = [], 0, 2 * cap
+    leaves of `cap`: level l cuts the points into blocks of size * 2^l, from
+    the smallest block `size` (a leaf or two) up, for each l that a range
+    of interior leaves, at most nleaves - 2 of them, can fill; level_base
+    holds the global id of each level's block 0."""
+    level_base, nblocks = [], 0
     while size <= (nleaves - 2) * cap:
         level_base.append(nblocks)
         nblocks += -(-n // size)
@@ -194,60 +189,52 @@ def fallback_levels(n: int, cap: int, nleaves: int) -> tuple:
     return level_base, nblocks
 
 
-def first_points(layout: TreeLayout) -> tuple:
-    """The aligned blocks' first points: (level_base, block_start, keys,
-    pos). A block keeps the first point of each color it holds, the points
-    whose predecessor lies before the block, ordered by the predecessor's
-    position prevpos (-1 for none). Block g's entries are [block_start[g],
-    block_start[g + 1]) of the int64 arrays `keys`, which holds
-    g * (n + 1) + prevpos + 1 and so ascends, and `pos`, the points' own
-    positions."""
-    n, cap = layout.n, layout.cap
-    level_base, nblocks = fallback_levels(n, cap, layout.nleaves)
+def first_points(layout: TreeLayout, size: int) -> tuple:
+    """The aligned blocks' first points, from blocks of `size` points up:
+    (level_base, block_start, prevpos, pos). A block keeps the first point
+    of each color it holds, the points whose predecessor lies before the
+    block, ordered by the predecessor's position prevpos (-1 for none).
+    Block g's entries are [block_start[g], block_start[g + 1]) of the
+    `array("q")` `prevpos`, which ascends within each block, and of the
+    int64 array `pos`, the points' own positions."""
+    n = layout.n
+    level_base, _ = fallback_levels(n, layout.cap, layout.nleaves, size)
     prevpos = layout.prevpos
     pos = np.arange(n, dtype=np.int64)
-    keys, firsts = [pos[:0]], [pos[:0]]
-    size = 2 * cap
-    for base in level_base:
+    counts, keys, firsts = [pos[:0]], [pos[:0]], [pos[:0]]
+    for _ in level_base:
         block = pos // size
         first = prevpos < block * size
-        key = (base + block[first]) * (n + 1) + prevpos[first] + 1
-        order = np.argsort(key, kind="stable")
-        keys.append(key[order])
+        order = np.lexsort((prevpos[first], block[first]))
+        counts.append(np.bincount(block[first], minlength=-(-n // size)))
+        keys.append(prevpos[first][order])
         firsts.append(pos[first][order])
         size *= 2
-    keys = np.concatenate(keys)
-    block_start = keys.searchsorted(
-        np.arange(nblocks + 1, dtype=np.int64) * (n + 1)).tolist()
-    return level_base, block_start, keys, np.concatenate(firsts)
+    block_start = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+    return (level_base, array("q", block_start.astype(np.int64).tobytes()),
+            array("q", np.concatenate(keys).astype(np.int64).tobytes()),
+            np.concatenate(firsts))
 
 
-def leaf_cover(lo: int, hi: int, level_base: Sequence[int]) -> tuple:
+def leaf_cover(lo: int, hi: int, level_base: list, size: int) -> tuple:
     """Leaves [lo, hi] as (single leaves, aligned blocks): the edge leaves
-    lo and hi and at most two single interior leaves, then the other
-    interior leaves as at most two aligned blocks per level."""
+    lo and hi, then the interior leaves as at most two aligned blocks per
+    level, from blocks of `size` leaves (1 or 2) up. With 2, the level of
+    one leaf gives at most two single interior leaves."""
     if lo == hi:
         return [lo], []
-    leaves = [lo, hi]
+    leaves, blocks = [lo, hi], []
     lo += 1
-    if lo & 1 and lo < hi:
-        leaves.append(lo)
-        lo += 1
-    if hi & 1 and lo < hi:
-        hi -= 1
-        leaves.append(hi)
-    lo >>= 1
-    hi >>= 1
-    blocks = []
-    for base in level_base:
+    for base in [None] * (size - 1) + level_base:
         if lo >= hi:
             break
+        out, base = (leaves, 0) if base is None else (blocks, base)
         if lo & 1:
-            blocks.append(base + lo)
+            out.append(base + lo)
             lo += 1
         if hi & 1:
             hi -= 1
-            blocks.append(base + hi)
+            out.append(base + hi)
         lo >>= 1
         hi >>= 1
     return leaves, blocks
@@ -318,17 +305,17 @@ class LeafArrays:
 class ArrayFallback:
     """Color reporting over any range of a `TreeLayout` in O(log N + k).
 
-    The range's points split by `leaf_cover`: the leaf of succ(a) reports
-    its colors with a point >= a (`TreeLayout.suffix`), the leaf of pred(b)
-    its first points <= b with prev < a (`prefix`), and each single
-    interior leaf, like a range inside one leaf, its points with prev < a
-    (`LeafArrays.window`). A list entry that `prefix` takes and drops
-    belongs to a color reported earlier in the range, so the leaves touch
-    at most 2k entries. The other interior leaves fill aligned blocks of
-    `first_points`, whose `keys` are kept with the entries' colors at the
-    same index of `firsts`, so the entries of block g with prevpos < j end
-    at `keys.searchsorted(g * (n + 1) + j + 1)`. That makes sum over l of
-    min(N, C * N / (cap * 2^l)) entries for C colors.
+    A range inside one leaf is that leaf's `LeafArrays.window`. Otherwise
+    its points split by `leaf_cover`: the leaf of succ(a) reports its
+    colors with a point >= a (`TreeLayout.suffix`), the leaf of pred(b) its
+    first points <= b with prev < a (`prefix`), and the interior leaves
+    fill aligned blocks of `first_points`, from blocks of one leaf up. A
+    list entry that `prefix` takes and drops belongs to a color reported
+    earlier in the range, so the edge leaves touch at most 2k entries. The
+    blocks' prevpos `keys` are kept with the entries' colors at the same
+    index of `firsts`, so the entries of block g with prevpos < j end at
+    `bisect_left(keys, j, block_start[g], block_start[g + 1])`. That makes
+    sum over l >= 0 of min(N, C * N / (cap * 2^l)) entries for C colors.
 
     A block strictly after succ(a) = point j lies inside the range, and each of
     its entries with prevpos < j is the first point of its color in the whole
@@ -342,8 +329,8 @@ class ArrayFallback:
         self.values = layout.values
         self.cap = layout.cap
         self.layout, self.leaves = layout, leaves
-        self.stride = layout.n + 1
-        self.level_base, self.block_start, self.keys, pos = first_points(layout)
+        self.level_base, self.block_start, self.keys, pos = first_points(
+            layout, layout.cap)
         # the colors by reference, so an entry costs one list slot
         colors = layout.colors
         self.firsts = [colors[i] for i in pos.tolist()]
@@ -358,26 +345,19 @@ class ArrayFallback:
         if j >= r:
             return []
         lo, hi = j // self.cap, (r - 1) // self.cap
-        leaves = self.leaves
         if lo == hi:
-            return leaves.window(lo, j, r, a, meter)
-        singles, blocks = leaf_cover(lo, hi, self.level_base)
+            return self.leaves.window(lo, j, r, a, meter)
+        _, blocks = leaf_cover(lo, hi, self.level_base, 1)
         out = self.layout.suffix(lo, a, meter)
-        for leaf in singles[2:]:  # whole leaves
-            first = leaf * self.cap
-            out += leaves.window(leaf, first, first + self.cap, a, meter)
-        out += self.layout.prefix(hi, a, b, meter)
-        if not blocks:
-            return out
-        stride, bound = self.stride, j + 1
-        ends = self.keys.searchsorted([g * stride + bound for g in blocks]).tolist()
-        start, firsts = self.block_start, self.firsts
         k = len(out)
-        for g, e in zip(blocks, ends):
-            out += firsts[start[g]:e]
+        keys, start, firsts = self.keys, self.block_start, self.firsts
+        for g in blocks:
+            s = start[g]
+            out += firsts[s:bisect.bisect_left(keys, j, s, start[g + 1])]
         if meter is not None:
             meter.locate_ops += len(blocks)
             meter.touches += len(out) - k
+        out += self.layout.prefix(hi, a, b, meter)
         return out
 
 
@@ -386,9 +366,28 @@ class StaticIndex(TreeLayout):
         points = list(points)
         # floor of 2 so that N = 2 stays a single leaf
         super().__init__(points, max(2, math.ceil(math.log2(max(len(points), 2)))))
+        # the flat K store: leaf i's entries are [koff[i], koff[i + 1]) of
+        # the middle values `km` and their nodes `kn`: its right parents
+        # top-down (K2), then its left parents bottom-up (K1), m ascending
+        self.km, self.kn, self.koff = [], [], array("q", [0])
+        for node in self.leaves:
+            k1, k2 = [], []
+            while node.parent is not None:
+                parent = node.parent
+                (k1 if parent.left is node else k2).append(parent)
+                node = parent
+            run = k2[::-1] + k1
+            self.kn += run
+            self.km += [u.m for u in run]
+            self.koff.append(len(self.kn))
         self.leaf_arrays = LeafArrays(self)
         self.fallback = ArrayFallback(self, self.leaf_arrays)
         del self.prevpos  # read only by the builds above
+
+    k1 = property(lambda self: _KPairs(self, True),
+                  doc="Per leaf, its left parents bottom-up as (m, node).")
+    k2 = property(lambda self: _KPairs(self, False),
+                  doc="Per leaf, its right parents bottom-up as (m, node).")
 
     # -- queries -----------------------------------------------------------
 
@@ -408,37 +407,21 @@ class StaticIndex(TreeLayout):
     def hra_query(self, leaf_idx: int, a: int, b: int, meter=None) -> Optional[_TreeNode]:
         """Highest ancestor u of the leaf with a < m(u) <= b, else None.
 
-        Requires a nonempty S(leaf) intersection with [a, b]. Two monotone searches: the highest
-        left parent with m <= b (K1 ascends) and the highest right parent with
-        m > a (K2 descends); the higher of the two is the answer.
+        The leaf's K entries hold its ancestors' middle values ascending, so
+        the ancestors with a < m <= b are the run of entries between two
+        bisections. Along the entries the heights fall (K2, top-down) and
+        then rise (K1, bottom-up), so the higher end of the run is the
+        answer.
         """
-        k1 = self.k1[leaf_idx]
-        k2 = self.k2[leaf_idx]
-        u1 = u2 = None
-        lo, hi = 0, len(k1)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if k1[mid][0] <= b:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo > 0:
-            u1 = k1[lo - 1][1]
-        lo, hi = 0, len(k2)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if k2[mid][0] > a:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo > 0:
-            u2 = k2[lo - 1][1]
+        koff, km = self.koff, self.km
+        end = koff[leaf_idx + 1]
+        i = bisect.bisect_right(km, a, koff[leaf_idx], end)
+        e = bisect.bisect_right(km, b, i, end)
         if meter is not None:
             meter.locate_ops += 1
-        if u1 is None:
-            return u2
-        if u2 is None:
-            return u1
+        if i == e:
+            return None
+        u1, u2 = self.kn[i], self.kn[e - 1]
         return u1 if u1.height >= u2.height else u2
 
     def query(self, a: int, b: int, meter=None) -> list:
@@ -483,3 +466,20 @@ class StaticIndex(TreeLayout):
             if first_p[i] < a:
                 out.append(first_c[i])
         return out
+
+
+class _KPairs:
+    """`k1[leaf]`/`k2[leaf]` of a `StaticIndex`: the leaf's (m, node) pairs
+    bottom-up, read off the flat K store. The K2 entries are those with m
+    at most the leaf's first value."""
+
+    def __init__(self, index: StaticIndex, left: bool):
+        self.index, self.left = index, left
+
+    def __getitem__(self, leaf: int) -> list:
+        idx = self.index
+        s, e = idx.koff[leaf], idx.koff[leaf + 1]
+        cut = bisect.bisect_right(idx.km, idx.values[leaf * idx.cap], s, e)
+        if self.left:
+            return list(zip(idx.km[cut:e], idx.kn[cut:e]))
+        return list(zip(idx.km[s:cut], idx.kn[s:cut]))[::-1]

@@ -11,7 +11,7 @@ from colorrange.core import (ColoredPoint, CostMeter, DuplicateX, InvalidColor,
                              oracle_report)
 from colorrange.em_index import EmIndex
 from colorrange.static_index import (ArrayFallback, LeafArrays, StaticIndex,
-                                     TreeLayout)
+                                     TreeLayout, leaf_cover)
 from conftest import random_instance
 
 
@@ -83,8 +83,10 @@ def test_e1_shape(e1):
     left, right = idx.root.left, idx.root.right
     assert left is idx.leaves[0] and right.left is idx.leaves[1]
     assert _lists(idx, left) == ([(3, 1), (5, 0)], [(1, 0, 0), (3, 0, 1)])
-    assert _lists(idx, right) == ([(12, 0), (15, 2), (20, 1)],
-                                  [(7, 0, 2), (9, 3, 1), (12, 5, 0)])
+    # a right internal child keeps only L, and the root neither list
+    assert _lists(idx, right) == ([], [(7, 0, 2), (9, 3, 1), (12, 5, 0)])
+    assert _lists(idx, idx.root) == ([], [])
+    assert (len(idx.last_v), len(idx.first_v)) == (7, 10)
     # root middle value = first point of the right subtree
     assert idx.root.m == idx.values[idx.root.right.leaf_lo * idx.cap]
 
@@ -92,22 +94,27 @@ def test_e1_shape(e1):
 def _brute_lists(layout, node) -> tuple:
     """R and L of a node by their definition: per color its largest and its
     smallest point in the node, the `cap` largest maxima and the `cap`
-    smallest minima kept, by value ascending."""
+    smallest minima kept, by value ascending. R is kept on leaves and left
+    children, L on leaves and right children, neither on the root; a list
+    not kept is empty."""
     last, first = {}, {}
     for j in range(node.leaf_lo * layout.cap,
                    min(node.leaf_hi * layout.cap, layout.n)):
         c = layout.colors[j]
         last[c] = (layout.values[j], c)
         first.setdefault(c, (layout.values[j], layout.prevs[j], c))
-    return (sorted(last.values())[-layout.cap:],
-            sorted(first.values())[:layout.cap])
+    leaf, parent = node.left is None, node.parent
+    keep_r = leaf or parent is not None and parent.left is node
+    keep_l = leaf or parent is not None and parent.right is node
+    return (sorted(last.values())[-layout.cap:] if keep_r else [],
+            sorted(first.values())[:layout.cap] if keep_l else [])
 
 
 @given(st.data())
 @settings(max_examples=150, deadline=None)
 def test_list_store_matches_definition(data):
     # every node's R and L, leaves included, against the definition; the
-    # nodes' cuts tile the list store
+    # nodes' cuts, empty for a list not kept, tile the list store
     n = data.draw(st.integers(0, 300), label="n")
     cap = data.draw(st.integers(2, 8), label="cap")
     ncolors = data.draw(st.integers(1, max(1, n)), label="colors")
@@ -198,6 +205,58 @@ def test_facts_2_3_on_random_instances():
                 node = p
 
 
+def test_hra_query_matches_upward_walk():
+    # the flat K store's two bisections give the highest ancestor with
+    # a < m <= b that a walk up from the leaf finds, for every leaf
+    rng = random.Random(29)
+    found = 0
+    for _ in range(60):
+        n = rng.randrange(1, 400)
+        u = n + rng.randrange(0, 2 * n)
+        idx = StaticIndex(random_instance(rng, n, u, rng.randrange(1, 20)))
+        for leaf in range(idx.nleaves):
+            for _ in range(20):
+                a = rng.randrange(0, u + 2)
+                b = rng.randrange(a, u + 2)
+                want, node = None, idx.leaves[leaf]
+                while node.parent is not None:
+                    node = node.parent
+                    if a < node.m <= b:
+                        want = node
+                meter = CostMeter()
+                assert idx.hra_query(leaf, a, b, meter) is want, (leaf, a, b)
+                assert meter.locate_ops == 1
+                found += want is not None
+    assert found > 1000
+
+
+def test_static_layout_entry_counts():
+    # what the static index stores on one fixed instance, by entry counts:
+    # a list kept where no query reads it, a second copy of the K store or
+    # a change to the fallback's levels changes them
+    idx = StaticIndex(random_instance(random.Random(71), 1 << 12, 1 << 15, 200))
+    assert (idx.n, idx.cap, idx.nleaves) == (1 << 12, 12, 342)
+    # list slots: R as (value, color), L as (value, prev, color)
+    r, l = len(idx.last_v), len(idx.first_v)
+    assert (r, l) == (len(idx.last_c), len(idx.first_c)) == (5501, 6533)
+    assert len(idx.first_p) == l and 2 * r + 3 * l == 30601  # 7.47 per point
+    # K: one (m, node) entry per leaf and ancestor, the sum of leaf depths
+    depths = 0
+    for leaf in idx.leaves:
+        while leaf.parent is not None:
+            depths, leaf = depths + 1, leaf.parent
+    assert len(idx.km) == len(idx.kn) == depths == 2908
+    assert len(idx.koff) == idx.nleaves + 1
+    # fallback: one (prevpos, color) entry per first point of a block, over
+    # nine levels from blocks of one leaf up; 5.22 per point
+    fb = idx.fallback
+    assert len(fb.keys) == len(fb.firsts) == 21371
+    assert len(fb.level_base) == 9 and len(fb.block_start) == 687
+    assert sorted(k for k, v in vars(idx).items() if isinstance(v, list)) == [
+        "colors", "first_c", "first_p", "first_v", "km", "kn", "last_c",
+        "last_v", "leaves", "prevs", "values"]
+
+
 class _FallbackSpy:
     """Counts the queries that reach the array fallback (a full R/L list was
     exhausted) and keeps their ranges."""
@@ -217,12 +276,12 @@ class _LeafSpy:
     """A fallback's leaf lookups (`LeafArrays.window` and the layout's edge
     lists, `suffix` and `prefix`) that tallies, apart from the caller's
     meter, the cost and the number of colors of the lookups it answers, and
-    the calls of each lookup shape (a window of a whole leaf as "whole")."""
+    the calls of each lookup."""
 
     def __init__(self, leaves, layout):
         self.leaves, self.layout = leaves, layout
         self.tally = {"touches": 0, "locate_ops": 0, "colors": 0}
-        self.shapes = dict.fromkeys(("window", "whole", "suffix", "prefix"), 0)
+        self.shapes = dict.fromkeys(("window", "suffix", "prefix"), 0)
 
     def __getattr__(self, name):
         lookup = getattr(self.leaves if name == "window" else self.layout, name)
@@ -231,11 +290,7 @@ class _LeafSpy:
             *args, meter = args
             own = CostMeter()
             out = lookup(*args, own)
-            if name == "window" and args[1] == args[0] * self.leaves.cap \
-                    and args[2] == args[1] + self.leaves.cap:
-                self.shapes["whole"] += 1
-            else:
-                self.shapes[name] += 1
+            self.shapes[name] += 1
             self.tally["touches"] += own.touches
             self.tally["locate_ops"] += own.locate_ops
             self.tally["colors"] += len(out)
@@ -291,6 +346,42 @@ def test_fallback_answers_every_range_small():
     assert same_leaf > 0 and across > 0
 
 
+def test_fallback_searches_level0_blocks():
+    # the interior leaves of a range are aligned blocks from one leaf up:
+    # each block searched is one locate op, each color it reports one
+    # touch, and no leaf's Cartesian tree is walked; an interior of one
+    # leaf is that leaf's level-0 block
+    rng = random.Random(67)
+    level0 = one_leaf = 0
+    for _ in range(20):
+        n = rng.randrange(40, 400)
+        pts = random_instance(rng, n, 2 * n, rng.randrange(1, 40))
+        idx = StaticIndex(pts)
+        fo = FastOracle(pts)
+        fallback, cap = idx.fallback, idx.cap
+        spy = _spy_leaves(fallback)
+        leaf_blocks = -(-idx.n // cap)  # level 0: block g is leaf g
+        for _ in range(300):
+            a = rng.randrange(1, 2 * n + 1)
+            b = rng.randrange(a, 2 * n + 1)
+            j = bisect.bisect_left(idx.values, a)
+            r = bisect.bisect_right(idx.values, b)
+            if j >= r or j // cap == (r - 1) // cap:
+                continue
+            lo, hi = j // cap, (r - 1) // cap
+            _, blocks = leaf_cover(lo, hi, fallback.level_base, 1)
+            windows = spy.shapes["window"]
+            out, touches, locate, colors = _array_part(fallback, a, b)
+            assert set(out) == fo.report(a, b) and len(out) == len(set(out))
+            assert spy.shapes["window"] == windows
+            assert locate == 1 + len(blocks) and touches == colors
+            level0 += sum(g < leaf_blocks for g in blocks)
+            if hi - lo == 2:
+                assert blocks == [lo + 1]
+                one_leaf += 1
+    assert level0 > 100 and one_leaf > 0
+
+
 def test_fallback_metering():
     # on the queries that reach the fallback, its array part counts one touch
     # per color it reports and one locate op for [a, b] plus one per block
@@ -332,17 +423,17 @@ def _permuted_leaves(rng, cap, nleaves):
 def test_leaf_shapes_exhaustive(cap):
     # every range of small layouts with leaves of `cap` points, through the
     # fallback: each lookup shape (a window inside one leaf, the suffix of
-    # the left edge leaf, the prefix of the right edge leaf, a whole single
-    # leaf) answers the oracle's colors once, the leaves touch at most
-    # 2k + 2 entries, and each leaf's Cartesian tree holds its points in
-    # order
+    # the left edge leaf, the prefix of the right edge leaf, a level-0
+    # block of one interior leaf) answers the oracle's colors once, the
+    # leaves touch at most 2k + 2 entries, and each leaf's Cartesian tree
+    # holds its points in order
     rng = random.Random(61 + cap)
     instances = [_permuted_leaves(rng, cap, 8)]
     for _ in range(4):
         n = rng.randrange(1, 12 * cap)
         u = n + rng.randrange(0, n // 2 + 2)
         instances.append(random_instance(rng, n, u, rng.randrange(1, n + 1)))
-    shapes = dict.fromkeys(("window", "whole", "suffix", "prefix"), 0)
+    shapes = dict.fromkeys(("window", "suffix", "prefix", "level0"), 0)
     for pts in instances:
         layout = TreeLayout(pts, cap)
         leaves = LeafArrays(layout)
@@ -361,12 +452,18 @@ def test_leaf_shapes_exhaustive(cap):
         fallback = ArrayFallback(layout, leaves)
         spy = _spy_leaves(fallback)
         fo = FastOracle(pts)
+        leaf_blocks = layout.nleaves  # level 0: block g is leaf g
         for a in range(1, u + 2):
+            lo = bisect.bisect_left(layout.values, a) // cap
             for b in range(a, u + 2):
                 out, _, _, _ = _array_part(fallback, a, b)
                 assert len(out) == len(set(out)), (pts, a, b, out)
                 assert set(out) == fo.report(a, b), (pts, a, b)
                 assert spy.tally["touches"] <= 2 * len(out) + 2, (pts, a, b)
+                hi = (bisect.bisect_right(layout.values, b) - 1) // cap
+                if lo < hi:
+                    _, blocks = leaf_cover(lo, hi, fallback.level_base, 1)
+                    shapes["level0"] += sum(g < leaf_blocks for g in blocks)
         for name, calls in spy.shapes.items():
             shapes[name] += calls
     assert min(shapes.values()) > 0, shapes
