@@ -49,12 +49,14 @@ class InvalidRange(ValueError):
 
 
 class InvalidColor(ValueError):
-    """A negative color id (ids index color arrays, where -1 aliases the
-    last), or one too large for an index file's u32 color count."""
+    """A color that is not an integer >= 0 (ids index color arrays), or one
+    too large for an index file's u32 color count."""
 
     def __init__(self, color):
-        super().__init__(f"negative color {color}" if color < 0 else
-                         f"color {color} too large for an index file")
+        big = not isinstance(color, bool) and hasattr(
+            type(color), "__index__") and color > 0
+        super().__init__(f"color {color} too large for an index file" if big
+                         else f"color {color!r} is not an integer >= 0")
         self.color = color
 
 
@@ -184,15 +186,26 @@ class ColArray:
 def check_coordinate(value) -> int:
     """`value` as an int, or InvalidCoordinate. Python and numpy integers
     pass; bools and floats do not (a float would be truncated silently)."""
-    if isinstance(value, bool):
+    if isinstance(value, bool) or not hasattr(type(value), "__index__") \
+            or not 1 <= value <= MAX_COORDINATE:
         raise InvalidCoordinate(value)
-    try:
-        v = operator.index(value)
-    except TypeError:
-        raise InvalidCoordinate(value) from None
-    if not 1 <= v <= MAX_COORDINATE:
-        raise InvalidCoordinate(value)
-    return v
+    return operator.index(value)
+
+
+def check_color(color) -> int:
+    """`color` as an int, or InvalidColor, by the same rule from 0 up."""
+    if isinstance(color, bool) or not hasattr(type(color), "__index__") \
+            or color < 0:
+        raise InvalidColor(color)
+    return operator.index(color)
+
+
+def check_colors(colors: list) -> None:
+    """`check_color` on each color, but only if their types or minimum fail
+    a fast test."""
+    if set(map(type, colors)) - {int} or colors and min(colors) < 0:
+        for c in colors:
+            check_color(c)
 
 
 def normalize_input(pairs: Iterable[tuple]) -> tuple[list[ColoredPoint], ColorRemap]:
@@ -230,15 +243,12 @@ def color_maps(points: Iterable[tuple]) -> tuple[dict, dict]:
     """The value -> color map and each color's sorted values of (value,
     color) pairs, the state an updatable index keeps prev/next links in.
 
-    Raises InvalidColor for a negative color, InvalidCoordinate for a value
-    outside [1, MAX_COORDINATE] (so the prev-sentinel 0 stays below every
-    value) and DuplicateX for a repeated value.
+    Raises InvalidColor, InvalidCoordinate for a value outside [1,
+    MAX_COORDINATE] (so the prev-sentinel 0 stays below every value) and
+    DuplicateX for a repeated value.
     """
-    pts = list(points)
-    for _, c in pts:
-        if c < 0:
-            raise InvalidColor(c)
-    items = sorted((check_coordinate(v), c) for v, c in pts)
+    items = sorted((check_coordinate(v), c) for v, c in points)
+    check_colors([c for _, c in items])
     colors = {v: c for v, c in items}
     if len(colors) < len(items):
         raise DuplicateX(next(v for (v, _), (w, _) in zip(items, items[1:])

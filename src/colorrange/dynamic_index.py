@@ -51,8 +51,8 @@ import math
 from bisect import bisect_left, bisect_right
 from typing import Iterable
 
-from .core import (ColoredPoint, DuplicateX, InvalidColor, InvalidRange,
-                   NotFound, PREV_SENTINEL, check_coordinate, color_maps)
+from .core import (ColoredPoint, DuplicateX, InvalidRange, NotFound,
+                   PREV_SENTINEL, check_color, check_coordinate, color_maps)
 from .pst import ColorPst
 from .wbtree import WbTree
 
@@ -278,9 +278,7 @@ class DynamicIndex:
         return len(self.colors)
 
     def insert(self, value: int, color: int) -> None:
-        if color < 0:
-            raise InvalidColor(color)
-        value = check_coordinate(value)
+        color, value = check_color(color), check_coordinate(value)
         if value in self.colors:
             raise DuplicateX(value)
         # the maps come first, so a rebuild's _attach_all already sees value;

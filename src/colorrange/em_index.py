@@ -18,9 +18,10 @@ K-array region); then come the values, B per block, the separator levels of
 a static B-ary tree over them (record j of a level is the largest value
 under block j of the level below; the root level is one block), the
 first-point region (K_FIRST), the leaf PSTs, the R/L lists of the non-root
-nodes in preorder, and per leaf its K records (side, m, height, R(u_l)
-ptr/len, L(u_r) ptr/len) bottom-up. Locating succ(a) and its value descends
-the separator levels and reads one value block, ceil(log_B N) reads in all.
+nodes in preorder, and per leaf its K run from the layout as records (m,
+height, R(u_l) ptr/len, L(u_r) ptr/len), m ascending. Locating succ(a) and
+its value descends the separator levels and reads one value block,
+ceil(log_B N) reads in all.
 Left children carry R(u) (per-color maxima, descending, stored as
 (v, 0, color)), right children carry L(u) (per-color minima, ascending, as
 (v, prev(v), color)), both capped at the leaf size and stored run-length
@@ -45,7 +46,7 @@ The per-leaf three-sided structure is a block-aware PST, built on the leaf's
 points. Each PST block stores its records in ascending x, so a query bisects
 [a, b] in a block it reads and tests y only on that slice; the work inside a
 block is not metered, since a read is one transfer however many of its
-records are examined. The serialized file format (version 3; only version 3
+records are examined. The serialized file format (version 4; only version 4
 is read) is little-endian: magic 'CRR1', version u16, N u64, B u32, C u32,
 block count u64, the CRC32 of these 30 bytes as u32, then the blocks, each as
 kind u8, record count u32, metadata count u32, the records and the metadata
@@ -54,12 +55,13 @@ blocks hold metadata, and a directory no records. `from_bytes` checks every CRC
 and those counts, and the constructor checks every directory entry, separator,
 K record, list pointer and PST child once, so a file that loads cannot make a
 query read outside the store or loop. It also checks what the query trusts
-without reading: every PST block's records strictly ascend by x (the in-block
-bisection), a PST child's (xlo, xhi, min y) are those of its subtree's records
-(the pruning), and the first-point offsets start at 0, never decrease and end
-at the region's record count, while within each aligned block prevpos never
-decreases and lies in [-1, the block's first position), and every color is
-below C. Any failure raises IndexFileError.
+without reading: every PST block's records strictly ascend by x and each
+leaf's K records by m (the bisections), a PST child's (xlo, xhi, min y) are
+those of its subtree's records (the pruning), and the first-point offsets
+start at 0, never decrease and end at the region's record count, while
+within each aligned block prevpos never decreases and lies in [-1, the
+block's first position), and every color is below C. Any failure raises
+IndexFileError.
 """
 
 from __future__ import annotations
@@ -73,12 +75,12 @@ from array import array
 from typing import Optional, Sequence
 
 from .core import (ColoredPoint, IndexFileError, InvalidColor, InvalidRange,
-                   check_coordinate)
+                   check_colors)
 from .static_index import (TreeLayout, fallback_levels, first_points,
                            leaf_cover)
 
 MAGIC = b"CRR1"
-VERSION = 3
+VERSION = 4
 HEADER = struct.Struct("<4sHQIIQ")  # magic, version, N, B, C, block count
 MAX_U32 = 2**32 - 1  # largest B and color count the header can hold
 SWAP = sys.byteorder == "big"  # the file's words are little-endian
@@ -90,7 +92,7 @@ K_PST = 3
 K_KARR = 4
 K_SEP = 5
 K_FIRST = 6
-_WIDTH = (0, 1, 3, 3, 7, 1, 2)  # words per record, by kind
+_WIDTH = (0, 1, 3, 3, 6, 1, 2)  # words per record, by kind
 
 
 def ceil_log(n: int, base: int) -> int:
@@ -302,14 +304,16 @@ class EmIndex:
                 g += 1
             size *= 2
 
+        # a leaf's K records are contiguous words; rec[w] is word w of each
         lists = set()
-        for _, k_start, k_len in self.leaf_dir:
+        for leaf, (_, k_start, k_len) in enumerate(self.leaf_dir):
             self._region(k_start, k_len, K_KARR, "K array")
-            for bid in range(k_start, k_start + -(-k_len // B)):
-                for side, _, _, rl_s, rl_n, lr_s, lr_n in self.store.block(bid)[1]:
-                    _require(side in (1, 2) and rl_n <= self.cap
-                             and lr_n <= self.cap, f"K record in block {bid}")
-                    lists.update(((rl_s, rl_n), (lr_s, lr_n)))
+            lo = bounds[2 * k_start] if k_len else 0
+            rec = [view[lo + w:lo + 6 * k_len:6] for w in range(6)]
+            _require(all(map(operator.lt, rec[0], rec[0][1:]))
+                     and max((*rec[3], *rec[5], 0)) <= self.cap,
+                     f"K records of leaf {leaf}")
+            lists.update(zip(rec[2], rec[3]), zip(rec[4], rec[5]))
         for start, length in lists:
             self._region(start, length, K_LIST, "R/L list")
 
@@ -352,9 +356,9 @@ class EmIndex:
                              "[2, 2^32 - 1]")
         B = operator.index(B)
         pts = list(points)
-        for p in pts:
-            check_coordinate(p.value)
-        ncolors = max((p.color for p in pts), default=-1) + 1
+        colors = [p.color for p in pts]
+        check_colors(colors)
+        ncolors = max(colors, default=-1) + 1
         if ncolors > MAX_U32:
             raise InvalidColor(ncolors - 1)
         n = len(pts)
@@ -402,18 +406,14 @@ class EmIndex:
             if node.left is not None:
                 stack += (node.right, node.left)
 
-        # per-leaf K arrays: (side, m, height, R(u_l) ptr/len, L(u_r) ptr/len)
+        # per leaf its K run: (m, height, R(u_l) ptr/len, L(u_r) ptr/len)
         meta = [cap, lay.nleaves, vals_start, first_start, len(levels),
                 *reversed(levels), *offsets]
-        for leaf, pst_root in zip(lay.leaves, leaf_psts):
-            entries = []
-            node = leaf
-            while node.parent is not None:
-                p = node.parent
-                entries += (1 if p.left is node else 2, p.m, p.height,
-                            *ptr[p.left], *ptr[p.right])
-                node = p
-            meta += (pst_root, *store.write_region(K_KARR, entries))
+        for leaf, pst_root in enumerate(leaf_psts):
+            run = lay.kn[lay.koff[leaf]:lay.koff[leaf + 1]]
+            meta += (pst_root, *store.write_region(K_KARR, [
+                x for u in run
+                for x in (u.m, u.height, *ptr[u.left], *ptr[u.right])]))
         store.words[0:0] = array("q", meta)  # into block 0, appended empty
         store.bounds[2:] = array("q", [x + len(meta) for x in store.bounds[2:]])
         return cls(store, n, ncolors)
@@ -435,18 +435,19 @@ class EmIndex:
         return j, view[i]
 
     def _hra(self, leaf_idx: int, a: int, b: int, meter=None) -> Optional[int]:
-        """K-array search; the chosen entry's word offset, or None. Entries
-        run bottom-up, so the highest range ancestor is the last one whose
-        side condition holds: m <= b for a left parent, m > a for a right
-        one."""
+        """The word offset of the highest range ancestor's K record, or None,
+        by the rule of `StaticIndex.hra_query` on the leaf's K blocks."""
         _, k_start, k_len = self.leaf_dir[leaf_idx]
-        view, best = self._view, None
-        for bid in range(k_start, k_start + -(-k_len // self.B)):
-            lo, hi = self.store.read(bid, meter, locate=True)
-            for o in range(lo, hi, 7):
-                if (view[o + 1] <= b) if view[o] == 1 else (view[o + 1] > a):
-                    best = o
-        return best
+        reads = [self.store.read(bid, meter, locate=True)
+                 for bid in range(k_start, k_start + -(-k_len // self.B))]
+        view, lo = self._view, reads[0][0] if reads else 0
+        ms = view[lo:lo + 6 * k_len:6]
+        i = bisect.bisect_right(ms, a)
+        e = bisect.bisect_right(ms, b, i)
+        if i == e:
+            return None
+        o1, o2 = lo + 6 * i, lo + 6 * (e - 1)
+        return o1 if view[o1 + 1] >= view[o2 + 1] else o2
 
     # -- reporting phase -------------------------------------------------------------
 
@@ -486,7 +487,7 @@ class EmIndex:
         # may leave colors out; one whose last entry is a (R) or b (L) holds
         # every color of its side
         view, cap, B = self._view, self.cap, self.B
-        rl_start, rl_len, lr_start, lr_len = view[entry + 3:entry + 7]
+        rl_start, rl_len, lr_start, lr_len = view[entry + 2:entry + 6]
         if (rl_len == cap and self._last_value(rl_start, rl_len, meter) > a
                 or lr_len == cap
                 and self._last_value(lr_start, lr_len, meter) < b):
@@ -582,7 +583,7 @@ class EmIndex:
         for bid, kind in enumerate(self.store.kinds):
             if kind != K_KARR:
                 continue
-            for _, _, _, rl_s, rl_n, lr_s, lr_n in self.store.block(bid)[1]:
+            for _, _, rl_s, rl_n, lr_s, lr_n in self.store.block(bid)[1]:
                 for start, length, sign in ((rl_s, rl_n, -1), (lr_s, lr_n, 1)):
                     ents = [e for lb in range(start, start + -(-length // self.B))
                             for e in self.store.block(lb)[1]]

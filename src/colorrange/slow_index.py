@@ -35,8 +35,8 @@ import bisect
 import math
 from typing import Iterable, Optional
 
-from .core import (DuplicateX, InvalidColor, InvalidRange, NotFound,
-                   PREV_SENTINEL, check_coordinate, color_maps)
+from .core import (DuplicateX, InvalidRange, NotFound, PREV_SENTINEL,
+                   check_color, check_coordinate, color_maps)
 
 LEAF_CUTOFF = 4
 
@@ -194,9 +194,7 @@ class SlowIndex:
     # -- updates --------------------------------------------------------------
 
     def insert(self, value, color) -> None:
-        if color < 0:
-            raise InvalidColor(color)
-        value = check_coordinate(value)
+        color, value = check_color(color), check_coordinate(value)
         if value in self.colors:
             raise DuplicateX(value)
         self.colors[value] = color

@@ -9,22 +9,23 @@ R and L on every leaf, R on left internal children, L on right internal
 children, none on the root. A leaf holds at most `cap` points, so its R and
 L list every color it holds. `StaticIndex` uses the layout with cap =
 ceil(log2 N) and keeps it in memory; `EmIndex` uses it with cap = B *
-ceil(log_B N) and pages it into blocks.
+ceil(log_B N) and pages it into blocks, each leaf's K run as its K records.
 
 A query locates succ(a) with one binary search and asks its leaf for the
-highest range ancestor u with a < m(u) <= b (Facts 2-3): two `bisect` calls
-on the leaf's run of one flat K store, K2 (right parents) top-down and then
-K1 (left parents) bottom-up, which ascends by m. It then reads answers off
-R(u_l) and L(u_r). A range with no such ancestor lies in one leaf and is
-answered by that leaf's Cartesian tree (`LeafArrays`). A full-length R(u_l) whose smallest value exceeds a, or
-L(u_r) whose largest value is below b, may leave colors out, and the range
-then holds at least log N colors; that O(1) test sends the query to
-`ArrayFallback` before either list is walked. The fallback answers any range
-in O(log N + k): the edge leaves from their R and L, and the interior leaves
-as at most two aligned blocks per level, from blocks of one leaf up, each of
-which keeps the first point of every color it holds sorted by the position
-of that point's predecessor, so one `bisect` per block finds its reported
-prefix.
+highest range ancestor u with a < m(u) <= b (Facts 2-3). The leaf's K run
+lists its ancestors by middle value ascending, right parents (K2) top-down
+and then left parents (K1) bottom-up, so two `bisect` calls cut out those
+with a < m <= b, and u is the higher end of that stretch. The query then
+reads answers off R(u_l) and L(u_r). A range with no such ancestor lies in
+one leaf and is answered by that leaf's Cartesian tree (`LeafArrays`). A
+full-length R(u_l) whose smallest value exceeds a, or L(u_r) whose largest
+value is below b, may leave colors out, and the range then holds at least
+log N colors; that O(1) test sends the query to `ArrayFallback` before
+either list is walked. The fallback answers any range in O(log N + k): the
+edge leaves from their R and L, and the interior leaves as at most two
+aligned blocks per level, from blocks of one leaf up, each of which keeps
+the first point of every color it holds sorted by the position of that
+point's predecessor, so one `bisect` per block finds its reported prefix.
 
 The answer stream is duplicate-free by construction, so there is no dedup
 pass. Every route reports a point e of [a, b] only if prev(e) < a, which
@@ -49,8 +50,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (ColoredPoint, DuplicateX, InvalidColor, InvalidCoordinate,
-                   InvalidRange, compute_prev)
+from .core import (MAX_COORDINATE, ColoredPoint, DuplicateX, InvalidRange,
+                   check_colors, check_coordinate, compute_prev)
 
 
 class _TreeNode:
@@ -71,26 +72,29 @@ class _TreeNode:
 
 
 class TreeLayout:
-    """The static tree over `points` (strictly ascending values >= 1, color
-    ids >= 0) with leaves of `cap` consecutive points, and the list store:
-    a node's R entries are [r_lo, r_hi) of `last_v`/`last_c`, its L entries
-    [l_lo, l_hi) of `first_v`/`first_p`/`first_c` (prev in `first_p`), each
-    by value ascending and holding the layout's own value, prev and color
-    objects; a list the node does not keep is an empty cut. `prevpos` is
-    the position of each point's predecessor, -1 for none; only the builds
-    read it, and `StaticIndex` drops it once built."""
+    """The static tree over `points` (integer values strictly ascending in
+    [1, MAX_COORDINATE], integer colors >= 0) with leaves of `cap`
+    consecutive points, the list store and the K store: a node's R entries
+    are [r_lo, r_hi) of `last_v`/`last_c`, its L entries [l_lo, l_hi) of
+    `first_v`/`first_p`/`first_c` (prev in `first_p`), by value ascending;
+    a list the node does not keep is an empty cut. Leaf i's K run is
+    [koff[i], koff[i + 1]) of the middle values `km` and their nodes `kn`.
+    `prevpos` is the position of each point's predecessor, -1 for none;
+    only the builds read it, and `StaticIndex` drops it once built."""
 
     def __init__(self, points: Sequence[ColoredPoint], cap: int):
-        self.values = [p.value for p in points]
-        self.colors = [p.color for p in points]
-        if min(self.colors, default=0) < 0:
-            raise InvalidColor(min(self.colors))
-        for u, v in zip(self.values, self.values[1:]):
+        self.values = values = [p.value for p in points]
+        self.colors = colors = [p.color for p in points]
+        check_colors(colors)
+        # a check per value only if their types or ends fail a fast test
+        if set(map(type, values)) - {int} or values and not (
+                1 <= values[0] and values[-1] <= MAX_COORDINATE):
+            for v in values:
+                check_coordinate(v)  # 0 is the prev-sentinel
+        for u, v in zip(values, values[1:]):
             if u >= v:
                 raise DuplicateX(v) if u == v else ValueError(
                     f"points must ascend by value: {v} after {u}")
-        if self.values and self.values[0] < 1:
-            raise InvalidCoordinate(self.values[0])  # 0 is the prev-sentinel
         self.prevs = compute_prev(points)
         prevs = np.asarray(self.prevs, dtype=np.int64)
         self.prevpos = np.where(prevs == 0, -1, np.searchsorted(
@@ -103,6 +107,18 @@ class TreeLayout:
         inner: list[_TreeNode] = []
         self.root = self._build_tree(0, self.nleaves, inner) if self.nleaves else None
         self._build_lists(self.leaves + inner)
+        # a parent above a left child is a K1 entry and goes after the run
+        # so far, one above a right child (K2) before it
+        self.kn, self.koff = [], array("q", [0])
+        for node in self.leaves:
+            run = []
+            while node.parent is not None:
+                parent = node.parent
+                run = run + [parent] if parent.left is node else [parent] + run
+                node = parent
+            self.kn += run
+            self.koff.append(len(self.kn))
+        self.km = [u.m for u in self.kn]
 
     def _build_tree(self, lo: int, hi: int, inner: list) -> _TreeNode:
         node = _TreeNode()
@@ -366,20 +382,6 @@ class StaticIndex(TreeLayout):
         points = list(points)
         # floor of 2 so that N = 2 stays a single leaf
         super().__init__(points, max(2, math.ceil(math.log2(max(len(points), 2)))))
-        # the flat K store: leaf i's entries are [koff[i], koff[i + 1]) of
-        # the middle values `km` and their nodes `kn`: its right parents
-        # top-down (K2), then its left parents bottom-up (K1), m ascending
-        self.km, self.kn, self.koff = [], [], array("q", [0])
-        for node in self.leaves:
-            k1, k2 = [], []
-            while node.parent is not None:
-                parent = node.parent
-                (k1 if parent.left is node else k2).append(parent)
-                node = parent
-            run = k2[::-1] + k1
-            self.kn += run
-            self.km += [u.m for u in run]
-            self.koff.append(len(self.kn))
         self.leaf_arrays = LeafArrays(self)
         self.fallback = ArrayFallback(self, self.leaf_arrays)
         del self.prevpos  # read only by the builds above
@@ -405,14 +407,8 @@ class StaticIndex(TreeLayout):
         return j // self.cap
 
     def hra_query(self, leaf_idx: int, a: int, b: int, meter=None) -> Optional[_TreeNode]:
-        """Highest ancestor u of the leaf with a < m(u) <= b, else None.
-
-        The leaf's K entries hold its ancestors' middle values ascending, so
-        the ancestors with a < m <= b are the run of entries between two
-        bisections. Along the entries the heights fall (K2, top-down) and
-        then rise (K1, bottom-up), so the higher end of the run is the
-        answer.
-        """
+        """Highest ancestor u of the leaf with a < m(u) <= b, else None:
+        the higher end of the K run's entries between two bisections."""
         koff, km = self.koff, self.km
         end = koff[leaf_idx + 1]
         i = bisect.bisect_right(km, a, koff[leaf_idx], end)

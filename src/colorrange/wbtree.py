@@ -16,11 +16,12 @@ walk stops changing bounds there (sizes and deletion counts still go up the
 whole path). A split leaves its parent's live set, and so its bounds, as they
 were.
 
-Per leaf, the highest-range-ancestor structure is two flat monotone arrays:
-K1 holds all left values (m_j(u) for j <= i at an i-node u) bottom-up, which
-never increase toward the root; K2 holds all right values, which never
-decrease. Each is a key list (K1 negated, so both ascend) beside a parallel
-list of the nodes, and both searches are one `bisect` (Facts 4-5).
+Per leaf, the highest-range-ancestor structure is one ascending run (Facts
+4-5): the left values (m_j(u) for j <= i at an i-node u) top-down, then the
+right values bottom-up, as a key list `kkeys` beside a parallel list of the
+nodes `knodes`. The ancestors with a value in (a, b] are the entries between
+two `bisect` calls, and the highest of them is at one end of that stretch,
+the rule the static indexes apply to their K runs.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ MAX_CHILDREN = 4 * BRANCHING
 
 class WbLeaf:
     __slots__ = ("values", "parent", "height", "deleted", "exempt_lower",
-                 "prev_leaf", "next_leaf", "k1keys", "k1nodes", "k2keys",
-                 "k2nodes", "dstruct", "extremes")
+                 "prev_leaf", "next_leaf", "kkeys", "knodes", "dstruct",
+                 "extremes")
 
     def __init__(self, values):
         self.values = values          # sorted live values
@@ -48,10 +49,8 @@ class WbLeaf:
         self.exempt_lower = False     # rightmost-at-level build artifact
         self.prev_leaf = None
         self.next_leaf = None
-        self.k1keys = []              # -m bottom-up, non-decreasing
-        self.k1nodes = []             # the node of each K1 entry
-        self.k2keys = []              # m bottom-up, non-decreasing
-        self.k2nodes = []             # the node of each K2 entry
+        self.kkeys = []               # the ancestors' m, ascending
+        self.knodes = []              # the node of each entry
         self.dstruct = None           # client payload (the leaf store)
         self.extremes = None          # client payload (color extremes)
 
@@ -158,7 +157,7 @@ class WbTree:
         node.exempt_lower = True
         self.first_leaf = leaves[0]
         for leaf in leaves:
-            self._refresh_hra(leaf)
+            leaf.kkeys, leaf.knodes = self._hra_run(leaf)
 
     # -- navigation ----------------------------------------------------------
 
@@ -350,43 +349,38 @@ class WbTree:
             parent.seps.insert(idx, sep)
             right.parent = parent
         for lf in self.leaves_under(parent):
-            self._refresh_hra(lf)
+            lf.kkeys, lf.knodes = self._hra_run(lf)
         return node, right
 
     # -- highest range ancestor ----------------------------------------------
 
-    def _refresh_hra(self, leaf: WbLeaf) -> None:
-        k1keys, k1nodes, k2keys, k2nodes = [], [], [], []
-        node = leaf
+    @staticmethod
+    def _hra_run(leaf: WbLeaf) -> tuple:
+        """(kkeys, knodes) of the leaf from its ancestors' separators: each
+        parent's left ones go before the run so far, its right ones after."""
+        keys, nodes, node = [], [], leaf
         while node.parent is not None:
             parent = node.parent
-            idx = parent.children.index(node)
-            for m in reversed(parent.seps[:idx]):
-                k1keys.append(-m)
-                k1nodes.append(parent)
-            for m in parent.seps[idx:]:
-                k2keys.append(m)
-                k2nodes.append(parent)
+            i, k = parent.children.index(node), len(parent.seps)
+            keys = parent.seps[:i] + keys + parent.seps[i:]
+            nodes = [parent] * i + nodes + [parent] * (k - i)
             node = parent
-        leaf.k1keys, leaf.k1nodes = k1keys, k1nodes
-        leaf.k2keys, leaf.k2nodes = k2keys, k2nodes
+        return keys, nodes
 
     def dyn_hra(self, leaf: WbLeaf, a, b) -> Optional[WbNode]:
         """Highest ancestor u with a < m_i(u) <= b for some i >= 2, or None.
 
-        Requires a nonempty S(leaf) intersection with [a, b]. K1 is non-increasing bottom-up and
-        all its values are <= b (Fact 4), so the deepest prefix of entries > a
-        ends at the highest node with a qualifying left value; symmetrically
-        for K2 (values > a, non-decreasing, search <= b).
+        Requires a nonempty S(leaf) intersection with [a, b]. The entries
+        with a < m <= b lie between two bisections of the ascending run;
+        heights fall along the left values (top-down) and rise along the
+        right ones (bottom-up), so u is the higher of the two ends.
         """
-        i = bisect.bisect_left(leaf.k1keys, -a)   # entries m > a
-        u1 = leaf.k1nodes[i - 1] if i else None
-        i = bisect.bisect_right(leaf.k2keys, b)   # entries m <= b
-        u2 = leaf.k2nodes[i - 1] if i else None
-        if u1 is None:
-            return u2
-        if u2 is None:
-            return u1
+        keys = leaf.kkeys
+        i = bisect.bisect_right(keys, a)
+        e = bisect.bisect_right(keys, b, i)
+        if i == e:
+            return None
+        u1, u2 = leaf.knodes[i], leaf.knodes[e - 1]
         return u1 if u1.height >= u2.height else u2
 
     # -- invariant checks (tests) ---------------------------------------------
@@ -407,12 +401,14 @@ class WbTree:
                     f"underfull node at height {node.height}: {gross} < {cap // 4}"
 
     def check_k_monotone(self) -> None:
+        """Every leaf's run never decreases and is the one its ancestors'
+        separators give now (a split that left it stale fails)."""
         leaf = self.first_leaf
         while leaf is not None:
-            v1, v2 = leaf.k1keys, leaf.k2keys
-            assert len(v1) == len(leaf.k1nodes) and len(v2) == len(leaf.k2nodes)
-            assert all(x <= y for x, y in zip(v1, v1[1:])), "K1 not non-increasing"
-            assert all(x <= y for x, y in zip(v2, v2[1:])), "K2 not non-decreasing"
+            keys = leaf.kkeys
+            assert all(x <= y for x, y in zip(keys, keys[1:])), \
+                "K run not non-decreasing"
+            assert (keys, leaf.knodes) == self._hra_run(leaf), "stale K run"
             leaf = leaf.next_leaf
 
     def check_bounds(self) -> None:

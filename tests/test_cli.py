@@ -109,7 +109,7 @@ def test_build_and_dump_roundtrip(tmp_path, capsys):
     doc = json.loads(out.strip().splitlines()[-1])
     assert doc["roundtrip_identical"] is True
     assert doc["n"] == 400 and doc["B"] == 8
-    assert doc["version"] == 3 and doc["locate_levels"] == 2  # 50 value blocks
+    assert doc["version"] == 4 and doc["locate_levels"] == 2  # 50 value blocks
     # 17 leaves of 24 points: aligned blocks of 48, 96 and 192 points, each
     # holding the first point of each of its (at most 12) colors
     assert doc["first_levels"] == 3 and doc["first_entries_per_point"] == 198 / 400

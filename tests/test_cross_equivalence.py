@@ -2,7 +2,10 @@
 
 import random
 
-from colorrange.core import (FastOracle, Range, oracle_k_leftmost,
+import pytest
+
+from colorrange.core import (ColoredPoint, FastOracle, InvalidColor,
+                             InvalidCoordinate, Range, oracle_k_leftmost,
                              oracle_k_rightmost, oracle_report)
 from colorrange.dynamic_index import DynamicIndex
 from colorrange.em_index import EmIndex
@@ -59,3 +62,31 @@ def test_left_end_below_one():
                 oracle_k_leftmost(pts, Range(a, b), k), (a, b, k)
             assert slow.k_rightmost(a, b, k) == \
                 oracle_k_rightmost(pts, Range(a, b), k), (a, b, k)
+
+
+_KINDS = {"static": StaticIndex, "em": lambda pts: EmIndex.build(pts, B=4),
+          "dynamic": DynamicIndex, "slow": SlowIndex}
+
+
+@pytest.mark.parametrize("kind", list(_KINDS))
+@pytest.mark.parametrize("point,error", [
+    pytest.param(ColoredPoint(15, 1.5), InvalidColor, id="color-float"),
+    pytest.param(ColoredPoint(15, "x"), InvalidColor, id="color-str"),
+    pytest.param(ColoredPoint(15, True), InvalidColor, id="color-bool"),
+    pytest.param(ColoredPoint(15, -1), InvalidColor, id="color-negative"),
+    pytest.param(ColoredPoint(1.5, 1), InvalidCoordinate, id="coord-float"),
+    pytest.param(ColoredPoint(True, 1), InvalidCoordinate, id="coord-bool"),
+    pytest.param(ColoredPoint(0, 1), InvalidCoordinate, id="coord-zero"),
+    pytest.param(ColoredPoint(2**70, 1), InvalidCoordinate, id="coord-2^70"),
+])
+def test_bad_input_raises_typed_error(kind, point, error):
+    # colors are integer ids >= 0 and coordinates integers in
+    # [1, 2^63 - 1], on every build, and on every insert that has one
+    good = [ColoredPoint(10, 0), ColoredPoint(20, 1)]
+    with pytest.raises(error):
+        _KINDS[kind](sorted(good + [point], key=lambda p: p.value))
+    idx = _KINDS[kind](good)
+    if hasattr(idx, "insert"):
+        with pytest.raises(error):
+            idx.insert(*point)
+        assert len(idx) == 2 and sorted(idx.query(1, 2**62)) == [0, 1]

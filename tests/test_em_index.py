@@ -16,6 +16,7 @@ from colorrange.core import (ColoredPoint, CostMeter, FastOracle,
                              InvalidRange, MAX_COORDINATE, Range, oracle_report)
 from colorrange.em_index import (HEADER, K_FIRST, K_KARR, K_PST, K_SEP,
                                   MAGIC, VERSION, EmIndex, ceil_log)
+from colorrange.static_index import TreeLayout
 from conftest import random_instance
 
 
@@ -44,8 +45,8 @@ def test_structural_audit_multilevel():
     # still loads, and the audit finds the list out of order
     data = idx.to_bytes()
     blocks = _decode(data).blocks
-    start = next(r[3] for kind, recs, _ in blocks if kind == K_KARR
-                 for r in recs if r[4] >= 2)
+    start = next(r[2] for kind, recs, _ in blocks if kind == K_KARR
+                 for r in recs if r[3] >= 2)
     bad = EmIndex.from_bytes(_rewritten(
         data, _set_block(start, recs=blocks[start][1][::-1])))
     with pytest.raises(IndexFileError):
@@ -86,6 +87,42 @@ def test_empty_and_tiny():
     idx = EmIndex.build([ColoredPoint(7, 0)], B=2)
     assert idx.query(1, 100) == [0]
     assert idx.query(8, 9) == []
+
+
+@pytest.mark.parametrize("B", [2, 3, 8, 64])
+def test_hra_matches_ancestor_scan(B):
+    # the record `_hra` picks is the highest ancestor of succ(a)'s leaf with
+    # a < m <= b in the layout the file was paged from, found in the leaf's
+    # K blocks alone
+    rng = random.Random(B)
+    for _ in range(6):
+        n = rng.randrange(1, 3000)
+        pts = random_instance(rng, n, 4 * n + 8, rng.randrange(1, 40))
+        idx = EmIndex.build(pts, B=B)
+        lay = TreeLayout(pts, idx.cap)
+        view, meter = idx._view, CostMeter()
+        for _ in range(300):
+            a = rng.randrange(1, 4 * n + 10)
+            b = rng.randrange(a, 4 * n + 10)
+            pos, v0 = idx._locate(a)
+            if pos >= n or v0 > b:
+                continue
+            want, node = None, lay.leaves[pos // idx.cap]
+            while node.parent is not None:
+                node = node.parent
+                if a < node.m <= b:
+                    want = node
+            meter.reset()
+            o = idx._hra(pos // idx.cap, a, b, meter)
+            k_len = idx.leaf_dir[pos // idx.cap][2]
+            assert meter.locate_ops == -(-k_len // B)
+            if want is None:
+                assert o is None, (a, b)
+                continue
+            m, height, _, rl_len, _, lr_len = view[o:o + 6]
+            assert (m, height, rl_len, lr_len) == (
+                want.m, want.height, want.left.r_hi - want.left.r_lo,
+                want.right.l_hi - want.right.l_lo), (a, b)
 
 
 def test_io_bound_reporting_phase():
@@ -170,10 +207,10 @@ def _all_answers(idx) -> list:
 
 
 def test_file_format_pinned():
-    # the digest of the version 3 file (separator levels, CRC32s and the
+    # the digest of the version 4 file (separator levels, CRC32s and the
     # first-point region); any change to these bytes must be deliberate
     assert hashlib.sha256(_small_file()).hexdigest() == (
-        "abade05b3b7bb5cd3b74ed5be35d4e2e800a74c4c1e51744e6eec83a014ec7f1")
+        "1ea2c4b62c427fac128aad900c98937ff9dca5bfb882230fe559a483bea30af6")
 
 
 def test_malformed_files_raise_index_file_error():
@@ -181,8 +218,8 @@ def test_malformed_files_raise_index_file_error():
     for cut in range(len(data)):
         with pytest.raises(IndexFileError):
             EmIndex.from_bytes(data[:cut])
-    old_version = data[:4] + struct.pack("<H", 2) + data[6:]
-    for bad in (data + b"\x00", old_version, b"CRR0" + data[4:]):
+    old_versions = [data[:4] + struct.pack("<H", v) + data[6:] for v in (2, 3)]
+    for bad in (data + b"\x00", *old_versions, b"CRR0" + data[4:]):
         with pytest.raises(IndexFileError):
             EmIndex.from_bytes(bad)
     assert EmIndex.from_bytes(data).to_bytes() == data
@@ -203,7 +240,7 @@ def test_bit_flips_detected():
         assert _all_answers(idx) == want, bit
 
 
-_WIDTH = (0, 1, 3, 3, 7, 1, 2)  # words per record, by block kind
+_WIDTH = (0, 1, 3, 3, 6, 1, 2)  # words per record, by block kind
 
 
 def _decode(data: bytes) -> types.SimpleNamespace:
@@ -327,11 +364,11 @@ def test_bad_pointers_raise_at_load():
         "K array outside file": _set_meta(0, leaf0 + 1, 10 ** 6),
         "K array length": _set_meta(0, leaf0 + 2, 4 * len(blocks)),
         "list pointer": _set_block(k_start, recs=(
-            karr[0][:3] + (10 ** 6,) + karr[0][4:],) + karr[1:]),
+            karr[0][:2] + (10 ** 6,) + karr[0][3:],) + karr[1:]),
         "list longer than cap": _set_block(k_start, recs=(
-            karr[0][:4] + (idx.cap + 1,) + karr[0][5:],) + karr[1:]),
-        "K record side": _set_block(k_start, recs=((0,) + karr[0][1:],)
-                                    + karr[1:]),
+            karr[0][:3] + (idx.cap + 1,) + karr[0][4:],) + karr[1:]),
+        "K records out of m order": _set_block(k_start, recs=(
+            karr[1], karr[0]) + karr[2:]),
         "separator value": _set_block(sep, recs=((1,),) + blocks[sep][1][1:]),
         "separator level count": _set_meta(0, 4, len(idx.levels) + 1),
         "values block kind": _set_block(idx.vals_start, kind=K_SEP),
