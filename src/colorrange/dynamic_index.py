@@ -32,27 +32,38 @@ change their prev below them, and for prev(x), whose Λ entries leave the
 nodes that hold both. A split rebuilds the lists of both halves from their
 children; a global rebuild rebuilds all of them.
 
-Work per update: one bisect into the color's `by_color` list places or
-removes x and names its neighbours prev(x) and next(x); one WbTree descent
-finds x's leaf. Each neighbour's leaf is found among x's leaf and the two
-beside it, with one more descent only when an emptied leaf lies between. The
-three exact tags (x's own, hmin of next(x), hmax of prev(x)) are one upward
-walk each from those leaves with the prev and next already known, and the
-lists are one walk up x's path plus next(x)'s path below the lowest common
-ancestor. A leaf split rebuilds both halves' rows, and a split up to loglog
-high retags its halves, in one pass each over the leaves, bisecting
-`by_color` once per color rather than once per value; a global rebuild does
-the same over all leaves. A query is one descent to the leaf of succ(a).
+State: each live value has one row in its leaf's store (`ColorPst`): the
+value, its prev, its color and its two tags. Besides the rows, the index
+keeps only the tree, the color extremes and `by_color`, each color's live
+values in sorted order. `colors`, `hmin` and `hmax` are read-only views of
+the rows, one descent and one row bisect per lookup; no query reads them.
+
+Work per update: the tree's own insert or delete is the duplicate or
+membership check and finds x's leaf, whose row gives a deleted x's color.
+One bisect into the color's `by_color` list then places or removes x and
+names its neighbours prev(x) and next(x). Each neighbour's leaf is found
+among x's leaf and the two beside it, with one more descent only when an
+emptied leaf lies between. The three exact tags (x's own, hmin of next(x),
+hmax of prev(x)) are one upward walk each from those leaves with the prev
+and next already known, written into the rows with x's insert, with next(x)'s
+new prev, and by one bisect in prev(x)'s leaf. The lists are one walk up
+x's path plus next(x)'s path below the lowest common ancestor. A leaf split
+cuts the old leaf's rows in two, and a split up to loglog high retags its
+halves in one pass over their rows, bisecting `by_color` once per color
+rather than once per value; a global rebuild makes fresh rows from
+`by_color` and retags all leaves the same way. A query is one descent to
+the leaf of succ(a).
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections.abc import ItemsView, Mapping
 from typing import Iterable
 
-from .core import (ColoredPoint, DuplicateX, InvalidRange, NotFound,
-                   PREV_SENTINEL, check_color, check_coordinate, color_maps)
+from .core import (ColoredPoint, InvalidRange, PREV_SENTINEL, check_color,
+                   check_coordinate, color_maps)
 from .pst import ColorPst
 from .wbtree import WbTree
 
@@ -167,33 +178,74 @@ class ColorExtremes:
             del self.lvals[i], self.lcols[i]
 
 
+class _RowView(Mapping):
+    """A read-only value -> column mapping over the leaf rows of a
+    DynamicIndex: one descent, then a row bisect."""
+
+    __slots__ = ("_index", "_column")
+
+    def __init__(self, index: "DynamicIndex", column: str):
+        self._index, self._column = index, column
+
+    def __getitem__(self, value):
+        store = self._index.tree.leaf_for(value).dstruct
+        return getattr(store, self._column)[store.index(value)]
+
+    def __iter__(self):
+        return self._index.tree.iter_values()
+
+    def __len__(self):
+        return len(self._index)
+
+    def items(self):
+        return _RowItems(self)
+
+
+class _RowItems(ItemsView):
+    """The (value, column entry) pairs of a `_RowView`, in one walk over
+    the leaf rows instead of one descent per value."""
+
+    def __iter__(self):
+        view = self._mapping
+        leaf = view._index.tree.first_leaf
+        while leaf is not None:
+            d = leaf.dstruct
+            yield from zip(d.vals, getattr(d, view._column))
+            leaf = leaf.next_leaf
+
+
 class DynamicIndex:
     def __init__(self, points: Iterable[ColoredPoint] = ()):
-        # value -> color, and each color's live values in sorted order
-        self.colors, self.by_color = color_maps(points)
-        self.tree = WbTree(self.colors)
-        self._attach_all()
+        colors, self.by_color = color_maps(points)
+        self.tree = WbTree(colors)
+        self._attach_all(colors)
+
+    # value -> color, hmin and hmax, read from the leaf rows
+    colors = property(lambda self: _RowView(self, "cols"))
+    hmin = property(lambda self: _RowView(self, "hmins"))
+    hmax = property(lambda self: _RowView(self, "hmaxs"))
 
     def _prev(self, value) -> int:
         lst = self.by_color[self.colors[value]]
         i = bisect_left(lst, value)
         return lst[i - 1] if i > 0 else PREV_SENTINEL
 
-    def _next(self, value):
+    def _next(self, value, color=None):
         """The next value of value's color, or None past its last."""
-        lst = self.by_color[self.colors[value]]
+        lst = self.by_color[self.colors[value] if color is None else color]
         i = bisect_right(lst, value)
         return lst[i] if i < len(lst) else None
 
     # -- bulk (re)construction ------------------------------------------------
 
-    def _attach_all(self) -> None:
+    def _attach_all(self, colors=None) -> None:
         """Rebuild leaf structures, color extremes and tags from the current
-        tree."""
-        self.hmin: dict = {}
-        self.hmax: dict = {}
+        tree; `colors` maps each value to its color, and defaults to one
+        read from `by_color`."""
+        if colors is None:
+            colors = {v: c for c, lst in self.by_color.items() for v in lst}
         leaves = self.tree.leaves_under(self.tree.root)
-        self._leaf_stores(leaves)
+        self._leaf_stores(leaves, colors)
         self._retag_leaves(leaves)
         # preorder puts every parent before its children, so its reverse
         # builds each node's lists after its children's
@@ -201,33 +253,33 @@ class DynamicIndex:
             if node is not self.tree.root:
                 self._build_extremes(node)
 
-    def _leaf_stores(self, leaves) -> None:
-        """Fresh (value, prev, color) rows for consecutive leaves, in order:
-        a prev is the run's previous value of its color, and only each
-        color's first value in the run bisects `by_color`."""
-        colors = self.colors
+    @staticmethod
+    def _leaf_stores(leaves, colors) -> None:
+        """Fresh (value, prev, color) rows for all leaves, in order: a prev
+        is the previous value of its color, PREV_SENTINEL for the first."""
         last: dict = {}
         for leaf in leaves:
             rows = []
             for v in leaf.values:
                 c = colors[v]
-                rows.append((v, last[c] if c in last else self._prev(v), c))
+                rows.append((v, last.get(c, PREV_SENTINEL), c))
                 last[c] = v
             leaf.dstruct = ColorPst(rows)
 
     def _retag_leaves(self, leaves) -> None:
-        """Exact tags for every value of consecutive leaves, in order: prev
-        from the leaf rows, next from one backward pass, and only each
-        color's last value in the run bisects `by_color`."""
-        hmin, hmax = self.hmin, self.hmax
+        """Exact tags for every row of consecutive leaves, in order: prev
+        from the row, next from one backward pass, and only each color's
+        last value in the run bisects `by_color`."""
         following: dict = {}
         for leaf in reversed(leaves):
             d = leaf.dstruct
-            for v, p, c in zip(reversed(d.vals), reversed(d.prevs),
-                               reversed(d.cols)):
-                hmin[v] = self._tag_min(p, leaf)
-                hmax[v] = self._tag_max(
-                    following[c] if c in following else self._next(v), leaf)
+            vals, prevs, cols = d.vals, d.prevs, d.cols
+            for k in range(len(vals) - 1, -1, -1):
+                v, c = vals[k], cols[k]
+                d.hmins[k] = self._tag_min(prevs[k], leaf)
+                d.hmaxs[k] = self._tag_max(
+                    following[c] if c in following else self._next(v, c),
+                    leaf)
                 following[c] = v
 
     @staticmethod
@@ -272,69 +324,67 @@ class DynamicIndex:
     def brute_tag_max(self, value) -> int:
         return self._tag_max(self._next(value), self.tree.leaf_for(value))
 
+    def _retag_min(self, value, prev) -> None:
+        leaf = self.tree.leaf_for(value)
+        leaf.dstruct.set_hmin(value, self._tag_min(prev, leaf))
+
+    def _retag_max(self, value, nxt) -> None:
+        leaf = self.tree.leaf_for(value)
+        leaf.dstruct.set_hmax(value, self._tag_max(nxt, leaf))
+
     # -- updates ----------------------------------------------------------------
 
     def __len__(self):
-        return len(self.colors)
+        return self.tree.size
 
     def insert(self, value: int, color: int) -> None:
         color, value = check_color(color), check_coordinate(value)
-        if value in self.colors:
-            raise DuplicateX(value)
-        # the maps come first, so a rebuild's _attach_all already sees value;
-        # the bisect that places value also finds its same-color neighbours
-        self.colors[value] = color
+        # the tree insert is the duplicate check, and changes nothing when it
+        # fails; the color lists follow it, before a rebuild reads them; the
+        # bisect that places value also finds its same-color neighbours
+        ev = self.tree.insert(value)
         same = self.by_color.setdefault(color, [])
         i = bisect_left(same, value)
         e_p = same[i - 1] if i else PREV_SENTINEL
         e_n = same[i] if i < len(same) else None
         same.insert(i, value)
-        ev = self.tree.insert(value)
         if ev["rebuilt"]:
             self._attach_all()
             return
 
         splits = ev["splits"]
-        fresh = ()  # the halves of a leaf split, whose rows are rebuilt
         for _, left, right, h in splits:
             # both halves get fresh lists below, once their children have
             # theirs; until then the list updates pass them by
             left.extremes = right.extremes = None
             if h == 0:
-                fresh = (left, right)
-                self._leaf_stores(fresh)
+                # the old leaf's rows, which lack value, split where it did
+                right.dstruct = left.dstruct.split_off(
+                    bisect_left(left.dstruct.vals, right.values[0]))
         leaf = ev["leaf"]
-        if leaf not in fresh:
-            leaf.dstruct.insert(value, e_p, color)
+        leaf.dstruct.insert(value, e_p, color, self._tag_min(e_p, leaf),
+                            self._tag_max(e_n, leaf))
         nleaf = None
         if e_n is not None:
             # prev(e_n) changed from e_p to value
             nleaf = self.tree.leaf_near(e_n, leaf)
-            if nleaf not in fresh:
-                nleaf.dstruct.update_prev(e_n, value)
+            nleaf.dstruct.update_prev(e_n, value, self._tag_min(value, nleaf))
+        if e_p != PREV_SENTINEL:
+            pleaf = self.tree.leaf_near(e_p, leaf)
+            pleaf.dstruct.set_hmax(e_p, self._tag_max(value, pleaf))
 
         self._extremes_insert(value, color, e_p, e_n, leaf, nleaf)
-        for _, left, right, _ in splits:
+        for parent, left, right, h in splits:
             self._build_extremes(left)
             self._build_extremes(right)
-
-        if not splits or splits[0][3] > self.tree.loglog:
-            # (a split at most loglog high rescans value's leaf below)
-            self.hmin[value] = self._tag_min(e_p, leaf)
-            self.hmax[value] = self._tag_max(e_n, leaf)
-        if e_n is not None:
-            self.hmin[e_n] = self._tag_min(value, nleaf)
-        if e_p != PREV_SENTINEL:
-            self.hmax[e_p] = self._tag_max(value,
-                                           self.tree.leaf_near(e_p, leaf))
-
-        for parent, left, right, h in splits:
             self._split_refresh(parent, left, right, h)
 
     def delete(self, value: int) -> None:
-        if value not in self.colors:
-            raise NotFound(value)
-        color = self.colors.pop(value)
+        # the tree delete is the membership check, and hands back the leaf
+        # even when it rebuilds, so value's row gives its color
+        ev = self.tree.delete(value)
+        leaf = ev["leaf"]
+        color = leaf.dstruct.delete(value)
         same = self.by_color[color]
         i = bisect_left(same, value)
         e_p = same[i - 1] if i else PREV_SENTINEL
@@ -342,22 +392,17 @@ class DynamicIndex:
         del same[i]
         if not same:
             del self.by_color[color]
-        del self.hmin[value], self.hmax[value]
-        ev = self.tree.delete(value)
         if ev["rebuilt"]:
             self._attach_all()
             return
-        leaf = ev["leaf"]
-        leaf.dstruct.delete(value)
         nleaf = None
         if e_n is not None:
             nleaf = self.tree.leaf_near(e_n, leaf)
-            nleaf.dstruct.update_prev(e_n, e_p)
-        self._extremes_delete(value, color, e_p, e_n, leaf, nleaf)
-        if e_n is not None:
-            self.hmin[e_n] = self._tag_min(e_p, nleaf)
+            nleaf.dstruct.update_prev(e_n, e_p, self._tag_min(e_p, nleaf))
         if e_p != PREV_SENTINEL:
-            self.hmax[e_p] = self._tag_max(e_n, self.tree.leaf_near(e_p, leaf))
+            pleaf = self.tree.leaf_near(e_p, leaf)
+            pleaf.dstruct.set_hmax(e_p, self._tag_max(e_n, pleaf))
+        self._extremes_delete(value, color, e_p, e_n, leaf, nleaf)
 
     # -- color extremes ------------------------------------------------------------
 
@@ -437,16 +482,18 @@ class DynamicIndex:
             self._retag_leaves(tree.leaves_under(left)
                                + tree.leaves_under(right))
         else:
-            for v in right.extremes.fvals:
-                self.hmin[v] = self.brute_tag_min(v)
-            for v in left.extremes.lvals:
-                self.hmax[v] = self.brute_tag_max(v)
+            e = right.extremes
+            for v, p in zip(e.fvals, e.fprevs):
+                self._retag_min(v, p)
+            e = left.extremes
+            for v, c in zip(e.lvals, e.lcols):
+                self._retag_max(v, self._next(v, c))
         if parent is tree.root and parent.height == height + 1 and \
                 len(parent.children) == 2:
             # fresh root: every global color extreme gained a level
             for lst in self.by_color.values():
-                self.hmin[lst[0]] = self.brute_tag_min(lst[0])
-                self.hmax[lst[-1]] = self.brute_tag_max(lst[-1])
+                self._retag_min(lst[0], PREV_SENTINEL)
+                self._retag_max(lst[-1], None)
 
     # -- queries -----------------------------------------------------------------
 
@@ -495,8 +542,7 @@ class DynamicIndex:
         """Left(u): the ceil(sqrt(n(u))) smallest color-minima under node."""
         mins: dict = {}
         for lf in self.tree.leaves_under(node):
-            for v in lf.values:
-                c = self.colors[v]
+            for v, c in zip(lf.dstruct.vals, lf.dstruct.cols):
                 if c not in mins or v < mins[c]:
                     mins[c] = v
         return sorted(mins.values())[:_ceil_sqrt(node.size)]
@@ -504,8 +550,7 @@ class DynamicIndex:
     def right_set(self, node) -> list:
         maxs: dict = {}
         for lf in self.tree.leaves_under(node):
-            for v in lf.values:
-                c = self.colors[v]
+            for v, c in zip(lf.dstruct.vals, lf.dstruct.cols):
                 if c not in maxs or v > maxs[c]:
                     maxs[c] = v
         return sorted(maxs.values(), reverse=True)[:_ceil_sqrt(node.size)]

@@ -249,7 +249,9 @@ class EmIndex:
         self.leaf_dir = [tuple(meta[i:i + 3])
                          for i in range(leaves_at, len(meta), 3)]
         _require(len(meta) == leaves_at + 3 * self.nleaves, "directory size")
-        self._view = memoryview(store.words)  # the words' size is fixed now
+        # the words' size is fixed now: copies drop the arrays' growth slack
+        store.words, store.bounds = store.words[:], store.bounds[:]
+        self._view = memoryview(store.words)
         self._check()
 
     def _region(self, start: int, count: int, kind: int, what: str) -> None:

@@ -271,7 +271,8 @@ class WbTree:
 
     def delete(self, value) -> dict:
         """Delete a value; returns {'rebuilt': bool, 'leaf': the leaf that
-        held the value} ('leaf' only when not rebuilt)."""
+        held the value}; after a rebuild that leaf is no longer in the
+        tree, but its payload still is the one it had."""
         leaf = self.leaf_for(value)
         i = bisect.bisect_left(leaf.values, value)
         if i >= len(leaf.values) or leaf.values[i] != value:
@@ -290,10 +291,10 @@ class WbTree:
                 if stale:
                     node._refresh_extremes()
             node = node.parent
-        if self.deleted_total >= max(1, self.n0 // 2):
+        rebuilt = self.deleted_total >= max(1, self.n0 // 2)
+        if rebuilt:
             self.rebuild(list(self.iter_values()))
-            return {"rebuilt": True}
-        return {"rebuilt": False, "leaf": leaf}
+        return {"rebuilt": rebuilt, "leaf": leaf}
 
     def _capacity(self, height: int) -> int:
         return 2 * (BRANCHING ** height) * self.leaf_param

@@ -1,4 +1,6 @@
+import gc
 import random
+import tracemalloc
 from bisect import bisect_left
 
 import pytest
@@ -122,21 +124,32 @@ def test_color_maps_track_live_set():
 
 def _state(idx) -> tuple:
     """Everything a failed update must leave as it was."""
+    tree = idx.tree
     lists = [None if n.extremes is None else
              tuple(list(getattr(n.extremes, f)) for f in n.extremes.__slots__)
-             for n in idx.tree.iter_nodes()]
+             for n in tree.iter_nodes()]
+    rows = [tuple(list(getattr(lf.dstruct, f)) for f in lf.dstruct.__slots__)
+            for lf in tree.leaves_under(tree.root)]
     answers = [sorted(idx.query(a, a + w)) for a in range(1, 4000, 97)
                for w in (0, 40, 900, 4000)]
-    return (len(idx), dict(idx.colors), {c: list(v) for c, v in
-            idx.by_color.items()}, dict(idx.hmin), dict(idx.hmax), lists,
-            answers)
+    return (len(idx), (tree.n0, tree.size, tree.deleted_total),
+            dict(idx.colors), {c: list(v) for c, v in idx.by_color.items()},
+            dict(idx.hmin), dict(idx.hmax), lists, rows, answers)
 
 
 def test_failed_updates_change_nothing():
     rng = random.Random(11)
     pts = random_instance(rng, 700, 4000, 9)
     idx = DynamicIndex(pts)
-    before = _state(idx)
+    live = {p.value: p.color for p in pts}
+    tree = idx.tree
+
+    def fails(exc, op):
+        before = _state(idx)
+        with pytest.raises(exc):
+            op()
+        assert _state(idx) == before
+
     held = pts[350].value
     free = next(v for v in range(1, 4000) if v not in idx.colors)
     bad_ops = [
@@ -150,10 +163,98 @@ def test_failed_updates_change_nothing():
         (NotFound, lambda: idx.delete(0)),
     ]
     for exc, op in bad_ops:
-        with pytest.raises(exc):
-            op()
-        assert _state(idx) == before
-    check_extremes(idx, {p.value: p.color for p in pts})
+        fails(exc, op)
+    check_extremes(idx, live)
+
+    def insert(v):
+        live[v] = rng.randrange(9)
+        idx.insert(v, live[v])
+
+    # at the thresholds: the next insert splits a full leaf, ...
+    leaf = tree.first_leaf
+    room = [v for v in range(1, leaf.values[-1]) if v not in live]
+    while leaf.size < tree._capacity(0):
+        insert(room.pop(rng.randrange(len(room))))
+    fails(DuplicateX, lambda: idx.insert(leaf.values[3], 0))
+    nleaves = len(tree.leaves_under(tree.root))
+    insert(room.pop())
+    assert len(tree.leaves_under(tree.root)) == nleaves + 1
+    # ... the next insert rebuilds the tree, having doubled it, ...
+    room = [v for v in range(1, 4000) if v not in live]
+    rng.shuffle(room)
+    while len(idx) < 2 * tree.n0:
+        insert(room.pop())
+    n0 = tree.n0
+    fails(DuplicateX, lambda: idx.insert(held, 3))
+    insert(room.pop())
+    assert tree.n0 != n0
+    # ... and the next delete rebuilds it, n0 / 2 deleted since
+    n0, victims = tree.n0, list(live)
+    rng.shuffle(victims)
+    while tree.deleted_total < n0 // 2 - 1:
+        v = victims.pop()
+        del live[v]
+        idx.delete(v)
+    fails(NotFound, lambda: idx.delete(room[0]))
+    v = victims.pop()
+    del live[v]
+    idx.delete(v)
+    assert tree.n0 != n0
+    check_extremes(idx, live)
+
+
+def test_dynamic_layout_rows_hold_the_tags():
+    # what the dynamic index keeps per value: one row in its leaf's store,
+    # tags included, and no map keyed by value; checked on a seeded build and
+    # after a leaf split, an internal split and a global rebuild
+    n = 1 << 13
+    rng = random.Random(26)
+    pts = random_instance(rng, n, 4 * n, 64)
+    top = pts[-1].value
+    appends = [top + 3 * i for i in range(1, 3001)]
+    colors = [rng.randrange(64) for _ in appends]
+    victims = [p.value for p in pts]
+    rng.shuffle(victims)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        idx = DynamicIndex(pts)
+        tree = idx.tree
+
+        def check():
+            assert sorted(vars(idx)) == ["by_color", "tree"]
+            assert all(0 <= c < 64 for c in idx.by_color)
+            for leaf in tree.leaves_under(tree.root):
+                d = leaf.dstruct
+                assert len(d.hmins) == len(d.hmaxs) == len(d.vals)
+                d.check_invariants()
+            gc.collect()
+            used = tracemalloc.get_traced_memory()[0] - base
+            assert used / len(idx) <= 110, used / len(idx)
+
+        def shape():
+            nodes = list(tree.iter_nodes())
+            return tree.n0, sum(nd.is_leaf() for nd in nodes), len(nodes)
+
+        check()
+        n0, leaves, nodes = shape()
+        i = 0
+        while shape()[1] == leaves:
+            idx.insert(appends[i], colors[i])
+            i += 1
+        assert shape()[2] == nodes + 1  # a leaf split alone
+        check()
+        n0, leaves, nodes = shape()
+        while shape()[2] - nodes == shape()[1] - leaves:
+            idx.insert(appends[i], colors[i])
+            i += 1
+        check()
+        while tree.n0 == n0:
+            idx.delete(victims.pop())
+        check()
+    finally:
+        tracemalloc.stop()
 
 
 def test_extremes_through_splits_and_rebuilds():
@@ -419,7 +520,7 @@ def test_leaf_rows_track_prev_links():
             d = leaf.dstruct
             d.check_invariants()
             assert list(zip(d.vals, d.prevs, d.cols)) == \
-                [(v, idx._prev(v), idx.colors[v]) for v in leaf.values], step
+                [(v, idx._prev(v), live[v]) for v in leaf.values], step
     assert splits >= 5 and rebuilds >= 2
 
 

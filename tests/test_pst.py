@@ -120,6 +120,38 @@ def test_check_invariants_catches_bad_rows():
         cp.check_invariants()
 
 
+def test_check_invariants_catches_bad_tags():
+    cp = ColorPst([(1, 0, 0), (4, 1, 0)])
+    cp.hmins[1], cp.hmaxs[0] = 2, 5
+    cp.check_invariants()
+    cp.hmins[1] = -2  # below -1, the no-tag value
+    with pytest.raises(AssertionError, match="tag outside"):
+        cp.check_invariants()
+    cp = ColorPst([(1, 0, 0), (4, 1, 0)])
+    cp.hmaxs.pop()  # a tag column shorter than the values
+    with pytest.raises(AssertionError, match="differ in length"):
+        cp.check_invariants()
+    cp = ColorPst([(1, 0, 0), (4, 1, 0)])
+    cp.hmins = [0, 128]  # a column that no array("b") could hold
+    with pytest.raises(AssertionError, match="tag outside"):
+        cp.check_invariants()
+
+
+def test_tags_travel_with_their_rows():
+    cp = ColorPst([(2, 0, 0), (6, 2, 0)])
+    cp.insert(4, 0, 1, hmin=3, hmax=1)
+    cp.set_hmax(2, 2)
+    cp.update_prev(6, 0, hmin=1)
+    assert (list(cp.hmins), list(cp.hmaxs)) == ([-1, 3, 1], [2, 1, -1])
+    right = cp.split_off(1)
+    assert (cp.vals, list(cp.hmins), list(cp.hmaxs)) == ([2], [-1], [2])
+    assert (right.vals, right.prevs, right.cols) == ([4, 6], [0, 0], [1, 0])
+    assert (list(right.hmins), list(right.hmaxs)) == ([3, 1], [1, -1])
+    assert right.delete(4) == 1 and list(right.hmins) == [1]
+    cp.check_invariants()
+    right.check_invariants()
+
+
 def test_query_meter_contract():
     rng = random.Random(17)
     xs = rng.sample(range(1, 60_000), 4096)

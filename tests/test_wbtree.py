@@ -91,10 +91,15 @@ def test_rebuild_after_half_deleted():
     rng.shuffle(vals)
     rebuilt = False
     for v in vals:
-        if t.delete(v)["rebuilt"]:
+        old = t.leaf_for(v)
+        ev = t.delete(v)
+        # the leaf that held v comes back even from a rebuild
+        assert ev["leaf"] is old
+        if ev["rebuilt"]:
             rebuilt = True
             break
     assert rebuilt
+    assert old not in t.leaves_under(t.root)
     assert t.deleted_total == 0
     for node in t.iter_nodes():
         assert node.deleted == 0
