@@ -393,6 +393,9 @@ class DynamicIndex:
         if not same:
             del self.by_color[color]
         if ev["rebuilt"]:
+            # the lists keep the capacity of their longest length; copies
+            # drop it
+            self.by_color = {c: lst[:] for c, lst in self.by_color.items()}
             self._attach_all()
             return
         nleaf = None

@@ -2,12 +2,13 @@
 
 Store and cost model: the index is its own file image, its blocks' int64 words
 in one `array("q")` in file order. A block holds up to B point records plus
-O(B) words of navigation metadata; every structure access goes through
-BlockStore.read, which counts one transfer per call and returns the block's
-word offsets, and the query reads the words in place. Locate-phase transfers
-(successor search, highest range ancestor arrays) are counted on
-CostMeter.locate_ops; reporting-phase transfers on CostMeter.block_reads,
-matching the separate metering of the two phases.
+O(B) words of navigation metadata. The query reads the words in place, at
+the offsets in `BlockStore.bounds`, and each phase adds the number of
+blocks it read to the meter once: a transfer is one block whose words the
+phase reads, however many of them (`BlockStore.read` counts a single
+block). Locate-phase transfers (successor search, highest range ancestor
+arrays) are counted on CostMeter.locate_ops; reporting-phase transfers on
+CostMeter.block_reads, matching the separate metering of the two phases.
 
 Layout: the `static_index.TreeLayout` with leaves of B * ceil(log_B N)
 points, paged into blocks and then dropped. Block 0 is the directory (cap,
@@ -21,7 +22,12 @@ first-point region (K_FIRST), the leaf PSTs, the R/L lists of the non-root
 nodes in preorder, and per leaf its K run from the layout as records (m,
 height, R(u_l) ptr/len, L(u_r) ptr/len), m ascending. Locating succ(a) and
 its value descends the separator levels and reads one value block,
-ceil(log_B N) reads in all.
+ceil(log_B N) reads in all. As cap is a multiple of B, that value block lies
+in succ(a)'s leaf, and every node's m is the first value of a leaf: a range
+that ends at or before the block's last value and does not start at its
+leaf's first point has no range ancestor, and goes to the leaf PST without
+reading the leaf's K blocks (the in-block route). The constructor requires
+cap = B * ceil(log_B N) for this.
 Left children carry R(u) (per-color maxima, descending, stored as
 (v, 0, color)), right children carry L(u) (per-color minima, ascending, as
 (v, prev(v), color)), both capped at the leaf size and stored run-length
@@ -72,6 +78,7 @@ import struct
 import sys
 import zlib
 from array import array
+from itertools import compress
 from typing import Optional, Sequence
 
 from .core import (ColoredPoint, IndexFileError, InvalidColor, InvalidRange,
@@ -105,6 +112,15 @@ def ceil_log(n: int, base: int) -> int:
     return exp
 
 
+def _count(meter, reads: int, locate: bool = False) -> None:
+    """Add `reads` transfers to the locate or the reporting phase."""
+    if meter is not None:
+        if locate:
+            meter.locate_ops += reads
+        else:
+            meter.block_reads += reads
+
+
 class BlockStore:
     """Blocks as int64 words in one array, in file order: block i's records
     are words[bounds[2i]:bounds[2i+1]], its metadata runs up to
@@ -124,12 +140,9 @@ class BlockStore:
         return len(self.kinds) - 1
 
     def read(self, bid: int, meter=None, locate: bool = False) -> tuple:
-        """(start, end) word offsets of block `bid`'s records; meta follows."""
-        if meter is not None:
-            if locate:
-                meter.locate_ops += 1
-            else:
-                meter.block_reads += 1
+        """(start, end) word offsets of block `bid`'s records, counted as one
+        transfer; meta follows."""
+        _count(meter, 1, locate)
         return self.bounds[2 * bid], self.bounds[2 * bid + 1]
 
     def block(self, bid: int) -> tuple:
@@ -235,8 +248,10 @@ class EmIndex:
         _require(len(meta) >= 5, "short directory")
         self.cap, self.nleaves, self.vals_start, self.first_start, nlevels = \
             meta[:5]
-        _require(self.cap >= 1 and self.nleaves == -(-n // self.cap)
-                 and nlevels >= 0, "directory size")
+        # the query's in-block route needs each value block inside one leaf
+        _require(self.cap == self.B * ceil_log(n, self.B)
+                 and self.nleaves == -(-n // self.cap) and nlevels >= 0,
+                 "directory size")
         self.level_base, nagg = fallback_levels(n, self.cap, self.nleaves,
                                                 2 * self.cap)
         # separator level start blocks, root level first
@@ -427,22 +442,25 @@ class EmIndex:
         per separator level, then one of the value block."""
         if self.n == 0:
             return self.n, None
-        view, j = self._view, 0  # j: block index within the level
-        for start in self._descent:
-            lo, hi = self.store.read(start + j, meter, locate)
+        view, bounds, j = self._view, self.store.bounds, 0
+        for start in self._descent:  # j: block index within the level
+            lo, hi = bounds[2 * (start + j)], bounds[2 * (start + j) + 1]
             i = bisect.bisect_left(view, a, lo, hi)
             if i == hi:  # only at the top: a exceeds every value
+                _count(meter, 1, locate)
                 return self.n, None
             j = j * self.B + i - lo
+        _count(meter, len(self._descent), locate)
         return j, view[i]
 
     def _hra(self, leaf_idx: int, a: int, b: int, meter=None) -> Optional[int]:
         """The word offset of the highest range ancestor's K record, or None,
         by the rule of `StaticIndex.hra_query` on the leaf's K blocks."""
         _, k_start, k_len = self.leaf_dir[leaf_idx]
-        reads = [self.store.read(bid, meter, locate=True)
-                 for bid in range(k_start, k_start + -(-k_len // self.B))]
-        view, lo = self._view, reads[0][0] if reads else 0
+        if not k_len:
+            return None
+        _count(meter, -(-k_len // self.B), locate=True)
+        view, lo = self._view, self.store.bounds[2 * k_start]
         ms = view[lo:lo + 6 * k_len:6]
         i = bisect.bisect_right(ms, a)
         e = bisect.bisect_right(ms, b, i)
@@ -457,18 +475,20 @@ class EmIndex:
         """Append to `out` the colors of the leaf PST's points with
         a <= x <= b and y < a. A block's records ascend by x, so only its
         slice [a, b] is tested."""
-        view = self._view
-        stack = [root] if root >= 0 else []
+        view, bounds = self._view, self.store.bounds
+        stack, reads = [root] if root >= 0 else [], 0
         while stack:
-            lo, mid = self.store.read(stack.pop(), meter)
+            bid = stack.pop()
+            reads += 1
+            lo, mid = bounds[2 * bid], bounds[2 * bid + 1]
             xs = view[lo:mid:3]
             i = lo + 3 * bisect.bisect_left(xs, a)
             j = lo + 3 * bisect.bisect_right(xs, b)
-            out += [c for y, c in zip(view[i + 1:j:3], view[i + 2:j:3])
-                    if y < a]
-            kids = range(mid + 1, mid + 1 + 4 * view[mid], 4)
-            stack += [view[o] for o in kids
-                      if view[o + 1] <= b and view[o + 2] >= a > view[o + 3]]
+            out += compress(view[i + 2:j:3], map(a.__gt__, view[i + 1:j:3]))
+            for o in range(mid + 1, mid + 1 + 4 * view[mid], 4):
+                if view[o + 1] <= b and view[o + 2] >= a > view[o + 3]:
+                    stack.append(view[o])
+        _count(meter, reads)
 
     def query(self, a: int, b: int, meter=None) -> list:
         """Distinct colors of [a, b]; the emission stream is duplicate-free."""
@@ -478,9 +498,18 @@ class EmIndex:
         pos, v0 = self._locate(a, meter)
         if pos >= self.n or v0 > b:
             return []
-        leaf_idx = pos // self.cap
-        entry = self._hra(leaf_idx, a, b, meter)
+        view, bounds, cap, B = self._view, self.store.bounds, self.cap, self.B
+        leaf_idx = pos // cap
         out: list = []
+        # every node's m is the first value of a leaf, and succ(a)'s value
+        # block lies in its leaf (cap is a multiple of B): a range that ends
+        # inside that block and does not start at its leaf's first point has
+        # no range ancestor, and its K blocks are not read
+        if pos % cap and view[bounds[2 * (self.vals_start + pos // B) + 1]
+                              - 1] >= b:
+            entry = None
+        else:
+            entry = self._hra(leaf_idx, a, b, meter)
         if entry is None:
             self._pst(self.leaf_dir[leaf_idx][0], a, b, out, meter)
             return out
@@ -488,7 +517,6 @@ class EmIndex:
         # a full-length list whose last entry lies strictly inside the range
         # may leave colors out; one whose last entry is a (R) or b (L) holds
         # every color of its side
-        view, cap, B = self._view, self.cap, self.B
         rl_start, rl_len, lr_start, lr_len = view[entry + 2:entry + 6]
         if (rl_len == cap and self._last_value(rl_start, rl_len, meter) > a
                 or lr_len == cap
@@ -496,20 +524,24 @@ class EmIndex:
             return self._wide(a, b, pos, meter)
         # read each list a block at a time (`_check` made each hold min(B, the
         # rest)): R, descending, down to a; L up to b, where prev < a
+        reads = 0
         for bid in range(rl_start, rl_start + -(-rl_len // B)):
-            lo, hi = self.store.read(bid, meter)
+            lo, hi = bounds[2 * bid], bounds[2 * bid + 1]
+            reads += 1
             cut = lo + 3 * bisect.bisect_right(view[lo:hi:3], -a,
                                                key=operator.neg)
             out += view[lo + 2:cut:3]
             if cut < hi:
                 break
         for bid in range(lr_start, lr_start + -(-lr_len // B)):
-            lo, hi = self.store.read(bid, meter)
+            lo, hi = bounds[2 * bid], bounds[2 * bid + 1]
+            reads += 1
             cut = lo + 3 * bisect.bisect_right(view[lo:hi:3], b)
-            out += [c for p, c in zip(view[lo + 1:cut:3], view[lo + 2:cut:3])
-                    if p < a]
+            out += compress(view[lo + 2:cut:3],
+                            map(a.__gt__, view[lo + 1:cut:3]))
             if cut < hi:
                 break
+        _count(meter, reads)
         return out
 
     def _last_value(self, start: int, length: int, meter=None) -> int:
@@ -527,18 +559,26 @@ class EmIndex:
         out: list = []
         for leaf in leaves:
             self._pst(self.leaf_dir[leaf][0], a, b, out, meter)
+        # the region's records are contiguous words, B two-word records per
+        # block; a page whose last prevpos is below j is taken whole, and only
+        # the page that holds the cut is bisected
         B, offs, view = self.B, self.first_offsets, self._view
+        base = self.store.bounds[2 * self.first_start] if offs[-1] else 0
+        reads = 0
         for g in groups:
             i, end = offs[g], offs[g + 1]
             while i < end:
-                bid, k = divmod(i, B)
-                lo, _ = self.store.read(self.first_start + bid, meter)
-                hi = min(B, k + end - i)
+                k = i % B
+                lo, hi = base + 2 * (i - k), min(B, k + end - i)
+                reads += 1
+                if view[lo + 2 * hi - 2] < j:
+                    out += view[lo + 2 * k + 1:lo + 2 * hi:2]
+                    i += hi - k
+                    continue
                 cut = bisect.bisect_left(view[lo:lo + 2 * hi:2], j, k)
                 out += view[lo + 2 * k + 1:lo + 2 * cut:2]
-                if cut < hi:
-                    break
-                i += hi - k
+                break
+        _count(meter, reads)
         return out
 
     # -- serialization ------------------------------------------------------------

@@ -1,4 +1,5 @@
 import gc
+import sys
 import random
 import tracemalloc
 from bisect import bisect_left
@@ -252,6 +253,9 @@ def test_dynamic_layout_rows_hold_the_tags():
         check()
         while tree.n0 == n0:
             idx.delete(victims.pop())
+        # the rebuild leaves every color list at its exact size
+        assert all(sys.getsizeof(lst) == sys.getsizeof(lst[:])
+                   for lst in idx.by_color.values())
         check()
     finally:
         tracemalloc.stop()

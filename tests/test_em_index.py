@@ -1,3 +1,4 @@
+import bisect
 import gc
 import hashlib
 import math
@@ -123,6 +124,104 @@ def test_hra_matches_ancestor_scan(B):
             assert (m, height, rl_len, lr_len) == (
                 want.m, want.height, want.left.r_hi - want.left.r_lo,
                 want.right.l_hi - want.right.l_lo), (a, b)
+
+
+class _RecordingView:
+    """Stands in for `EmIndex._view` and records the word offsets of every
+    item and slice read; the slices returned are the real memoryview's."""
+
+    def __init__(self, view):
+        self.view, self.spans = view, []
+
+    def __len__(self):
+        return len(self.view)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            self.spans.append(range(*key.indices(len(self.view))))
+        else:
+            self.spans.append(range(key, key + 1))
+        return self.view[key]
+
+
+def _route_recorder(idx, routes):
+    """Wrap `_hra` and `_wide` on the instance so that each query leaves the
+    name of its route in `routes[0]`."""
+    hra, wide = idx._hra, idx._wide
+
+    def _hra(*args):
+        entry = hra(*args)
+        routes[0] = "leaf PST" if entry is None else "lists"
+        return entry
+
+    def _wide(*args):
+        routes[0] = "wide"
+        return wide(*args)
+    idx._hra, idx._wide = _hra, _wide
+
+
+@pytest.mark.parametrize("B", [2, 3, 8, 64])
+def test_transfers_cover_every_word_read(B):
+    # each query phase counts its reads in bulk: every block whose words a
+    # query touches must be among the transfers it counted, on every route
+    rng = random.Random(B + 500)
+    seen = set()
+    for n, ncolors in ((3000, 20), (3000, 1000), (400, 130)):
+        pts = random_instance(rng, n, 4 * n, ncolors)
+        idx = EmIndex.build(pts, B=B)
+        fo = FastOracle(pts)
+        bounds = idx.store.bounds
+        rec = idx._view = _RecordingView(idx._view)
+        routes = [None]
+        _route_recorder(idx, routes)
+        meter = CostMeter()
+        for q in range(300):
+            a = rng.randrange(1, 4 * n)
+            b = a + rng.randrange((8, 64, 4 * n)[q % 3])
+            rec.spans.clear()
+            meter.reset()
+            routes[0] = "in-block"
+            got = idx.query(a, b, meter=meter)
+            assert set(got) == fo.report(a, b), (n, a, b)
+            blocks = {(bisect.bisect_right(bounds, w) - 1) // 2
+                      for span in rec.spans for w in span}
+            assert len(blocks) <= meter.locate_ops + meter.block_reads, \
+                (n, a, b, routes[0], sorted(blocks), meter.snapshot())
+            if got:
+                seen.add(routes[0])
+    assert seen == {"in-block", "leaf PST", "lists", "wide"}, seen
+
+
+@pytest.mark.parametrize("B", [2, 3, 8, 64])
+def test_range_inside_value_block_skips_k_reads(B):
+    # a range that ends inside succ(a)'s value block and does not start at
+    # its leaf's first point reads no K block; one that ends one value past
+    # the block, or starts at a leaf's first point, reads them all
+    rng = random.Random(B + 700)
+    n = 2000
+    pts = random_instance(rng, n, 4 * n, 30)
+    values = [p.value for p in pts]
+    idx = EmIndex.build(pts, B=B)
+    fo = FastOracle(pts)
+    meter = CostMeter()
+    inside = len(idx.levels) + 1
+
+    def run(a, b):
+        meter.reset()
+        got = idx.query(a, b, meter=meter)
+        assert set(got) == fo.report(a, b), (a, b)
+        return meter.locate_ops
+
+    for pos in rng.sample(range(n), 300):
+        k_blocks = -(-idx.leaf_dir[pos // idx.cap][2] // B)
+        last = min(pos - pos % B + B, n) - 1  # the value block's last point
+        a = values[pos - 1] + 1 if pos else 1
+        for b in (values[pos], rng.randint(values[pos], values[last]),
+                  values[last]):
+            assert run(a, b) == (inside if pos % idx.cap else
+                                 inside + k_blocks), (pos, a, b)
+        if last + 1 < n:
+            assert run(a, values[last + 1]) == inside + k_blocks, (pos, a)
 
 
 def test_io_bound_reporting_phase():
@@ -373,6 +472,9 @@ def test_bad_pointers_raise_at_load():
         "separator level count": _set_meta(0, 4, len(idx.levels) + 1),
         "values block kind": _set_block(idx.vals_start, kind=K_SEP),
         "cap": _set_meta(0, 0, 0),
+        # 13 keeps four leaves and loads without this check, but then a value
+        # block spans two leaves and in-block ranges answer wrongly
+        "leaf size not B·ceil(log_B N)": _set_meta(0, 0, idx.cap + 1),
         "point count": lambda f: setattr(f, "n", f.n - 1),
         "PST records out of x order": _set_block(pst, recs=(
             blocks[pst][1][1], blocks[pst][1][0]) + blocks[pst][1][2:]),
@@ -391,7 +493,7 @@ def test_bad_pointers_raise_at_load():
             continue
         loaded.append(name)
     assert loaded == []
-    assert len(edits) == 30
+    assert len(edits) == 31
     assert _rewritten(data, lambda f: None) == data
 
 
