@@ -146,40 +146,23 @@ class CostMeter:
 
 
 class ColArray:
-    """Bit array over color ids plus a touched-list for O(answer) reset."""
+    """Bit array over color ids for first-occurrence dedup."""
 
-    __slots__ = ("bits", "touched")
+    __slots__ = ("bits",)
 
     def __init__(self, ncolors: int):
         self.bits = bytearray(ncolors)
-        self.touched: list = []
-
-    def grow(self, ncolors: int) -> None:
-        if ncolors > len(self.bits):
-            self.bits.extend(b"\x00" * (ncolors - len(self.bits)))
-
-    def mark(self, color: int) -> bool:
-        """Mark a color; True if it was unseen (first occurrence)."""
-        if self.bits[color]:
-            return False
-        self.bits[color] = 1
-        self.touched.append(color)
-        return True
-
-    def reset(self) -> None:
-        for c in self.touched:
-            self.bits[c] = 0
-        self.touched.clear()
 
     def dedup(self, colors: Iterable[int]) -> list:
         """First occurrences of `colors`, order preserved; array left clean."""
+        bits = self.bits
         out = []
         for c in colors:
-            if not self.bits[c]:
-                self.bits[c] = 1
-                self.touched.append(c)
+            if not bits[c]:
+                bits[c] = 1
                 out.append(c)
-        self.reset()
+        for c in out:
+            bits[c] = 0
         return out
 
 

@@ -1,4 +1,4 @@
-"""Dynamic three-sided reporting on a narrow stripe: [a, b] x [c, H], y <= H.
+"""Threshold tables on a narrow stripe: points (x, y) with 1 <= y <= max_y.
 
 Points are kept in consecutive-by-x groups of Theta(group_cap) members. Each
 group lazily maintains threshold tables gmin(i, h) / gmax(i, h): inserting a
@@ -7,35 +7,23 @@ h_{r,s} = sum_{j>r} a_j tau^j + s*tau^r, so an update writes O(tau * digits)
 entries instead of H. A query for threshold c probes the O(digits) thresholds
 f_0 = c, f_v = sum_{s>v} a_s tau^s + (a_v + 1) tau^v; for every group the
 exact hmin/hmax over points with y >= c is recoverable from those probes
-(selection fact), so no qualifying group is missed.
+(selection fact, `recovered_hminmax`). The groups' first x-coordinates sit
+in one sorted list, so finding the group of a value is one bisect.
 
-Per-threshold structures R_h hold the multiset of table values for
-one-dimensional reporting, and Rbar holds all x-coordinates for one-reporting.
-The groups' first x-coordinates sit in one sorted list, so finding the group
-of a value is one bisect.
-
-Each group also keeps its points as (-y, x) pairs sorted ascending: the
-points with y >= c are a prefix, found by one bisect. A group that lies
-inside [a, b] reports that prefix as it is; only the at most two boundary
-groups filter it by x, scanning at most 2 * group_cap points each.
-
-An empty stripe bulk-loads from points sorted by x: groups of group_cap points
-(a short last chunk joins the group before) get their tables built and
-registered once, and Rbar one pass, with no per-point insert or rebalance.
-
-The paper's dynamic index answers its queries from two of these stripes over
-its height tags. `DynamicIndex` answers them from its color-extreme lists
-instead, so this structure stands alone.
+The paper's narrow-stripe three-sided query, which reports from per-threshold
+lists over these tables, is not built. `query` is a scan of the groups that
+meet [a, b]. The paper's dynamic index answers its queries from two of these
+stripes over its height tags; `DynamicIndex` answers them from its
+color-extreme lists instead, so this structure stands alone.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from typing import Optional
 
-from .backends import SortedArrayLocator
-from .core import DuplicateX, NotFound
+from .core import DuplicateX, NotFound, check_coordinate
 
 
 def _digits(h: int, tau: int, ndigits: int) -> list:
@@ -75,14 +63,13 @@ def query_thresholds(c: int, tau: int, ndigits: int, cap_h: int) -> list:
 
 
 class _Group:
-    __slots__ = ("xs", "ymap", "gmin", "gmax", "byy")
+    __slots__ = ("xs", "ymap", "gmin", "gmax")
 
     def __init__(self):
         self.xs: list = []       # sorted x coordinates
         self.ymap: dict = {}     # x -> y
         self.gmin: dict = {}     # threshold -> x
         self.gmax: dict = {}
-        self.byy: list = []      # (-y, x) sorted: y >= c is a prefix
 
     def rebuild(self, decomp) -> None:
         self.gmin.clear()
@@ -95,13 +82,6 @@ class _Group:
                 g = self.gmax.get(t)
                 if g is None or x > g:
                     self.gmax[t] = x
-        self.byy = sorted((-self.ymap[x], x) for x in self.xs)
-
-    def table_entries(self) -> list:
-        """(threshold, value) pairs currently registered, min and max."""
-        out = [(t, v) for t, v in self.gmin.items()]
-        out += [(t, v) for t, v in self.gmax.items()]
-        return out
 
 
 class StripeIndex:
@@ -121,10 +101,8 @@ class StripeIndex:
         self.group_cap = group_cap if group_cap is not None else max(4, max_y)
         self.groups: list[_Group] = []
         self.firsts: list = []  # groups[i].xs[0], for bisect
-        self.rh: dict = {}  # threshold -> sorted value list (multiset)
-        self.rbar = SortedArrayLocator()
+        self.size = 0
         self._decomp_cache: dict = {}
-        self.last_group_visits: dict = {}
 
     # -- helpers -----------------------------------------------------------
 
@@ -135,126 +113,58 @@ class StripeIndex:
             self._decomp_cache[y] = d
         return d
 
-    def _rh_add(self, t: int, v: int) -> None:
-        lst = self.rh.get(t)
-        if lst is None:
-            lst = self.rh[t] = []
-        insort(lst, v)
-
-    def _rh_remove(self, t: int, v: int) -> None:
-        lst = self.rh[t]
-        i = bisect_left(lst, v)
-        del lst[i]
-
-    def _register(self, g: _Group) -> None:
-        for t, v in g.table_entries():
-            self._rh_add(t, v)
-
-    def _unregister(self, g: _Group) -> None:
-        for t, v in g.table_entries():
-            self._rh_remove(t, v)
-
     def _group_index_for(self, x: int) -> int:
         return max(0, bisect_right(self.firsts, x) - 1)
 
     def __len__(self):
-        return len(self.rbar)
+        return self.size
 
     # -- updates -----------------------------------------------------------
 
-    def _check_y(self, y: int) -> None:
-        if not 1 <= y <= self.max_y:
-            raise ValueError(f"y {y} outside [1, {self.max_y}]")
-
-    def load(self, pairs: list) -> None:
-        """Fill an empty stripe from (x, y) pairs sorted by x."""
-        if self.groups:
-            raise ValueError("load needs an empty stripe")
-        for (x, _), (nx, _) in zip(pairs, pairs[1:]):
-            if nx <= x:
-                raise DuplicateX(x) if nx == x else ValueError("x not sorted")
-        for _, y in pairs:
-            self._check_y(y)
-        cap = self.group_cap
-        cuts = list(range(0, len(pairs), cap))
-        if len(cuts) > 1 and len(pairs) - cuts[-1] < cap // 2:
-            cuts.pop()
-        for lo, hi in zip(cuts, cuts[1:] + [len(pairs)]):
-            g = _Group()
-            g.xs = [x for x, _ in pairs[lo:hi]]
-            g.ymap = dict(pairs[lo:hi])
-            g.rebuild(self.decomp)
-            self._register(g)
-            self.groups.append(g)
-        self.firsts = [g.xs[0] for g in self.groups]
-        self.rbar = SortedArrayLocator(x for x, _ in pairs)
-
     def insert(self, x: int, y: int) -> None:
-        self._check_y(y)
-        self.rbar.insert(x)  # raises DuplicateX on repeats
+        """Add (x, y); a rejected point leaves the stripe unchanged."""
+        x = check_coordinate(x)
+        if isinstance(y, bool) or not isinstance(y, int) \
+                or not 1 <= y <= self.max_y:
+            raise ValueError(f"y {y!r} is not an int in [1, {self.max_y}]")
         if not self.groups:
-            g = _Group()
-            g.xs = [x]
-            g.ymap = {x: y}
-            g.rebuild(self.decomp)
-            self._register(g)
-            self.groups.append(g)
+            self.groups.append(_Group())
             self.firsts.append(x)
-            return
         gi = self._group_index_for(x)
         g = self.groups[gi]
-        insort(g.xs, x)
+        i = bisect_left(g.xs, x)
+        if i < len(g.xs) and g.xs[i] == x:
+            raise DuplicateX(x)
+        g.xs.insert(i, x)
         self.firsts[gi] = g.xs[0]
         g.ymap[x] = y
-        insort(g.byy, (-y, x))
+        self.size += 1
         for t in self.decomp(y):
             cur = g.gmin.get(t)
             if cur is None or x < cur:
-                if cur is not None:
-                    self._rh_remove(t, cur)
                 g.gmin[t] = x
-                self._rh_add(t, x)
             cur = g.gmax.get(t)
             if cur is None or x > cur:
-                if cur is not None:
-                    self._rh_remove(t, cur)
                 g.gmax[t] = x
-                self._rh_add(t, x)
         if len(g.xs) > 2 * self.group_cap:
             self._split(gi)
 
     def delete(self, x: int) -> None:
-        self.rbar.delete(x)  # raises NotFound
         gi = self._group_index_for(x)
+        if not self.groups or x not in self.groups[gi].ymap:
+            raise NotFound(x)
         g = self.groups[gi]
         y = g.ymap.pop(x)
         del g.xs[bisect_left(g.xs, x)]
-        del g.byy[bisect_left(g.byy, (-y, x))]
+        self.size -= 1
         for t in self.decomp(y):
-            if g.gmin.get(t) == x:
-                self._rh_remove(t, x)
-                new = None
-                for qx in g.xs:
-                    if t in self.decomp(g.ymap[qx]):
-                        new = qx if new is None else min(new, qx)
-                if new is None:
-                    del g.gmin[t]
+            if g.gmin[t] == x or g.gmax[t] == x:
+                holders = [qx for qx in g.xs if t in self.decomp(g.ymap[qx])]
+                if holders:
+                    g.gmin[t], g.gmax[t] = holders[0], holders[-1]
                 else:
-                    g.gmin[t] = new
-                    self._rh_add(t, new)
-            if g.gmax.get(t) == x:
-                self._rh_remove(t, x)
-                new = None
-                for qx in g.xs:
-                    if t in self.decomp(g.ymap[qx]):
-                        new = qx if new is None else max(new, qx)
-                if new is None:
-                    del g.gmax[t]
-                else:
-                    g.gmax[t] = new
-                    self._rh_add(t, new)
+                    del g.gmin[t], g.gmax[t]
         if not g.xs:
-            self._unregister(g)
             del self.groups[gi]
             del self.firsts[gi]
             return
@@ -264,7 +174,6 @@ class StripeIndex:
 
     def _split(self, gi: int) -> None:
         g = self.groups[gi]
-        self._unregister(g)
         mid = len(g.xs) // 2
         right = _Group()
         right.xs = g.xs[mid:]
@@ -272,8 +181,6 @@ class StripeIndex:
         right.ymap = {x: g.ymap.pop(x) for x in right.xs}
         g.rebuild(self.decomp)
         right.rebuild(self.decomp)
-        self._register(g)
-        self._register(right)
         self.groups.insert(gi + 1, right)
         self.firsts.insert(gi + 1, right.xs[0])
 
@@ -281,12 +188,9 @@ class StripeIndex:
         other = gi + 1 if gi + 1 < len(self.groups) else gi - 1
         lo, hi = min(gi, other), max(gi, other)
         a, b = self.groups[lo], self.groups[hi]
-        self._unregister(a)
-        self._unregister(b)
         a.xs = a.xs + b.xs
         a.ymap.update(b.ymap)
         a.rebuild(self.decomp)
-        self._register(a)
         del self.groups[hi]
         del self.firsts[hi]
         if len(a.xs) > 2 * self.group_cap:
@@ -294,69 +198,32 @@ class StripeIndex:
 
     # -- queries -----------------------------------------------------------
 
-    def _group_query(self, g: _Group, a: int, b: int, c: int, meter, out,
-                     cap: Optional[int]) -> bool:
-        """Append g's points in [a,b] x [c,H] to out; True when cap is hit.
-
-        Metering: every appended point is a touch; the bisection and the
-        prefix points the x filter drops count as locate navigation.
-        """
-        j = bisect_left(g.byy, (1 - c,))  # entries with -y <= -c
-        if a <= g.xs[0] and g.xs[-1] <= b:
-            hits = g.byy[:j]
-        else:
-            hits = [p for p in g.byy[:j] if a <= p[1] <= b]
-        full = cap is not None and len(out) + len(hits) >= cap
-        kept = hits[:cap - len(out)] if full else hits
-        if meter is not None:
-            meter.locate_ops += 1 + j - len(hits)
-            meter.touches += len(kept)
-        out += [(x, -ny) for ny, x in kept]
-        return full
-
     def query(self, a: int, b: int, c: int, meter=None,
               cap: Optional[int] = None) -> tuple[list, bool]:
-        """Points with a <= x <= b and y >= c, plus an overflow flag.
+        """Points with a <= x <= b and y >= c in x order, plus an overflow
+        flag: with `cap`, returns (the first cap points, True) as soon as
+        cap points are found.
 
-        With `cap`, returns (partial, True) as soon as cap points are found.
-        The visited groups go to last_group_visits only on return.
+        Metering: every reported point is a touch; the group locate and
+        every scanned point that y < c drops count as locate navigation.
         """
-        visits: dict = {}
-        try:
-            if a > b or c > self.max_y:
-                return [], False
-            c = max(1, c)
-            if meter is not None:
-                meter.locate_ops += 1
-            x0 = self.rbar.any_in(a, b)
-            if x0 is None:
-                return [], False
-            lo = self._group_index_for(a)
-            if self.groups[lo].xs[-1] < a:
-                lo += 1
-            hi = self._group_index_for(b)
-            out: list = []
-            firsts = self.firsts
-            if lo == hi:
-                visits[lo] = 1
-                over = self._group_query(self.groups[lo], a, b, c, meter, out,
-                                         cap)
-                return out, over
-            for f in query_thresholds(c, self.tau, self.ndigits, self.H):
-                lst = self.rh.get(f)
-                if not lst:
-                    continue
-                i = bisect_left(lst, a)
-                j = bisect_right(lst, b)
-                # a table value is some group's x, so its bisect is >= 1
-                for gi in {bisect_right(firsts, v) - 1 for v in lst[i:j]}:
-                    visits[gi] = visits.get(gi, 0) + 1
-            for gi in sorted(visits):
-                if self._group_query(self.groups[gi], a, b, c, meter, out, cap):
-                    return out, True
-            return out, False
-        finally:
-            self.last_group_visits = visits
+        if a > b or c > self.max_y or not self.groups:
+            return [], False
+        lo, hi = self._group_index_for(a), self._group_index_for(b)
+        rows = ((x, g.ymap[x]) for g in self.groups[lo:hi + 1]
+                for x in g.xs[bisect_left(g.xs, a):bisect_right(g.xs, b)])
+        out: list = []
+        scanned = 0
+        for x, y in rows:
+            scanned += 1
+            if y >= c:
+                out.append((x, y))
+                if len(out) == cap:
+                    break
+        if meter is not None:
+            meter.locate_ops += 1 + scanned - len(out)
+            meter.touches += len(out)
+        return out, len(out) == cap
 
     # -- test hooks ----------------------------------------------------------
 

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from colorrange.core import DuplicateX, NotFound
-from colorrange.stripe import StripeIndex, query_thresholds, update_thresholds
+from colorrange.core import DuplicateX, InvalidCoordinate, NotFound
+from colorrange.stripe import (StripeIndex, _Group, query_thresholds,
+                               update_thresholds)
 
 
 def brute(points, a, b, c):
@@ -127,22 +128,6 @@ def test_fact_sel_exactness():
                 assert s.recovered_hminmax(gi, c) == s.brute_hminmax(gi, c)
 
 
-def test_group_visits_bounded():
-    rng = random.Random(79)
-    max_y = 16
-    s = StripeIndex(max_y=max_y, group_cap=6)
-    for x in rng.sample(range(1, 5000), 600):
-        s.insert(x, rng.randrange(1, max_y + 1))
-    gplus1 = s.ndigits  # number of probe thresholds is at most the digit count
-    for _ in range(500):
-        a = rng.randrange(1, 5000)
-        b = rng.randrange(a, 5000)
-        c = rng.randrange(1, max_y + 1)
-        s.query(a, b, c)
-        if s.last_group_visits:
-            assert max(s.last_group_visits.values()) <= gplus1
-
-
 def test_cap_overflow():
     s = StripeIndex(max_y=4, group_cap=4)
     for x in range(1, 41):
@@ -158,88 +143,10 @@ def _random_points(rng, n, universe, max_y):
             for x in rng.sample(range(1, universe), n)}
 
 
-def test_load_answers_like_inserts():
-    rng = random.Random(83)
-    for _ in range(25):
-        max_y = rng.choice([3, 7, 16])
-        group_cap = rng.choice([4, 5, 9])
-        live = _random_points(rng, rng.randrange(0, 300), 3000, max_y)
-        loaded = StripeIndex(max_y=max_y, group_cap=group_cap)
-        loaded.load(sorted(live.items()))
-        inserted = StripeIndex(max_y=max_y, group_cap=group_cap)
-        for x, y in live.items():
-            inserted.insert(x, y)
-        assert len(loaded) == len(live)
-        # every group but a lone one holds at least group_cap // 2 points
-        if len(loaded.groups) > 1:
-            assert min(len(g.xs) for g in loaded.groups) >= group_cap // 2
-        assert max((len(g.xs) for g in loaded.groups), default=0) \
-            <= 2 * group_cap
-        for _ in range(200):
-            a = rng.randrange(1, 3000)
-            b = rng.randrange(a, 3000)
-            c = rng.randrange(1, max_y + 1)
-            want = brute(live, a, b, c)
-            assert sorted(loaded.query(a, b, c)[0]) == want
-            assert sorted(inserted.query(a, b, c)[0]) == want
-            cap = rng.randrange(1, 12)
-            pts, over = loaded.query(a, b, c, cap=cap)
-            assert over == (len(want) >= cap)
-            assert len(pts) == min(cap, len(want))
-            assert set(pts) <= set(want)
-
-
-def test_load_then_updates_keep_selection_fact():
-    rng = random.Random(89)
-    for _ in range(30):
-        max_y = rng.choice([5, 9, 16])
-        s = StripeIndex(max_y=max_y, group_cap=5)
-        live = _random_points(rng, rng.randrange(1, 200), 2000, max_y)
-        s.load(sorted(live.items()))
-
-        def check():
-            for gi in range(len(s.groups)):
-                for c in range(1, max_y + 1):
-                    assert s.recovered_hminmax(gi, c) == s.brute_hminmax(gi, c)
-
-        check()
-        for _ in range(rng.randrange(20, 150)):
-            if rng.random() < 0.5 or not live:
-                x = rng.randrange(1, 2000)
-                if x not in live:
-                    live[x] = rng.randrange(1, max_y + 1)
-                    s.insert(x, live[x])
-            else:
-                x = rng.choice(list(live))
-                del live[x]
-                s.delete(x)
-        check()
-        a, b = 1, 2000
-        assert sorted(s.query(a, b, 1)[0]) == brute(live, a, b, 1)
-
-
-def test_load_rejects_bad_input():
-    s = StripeIndex(max_y=4, group_cap=4)
-    with pytest.raises(ValueError):
-        s.load([(1, 2), (5, 0)])
-    with pytest.raises(ValueError):
-        s.load([(1, 2), (5, 5)])
-    with pytest.raises(DuplicateX):
-        s.load([(1, 2), (5, 3), (5, 1)])
-    with pytest.raises(ValueError):
-        s.load([(5, 2), (1, 3)])
-    # a rejected load leaves the stripe empty
-    assert len(s) == 0 and not s.groups
-    s.load([(1, 2), (5, 3)])
-    with pytest.raises(ValueError):
-        s.load([(9, 1)])
-    assert sorted(s.query(1, 10, 1)[0]) == [(1, 2), (5, 3)]
-
-
 def test_group_lists_and_firsts_stay_in_step():
-    """After load, inserts and deletes (with splits and merges) every group's
-    (-y, x) list and the stripe's first-x list match a recomputation, and
-    capped queries agree with brute force."""
+    """After inserts and deletes (with splits and merges) every group's
+    gmin/gmax tables equal a rebuild, the stripe's first-x list and length
+    match a recomputation, and capped queries agree with brute force."""
     rng = random.Random(97)
     splits = merges = 0
     for _ in range(12):
@@ -247,7 +154,8 @@ def test_group_lists_and_firsts_stay_in_step():
         group_cap = rng.choice([4, 5, 8])
         s = StripeIndex(max_y=max_y, group_cap=group_cap)
         live = _random_points(rng, rng.randrange(0, 120), 1500, max_y)
-        s.load(sorted(live.items()))
+        for x, y in live.items():
+            s.insert(x, y)
         for step in range(300):
             ngroups = len(s.groups)
             if rng.random() < 0.5 or not live:
@@ -263,17 +171,49 @@ def test_group_lists_and_firsts_stay_in_step():
                 s.delete(x)
                 merges += len(s.groups) < ngroups
             for g in s.groups:
-                assert g.byy == sorted((-g.ymap[x], x) for x in g.xs), step
+                fresh = _Group()
+                fresh.xs, fresh.ymap = list(g.xs), dict(g.ymap)
+                fresh.rebuild(s.decomp)
+                assert (g.gmin, g.gmax) == (fresh.gmin, fresh.gmax), step
+            assert len(s) == len(live), step
             assert s.firsts == [g.xs[0] for g in s.groups], step
             a = rng.randrange(1, 1500)
             b = rng.randrange(a, 1500)
             c = rng.randrange(1, max_y + 1)
             want = brute(live, a, b, c)
             pts, over = s.query(a, b, c)
-            assert sorted(pts) == want and not over
+            assert pts == want and not over  # in x order
             cap = rng.randrange(1, 10)
             pts, over = s.query(a, b, c, cap=cap)
             assert over == (len(want) >= cap)
-            assert len(pts) == min(cap, len(want))
-            assert set(pts) <= set(want)
+            assert pts == want[:cap]
     assert splits >= 10 and merges >= 10
+
+
+@pytest.mark.parametrize("x,y,error", [
+    (1.5, 2, InvalidCoordinate),
+    (True, 2, InvalidCoordinate),
+    (0, 2, InvalidCoordinate),
+    (2**70, 2, InvalidCoordinate),
+    (5, 2.5, ValueError),
+    (5, True, ValueError),
+    (5, 0, ValueError),
+    (5, 5, ValueError),  # max_y + 1
+    (10, 2, DuplicateX),
+])
+def test_failed_insert_leaves_stripe_unchanged(x, y, error):
+    s = StripeIndex(max_y=4, group_cap=4)
+    for px, py in [(10, 3), (20, 1), (30, 4)]:
+        s.insert(px, py)
+
+    def state():
+        return len(s), s.firsts[:], [(g.xs[:], dict(g.ymap), dict(g.gmin),
+                                      dict(g.gmax)) for g in s.groups]
+
+    before = state()
+    with pytest.raises(error):
+        s.insert(x, y)
+    assert state() == before
+    s.insert(5, 2)  # the stripe still takes a good point
+    s.delete(5)
+    assert state() == before
