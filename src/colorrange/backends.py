@@ -1,8 +1,10 @@
-"""Sorted one-dimensional locator used by `StripeIndex`.
+"""Sorted one-dimensional locator, with no caller in the package.
 
 Given integer keys, find one element of [a, b] (one-reporting), or a
 successor/predecessor. SortedArrayLocator provides it with a sorted list and
-bisect, and takes inserts and deletes.
+bisect, and takes inserts and deletes. No index uses it; it stays only
+because the benchmark's `backends.*` trace hooks name its methods, and goes
+when those hooks do.
 """
 
 from __future__ import annotations

@@ -166,9 +166,20 @@ class ColArray:
         return out
 
 
-def check_coordinate(value) -> int:
+def check_integer(value) -> int:
     """`value` as an int, or InvalidCoordinate. Python and numpy integers
-    pass; bools and floats do not (a float would be truncated silently)."""
+    pass; bools, floats and other types do not (a float would be truncated
+    silently). A delete checks its x with this alone: an integer that no
+    point holds, in range or not, is NotFound."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise InvalidCoordinate(value)
+    return operator.index(value)
+
+
+def check_coordinate(value) -> int:
+    """`value` as an int in [1, MAX_COORDINATE], or InvalidCoordinate: the
+    test of `check_integer` and the range, inline, since every point of
+    `normalize_input` takes it."""
     if isinstance(value, bool) or not hasattr(type(value), "__index__") \
             or not 1 <= value <= MAX_COORDINATE:
         raise InvalidCoordinate(value)

@@ -63,7 +63,7 @@ from collections.abc import ItemsView, Mapping
 from typing import Iterable
 
 from .core import (ColoredPoint, InvalidRange, PREV_SENTINEL, check_color,
-                   check_coordinate, color_maps)
+                   check_coordinate, check_integer, color_maps)
 from .pst import ColorPst
 from .wbtree import WbTree
 
@@ -380,6 +380,7 @@ class DynamicIndex:
             self._split_refresh(parent, left, right, h)
 
     def delete(self, value: int) -> None:
+        value = check_integer(value)
         # the tree delete is the membership check, and hands back the leaf
         # even when it rebuilds, so value's row gives its color
         ev = self.tree.delete(value)

@@ -406,31 +406,32 @@ class EmIndex:
         # the non-root nodes' lists in preorder: R of a left child as
         # (v, 0, c) by value descending, L of a right child as (v, prev, c)
         ptr = {}
-        stack = [lay.root] if lay.root is not None else []
-        while stack:
-            node = stack.pop()
-            if node.parent is not None:
-                if node is node.parent.left:
-                    lo, hi = node.r_lo, node.r_hi
+        lchild, rchild, roff, loff = lay.lchild, lay.rchild, lay.roff, lay.loff
+        stack = [(lay.root_id, None)] if lay.nodes else []
+        while stack:  # (node id, whether it is a left child; None: root)
+            u, is_left = stack.pop()
+            if is_left is not None:
+                if is_left:
+                    lo, hi = roff[u], roff[u + 1]
                     ent = zip(lay.last_v[lo:hi][::-1], [0] * (hi - lo),
                               lay.last_c[lo:hi][::-1])
                 else:
-                    lo, hi = node.l_lo, node.l_hi
+                    lo, hi = loff[u], loff[u + 1]
                     ent = zip(lay.first_v[lo:hi], lay.first_p[lo:hi],
                               lay.first_c[lo:hi])
-                ptr[node] = store.write_region(K_LIST,
-                                               [x for e in ent for x in e])
-            if node.left is not None:
-                stack += (node.right, node.left)
+                ptr[u] = store.write_region(K_LIST,
+                                            [x for e in ent for x in e])
+            if lchild[u] >= 0:
+                stack += ((rchild[u], False), (lchild[u], True))
 
         # per leaf its K run: (m, height, R(u_l) ptr/len, L(u_r) ptr/len)
         meta = [cap, lay.nleaves, vals_start, first_start, len(levels),
                 *reversed(levels), *offsets]
         for leaf, pst_root in enumerate(leaf_psts):
-            run = lay.kn[lay.koff[leaf]:lay.koff[leaf + 1]]
+            lo, hi = lay.koff[leaf], lay.koff[leaf + 1]
             meta += (pst_root, *store.write_region(K_KARR, [
-                x for u in run
-                for x in (u.m, u.height, *ptr[u.left], *ptr[u.right])]))
+                x for m, u in zip(lay.km[lo:hi], lay.kn[lo:hi])
+                for x in (m, lay.height[u], *ptr[lchild[u]], *ptr[rchild[u]])]))
         store.words[0:0] = array("q", meta)  # into block 0, appended empty
         store.bounds[2:] = array("q", [x + len(meta) for x in store.bounds[2:]])
         return cls(store, n, ncolors)

@@ -36,7 +36,7 @@ import math
 from typing import Iterable, Optional
 
 from .core import (DuplicateX, InvalidRange, NotFound, PREV_SENTINEL,
-                   check_color, check_coordinate, color_maps)
+                   check_color, check_coordinate, check_integer, color_maps)
 
 LEAF_CUTOFF = 4
 
@@ -226,6 +226,7 @@ class SlowIndex:
                 self._split(node)
 
     def delete(self, value) -> None:
+        value = check_integer(value)
         if value not in self.colors:
             raise NotFound(value)
         nxt = self.next_of(value)
@@ -495,20 +496,26 @@ class SlowIndex:
     # -- invariant checks ------------------------------------------------------
 
     def check_consistency(self) -> None:
-        """Maintained placements/C-sets equal the from-scratch recomputation."""
-        assert self._values_under(self.root) == sorted(self.colors), "buckets"
+        """Maintained placements/C-sets equal the from-scratch recomputation;
+        AssertionError otherwise."""
+        if self._values_under(self.root) != sorted(self.colors):
+            raise AssertionError("buckets")
         for v in self.colors:
-            want = self._placement_for(v, self.prev_of(v))
-            got = self.placed[v]
-            assert got is want, f"placement of {v}"
+            if self.placed[v] is not self._placement_for(v, self.prev_of(v)):
+                raise AssertionError(f"placement of {v}")
         for node in self._nodes_under(self.root):
             live = self._values_under(node)
-            assert node.minv == (live[0] if live else None), "minv"
-            assert node.maxv == (live[-1] if live else None), "maxv"
-            assert node.cvals == sorted(node.cvals)
-            assert sorted((p, v) for v, p in node.cvals) == node.cprevs
+            if node.minv != (live[0] if live else None):
+                raise AssertionError("minv")
+            if node.maxv != (live[-1] if live else None):
+                raise AssertionError("maxv")
+            if node.cvals != sorted(node.cvals):
+                raise AssertionError("C-set values not sorted")
+            if sorted((p, v) for v, p in node.cvals) != node.cprevs:
+                raise AssertionError("C-set prevs differ from its values")
             for v, p in node.cvals:
-                assert self.placed[v] is node and self.prev_of(v) == p
+                if self.placed[v] is not node or self.prev_of(v) != p:
+                    raise AssertionError(f"C-set entry of {v}")
         # definitional chain form: nodes with prev(e) < live-min form a prefix
         # of the leaf-to-root path, topped by the placement node
         for v in self.colors:
@@ -520,14 +527,14 @@ class SlowIndex:
                     run += 1
                 else:
                     break
-            assert all(not f for f in flags[run:])
-            want = self.placed[v]
-            if run == 0:
-                assert want is None
-            else:
-                assert want is list(reversed(path))[run - 1]
+            if any(flags[run:]):
+                raise AssertionError(f"chain of {v} not a prefix")
+            if self.placed[v] is not (list(reversed(path))[run - 1] if run else None):
+                raise AssertionError(f"chain of {v} not topped by its placement")
 
     def check_fanout_law(self) -> None:
+        """Every internal node at depth d has between ceil(f / 2) and 2f
+        children, f = ceil(n^(2^-(d + 1))); AssertionError otherwise."""
         n = max(2, len(self.colors))
         stack = [self.root]
         while stack:
@@ -535,6 +542,6 @@ class SlowIndex:
             if node.is_leaf:
                 continue
             nominal = math.ceil(n ** (0.5 ** (node.depth + 1)))
-            assert math.ceil(nominal / 2) <= len(node.children) <= 2 * nominal, \
-                (node.depth, len(node.children), nominal)
+            if not math.ceil(nominal / 2) <= len(node.children) <= 2 * nominal:
+                raise AssertionError((node.depth, len(node.children), nominal))
             stack.extend(node.children)

@@ -11,6 +11,16 @@ L list every color it holds. `StaticIndex` uses the layout with cap =
 ceil(log2 N) and keeps it in memory; `EmIndex` uses it with cap = B *
 ceil(log_B N) and pages it into blocks, each leaf's K run as its K records.
 
+The layout is columns, not objects: the values, the prevs, the list store's
+values and prevs, and the K store are `array("q")` columns, so a search
+compares machine words in one block of memory. The colors stay lists,
+because every answer is a slice of them or gathers their entries. Nodes
+are ids: the K store holds node ids, and a node's height, children and
+cuts of the list store are columns indexed by id, so a query reads no node
+object. The `_TreeNode`s stay for walks over the tree (`nodes[id]`,
+`root`, `leaves`, and the pairs of `k1`/`k2`), and read their height and
+cuts from the columns.
+
 A query locates succ(a) with one binary search and asks its leaf for the
 highest range ancestor u with a < m(u) <= b (Facts 2-3). The leaf's K run
 lists its ancestors by middle value ascending, right parents (K2) top-down
@@ -46,6 +56,7 @@ from __future__ import annotations
 import bisect
 import math
 from array import array
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -55,35 +66,62 @@ from .core import (MAX_COORDINATE, ColoredPoint, DuplicateX, InvalidRange,
 
 
 class _TreeNode:
-    __slots__ = ("left", "right", "parent", "m", "height", "leaf_lo", "leaf_hi",
-                 "r_lo", "r_hi", "l_lo", "l_hi")
+    """A node of a `TreeLayout`, kept for walks over the tree. Its height
+    and its cuts of the list store are the layout's columns at its id."""
 
-    def __init__(self):
-        self.left = None
-        self.right = None
-        self.parent = None
+    __slots__ = ("layout", "left", "right", "parent", "m", "leaf_lo", "leaf_hi")
+
+    def __init__(self, layout: "TreeLayout", lo: int, hi: int):
+        self.layout = layout
+        self.left = self.right = self.parent = None
         self.m = None          # min value of the right subtree (internal only)
-        self.height = 0
-        self.leaf_lo = 0       # covered leaf range [leaf_lo, leaf_hi)
-        self.leaf_hi = 0
-        # the node's cut of the list store: R(u) is [r_lo, r_hi), L(u) is
-        # [l_lo, l_hi)
-        self.r_lo = self.r_hi = self.l_lo = self.l_hi = 0
+        self.leaf_lo = lo      # covered leaf range [leaf_lo, leaf_hi)
+        self.leaf_hi = hi
+
+    @property
+    def id(self) -> int:
+        """The node's id in its layout (see `TreeLayout`)."""
+        if self.left is None:
+            return self.leaf_lo
+        return self.layout.nleaves - 1 + self.right.leaf_lo
+
+    height = property(lambda self: self.layout.height[self.id])
+    # R(u) is [r_lo, r_hi) of the list store, L(u) is [l_lo, l_hi)
+    r_lo = property(lambda self: self.layout.roff[self.id])
+    r_hi = property(lambda self: self.layout.roff[self.id + 1])
+    l_lo = property(lambda self: self.layout.loff[self.id])
+    l_hi = property(lambda self: self.layout.loff[self.id + 1])
+
+
+def _column(x) -> array:
+    """An integer numpy array as array("q"), allocated at its exact size
+    (`array("q", x.tobytes())` would add a sixteenth)."""
+    col = array("q", [0]) * len(x)
+    np.frombuffer(col, dtype=np.int64)[:] = x
+    return col
 
 
 class TreeLayout:
     """The static tree over `points` (integer values strictly ascending in
     [1, MAX_COORDINATE], integer colors >= 0) with leaves of `cap`
-    consecutive points, the list store and the K store: a node's R entries
-    are [r_lo, r_hi) of `last_v`/`last_c`, its L entries [l_lo, l_hi) of
+    consecutive points, the list store and the K store, all in integer
+    arrays but for the colors, which answers are slices of.
+
+    Node ids: leaf i is id i, and an internal node whose right subtree
+    starts at leaf j is id nleaves - 1 + j, so internal ids ascend with the
+    middle values. `height`, `lchild` and `rchild` (-1 below a leaf) are
+    columns by id. Node u's R entries are [roff[u], roff[u + 1]) of
+    `last_v`/`last_c`, its L entries [loff[u], loff[u + 1]) of
     `first_v`/`first_p`/`first_c` (prev in `first_p`), by value ascending;
     a list the node does not keep is an empty cut. Leaf i's K run is
-    [koff[i], koff[i + 1]) of the middle values `km` and their nodes `kn`.
-    `prevpos` is the position of each point's predecessor, -1 for none;
-    only the builds read it, and `StaticIndex` drops it once built."""
+    [koff[i], koff[i + 1]) of the middle values `km` and their node ids
+    `kn`. `nodes[u]` is node u as a `_TreeNode`, which only walks over the
+    tree read. `prevpos` is the position of each point's predecessor, -1
+    for none; only the builds read it, and `StaticIndex` drops it once
+    built."""
 
     def __init__(self, points: Sequence[ColoredPoint], cap: int):
-        self.values = values = [p.value for p in points]
+        values = [p.value for p in points]
         self.colors = colors = [p.color for p in points]
         check_colors(colors)
         # a check per value only if their types or ends fail a fast test
@@ -91,88 +129,105 @@ class TreeLayout:
                 1 <= values[0] and values[-1] <= MAX_COORDINATE):
             for v in values:
                 check_coordinate(v)  # 0 is the prev-sentinel
-        for u, v in zip(values, values[1:]):
-            if u >= v:
-                raise DuplicateX(v) if u == v else ValueError(
-                    f"points must ascend by value: {v} after {u}")
-        self.prevs = compute_prev(points)
-        prevs = np.asarray(self.prevs, dtype=np.int64)
-        self.prevpos = np.where(prevs == 0, -1, np.searchsorted(
-            np.asarray(self.values, dtype=np.int64), prevs))
-        self.n = len(self.values)
+        vals = np.asarray(values, dtype=np.int64)
+        for i in np.flatnonzero(vals[1:] <= vals[:-1])[:1].tolist():
+            u, v = values[i], values[i + 1]
+            raise DuplicateX(v) if u == v else ValueError(
+                f"points must ascend by value: {v} after {u}")
+        prevs = np.asarray(compute_prev(points), dtype=np.int64)
+        self.prevpos = np.where(prevs == 0, -1, np.searchsorted(vals, prevs))
+        self.values, self.prevs = _column(vals), _column(prevs)
+        self.n = n = len(values)
         self.cap = cap
         # leaves are consecutive chunks of `cap` points (last one may be short)
-        self.nleaves = math.ceil(self.n / cap)
-        self.leaves: list[_TreeNode] = [None] * self.nleaves
-        inner: list[_TreeNode] = []
-        self.root = self._build_tree(0, self.nleaves, inner) if self.nleaves else None
-        self._build_lists(self.leaves + inner)
-        # a parent above a left child is a K1 entry and goes after the run
-        # so far, one above a right child (K2) before it
-        self.kn, self.koff = [], array("q", [0])
-        for node in self.leaves:
-            run = []
-            while node.parent is not None:
-                parent = node.parent
-                run = run + [parent] if parent.left is node else [parent] + run
-                node = parent
-            self.kn += run
-            self.koff.append(len(self.kn))
-        self.km = [u.m for u in self.kn]
+        self.nleaves = nleaves = math.ceil(n / cap)
+        self.root_id = nleaves - 1 + nleaves // 2  # -1 for no points
+        nnodes = max(0, 2 * nleaves - 1)
+        self.nodes: list[_TreeNode] = [None] * nnodes
+        self.height = array("b", bytes(nnodes))
+        self.lchild = array("q", [-1]) * nnodes
+        self.rchild = array("q", [-1]) * nnodes
+        runs: list = []
+        if nleaves:
+            self._build_tree(0, nleaves, values, [], runs)
+        self._build_lists(vals, prevs)
+        self.kn = array("q", chain.from_iterable(runs))
+        self.koff = _column(np.cumsum([0, *map(len, runs)]))
+        # node nleaves - 1 + j has m = the first value of leaf j
+        kn = np.frombuffer(self.kn, dtype=np.int64)
+        self.km = _column(vals[(kn - (nleaves - 1)) * cap])
 
-    def _build_tree(self, lo: int, hi: int, inner: list) -> _TreeNode:
-        node = _TreeNode()
-        node.leaf_lo, node.leaf_hi = lo, hi
+    root = property(lambda self: self.nodes[self.root_id] if self.nodes else None)
+    leaves = property(lambda self: self.nodes[:self.nleaves])
+
+    def _build_tree(self, lo: int, hi: int, values: list, path: list,
+                    runs: list) -> int:
+        """The subtree over leaves [lo, hi) below the ancestors `path`; its
+        root's id. A leaf's K run, appended to `runs`, is its ancestors by
+        middle value ascending, which is by id: its right parents (K2)
+        top-down, then its left parents (K1) bottom-up."""
+        node = _TreeNode(self, lo, hi)
         if hi - lo == 1:
-            self.leaves[lo] = node
-            return node
+            self.nodes[lo] = node
+            runs.append(sorted(path))
+            return lo
         mid = (lo + hi) // 2
-        node.left = self._build_tree(lo, mid, inner)
-        node.right = self._build_tree(mid, hi, inner)
-        node.left.parent = node
-        node.right.parent = node
-        node.height = 1 + max(node.left.height, node.right.height)
-        node.m = self.values[mid * self.cap]
-        inner.append(node)
-        return node
+        uid = self.nleaves - 1 + mid
+        self.nodes[uid] = node
+        node.m = values[mid * self.cap]
+        path.append(uid)
+        left = self._build_tree(lo, mid, values, path, runs)
+        right = self._build_tree(mid, hi, values, path, runs)
+        path.pop()
+        node.left, node.right = self.nodes[left], self.nodes[right]
+        node.left.parent = node.right.parent = node
+        self.lchild[uid], self.rchild[uid] = left, right
+        self.height[uid] = 1 + max(self.height[left], self.height[right])
+        return uid
 
-    def _build_lists(self, nodes: list) -> None:
+    def _build_lists(self, vals: np.ndarray, prevs: np.ndarray) -> None:
         """R of the leaves and left children, L of the leaves and right
-        children. A point of a node's points [s, e) is its color's first
-        there if its predecessor lies before s, its last if its successor
-        lies at or after e."""
-        n, cap, prevpos = self.n, self.cap, self.prevpos
+        children, cut in node id order. A point of a node's points [s, e)
+        is its color's first there if its predecessor lies before s, its
+        last if its successor lies at or after e."""
+        n, cap, prevpos, nleaves = self.n, self.cap, self.prevpos, self.nleaves
         pos = np.arange(n, dtype=np.int64)
         nextpos = np.full(n, n, dtype=np.int64)
         has_prev = prevpos >= 0
         nextpos[prevpos[has_prev]] = pos[has_prev]
-        lasts, firsts = [], []
-        r = l = 0
-        for node in nodes:
+        # the leaves, all at once: a leaf holds at most `cap` points, so its
+        # lists keep every color it holds
+        start = pos - pos % cap
+        lasts = [np.flatnonzero(nextpos >= np.minimum(start + cap, n))]
+        firsts = [np.flatnonzero(prevpos < start)]
+        rlen = np.bincount(lasts[0] // cap, minlength=nleaves).tolist()
+        llen = np.bincount(firsts[0] // cap, minlength=nleaves).tolist()
+        for node in self.nodes[nleaves:]:
             s, e = node.leaf_lo * cap, min(node.leaf_hi * cap, n)
-            parent, leaf = node.parent, node.left is None
-            node.r_lo, node.l_lo = r, l
-            if leaf or parent is not None and parent.left is node:
-                lasts.append(s + np.flatnonzero(nextpos[s:e] >= e)[-cap:])
-                r += len(lasts[-1])
-            if leaf or parent is not None and parent.right is node:
-                firsts.append(s + np.flatnonzero(prevpos[s:e] < s)[:cap])
-                l += len(firsts[-1])
-            node.r_hi, node.l_hi = r, l
-        vals, prevs, colors = self.values, self.prevs, self.colors
-        lasts = np.concatenate([pos[:0], *lasts]).tolist()
-        firsts = np.concatenate([pos[:0], *firsts]).tolist()
-        self.last_v = [vals[i] for i in lasts]
-        self.last_c = [colors[i] for i in lasts]
-        self.first_v = [vals[i] for i in firsts]
-        self.first_p = [prevs[i] for i in firsts]
-        self.first_c = [colors[i] for i in firsts]
+            parent = node.parent
+            r = l = pos[:0]  # the root keeps neither list
+            if parent is not None and parent.left is node:
+                r = s + np.flatnonzero(nextpos[s:e] >= e)[-cap:]
+            elif parent is not None:
+                l = s + np.flatnonzero(prevpos[s:e] < s)[:cap]
+            lasts.append(r)
+            firsts.append(l)
+            rlen.append(len(r))
+            llen.append(len(l))
+        self.roff = _column(np.cumsum([0, *rlen]))
+        self.loff = _column(np.cumsum([0, *llen]))
+        lasts, firsts = np.concatenate(lasts), np.concatenate(firsts)
+        colors = self.colors
+        self.last_v = _column(vals[lasts])
+        self.last_c = [colors[i] for i in lasts.tolist()]
+        self.first_v = _column(vals[firsts])
+        self.first_p = _column(prevs[firsts])
+        self.first_c = [colors[i] for i in firsts.tolist()]
 
     def suffix(self, leaf: int, a: int, meter=None) -> list:
         """The colors with a point >= a in the leaf: its R entries >= a."""
-        node = self.leaves[leaf]
-        end = node.r_hi
-        i = bisect.bisect_left(self.last_v, a, node.r_lo, end)
+        end = self.roff[leaf + 1]
+        i = bisect.bisect_left(self.last_v, a, self.roff[leaf], end)
         if meter is not None:
             meter.touches += end - i
             meter.locate_ops += 1
@@ -181,9 +236,8 @@ class TreeLayout:
     def prefix(self, leaf: int, a: int, b: int, meter=None) -> list:
         """The colors whose first point in the leaf is <= b and has
         prev < a: its L entries <= b, filtered by prev."""
-        node = self.leaves[leaf]
-        i = node.l_lo
-        end = bisect.bisect_right(self.first_v, b, i, node.l_hi)
+        i = self.loff[leaf]
+        end = bisect.bisect_right(self.first_v, b, i, self.loff[leaf + 1])
         if meter is not None:
             meter.touches += end - i
             meter.locate_ops += 1
@@ -227,8 +281,7 @@ def first_points(layout: TreeLayout, size: int) -> tuple:
         firsts.append(pos[first][order])
         size *= 2
     block_start = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
-    return (level_base, array("q", block_start.astype(np.int64).tobytes()),
-            array("q", np.concatenate(keys).astype(np.int64).tobytes()),
+    return (level_base, _column(block_start), _column(np.concatenate(keys)),
             np.concatenate(firsts))
 
 
@@ -268,10 +321,11 @@ class LeafArrays:
     """
 
     def __init__(self, layout: TreeLayout):
-        n, cap, prevs = layout.n, layout.cap, layout.prevs
+        # the build reads each prev several times: from a list, not boxed
+        n, cap, prevs = layout.n, layout.cap, layout.prevs.tolist()
         if cap > 255:
             raise ValueError(f"leaf size {cap} does not fit a byte")
-        self.cap, self.prevs, self.colors = cap, prevs, layout.colors
+        self.cap, self.prevs, self.colors = cap, layout.prevs, layout.colors
         lkid, rkid = bytearray(n), bytearray(n)
         root = bytearray(layout.nleaves)
         for leaf, lo in enumerate(range(0, n, cap)):
@@ -406,9 +460,10 @@ class StaticIndex(TreeLayout):
         j = bisect.bisect_right(self.values, value) - 1
         return j // self.cap
 
-    def hra_query(self, leaf_idx: int, a: int, b: int, meter=None) -> Optional[_TreeNode]:
-        """Highest ancestor u of the leaf with a < m(u) <= b, else None:
-        the higher end of the K run's entries between two bisections."""
+    def _hra(self, leaf_idx: int, a: int, b: int, meter=None) -> int:
+        """The id of the highest ancestor u of the leaf with a < m(u) <= b,
+        else -1: the higher end of the K run's entries between two
+        bisections."""
         koff, km = self.koff, self.km
         end = koff[leaf_idx + 1]
         i = bisect.bisect_right(km, a, koff[leaf_idx], end)
@@ -416,9 +471,15 @@ class StaticIndex(TreeLayout):
         if meter is not None:
             meter.locate_ops += 1
         if i == e:
-            return None
-        u1, u2 = self.kn[i], self.kn[e - 1]
-        return u1 if u1.height >= u2.height else u2
+            return -1
+        kn, height = self.kn, self.height
+        u1, u2 = kn[i], kn[e - 1]
+        return u1 if height[u1] >= height[u2] else u2
+
+    def hra_query(self, leaf_idx: int, a: int, b: int, meter=None) -> Optional[_TreeNode]:
+        """Highest ancestor u of the leaf with a < m(u) <= b, else None."""
+        u = self._hra(leaf_idx, a, b, meter)
+        return self.nodes[u] if u >= 0 else None
 
     def query(self, a: int, b: int, meter=None) -> list:
         """Distinct colors of S within [a, b], each exactly once."""
@@ -434,31 +495,30 @@ class StaticIndex(TreeLayout):
         if j == self.n or values[j] > b:
             return []
         leaf_idx = j // cap
-        u = self.hra_query(leaf_idx, a, b, meter)
-        if u is None:
+        u = self._hra(leaf_idx, a, b, meter)
+        if u < 0:
             r = bisect.bisect_right(values, b, j, min(j - j % cap + cap, self.n))
             return self.leaf_arrays.window(leaf_idx, j, r, a, meter)
 
         # a full list whose far end lies strictly inside the range may
         # leave colors out; one that ends at a (R) or b (L) holds every
         # color of its side
-        left, right = u.left, u.right
-        r0, r1, l0, l1 = left.r_lo, left.r_hi, right.l_lo, right.l_hi
+        left, right, roff, loff = (self.lchild[u], self.rchild[u], self.roff,
+                                   self.loff)
+        r0, r1, l0, l1 = roff[left], roff[left + 1], loff[right], loff[right + 1]
         last_v, first_v = self.last_v, self.first_v
-        if (last_v[r0] > a and r1 - r0 == cap
-                or first_v[l1 - 1] < b and l1 - l0 == cap):
+        if (r1 - r0 == cap and last_v[r0] > a
+                or l1 - l0 == cap and first_v[l1 - 1] < b):
             return self.fallback.query(a, b, meter)
         i = bisect.bisect_left(last_v, a, r0, r1)
         out = self.last_c[i:r1]
+        cut = bisect.bisect_right(first_v, b, l0, l1)
         if meter is not None:
-            # the entries each walk examines: those it takes, and the one
-            # that stops it
-            cut = bisect.bisect_right(first_v, b, l0, l1)
+            # a walk along each list: the entries it takes, and the one
+            # that would stop it
             meter.touches += r1 - i + (i > r0) + cut - l0 + (cut < l1)
         first_p, first_c = self.first_p, self.first_c
-        for i in range(l0, l1):
-            if first_v[i] > b:
-                break
+        for i in range(l0, cut):
             if first_p[i] < a:
                 out.append(first_c[i])
         return out
@@ -466,8 +526,8 @@ class StaticIndex(TreeLayout):
 
 class _KPairs:
     """`k1[leaf]`/`k2[leaf]` of a `StaticIndex`: the leaf's (m, node) pairs
-    bottom-up, read off the flat K store. The K2 entries are those with m
-    at most the leaf's first value."""
+    bottom-up, read off the flat K store, its ids mapped to `nodes`. The K2
+    entries are those with m at most the leaf's first value."""
 
     def __init__(self, index: StaticIndex, left: bool):
         self.index, self.left = index, left
@@ -476,6 +536,6 @@ class _KPairs:
         idx = self.index
         s, e = idx.koff[leaf], idx.koff[leaf + 1]
         cut = bisect.bisect_right(idx.km, idx.values[leaf * idx.cap], s, e)
-        if self.left:
-            return list(zip(idx.km[cut:e], idx.kn[cut:e]))
-        return list(zip(idx.km[s:cut], idx.kn[s:cut]))[::-1]
+        lo, hi = (cut, e) if self.left else (s, cut)
+        pairs = [(idx.km[k], idx.nodes[idx.kn[k]]) for k in range(lo, hi)]
+        return pairs if self.left else pairs[::-1]

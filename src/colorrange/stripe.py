@@ -23,7 +23,7 @@ import math
 from bisect import bisect_left, bisect_right
 from typing import Optional
 
-from .core import DuplicateX, NotFound, check_coordinate
+from .core import DuplicateX, NotFound, check_coordinate, check_integer
 
 
 def _digits(h: int, tau: int, ndigits: int) -> list:
@@ -150,6 +150,7 @@ class StripeIndex:
             self._split(gi)
 
     def delete(self, x: int) -> None:
+        x = check_integer(x)
         gi = self._group_index_for(x)
         if not self.groups or x not in self.groups[gi].ymap:
             raise NotFound(x)

@@ -387,36 +387,39 @@ class WbTree:
     # -- invariant checks (tests) ---------------------------------------------
 
     def check_weight_bounds(self) -> None:
+        """Every node within its weight bounds and fan-out; AssertionError
+        otherwise."""
         for node in self.iter_nodes():
             cap = self._capacity(node.height)
-            assert node.size <= cap, f"overfull node at height {node.height}"
-            if node is self.root:
-                if not node.is_leaf():
-                    assert 2 <= len(node.children) <= MAX_CHILDREN
-                continue
-            if not node.is_leaf():
-                assert 2 <= len(node.children) <= MAX_CHILDREN
-            if not node.exempt_lower:
+            if node.size > cap:
+                raise AssertionError(f"overfull node at height {node.height}")
+            if not node.is_leaf() and not 2 <= len(node.children) <= MAX_CHILDREN:
+                raise AssertionError(f"fan-out {len(node.children)} at height "
+                                     f"{node.height}")
+            if node is not self.root and not node.exempt_lower:
                 gross = node.size + node.deleted
-                assert gross >= cap // 4, \
-                    f"underfull node at height {node.height}: {gross} < {cap // 4}"
+                if gross < cap // 4:
+                    raise AssertionError(f"underfull node at height "
+                                         f"{node.height}: {gross} < {cap // 4}")
 
     def check_k_monotone(self) -> None:
         """Every leaf's run never decreases and is the one its ancestors'
-        separators give now (a split that left it stale fails)."""
+        separators give now (a split that left it stale fails);
+        AssertionError otherwise."""
         leaf = self.first_leaf
         while leaf is not None:
             keys = leaf.kkeys
-            assert all(x <= y for x, y in zip(keys, keys[1:])), \
-                "K run not non-decreasing"
-            assert (keys, leaf.knodes) == self._hra_run(leaf), "stale K run"
+            if any(x > y for x, y in zip(keys, keys[1:])):
+                raise AssertionError("K run not non-decreasing")
+            if (keys, leaf.knodes) != self._hra_run(leaf):
+                raise AssertionError("stale K run")
             leaf = leaf.next_leaf
 
     def check_bounds(self) -> None:
         """Every node's submin/submax is the min/max of the live values under
-        it, or None when it holds none."""
+        it, or None when it holds none; AssertionError otherwise."""
         for node in self.iter_nodes():
             vals = [v for lf in self.leaves_under(node) for v in lf.values]
             want = (min(vals), max(vals)) if vals else (None, None)
-            assert (node.submin, node.submax) == want, \
-                f"stale bounds at height {node.height}"
+            if (node.submin, node.submax) != want:
+                raise AssertionError(f"stale bounds at height {node.height}")

@@ -5,12 +5,14 @@ import random
 import pytest
 
 from colorrange.core import (ColoredPoint, FastOracle, InvalidColor,
-                             InvalidCoordinate, Range, oracle_k_leftmost,
-                             oracle_k_rightmost, oracle_report)
+                             InvalidCoordinate, NotFound, Range,
+                             oracle_k_leftmost, oracle_k_rightmost,
+                             oracle_report)
 from colorrange.dynamic_index import DynamicIndex
 from colorrange.em_index import EmIndex
 from colorrange.slow_index import SlowIndex
 from colorrange.static_index import StaticIndex
+from colorrange.stripe import StripeIndex
 from conftest import random_instance
 
 
@@ -90,3 +92,35 @@ def test_bad_input_raises_typed_error(kind, point, error):
         with pytest.raises(error):
             idx.insert(*point)
         assert len(idx) == 2 and sorted(idx.query(1, 2**62)) == [0, 1]
+
+
+def _stripe(pts):
+    stripe = StripeIndex(max_y=4, group_cap=4)
+    for p in pts:
+        stripe.insert(p.value, p.color + 1)
+    return stripe
+
+
+@pytest.mark.parametrize("build", [DynamicIndex, SlowIndex, _stripe],
+                         ids=["dynamic", "slow", "stripe"])
+@pytest.mark.parametrize("x,error", [
+    pytest.param(True, InvalidCoordinate, id="bool"),
+    pytest.param(1.0, InvalidCoordinate, id="float-held"),
+    pytest.param(1.5, InvalidCoordinate, id="float"),
+    pytest.param("a", InvalidCoordinate, id="str"),
+    pytest.param(None, InvalidCoordinate, id="none"),
+    pytest.param(0, NotFound, id="zero"),
+    pytest.param(-10, NotFound, id="negative"),
+    pytest.param(15, NotFound, id="absent"),
+    pytest.param(2**70, NotFound, id="2^70"),
+])
+def test_bad_delete_raises_typed_error(build, x, error):
+    # a delete names its point by an integer: True and 1.0 are not the
+    # point at 1, and an integer no point holds is NotFound; either way the
+    # index keeps all its points
+    idx = build([ColoredPoint(1, 0), ColoredPoint(10, 1), ColoredPoint(20, 2)])
+    with pytest.raises(error):
+        idx.delete(x)
+    assert len(idx) == 3
+    idx.delete(1)
+    assert len(idx) == 2

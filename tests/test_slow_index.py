@@ -1,5 +1,9 @@
 import bisect
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -275,3 +279,55 @@ def test_inverted_range_raises():
     assert idx.k_leftmost(1, 30, 0) == []
     assert idx.k_rightmost(1, 30, -1) == []
     assert idx.query(20, 20) == [1]
+
+
+_AUDITS_UNDER_O = """
+import random
+from colorrange.core import ColoredPoint
+from colorrange.slow_index import SlowIndex
+from colorrange.wbtree import WbTree
+assert not __debug__  # never raises: -O drops it
+rng = random.Random(5)
+pts = [ColoredPoint(v, rng.randrange(4)) for v in range(1, 400)]
+
+def corrupt_minv(t):
+    t.root.children[0].minv = -1
+def corrupt_fanout(t):
+    t.root.children *= 10
+def corrupt_size(t):
+    t.root.size = 10 ** 9
+def corrupt_k_run(t):
+    leaf = t.first_leaf.next_leaf
+    leaf.kkeys = leaf.kkeys[::-1]
+def corrupt_bounds(t):
+    t.root.submax = -1
+
+quiet = []
+for build, corrupt, audit in [
+        (SlowIndex, corrupt_minv, "check_consistency"),
+        (SlowIndex, corrupt_fanout, "check_fanout_law"),
+        (WbTree, corrupt_size, "check_weight_bounds"),
+        (WbTree, corrupt_k_run, "check_k_monotone"),
+        (WbTree, corrupt_bounds, "check_bounds")]:
+    t = build(pts if build is SlowIndex else [p.value for p in pts])
+    getattr(t, audit)()
+    corrupt(t)
+    try:
+        getattr(t, audit)()
+        quiet.append(audit)
+    except AssertionError:
+        pass
+print("quiet:", quiet)
+"""
+
+
+def test_audits_raise_under_python_O():
+    # the criterion 7 audits raise AssertionError themselves, so a corrupt
+    # index fails them with assert statements stripped as well
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", _AUDITS_UNDER_O],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["quiet:", "[]"], proc.stdout

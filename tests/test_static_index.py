@@ -1,6 +1,8 @@
 import bisect
+import hashlib
 import math
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings
@@ -252,9 +254,29 @@ def test_static_layout_entry_counts():
     fb = idx.fallback
     assert len(fb.keys) == len(fb.firsts) == 21371
     assert len(fb.level_base) == 9 and len(fb.block_start) == 687
+    # every column by name: the colors stay lists, since answers are slices
+    # of them; the int columns and the node columns are arrays
     assert sorted(k for k, v in vars(idx).items() if isinstance(v, list)) == [
-        "colors", "first_c", "first_p", "first_v", "km", "kn", "last_c",
-        "last_v", "leaves", "prevs", "values"]
+        "colors", "first_c", "last_c", "nodes"]
+    assert sorted(k for k, v in vars(idx).items() if isinstance(v, array)) == [
+        "first_p", "first_v", "height", "km", "kn", "koff", "last_v",
+        "lchild", "loff", "prevs", "rchild", "roff", "values"]
+    assert len(idx.nodes) == len(idx.height) == 2 * idx.nleaves - 1
+    assert len(idx.roff) == len(idx.loff) == len(idx.nodes) + 1
+
+
+def test_static_answers_and_counts_pinned():
+    # the sorted answers and the CostMeter totals of a fixed query set on a
+    # fixed instance, over every route (one leaf, the lists, the fallback)
+    rng = random.Random(97)
+    idx = StaticIndex(random_instance(rng, 1 << 12, 1 << 15, 300))
+    digest, meter = hashlib.sha256(), CostMeter()
+    for w in [1, 16, 64, 512, 4096, 1 << 13] * 300:
+        a = rng.randrange(1, (1 << 15) - w + 2)
+        digest.update(repr(sorted(idx.query(a, a + w - 1, meter))).encode())
+    assert digest.hexdigest() == (
+        "a0d9129d014233863835e917efc5775addcdc349eb4f99748e8ce313ca2d15ba")
+    assert (meter.touches, meter.locate_ops) == (184816, 11212)
 
 
 class _FallbackSpy:
