@@ -45,7 +45,7 @@ class IndexFileError(ValueError):
 
 
 class InvalidRange(ValueError):
-    """Raised when a query range has a > b."""
+    """Raised when a query range has a > b, or its count k is no integer."""
 
 
 class InvalidColor(ValueError):

@@ -33,10 +33,11 @@ nodes that hold both. A split rebuilds the lists of both halves from their
 children; a global rebuild rebuilds all of them.
 
 State: each live value has one row in its leaf's store (`ColorPst`): the
-value, its prev, its color and its two tags. Besides the rows, the index
-keeps only the tree, the color extremes and `by_color`, each color's live
-values in sorted order. `colors`, `hmin` and `hmax` are read-only views of
-the rows, one descent and one row bisect per lookup; no query reads them.
+value, its prev, its color and its two tags, where the value column is the
+tree leaf's own list. Besides the rows, the index keeps only the tree, the
+color extremes and `by_color`, each color's live values in sorted order.
+`colors`, `hmin` and `hmax` are read-only views of the rows, one descent and
+one row bisect per lookup; no query reads them.
 
 Work per update: the tree's own insert or delete is the duplicate or
 membership check and finds x's leaf, whose row gives a deleted x's color.
@@ -255,16 +256,16 @@ class DynamicIndex:
 
     @staticmethod
     def _leaf_stores(leaves, colors) -> None:
-        """Fresh (value, prev, color) rows for all leaves, in order: a prev
-        is the previous value of its color, PREV_SENTINEL for the first."""
+        """Fresh stores over all leaves' values, in order: a prev is the
+        previous value of its color, PREV_SENTINEL for the first."""
         last: dict = {}
         for leaf in leaves:
-            rows = []
-            for v in leaf.values:
-                c = colors[v]
-                rows.append((v, last.get(c, PREV_SENTINEL), c))
+            cols = [colors[v] for v in leaf.values]
+            prevs = []
+            for v, c in zip(leaf.values, cols):
+                prevs.append(last.get(c, PREV_SENTINEL))
                 last[c] = v
-            leaf.dstruct = ColorPst(rows)
+            leaf.dstruct = ColorPst(leaf.values, prevs, cols)
 
     def _retag_leaves(self, leaves) -> None:
         """Exact tags for every row of consecutive leaves, in order: prev
@@ -358,9 +359,11 @@ class DynamicIndex:
             # theirs; until then the list updates pass them by
             left.extremes = right.extremes = None
             if h == 0:
-                # the old leaf's rows, which lack value, split where it did
+                # the rows lack value, which the tree already holds: the left
+                # half keeps the old rows below the right half's first value
                 right.dstruct = left.dstruct.split_off(
-                    bisect_left(left.dstruct.vals, right.values[0]))
+                    len(left.values) - (value < right.values[0]),
+                    right.values)
         leaf = ev["leaf"]
         leaf.dstruct.insert(value, e_p, color, self._tag_min(e_p, leaf),
                             self._tag_max(e_n, leaf))
@@ -382,7 +385,7 @@ class DynamicIndex:
     def delete(self, value: int) -> None:
         value = check_integer(value)
         # the tree delete is the membership check, and hands back the leaf
-        # even when it rebuilds, so value's row gives its color
+        # even when it rebuilds, so value's old row gives its color
         ev = self.tree.delete(value)
         leaf = ev["leaf"]
         color = leaf.dstruct.delete(value)
@@ -503,6 +506,8 @@ class DynamicIndex:
 
     def query(self, a: int, b: int, meter=None) -> list:
         """Distinct colors of the live set within [a, b]."""
+        if type(a) is not int or type(b) is not int:
+            a, b = check_integer(a), check_integer(b)
         if a > b:
             raise InvalidRange(f"[{a}, {b}]")
         a = max(a, 1)  # no point lies below 1, and prev 0 must stay below a

@@ -82,7 +82,7 @@ from itertools import compress
 from typing import Optional, Sequence
 
 from .core import (ColoredPoint, IndexFileError, InvalidColor, InvalidRange,
-                   check_colors)
+                   check_colors, check_integer)
 from .static_index import (TreeLayout, fallback_levels, first_points,
                            leaf_cover)
 
@@ -493,6 +493,8 @@ class EmIndex:
 
     def query(self, a: int, b: int, meter=None) -> list:
         """Distinct colors of [a, b]; the emission stream is duplicate-free."""
+        if type(a) is not int or type(b) is not int:
+            a, b = check_integer(a), check_integer(b)
         if a > b:
             raise InvalidRange(f"[{a}, {b}]")
         a = max(a, 1)  # no point lies below 1, and prev 0 must stay below a

@@ -1,13 +1,16 @@
 """Leaf store of the dynamic index: color reporting over a few sorted rows.
 
-`ColorPst` keeps one row per value in parallel columns sorted by value: the
-value, prev(value), its color and its two height tags, hmin and hmax (see
-`dynamic_index`), as `array("b")` columns. It answers one-dimensional color
-reporting with the classic prev-link reduction: the colors in [a, b] are
-exactly the colors of the rows of [a, b] whose prev is < a, one row per
-color. A query bisects [a, b] and scans its rows, so it costs O(log m +
-points in [a, b]); an update is one bisect plus a list insert or delete.
-The tags are only stored here; the dynamic index computes and writes them.
+`ColorPst` keeps the rows of one base-tree leaf. Their values are the
+leaf's own sorted list, which the store borrows and never copies; beside it
+the store keeps per row prev(value), its color and its two height tags,
+hmin and hmax (see `dynamic_index`), the tags as `array("b")` columns. It
+answers one-dimensional color reporting with the classic prev-link
+reduction: the colors in [a, b] are exactly the colors of the rows of
+[a, b] whose prev is < a, one row per color. A query bisects [a, b] and
+scans its rows, so it costs O(log m + points in [a, b]). The owner changes
+the values first, and checks for duplicates and missing values in doing
+so; the store then inserts or deletes the row at the value's index. The
+tags are only stored here; the dynamic index computes and writes them.
 
 The module and class keep their priority-search-tree names because the
 benchmark's trace hooks resolve them by name.
@@ -17,30 +20,20 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from typing import Iterable
 
-from .core import DuplicateX, NotFound
+from .core import NotFound
 
 
 class ColorPst:
-    """Color reporting over (value, prev, color) rows sorted by value, each
-    with its hmin and hmax tag (-1, no tag, until one is written)."""
+    """Color reporting over the rows of `vals`, the owner's sorted list:
+    `prevs`, `cols` and the hmin and hmax tags (-1, no tag, until written)."""
 
     __slots__ = ("vals", "prevs", "cols", "hmins", "hmaxs")
 
-    def __init__(self, triples: Iterable[tuple] = ()):
-        rows = sorted(triples)
-        self.vals = [v for v, _, _ in rows]
-        for v, nv in zip(self.vals, self.vals[1:]):
-            if v == nv:
-                raise DuplicateX(v)
-        self.prevs = [p for _, p, _ in rows]
-        self.cols = [c for _, _, c in rows]
-        self.hmins = array("b", [-1]) * len(rows)
-        self.hmaxs = array("b", [-1]) * len(rows)
-
-    def __len__(self):
-        return len(self.vals)
+    def __init__(self, vals: list, prevs: list, cols: list):
+        self.vals, self.prevs, self.cols = vals, prevs, cols
+        self.hmins = array("b", [-1]) * len(vals)
+        self.hmaxs = array("b", [-1]) * len(vals)
 
     def index(self, value) -> int:
         """The row of `value`, or NotFound."""
@@ -64,21 +57,18 @@ class ColorPst:
         return out
 
     def insert(self, value, prev, color, hmin=-1, hmax=-1) -> None:
+        """Add the row of `value`, which `vals` already holds."""
         i = bisect_left(self.vals, value)
-        if i < len(self.vals) and self.vals[i] == value:
-            raise DuplicateX(value)
-        self.vals.insert(i, value)
         self.prevs.insert(i, prev)
         self.cols.insert(i, color)
         self.hmins.insert(i, hmin)
         self.hmaxs.insert(i, hmax)
 
     def delete(self, value) -> int:
-        """Remove value's row; returns its color."""
-        i = self.index(value)
+        """Drop the row of `value`, gone from `vals`; returns its color."""
+        i = bisect_left(self.vals, value)
         color = self.cols[i]
-        del self.vals[i], self.prevs[i], self.cols[i]
-        del self.hmins[i], self.hmaxs[i]
+        del self.prevs[i], self.cols[i], self.hmins[i], self.hmaxs[i]
         return color
 
     def update_prev(self, value, prev, hmin=-1) -> None:
@@ -93,13 +83,11 @@ class ColorPst:
     def set_hmax(self, value, tag) -> None:
         self.hmaxs[self.index(value)] = tag
 
-    def split_off(self, i) -> "ColorPst":
-        """Move the rows from row i on into a new store and return it."""
-        right = ColorPst()
-        for name in self.__slots__:
-            col = getattr(self, name)
-            setattr(right, name, col[i:])
-            del col[i:]
+    def split_off(self, i, vals) -> "ColorPst":
+        """Move rows i.. into a new store over `vals`, the moved values."""
+        right = ColorPst(vals, self.prevs[i:], self.cols[i:])
+        right.hmins, right.hmaxs = self.hmins[i:], self.hmaxs[i:]
+        del self.prevs[i:], self.cols[i:], self.hmins[i:], self.hmaxs[i:]
         return right
 
     def check_invariants(self) -> None:

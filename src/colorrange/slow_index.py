@@ -41,6 +41,14 @@ from .core import (DuplicateX, InvalidRange, NotFound, PREV_SENTINEL,
 LEAF_CUTOFF = 4
 
 
+def _k_args(a, b, k) -> tuple:
+    """Integer (a, b, k) of a k-selection query, or a typed error."""
+    a, b = check_integer(a), check_integer(b)
+    if a > b or isinstance(k, bool) or not hasattr(type(k), "__index__"):
+        raise InvalidRange(f"[{a}, {b}] with k = {k!r}")
+    return a, b, k.__index__()
+
+
 class _Node:
     __slots__ = ("children", "seps", "parent", "size", "cap", "alive",
                  "minv", "maxv", "bucket", "cvals", "cprevs", "depth")
@@ -313,6 +321,8 @@ class SlowIndex:
 
     def query(self, a, b, meter=None) -> list:
         """Distinct colors of [a, b] (leftmost-occurrence order)."""
+        if type(a) is not int or type(b) is not int:
+            a, b = check_integer(a), check_integer(b)
         if a > b:
             raise InvalidRange(f"[{a}, {b}]")
         a = max(a, 1)  # no point lies below 1, and prev 0 must stay below a
@@ -438,13 +448,11 @@ class SlowIndex:
         return k + 1 if overflow else len(ems)
 
     def k_leftmost(self, a, b, k, meter=None) -> list:
-        if a > b:
-            raise InvalidRange(f"[{a}, {b}]")
+        a, b, k = _k_args(a, b, k)
         return [c for _, c in self.k_leftmost_elements(a, b, k, meter=meter)]
 
     def k_rightmost(self, a, b, k, meter=None) -> list:
-        if a > b:
-            raise InvalidRange(f"[{a}, {b}]")
+        a, b, k = _k_args(a, b, k)
         return [c for _, c in self.k_rightmost_elements(a, b, k, meter=meter)]
 
     def k_leftmost_elements(self, a, b, k, meter=None) -> list:

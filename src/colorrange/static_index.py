@@ -62,7 +62,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (MAX_COORDINATE, ColoredPoint, DuplicateX, InvalidRange,
-                   check_colors, check_coordinate, compute_prev)
+                   check_colors, check_coordinate, check_integer,
+                   compute_prev)
 
 
 class _TreeNode:
@@ -483,6 +484,8 @@ class StaticIndex(TreeLayout):
 
     def query(self, a: int, b: int, meter=None) -> list:
         """Distinct colors of S within [a, b], each exactly once."""
+        if type(a) is not int or type(b) is not int:
+            a, b = check_integer(a), check_integer(b)
         if a > b:
             raise InvalidRange(f"[{a}, {b}]")
         if a < 1:  # no point lies below 1, and prev 0 must stay below a

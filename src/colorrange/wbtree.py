@@ -192,14 +192,6 @@ class WbTree:
         leaf, i = self.succ_slot(value)
         return None if leaf is None else leaf.values[i]
 
-    def pred(self, value) -> Optional[int]:
-        leaf = self.leaf_for(value)
-        i = bisect.bisect_right(leaf.values, value) - 1
-        while leaf is not None and i < 0:
-            leaf = leaf.prev_leaf
-            i = len(leaf.values) - 1 if leaf is not None else -1
-        return None if leaf is None else leaf.values[i]
-
     def __contains__(self, value):
         leaf = self.leaf_for(value)
         i = bisect.bisect_left(leaf.values, value)
@@ -306,7 +298,7 @@ class WbTree:
         if node.is_leaf():
             mid = len(node.values) // 2
             right = WbLeaf(node.values[mid:])
-            node.values = node.values[:mid]
+            del node.values[mid:]  # in place: the leaf store shares the list
             sep = right.values[0]
             right.next_leaf = node.next_leaf
             if right.next_leaf is not None:

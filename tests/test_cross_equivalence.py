@@ -2,10 +2,11 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from colorrange.core import (ColoredPoint, FastOracle, InvalidColor,
-                             InvalidCoordinate, NotFound, Range,
+                             InvalidCoordinate, InvalidRange, NotFound, Range,
                              oracle_k_leftmost, oracle_k_rightmost,
                              oracle_report)
 from colorrange.dynamic_index import DynamicIndex
@@ -124,3 +125,28 @@ def test_bad_delete_raises_typed_error(build, x, error):
     assert len(idx) == 3
     idx.delete(1)
     assert len(idx) == 2
+
+
+@pytest.mark.parametrize("kind", list(_KINDS))
+@pytest.mark.parametrize("bounds", [
+    pytest.param(("a", 5), id="str"),
+    pytest.param((None, 4), id="none"),
+    pytest.param((1.5, 9), id="float"),
+    pytest.param((True, 5), id="bool"),
+    pytest.param((1, 9.0), id="float-end"),
+])
+def test_bad_query_raises_typed_error(kind, bounds):
+    # a query's bounds are integers, as a delete's x is: a float or a bool
+    # is not answered as the integer it rounds to or stands for
+    idx = _KINDS[kind]([ColoredPoint(1, 0), ColoredPoint(10, 1)])
+    with pytest.raises(InvalidCoordinate):
+        idx.query(*bounds)
+    assert sorted(idx.query(np.int64(1), np.int64(10))) == [0, 1]
+    if kind == "slow":
+        for k in (2.5, True, "2", None):
+            for select in (idx.k_leftmost, idx.k_rightmost):
+                with pytest.raises(InvalidRange):
+                    select(1, 10, k)
+        with pytest.raises(InvalidCoordinate):
+            idx.k_leftmost(1.5, 10, 1)
+        assert idx.k_rightmost(1, 10, np.int64(1)) == [1]

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import sys
 import random
 import tracemalloc
@@ -124,8 +125,11 @@ def test_color_maps_track_live_set():
 
 
 def _state(idx) -> tuple:
-    """Everything a failed update must leave as it was."""
+    """Everything a failed update must leave as it was; and every leaf
+    store still shares its leaf's value list."""
     tree = idx.tree
+    assert all(lf.dstruct.vals is lf.values
+               for lf in tree.leaves_under(tree.root))
     lists = [None if n.extremes is None else
              tuple(list(getattr(n.extremes, f)) for f in n.extremes.__slots__)
              for n in tree.iter_nodes()]
@@ -228,11 +232,12 @@ def test_dynamic_layout_rows_hold_the_tags():
             assert all(0 <= c < 64 for c in idx.by_color)
             for leaf in tree.leaves_under(tree.root):
                 d = leaf.dstruct
+                assert d.vals is leaf.values  # one value list per leaf
                 assert len(d.hmins) == len(d.hmaxs) == len(d.vals)
                 d.check_invariants()
             gc.collect()
             used = tracemalloc.get_traced_memory()[0] - base
-            assert used / len(idx) <= 110, used / len(idx)
+            assert used / len(idx) <= 80, used / len(idx)
 
         def shape():
             nodes = list(tree.iter_nodes())
@@ -619,3 +624,60 @@ def test_neighbour_leaf_lookup():
         right = lf.next_leaf
         assert len(lf.values) == mid and right.prev_leaf is lf
         assert {leaf_of(nb), leaf_of(v)} == {lf, right}
+
+
+def test_dynamic_answers_counts_and_tags_pinned():
+    # the sorted answers, the CostMeter totals and the final tags of a fixed
+    # update and query stream on a fixed instance, through leaf splits,
+    # internal splits (half the inserts append past the maximum) and a
+    # global rebuild
+    rng = random.Random(131)
+    n = 1 << 11
+    pts = random_instance(rng, n, 4 * n, 64)
+    idx = DynamicIndex(pts)
+    live = {p.value for p in pts}
+    top = pts[-1].value
+    digest, meter = hashlib.sha256(), CostMeter()
+    seen = {"leaf": 0, "internal": 0, "rebuild": 0}
+
+    def shape():
+        nodes = list(idx.tree.iter_nodes())
+        leaves = sum(nd.is_leaf() for nd in nodes)
+        return idx.tree.n0, leaves, len(nodes) - leaves
+
+    for _ in range(6000):
+        r = rng.random()
+        if r < 0.2:
+            a = rng.randrange(1, top + 1)
+            b = a + rng.choice((0, 16, 256, 4096, top))
+            digest.update(repr(sorted(idx.query(a, b, meter))).encode())
+            continue
+        n0, leaves, internal = shape()
+        if r < 0.5:
+            top += rng.randrange(1, 4)
+            live.add(top)
+            idx.insert(top, rng.randrange(64))
+        elif r < 0.8:
+            v = rng.randrange(1, top)
+            if v in live:
+                continue
+            live.add(v)
+            idx.insert(v, rng.randrange(64))
+        else:
+            v = rng.choice(sorted(live))
+            live.remove(v)
+            idx.delete(v)
+        n0_after, leaves_after, internal_after = shape()
+        if n0_after != n0:
+            seen["rebuild"] += 1
+        else:
+            seen["leaf"] += leaves_after > leaves
+            seen["internal"] += internal_after > internal
+    assert min(seen.values()) >= 1, seen
+    assert digest.hexdigest() == (
+        "783a9d2e1fc0c2f7c9a8dc557ba4b48350912ec1f790a179fee6718b99a0d475")
+    assert (meter.touches, meter.locate_ops) == (70507, 8118)
+    tags = hashlib.sha256(repr((sorted(idx.hmin.items()),
+                                sorted(idx.hmax.items()))).encode())
+    assert tags.hexdigest() == (
+        "ee696c612e3ccabeb338d3a921dfbccbcc3e2d39ea22e05c4bac7d1af09a24a9")

@@ -1,9 +1,10 @@
 import random
+from bisect import insort
 
 import pytest
 
-from colorrange.core import (CostMeter, DuplicateX, NotFound, Range,
-                             compute_prev, oracle_report)
+from colorrange.core import (CostMeter, NotFound, Range, compute_prev,
+                             oracle_report)
 from colorrange.pst import ColorPst
 from conftest import random_instance
 
@@ -13,18 +14,27 @@ def brute_colors(rows, a, b):
     return [c for v, (p, c) in sorted(rows.items()) if a <= v <= b and p < a]
 
 
+def store(triples):
+    """A store over a fresh list of the sorted values of (value, prev,
+    color) rows, the way a leaf lends its values."""
+    rows = sorted(triples)
+    return ColorPst([v for v, _, _ in rows], [p for _, p, _ in rows],
+                    [c for _, _, c in rows])
+
+
 def e1_store(pts, prevs):
-    return ColorPst((p.value, pv, p.color) for p, pv in zip(pts, prevs))
+    return store((p.value, pv, p.color) for p, pv in zip(pts, prevs))
 
 
 def test_build_trivial():
-    empty = ColorPst()
-    assert len(empty) == 0 and empty.query(1, 10) == []
+    empty = ColorPst([], [], [])
+    assert empty.query(1, 10) == []
     empty.check_invariants()
-    one = ColorPst([(5, 0, 3)])
+    vals = [5]
+    one = ColorPst(vals, [0], [3])
     assert (one.vals, one.prevs, one.cols) == ([5], [0], [3])
-    with pytest.raises(DuplicateX):
-        ColorPst([(5, 0, 1), (5, 3, 1)])
+    assert one.vals is vals  # borrowed, not copied
+    assert (list(one.hmins), list(one.hmaxs)) == ([-1], [-1])
 
 
 def test_e1_reduction_query(e1_with_prev):
@@ -45,7 +55,7 @@ def test_query_matches_filter_oracle_randomized():
         n = rng.randrange(0, 120)
         xs = rng.sample(range(1, 500), n)
         rows = {x: (rng.randrange(0, x), rng.randrange(0, 9)) for x in xs}
-        cp = ColorPst((v, p, c) for v, (p, c) in rows.items())
+        cp = store((v, p, c) for v, (p, c) in rows.items())
         cp.check_invariants()
         for _ in range(90):
             a = rng.randrange(1, 520)
@@ -57,19 +67,21 @@ def test_query_matches_filter_oracle_randomized():
 
 def test_updates_keep_invariants_and_answers():
     rng = random.Random(5)
-    rows = {}
-    cp = ColorPst()
+    # the owner changes the values first, the store then follows the row
+    rows, vals = {}, []
+    cp = ColorPst(vals, [], [])
     for step in range(3000):
         op = rng.random()
         if op < 0.45 or not rows:
             x = rng.randrange(1, 800)
             if x not in rows:
                 rows[x] = (rng.randrange(0, x), rng.randrange(0, 9))
+                insort(vals, x)
                 cp.insert(x, *rows[x])
         elif op < 0.65:
             x = rng.choice(list(rows))
-            del rows[x]
-            cp.delete(x)
+            vals.remove(x)
+            assert cp.delete(x) == rows.pop(x)[1]
         elif op < 0.8:
             x = rng.choice(list(rows))
             rows[x] = (rng.randrange(0, x), rows[x][1])
@@ -81,6 +93,7 @@ def test_updates_keep_invariants_and_answers():
         if step % 200 == 0:
             cp.check_invariants()
     cp.check_invariants()
+    assert cp.vals is vals
     assert list(zip(cp.vals, cp.prevs, cp.cols)) == \
         [(v, p, c) for v, (p, c) in sorted(rows.items())]
 
@@ -91,62 +104,76 @@ def test_insert_delete_inverse(e1_with_prev):
     ranges = [(1, 20), (4, 13), (6, 6)]
     before = [cp.query(a, b) for a, b in ranges]
     rows = (list(cp.vals), list(cp.prevs), list(cp.cols))
+    insort(cp.vals, 6)
     cp.insert(6, 0, 99)
     assert 99 in cp.query(4, 13)
-    cp.delete(6)
+    cp.vals.remove(6)
+    assert cp.delete(6) == 99
     assert [cp.query(a, b) for a, b in ranges] == before
     assert (cp.vals, cp.prevs, cp.cols) == rows
 
 
-def test_duplicate_and_missing_errors():
-    cp = ColorPst([(1, 0, 0)])
-    with pytest.raises(DuplicateX):
-        cp.insert(1, 0, 5)
-    with pytest.raises(NotFound):
-        cp.delete(9)
-    with pytest.raises(NotFound):
-        cp.update_prev(9, 1)
+def test_missing_value_lookups_raise():
+    # a duplicate or missing insert or delete is the owner's to refuse; a
+    # lookup by a value the owner does not hold is NotFound
+    cp = store([(1, 0, 0)])
+    for op in (lambda: cp.update_prev(9, 1), lambda: cp.set_hmin(9, 0),
+               lambda: cp.set_hmax(0, 0), lambda: cp.index(9)):
+        with pytest.raises(NotFound):
+            op()
     assert (cp.vals, cp.prevs, cp.cols) == ([1], [0], [0])
+    assert (list(cp.hmins), list(cp.hmaxs)) == ([-1], [-1])
 
 
 def test_check_invariants_catches_bad_rows():
-    cp = ColorPst([(1, 0, 0), (4, 1, 0)])
+    cp = store([(1, 0, 0), (4, 1, 0)])
     cp.prevs[1] = 4  # a prev not below its value
     with pytest.raises(AssertionError):
         cp.check_invariants()
-    cp = ColorPst([(1, 0, 0), (4, 1, 0)])
+    cp = store([(1, 0, 0), (4, 1, 0)])
     cp.vals[1] = 1  # values no longer strictly increasing
     with pytest.raises(AssertionError):
+        cp.check_invariants()
+    cp = store([(1, 0, 0), (4, 1, 0)])
+    cp.vals.append(6)  # the owner added a value, the store no row
+    with pytest.raises(AssertionError, match="differ in length"):
         cp.check_invariants()
 
 
 def test_check_invariants_catches_bad_tags():
-    cp = ColorPst([(1, 0, 0), (4, 1, 0)])
+    cp = store([(1, 0, 0), (4, 1, 0)])
     cp.hmins[1], cp.hmaxs[0] = 2, 5
     cp.check_invariants()
     cp.hmins[1] = -2  # below -1, the no-tag value
     with pytest.raises(AssertionError, match="tag outside"):
         cp.check_invariants()
-    cp = ColorPst([(1, 0, 0), (4, 1, 0)])
+    cp = store([(1, 0, 0), (4, 1, 0)])
     cp.hmaxs.pop()  # a tag column shorter than the values
     with pytest.raises(AssertionError, match="differ in length"):
         cp.check_invariants()
-    cp = ColorPst([(1, 0, 0), (4, 1, 0)])
+    cp = store([(1, 0, 0), (4, 1, 0)])
     cp.hmins = [0, 128]  # a column that no array("b") could hold
     with pytest.raises(AssertionError, match="tag outside"):
         cp.check_invariants()
 
 
 def test_tags_travel_with_their_rows():
-    cp = ColorPst([(2, 0, 0), (6, 2, 0)])
+    cp = store([(2, 0, 0), (6, 2, 0)])
+    vals = cp.vals
+    insort(vals, 4)
     cp.insert(4, 0, 1, hmin=3, hmax=1)
     cp.set_hmax(2, 2)
     cp.update_prev(6, 0, hmin=1)
     assert (list(cp.hmins), list(cp.hmaxs)) == ([-1, 3, 1], [2, 1, -1])
-    right = cp.split_off(1)
+    # the owner cuts its values in place and lends the moved ones
+    right_vals = vals[1:]
+    del vals[1:]
+    right = cp.split_off(1, right_vals)
+    assert cp.vals is vals and right.vals is right_vals
     assert (cp.vals, list(cp.hmins), list(cp.hmaxs)) == ([2], [-1], [2])
     assert (right.vals, right.prevs, right.cols) == ([4, 6], [0, 0], [1, 0])
     assert (list(right.hmins), list(right.hmaxs)) == ([3, 1], [1, -1])
+    right_vals.remove(4)
     assert right.delete(4) == 1 and list(right.hmins) == [1]
     cp.check_invariants()
     right.check_invariants()
@@ -156,7 +183,7 @@ def test_query_meter_contract():
     rng = random.Random(17)
     xs = rng.sample(range(1, 60_000), 4096)
     rows = {x: (rng.randrange(0, x), rng.randrange(0, 300)) for x in xs}
-    cp = ColorPst((v, p, c) for v, (p, c) in rows.items())
+    cp = store((v, p, c) for v, (p, c) in rows.items())
     meter = CostMeter()
     for _ in range(300):
         a = rng.randrange(1, 60_000)

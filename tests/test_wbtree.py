@@ -30,8 +30,6 @@ def test_build_and_navigation():
     assert t.succ(0) == 1
     assert t.succ(1500) == 1500
     assert t.succ(2001) is None
-    assert t.pred(0) is None
-    assert t.pred(2001) == 2000
     assert 77 in t and 2001 not in t
     t.check_weight_bounds()
     t.check_k_monotone()
