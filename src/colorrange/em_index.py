@@ -33,7 +33,9 @@ Left children carry R(u) (per-color maxima, descending, stored as
 (v, prev(v), color)), both capped at the leaf size and stored run-length
 contiguous so a traversal of t entries costs ceil(t/B) reads. The
 duplicate-free output stream comes from the prev-filter: an L entry is
-emitted only when prev(e) < a.
+emitted only when prev(e) < a. The layout holds an R entry's point and each
+prev as a position; the build turns them back into the values the records
+and the leaf PSTs hold.
 
 A full-length list whose last entry lies strictly inside the range (R:
 v > a, L: v < b; one read of its last block) may leave colors out: the range
@@ -81,10 +83,12 @@ from array import array
 from itertools import compress
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .core import (ColoredPoint, IndexFileError, InvalidColor, InvalidRange,
                    check_colors, check_integer)
-from .static_index import (TreeLayout, fallback_levels, first_points,
-                           leaf_cover)
+from .static_index import (TreeLayout, _column, fallback_levels,
+                           first_points, leaf_cover)
 
 MAGIC = b"CRR1"
 VERSION = 4
@@ -203,6 +207,9 @@ class BlockStore:
         return store
 
 
+_BY_Y = operator.itemgetter(1, 0)
+
+
 def _build_block_pst(store: BlockStore, pts: list) -> int:
     """Static block-aware PST: one block per node holding the B lowest-y
     points of its subtree, children metadata (bid, xlo, xhi, min_y) inline.
@@ -212,7 +219,7 @@ def _build_block_pst(store: BlockStore, pts: list) -> int:
     if not pts:
         return -1
     B = store.B
-    byy = sorted(pts, key=lambda r: (r[1], r[0]))
+    byy = sorted(pts, key=_BY_Y)
     top = sorted(byy[:B])
     rest = sorted(byy[B:])
     meta = [0]  # child count, then per child (bid, xlo, xhi, min y)
@@ -380,7 +387,16 @@ class EmIndex:
             raise InvalidColor(ncolors - 1)
         n = len(pts)
         lay = TreeLayout(pts, B * ceil_log(n, B))
-        values, colors, prevs, cap = lay.values, lay.colors, lay.prevs, lay.cap
+        values, colors, cap = lay.values, lay.colors, lay.cap
+        # the layout's positions back to the values the records hold, in
+        # one gather: the points' prevs (0 for none, at position -1), the L
+        # entries' prevs and the R entries' values
+        where = np.concatenate([np.frombuffer(c, dtype=np.int32) for c in (
+            lay.prevpos, lay.first_prevpos, lay.last_pos)])
+        held = _column(np.concatenate((
+            [0], np.frombuffer(values, dtype=np.int64)))[where + 1], "q")
+        nl = len(lay.first_prevpos)
+        prevs, first_p, last_v = held[:n], held[n:n + nl], held[n + nl:]
 
         store = BlockStore(B)
         store.append(K_DIR, ())  # placeholder, filled at the end
@@ -407,17 +423,17 @@ class EmIndex:
         # (v, 0, c) by value descending, L of a right child as (v, prev, c)
         ptr = {}
         lchild, rchild, roff, loff = lay.lchild, lay.rchild, lay.roff, lay.loff
-        stack = [(lay.root_id, None)] if lay.nodes else []
+        stack = [(lay.root_id, None)] if lay.nleaves else []
         while stack:  # (node id, whether it is a left child; None: root)
             u, is_left = stack.pop()
             if is_left is not None:
                 if is_left:
                     lo, hi = roff[u], roff[u + 1]
-                    ent = zip(lay.last_v[lo:hi][::-1], [0] * (hi - lo),
+                    ent = zip(last_v[lo:hi][::-1], [0] * (hi - lo),
                               lay.last_c[lo:hi][::-1])
                 else:
                     lo, hi = loff[u], loff[u + 1]
-                    ent = zip(lay.first_v[lo:hi], lay.first_p[lo:hi],
+                    ent = zip(lay.first_v[lo:hi], first_p[lo:hi],
                               lay.first_c[lo:hi])
                 ptr[u] = store.write_region(K_LIST,
                                             [x for e in ent for x in e])

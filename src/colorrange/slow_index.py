@@ -448,17 +448,16 @@ class SlowIndex:
         return k + 1 if overflow else len(ems)
 
     def k_leftmost(self, a, b, k, meter=None) -> list:
-        a, b, k = _k_args(a, b, k)
         return [c for _, c in self.k_leftmost_elements(a, b, k, meter=meter)]
 
     def k_rightmost(self, a, b, k, meter=None) -> list:
-        a, b, k = _k_args(a, b, k)
         return [c for _, c in self.k_rightmost_elements(a, b, k, meter=meter)]
 
     def k_leftmost_elements(self, a, b, k, meter=None) -> list:
         """The k leftmost distinct colors of [a, b], as (value, color) pairs
         ordered by first occurrence."""
-        if k <= 0 or a > b:
+        a, b, k = _k_args(a, b, k)
+        if k <= 0:
             return []
         a = max(a, 1)  # as in query
         if self.count_capped(a, b, k) < k:
@@ -479,7 +478,8 @@ class SlowIndex:
     def k_rightmost_elements(self, a, b, k, meter=None) -> list:
         """The k rightmost distinct colors of [a, b], as (value, color) pairs
         ordered by last occurrence, rightmost first."""
-        if k <= 0 or a > b:
+        a, b, k = _k_args(a, b, k)
+        if k <= 0:
             return []
         a = max(a, 1)  # as in query
         if self.count_capped(a, b, k) < k:

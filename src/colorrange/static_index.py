@@ -11,15 +11,23 @@ L list every color it holds. `StaticIndex` uses the layout with cap =
 ceil(log2 N) and keeps it in memory; `EmIndex` uses it with cap = B *
 ceil(log_B N) and pages it into blocks, each leaf's K run as its K records.
 
-The layout is columns, not objects: the values, the prevs, the list store's
-values and prevs, and the K store are `array("q")` columns, so a search
-compares machine words in one block of memory. The colors stay lists,
-because every answer is a slice of them or gathers their entries. Nodes
-are ids: the K store holds node ids, and a node's height, children and
-cuts of the list store are columns indexed by id, so a query reads no node
-object. The `_TreeNode`s stay for walks over the tree (`nodes[id]`,
-`root`, `leaves`, and the pairs of `k1`/`k2`), and read their height and
-cuts from the columns.
+The layout is columns, not objects, so a search compares machine words in
+one block of memory. What a query compares with a or b is a value and
+stays 64-bit: the points' values, the L entries' values and the K store's
+middle values, `array("q")`. Everything else is a position or a node id
+and is 32-bit, `array("i")`: each point's predecessor, the R entries'
+points, the L entries' predecessors, the K store's node ids, the cuts of
+the lists and the K runs, the children, and the fallback's keys and cuts.
+The positions stand in for the prev values by the prev-link reduction: with
+j = bisect_left(values, a), the position of succ(a), prev(e) < a exactly
+when the position of prev(e) is below j (-1 for no predecessor, below
+every j as prev 0 is below every a >= 1), so every prev filter tests a
+position against j. The colors stay lists, because every answer is a slice
+of them or gathers their entries. Nodes are ids: a node's height, children
+and cuts of the list store are columns indexed by id, so a query reads no
+node object. The `_TreeNode`s, for walks over the tree (`nodes[id]`,
+`root`, `leaves`, and the pairs of `k1`/`k2`), are built from the columns
+only when first read.
 
 A query locates succ(a) with one binary search and asks its leaf for the
 highest range ancestor u with a < m(u) <= b (Facts 2-3). The leaf's K run
@@ -40,15 +48,16 @@ point's predecessor, so one `bisect` per block finds its reported prefix.
 The answer stream is duplicate-free by construction, so there is no dedup
 pass. Every route reports a point e of [a, b] only if prev(e) < a, which
 holds for exactly one point per color: the prev-link reduction of Gupta,
-Janardan & Smid (1995). An L entry is emitted only when prev(e) < a (a
-color with an element in [a, m(u)) was already reported from R(u_l)); a
-Cartesian tree on prev answers it by descent, pruning each subtree whose
-root has prev >= a, as in Muthukrishnan's document listing (2002). The
-fallback's left edge leaf reports the colors whose last point in it is
->= a, and every other part reports first points with predecessor before
-succ(a), the same filter. No static structure stores a pointer node per
-point. A query reads only immutable state, so concurrent readers need no
-lock, given one `CostMeter` each.
+Janardan & Smid (1995), tested as prevpos(e) < j. An L entry is emitted
+only when prev(e) < a (a color with an element in [a, m(u)) was already
+reported from R(u_l)); a Cartesian tree on prevpos answers it by descent,
+pruning each subtree whose root has prevpos >= j, as in Muthukrishnan's
+document listing (2002). The fallback's left edge leaf reports the colors
+whose last point in it is >= a, and every other part reports first points
+with predecessor before succ(a), the same filter. No static structure
+stores a pointer node per point. A query reads only immutable state, so
+concurrent readers need no lock, given one `CostMeter` each; the node
+objects' first read stores one list for all of them.
 """
 
 from __future__ import annotations
@@ -94,11 +103,19 @@ class _TreeNode:
     l_hi = property(lambda self: self.layout.loff[self.id + 1])
 
 
-def _column(x) -> array:
-    """An integer numpy array as array("q"), allocated at its exact size
-    (`array("q", x.tobytes())` would add a sixteenth)."""
-    col = array("q", [0]) * len(x)
-    np.frombuffer(col, dtype=np.int64)[:] = x
+def _column(x, code: str) -> array:
+    """An integer numpy array as `array(code)`, "q" (int64) or "i"
+    (int32), allocated at its exact size (`array(code, x.tobytes())` would
+    add a sixteenth). A value the typecode cannot hold raises ValueError,
+    where numpy's assignment would wrap it."""
+    x = np.asarray(x)
+    col = array(code, [0]) * len(x)
+    if len(x):
+        lo, hi, bounds = int(x.min()), int(x.max()), np.iinfo(code)
+        if lo < bounds.min or hi > bounds.max:
+            raise ValueError(f"{hi if hi > bounds.max else lo} does not fit "
+                             f"an array({code!r}) column")
+    np.frombuffer(col, dtype=code)[:] = x
     return col
 
 
@@ -108,18 +125,19 @@ class TreeLayout:
     consecutive points, the list store and the K store, all in integer
     arrays but for the colors, which answers are slices of.
 
-    Node ids: leaf i is id i, and an internal node whose right subtree
-    starts at leaf j is id nleaves - 1 + j, so internal ids ascend with the
-    middle values. `height`, `lchild` and `rchild` (-1 below a leaf) are
-    columns by id. Node u's R entries are [roff[u], roff[u + 1]) of
-    `last_v`/`last_c`, its L entries [loff[u], loff[u + 1]) of
-    `first_v`/`first_p`/`first_c` (prev in `first_p`), by value ascending;
-    a list the node does not keep is an empty cut. Leaf i's K run is
-    [koff[i], koff[i + 1]) of the middle values `km` and their node ids
-    `kn`. `nodes[u]` is node u as a `_TreeNode`, which only walks over the
-    tree read. `prevpos` is the position of each point's predecessor, -1
-    for none; only the builds read it, and `StaticIndex` drops it once
-    built."""
+    `values` holds the points' values and `prevpos` the position of each
+    point's predecessor, -1 for none. Node ids: leaf i is id i, and an
+    internal node whose right subtree starts at leaf j is id nleaves - 1 +
+    j, so internal ids ascend with the middle values. `height`, `lchild` and
+    `rchild` (-1 below a leaf) are columns by id. Node u's R entries are
+    [roff[u], roff[u + 1]) of `last_pos`/`last_c` (the positions and colors
+    of its colors' last points), its L entries [loff[u], loff[u + 1]) of
+    `first_v`/`first_prevpos`/`first_c` (their first points' values,
+    predecessors' positions and colors), both by value ascending; a list
+    the node does not keep is an empty cut. Leaf i's K run is [koff[i],
+    koff[i + 1]) of the middle values `km` and their node ids `kn`.
+    `nodes[u]` is node u as a `_TreeNode`, which only walks over the tree
+    read, built on first read."""
 
     def __init__(self, points: Sequence[ColoredPoint], cap: int):
         values = [p.value for p in points]
@@ -136,62 +154,90 @@ class TreeLayout:
             raise DuplicateX(v) if u == v else ValueError(
                 f"points must ascend by value: {v} after {u}")
         prevs = np.asarray(compute_prev(points), dtype=np.int64)
-        self.prevpos = np.where(prevs == 0, -1, np.searchsorted(vals, prevs))
-        self.values, self.prevs = _column(vals), _column(prevs)
+        prevpos = np.where(prevs == 0, -1, np.searchsorted(vals, prevs))
+        self.values, self.prevpos = _column(vals, "q"), _column(prevpos, "i")
         self.n = n = len(values)
         self.cap = cap
         # leaves are consecutive chunks of `cap` points (last one may be short)
         self.nleaves = nleaves = math.ceil(n / cap)
         self.root_id = nleaves - 1 + nleaves // 2  # -1 for no points
         nnodes = max(0, 2 * nleaves - 1)
-        self.nodes: list[_TreeNode] = [None] * nnodes
         self.height = array("b", bytes(nnodes))
-        self.lchild = array("q", [-1]) * nnodes
-        self.rchild = array("q", [-1]) * nnodes
+        self.lchild = array("i", [-1]) * nnodes
+        self.rchild = array("i", [-1]) * nnodes
         runs: list = []
+        inner: list = [None] * max(0, nleaves - 1)
         if nleaves:
-            self._build_tree(0, nleaves, values, [], runs)
-        self._build_lists(vals, prevs)
-        self.kn = array("q", chain.from_iterable(runs))
-        self.koff = _column(np.cumsum([0, *map(len, runs)]))
+            self._build_tree(0, nleaves, [], runs, inner, None)
+        self._build_lists(vals, prevpos, inner)
+        self.kn = array("i", chain.from_iterable(runs))
+        self.koff = _column(np.cumsum([0, *map(len, runs)]), "i")
         # node nleaves - 1 + j has m = the first value of leaf j
-        kn = np.frombuffer(self.kn, dtype=np.int64)
-        self.km = _column(vals[(kn - (nleaves - 1)) * cap])
+        kn = np.frombuffer(self.kn, dtype=np.int32)
+        self.km = _column(vals[(kn - (nleaves - 1)) * cap], "q")
 
-    root = property(lambda self: self.nodes[self.root_id] if self.nodes else None)
+    @property
+    def nodes(self) -> list:
+        """`_TreeNode` u at index u, built from the columns on first read.
+        Readers that race here all get the list stored first."""
+        nodes = self.__dict__.get("nodes")
+        if nodes is None:
+            nodes = self.__dict__.setdefault("nodes", self._make_nodes())
+        return nodes
+
+    root = property(lambda self: self.nodes[self.root_id] if self.nleaves else None)
     leaves = property(lambda self: self.nodes[:self.nleaves])
 
-    def _build_tree(self, lo: int, hi: int, values: list, path: list,
-                    runs: list) -> int:
+    def _build_tree(self, lo: int, hi: int, path: list, runs: list,
+                    inner: list, left: Optional[bool]) -> int:
         """The subtree over leaves [lo, hi) below the ancestors `path`; its
         root's id. A leaf's K run, appended to `runs`, is its ancestors by
         middle value ascending, which is by id: its right parents (K2)
-        top-down, then its left parents (K1) bottom-up."""
-        node = _TreeNode(self, lo, hi)
+        top-down, then its left parents (K1) bottom-up. An internal node
+        over leaves [lo, hi), which starts its right subtree at leaf mid,
+        puts (lo, hi, whether it is a left child, None for the root) at
+        inner[mid - 1]."""
         if hi - lo == 1:
-            self.nodes[lo] = node
             runs.append(sorted(path))
             return lo
         mid = (lo + hi) // 2
         uid = self.nleaves - 1 + mid
-        self.nodes[uid] = node
-        node.m = values[mid * self.cap]
+        inner[mid - 1] = (lo, hi, left)
         path.append(uid)
-        left = self._build_tree(lo, mid, values, path, runs)
-        right = self._build_tree(mid, hi, values, path, runs)
+        lkid = self._build_tree(lo, mid, path, runs, inner, True)
+        rkid = self._build_tree(mid, hi, path, runs, inner, False)
         path.pop()
-        node.left, node.right = self.nodes[left], self.nodes[right]
-        node.left.parent = node.right.parent = node
-        self.lchild[uid], self.rchild[uid] = left, right
-        self.height[uid] = 1 + max(self.height[left], self.height[right])
+        self.lchild[uid], self.rchild[uid] = lkid, rkid
+        self.height[uid] = 1 + max(self.height[lkid], self.height[rkid])
         return uid
 
-    def _build_lists(self, vals: np.ndarray, prevs: np.ndarray) -> None:
+    def _make_nodes(self) -> list:
+        """The `_TreeNode`s by id, linked as the columns say."""
+        nleaves, lchild, rchild = self.nleaves, self.lchild, self.rchild
+        nodes = [_TreeNode(self, i, i + 1) for i in range(nleaves)]
+        nodes += [None] * (nleaves - 1)
+
+        def make(u: int) -> _TreeNode:
+            if u < nleaves:
+                return nodes[u]
+            left, right = make(lchild[u]), make(rchild[u])
+            node = nodes[u] = _TreeNode(self, left.leaf_lo, right.leaf_hi)
+            node.left, node.right = left, right
+            left.parent = right.parent = node
+            node.m = self.values[right.leaf_lo * self.cap]
+            return node
+
+        if nleaves:
+            make(self.root_id)
+        return nodes
+
+    def _build_lists(self, vals: np.ndarray, prevpos: np.ndarray,
+                     inner: list) -> None:
         """R of the leaves and left children, L of the leaves and right
         children, cut in node id order. A point of a node's points [s, e)
         is its color's first there if its predecessor lies before s, its
         last if its successor lies at or after e."""
-        n, cap, prevpos, nleaves = self.n, self.cap, self.prevpos, self.nleaves
+        n, cap, nleaves = self.n, self.cap, self.nleaves
         pos = np.arange(n, dtype=np.int64)
         nextpos = np.full(n, n, dtype=np.int64)
         has_prev = prevpos >= 0
@@ -203,47 +249,48 @@ class TreeLayout:
         firsts = [np.flatnonzero(prevpos < start)]
         rlen = np.bincount(lasts[0] // cap, minlength=nleaves).tolist()
         llen = np.bincount(firsts[0] // cap, minlength=nleaves).tolist()
-        for node in self.nodes[nleaves:]:
-            s, e = node.leaf_lo * cap, min(node.leaf_hi * cap, n)
-            parent = node.parent
+        for lo, hi, left in inner:
+            s, e = lo * cap, min(hi * cap, n)
             r = l = pos[:0]  # the root keeps neither list
-            if parent is not None and parent.left is node:
+            if left:
                 r = s + np.flatnonzero(nextpos[s:e] >= e)[-cap:]
-            elif parent is not None:
+            elif left is not None:
                 l = s + np.flatnonzero(prevpos[s:e] < s)[:cap]
             lasts.append(r)
             firsts.append(l)
             rlen.append(len(r))
             llen.append(len(l))
-        self.roff = _column(np.cumsum([0, *rlen]))
-        self.loff = _column(np.cumsum([0, *llen]))
+        self.roff = _column(np.cumsum([0, *rlen]), "i")
+        self.loff = _column(np.cumsum([0, *llen]), "i")
         lasts, firsts = np.concatenate(lasts), np.concatenate(firsts)
         colors = self.colors
-        self.last_v = _column(vals[lasts])
+        self.last_pos = _column(lasts, "i")
         self.last_c = [colors[i] for i in lasts.tolist()]
-        self.first_v = _column(vals[firsts])
-        self.first_p = _column(prevs[firsts])
+        self.first_v = _column(vals[firsts], "q")
+        self.first_prevpos = _column(prevpos[firsts], "i")
         self.first_c = [colors[i] for i in firsts.tolist()]
 
-    def suffix(self, leaf: int, a: int, meter=None) -> list:
-        """The colors with a point >= a in the leaf: its R entries >= a."""
+    def suffix(self, leaf: int, j: int, meter=None) -> list:
+        """The colors with a point at position >= j in the leaf: its R
+        entries from j on."""
         end = self.roff[leaf + 1]
-        i = bisect.bisect_left(self.last_v, a, self.roff[leaf], end)
+        i = bisect.bisect_left(self.last_pos, j, self.roff[leaf], end)
         if meter is not None:
             meter.touches += end - i
             meter.locate_ops += 1
         return self.last_c[i:end]
 
-    def prefix(self, leaf: int, a: int, b: int, meter=None) -> list:
-        """The colors whose first point in the leaf is <= b and has
-        prev < a: its L entries <= b, filtered by prev."""
+    def prefix(self, leaf: int, j: int, b: int, meter=None) -> list:
+        """The colors whose first point in the leaf is <= b and has its
+        predecessor before position j: its L entries <= b, filtered by
+        prevpos."""
         i = self.loff[leaf]
         end = bisect.bisect_right(self.first_v, b, i, self.loff[leaf + 1])
         if meter is not None:
             meter.touches += end - i
             meter.locate_ops += 1
-        return [c for p, c in zip(self.first_p[i:end], self.first_c[i:end])
-                if p < a]
+        return [c for p, c in zip(self.first_prevpos[i:end],
+                                  self.first_c[i:end]) if p < j]
 
 
 def fallback_levels(n: int, cap: int, nleaves: int, size: int) -> tuple:
@@ -266,11 +313,11 @@ def first_points(layout: TreeLayout, size: int) -> tuple:
     of each color it holds, the points whose predecessor lies before the
     block, ordered by the predecessor's position prevpos (-1 for none).
     Block g's entries are [block_start[g], block_start[g + 1]) of the
-    `array("q")` `prevpos`, which ascends within each block, and of the
+    `array("i")` `prevpos`, which ascends within each block, and of the
     int64 array `pos`, the points' own positions."""
     n = layout.n
     level_base, _ = fallback_levels(n, layout.cap, layout.nleaves, size)
-    prevpos = layout.prevpos
+    prevpos = np.frombuffer(layout.prevpos, dtype=np.int32)
     pos = np.arange(n, dtype=np.int64)
     counts, keys, firsts = [pos[:0]], [pos[:0]], [pos[:0]]
     for _ in level_base:
@@ -282,8 +329,8 @@ def first_points(layout: TreeLayout, size: int) -> tuple:
         firsts.append(pos[first][order])
         size *= 2
     block_start = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
-    return (level_base, _column(block_start), _column(np.concatenate(keys)),
-            np.concatenate(firsts))
+    return (level_base, _column(block_start, "i"),
+            _column(np.concatenate(keys), "i"), np.concatenate(firsts))
 
 
 def leaf_cover(lo: int, hi: int, level_base: list, size: int) -> tuple:
@@ -295,16 +342,24 @@ def leaf_cover(lo: int, hi: int, level_base: list, size: int) -> tuple:
         return [lo], []
     leaves, blocks = [lo, hi], []
     lo += 1
-    for base in [None] * (size - 1) + level_base:
-        if lo >= hi:
-            break
-        out, base = (leaves, 0) if base is None else (blocks, base)
+    if size == 2 and lo < hi:
         if lo & 1:
-            out.append(base + lo)
+            leaves.append(lo)
             lo += 1
         if hi & 1:
             hi -= 1
-            out.append(base + hi)
+            leaves.append(hi)
+        lo >>= 1
+        hi >>= 1
+    for base in level_base:
+        if lo >= hi:
+            break
+        if lo & 1:
+            blocks.append(base + lo)
+            lo += 1
+        if hi & 1:
+            hi -= 1
+            blocks.append(base + hi)
         lo >>= 1
         hi >>= 1
     return leaves, blocks
@@ -313,27 +368,28 @@ def leaf_cover(lo: int, hi: int, level_base: list, size: int) -> tuple:
 class LeafArrays:
     """The leaves of a `TreeLayout` with cap < 256 as flat arrays over its
     points, answering color reporting inside one leaf in O(1 + k) touches: a
-    Cartesian tree per leaf, keyed on prev (a min-heap on prev, in-order by
-    position). `lkid[p]` and `rkid[p]` hold 1 + the in-leaf position of
-    point p's children (0 for none) and `root[leaf]` the in-leaf position of
-    the leaf's root, all in `bytes`. `window` answers positions [j, r) by a
-    descent that skips every subtree whose root has prev >= a. Metering:
-    each reported point is one touch, each other tree visit one locate op.
+    Cartesian tree per leaf, keyed on prevpos (a min-heap on prevpos,
+    in-order by position). `lkid[p]` and `rkid[p]` hold 1 + the in-leaf
+    position of point p's children (0 for none) and `root[leaf]` the in-leaf
+    position of the leaf's root, all in `bytes`. `window` answers positions
+    [j, r) by a descent that skips every subtree whose root has prevpos >=
+    j. Metering: each reported point is one touch, each other tree visit
+    one locate op.
     """
 
     def __init__(self, layout: TreeLayout):
-        # the build reads each prev several times: from a list, not boxed
-        n, cap, prevs = layout.n, layout.cap, layout.prevs.tolist()
+        # the build reads each key several times: from a list, not boxed
+        n, cap, keys = layout.n, layout.cap, layout.prevpos.tolist()
         if cap > 255:
             raise ValueError(f"leaf size {cap} does not fit a byte")
-        self.cap, self.prevs, self.colors = cap, layout.prevs, layout.colors
+        self.cap, self.prevpos, self.colors = cap, layout.prevpos, layout.colors
         lkid, rkid = bytearray(n), bytearray(n)
         root = bytearray(layout.nleaves)
         for leaf, lo in enumerate(range(0, n, cap)):
             stack: list = []
             for i in range(lo, min(lo + cap, n)):
-                key, last = prevs[i], -1
-                while stack and prevs[stack[-1]] > key:
+                key, last = keys[i], -1
+                while stack and keys[stack[-1]] > key:
                     last = stack.pop()
                 if last >= 0:
                     lkid[i] = last - lo + 1
@@ -343,11 +399,11 @@ class LeafArrays:
             root[leaf] = stack[0] - lo
         self.lkid, self.rkid, self.root = bytes(lkid), bytes(rkid), bytes(root)
 
-    def window(self, leaf: int, j: int, r: int, a: int, meter=None) -> list:
+    def window(self, leaf: int, j: int, r: int, meter=None) -> list:
         """Colors of the points at positions [j, r) of the leaf with
-        prev < a, one per color if [j, r) is the leaf's part of a range
-        [a, b]."""
-        prevs, colors, lkid, rkid = self.prevs, self.colors, self.lkid, self.rkid
+        prevpos < j, one per color: those of [values[j], values[r - 1]]."""
+        prevpos, colors, lkid, rkid = (self.prevpos, self.colors, self.lkid,
+                                       self.rkid)
         base = leaf * self.cap - 1  # position of in-leaf child id c: base + c
         stack = [base + 1 + self.root[leaf]]
         pop, push = stack.pop, stack.append
@@ -358,7 +414,7 @@ class LeafArrays:
         while stack:
             p = pop()
             visits += 1
-            if prevs[p] >= a:
+            if prevpos[p] >= j:
                 continue
             if p >= j:
                 if p < r:
@@ -392,8 +448,8 @@ class ArrayFallback:
     its entries with prevpos < j is the first point of its color in the whole
     range, so the reported stream holds each color once. Metering: the leaf
     lookups meter as `suffix`, `prefix` and `window` do; the locate of
-    [a, b] and each block searched count one locate op, each reported entry
-    one touch.
+    [a, b] (pred(b), as succ(a) comes in as j) and each block searched
+    count one locate op, each reported entry one touch.
     """
 
     def __init__(self, layout: TreeLayout, leaves: LeafArrays):
@@ -406,20 +462,19 @@ class ArrayFallback:
         colors = layout.colors
         self.firsts = [colors[i] for i in pos.tolist()]
 
-    def query(self, a: int, b: int, meter=None) -> list:
-        """Distinct colors of [a, b], each exactly once."""
-        values = self.values
-        j = bisect.bisect_left(values, a)
-        r = bisect.bisect_right(values, b)
+    def query(self, a: int, b: int, j: int, meter=None) -> list:
+        """Distinct colors of [a, b], each exactly once, where j is the
+        position of succ(a), `bisect_left(values, a)`."""
+        r = bisect.bisect_right(self.values, b, j)
         if meter is not None:
             meter.locate_ops += 1
         if j >= r:
             return []
         lo, hi = j // self.cap, (r - 1) // self.cap
         if lo == hi:
-            return self.leaves.window(lo, j, r, a, meter)
+            return self.leaves.window(lo, j, r, meter)
         _, blocks = leaf_cover(lo, hi, self.level_base, 1)
-        out = self.layout.suffix(lo, a, meter)
+        out = self.layout.suffix(lo, j, meter)
         k = len(out)
         keys, start, firsts = self.keys, self.block_start, self.firsts
         for g in blocks:
@@ -428,7 +483,7 @@ class ArrayFallback:
         if meter is not None:
             meter.locate_ops += len(blocks)
             meter.touches += len(out) - k
-        out += self.layout.prefix(hi, a, b, meter)
+        out += self.layout.prefix(hi, j, b, meter)
         return out
 
 
@@ -439,7 +494,6 @@ class StaticIndex(TreeLayout):
         super().__init__(points, max(2, math.ceil(math.log2(max(len(points), 2)))))
         self.leaf_arrays = LeafArrays(self)
         self.fallback = ArrayFallback(self, self.leaf_arrays)
-        del self.prevpos  # read only by the builds above
 
     k1 = property(lambda self: _KPairs(self, True),
                   doc="Per leaf, its left parents bottom-up as (m, node).")
@@ -501,7 +555,7 @@ class StaticIndex(TreeLayout):
         u = self._hra(leaf_idx, a, b, meter)
         if u < 0:
             r = bisect.bisect_right(values, b, j, min(j - j % cap + cap, self.n))
-            return self.leaf_arrays.window(leaf_idx, j, r, a, meter)
+            return self.leaf_arrays.window(leaf_idx, j, r, meter)
 
         # a full list whose far end lies strictly inside the range may
         # leave colors out; one that ends at a (R) or b (L) holds every
@@ -509,20 +563,20 @@ class StaticIndex(TreeLayout):
         left, right, roff, loff = (self.lchild[u], self.rchild[u], self.roff,
                                    self.loff)
         r0, r1, l0, l1 = roff[left], roff[left + 1], loff[right], loff[right + 1]
-        last_v, first_v = self.last_v, self.first_v
-        if (r1 - r0 == cap and last_v[r0] > a
+        last_pos, first_v = self.last_pos, self.first_v
+        if (r1 - r0 == cap and values[last_pos[r0]] > a
                 or l1 - l0 == cap and first_v[l1 - 1] < b):
-            return self.fallback.query(a, b, meter)
-        i = bisect.bisect_left(last_v, a, r0, r1)
+            return self.fallback.query(a, b, j, meter)
+        i = bisect.bisect_left(last_pos, j, r0, r1)
         out = self.last_c[i:r1]
         cut = bisect.bisect_right(first_v, b, l0, l1)
         if meter is not None:
             # a walk along each list: the entries it takes, and the one
             # that would stop it
             meter.touches += r1 - i + (i > r0) + cut - l0 + (cut < l1)
-        first_p, first_c = self.first_p, self.first_c
+        first_prevpos, first_c = self.first_prevpos, self.first_c
         for i in range(l0, cut):
-            if first_p[i] < a:
+            if first_prevpos[i] < j:
                 out.append(first_c[i])
         return out
 

@@ -77,9 +77,9 @@ def test_threaded_readers_share_one_index():
     fallback_calls = []
 
     class Spy:
-        def query(self, a, b, meter=None):
+        def query(self, a, b, j, meter=None):
             fallback_calls.append((a, b))
-            return fallback.query(a, b, meter)
+            return fallback.query(a, b, j, meter)
 
     static.fallback = Spy()
     errors: list = []

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from colorrange.core import (ColoredPoint, CostMeter, FastOracle, InvalidColor,
-                             InvalidRange, Range,
+                             InvalidCoordinate, InvalidRange, Range,
                              oracle_k_leftmost, oracle_k_rightmost,
                              oracle_report)
 from colorrange.slow_index import SlowIndex
@@ -279,6 +279,20 @@ def test_inverted_range_raises():
     assert idx.k_leftmost(1, 30, 0) == []
     assert idx.k_rightmost(1, 30, -1) == []
     assert idx.query(20, 20) == [1]
+
+
+@pytest.mark.parametrize("select", ["k_leftmost_elements", "k_rightmost_elements"])
+def test_element_selects_check_their_arguments(select):
+    # the (value, color) selects are public too, and check as the wrappers
+    # did: an inverted range or a k that is not an integer is InvalidRange
+    idx = SlowIndex([ColoredPoint(1, 0), ColoredPoint(5, 1)])
+    call = getattr(idx, select)
+    for args in ((9, 2, 1), (1, 10, 2.5), (1, 10, True), (1.5, 10, 1)):
+        error = InvalidCoordinate if isinstance(args[0], float) else InvalidRange
+        with pytest.raises(error):
+            call(*args)
+    assert call(1, 10, 0) == []
+    assert sorted(call(1, 10, 2)) == [(1, 0), (5, 1)]
 
 
 _AUDITS_UNDER_O = """

@@ -1,8 +1,13 @@
 import bisect
+import gc
 import hashlib
 import math
 import random
+import threading
+import tracemalloc
 from array import array
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
@@ -10,10 +15,12 @@ from hypothesis import strategies as st
 
 from colorrange.core import (ColoredPoint, CostMeter, DuplicateX, InvalidColor,
                              InvalidCoordinate, InvalidRange, Range, FastOracle,
-                             oracle_report)
+                             compute_prev, oracle_report)
+from colorrange import static_index
 from colorrange.em_index import EmIndex
 from colorrange.static_index import (ArrayFallback, LeafArrays, StaticIndex,
-                                     TreeLayout, leaf_cover)
+                                     TreeLayout, _column, fallback_levels,
+                                     leaf_cover)
 from conftest import random_instance
 
 
@@ -39,31 +46,38 @@ def brute_lca_leaves(idx: StaticIndex, a: int, b: int):
 
 def _leaf_tree(layout, leaves, leaf: int) -> list:
     """The positions of the leaf's Cartesian tree in order, checking that
-    each child's prev is at least its parent's."""
+    each child's prevpos is at least its parent's."""
     base = leaf * layout.cap - 1
     order = []
 
     def walk(p):
         kid = leaves.lkid[p]
         if kid:
-            assert layout.prevs[base + kid] >= layout.prevs[p]
+            assert layout.prevpos[base + kid] >= layout.prevpos[p]
             walk(base + kid)
         order.append(p)
         kid = leaves.rkid[p]
         if kid:
-            assert layout.prevs[base + kid] >= layout.prevs[p]
+            assert layout.prevpos[base + kid] >= layout.prevpos[p]
             walk(base + kid)
 
     walk(base + 1 + leaves.root[leaf])
     return order
 
 
+def _value(layout, p: int) -> int:
+    """The value at position p, 0 (the prev of no point) at -1."""
+    return layout.values[p] if p >= 0 else 0
+
+
 def _lists(layout, node) -> tuple:
     """The node's R as (value, color) and L as (value, prev, color) entries,
-    read from the layout's list store."""
+    read from the layout's list store, its positions turned into values."""
     r, l = slice(node.r_lo, node.r_hi), slice(node.l_lo, node.l_hi)
-    return (list(zip(layout.last_v[r], layout.last_c[r])),
-            list(zip(layout.first_v[l], layout.first_p[l], layout.first_c[l])))
+    return ([(_value(layout, p), c)
+             for p, c in zip(layout.last_pos[r], layout.last_c[r])],
+            [(v, _value(layout, p), c) for v, p, c in zip(
+                layout.first_v[l], layout.first_prevpos[l], layout.first_c[l])])
 
 
 def test_e1_shape(e1):
@@ -88,12 +102,12 @@ def test_e1_shape(e1):
     # a right internal child keeps only L, and the root neither list
     assert _lists(idx, right) == ([], [(7, 0, 2), (9, 3, 1), (12, 5, 0)])
     assert _lists(idx, idx.root) == ([], [])
-    assert (len(idx.last_v), len(idx.first_v)) == (7, 10)
+    assert (len(idx.last_pos), len(idx.first_v)) == (7, 10)
     # root middle value = first point of the right subtree
     assert idx.root.m == idx.values[idx.root.right.leaf_lo * idx.cap]
 
 
-def _brute_lists(layout, node) -> tuple:
+def _brute_lists(layout, prevs, node) -> tuple:
     """R and L of a node by their definition: per color its largest and its
     smallest point in the node, the `cap` largest maxima and the `cap`
     smallest minima kept, by value ascending. R is kept on leaves and left
@@ -104,7 +118,7 @@ def _brute_lists(layout, node) -> tuple:
                    min(node.leaf_hi * layout.cap, layout.n)):
         c = layout.colors[j]
         last[c] = (layout.values[j], c)
-        first.setdefault(c, (layout.values[j], layout.prevs[j], c))
+        first.setdefault(c, (layout.values[j], prevs[j], c))
     leaf, parent = node.left is None, node.parent
     keep_r = leaf or parent is not None and parent.left is node
     keep_l = leaf or parent is not None and parent.right is node
@@ -127,14 +141,15 @@ def test_list_store_matches_definition(data):
     for node in nodes:
         if node.left is not None:
             nodes += (node.left, node.right)
-    for lo, hi, store in (("r_lo", "r_hi", layout.last_v),
+    for lo, hi, store in (("r_lo", "r_hi", layout.last_pos),
                           ("l_lo", "l_hi", layout.first_v)):
         cuts = sorted((getattr(node, lo), getattr(node, hi)) for node in nodes)
         ends = [0] + [end for _, end in cuts]
         assert [start for start, _ in cuts] == ends[:-1]
         assert ends[-1] == len(store)
+    prevs = compute_prev(list(zip(layout.values, layout.colors)))
     for node in nodes:
-        assert _lists(layout, node) == _brute_lists(layout, node)
+        assert _lists(layout, node) == _brute_lists(layout, prevs, node)
 
 
 def test_single_point_and_empty():
@@ -238,10 +253,10 @@ def test_static_layout_entry_counts():
     # a change to the fallback's levels changes them
     idx = StaticIndex(random_instance(random.Random(71), 1 << 12, 1 << 15, 200))
     assert (idx.n, idx.cap, idx.nleaves) == (1 << 12, 12, 342)
-    # list slots: R as (value, color), L as (value, prev, color)
-    r, l = len(idx.last_v), len(idx.first_v)
+    # list slots: R as (position, color), L as (value, prevpos, color)
+    r, l = len(idx.last_pos), len(idx.first_v)
     assert (r, l) == (len(idx.last_c), len(idx.first_c)) == (5501, 6533)
-    assert len(idx.first_p) == l and 2 * r + 3 * l == 30601  # 7.47 per point
+    assert len(idx.first_prevpos) == l and 2 * r + 3 * l == 30601  # 7.47 per point
     # K: one (m, node) entry per leaf and ancestor, the sum of leaf depths
     depths = 0
     for leaf in idx.leaves:
@@ -254,13 +269,18 @@ def test_static_layout_entry_counts():
     fb = idx.fallback
     assert len(fb.keys) == len(fb.firsts) == 21371
     assert len(fb.level_base) == 9 and len(fb.block_start) == 687
-    # every column by name: the colors stay lists, since answers are slices
-    # of them; the int columns and the node columns are arrays
+    # every column by name and typecode: the colors stay lists, since
+    # answers are slices of them; what is compared with a or b is a value,
+    # int64, every position and node id int32, and the heights bytes; the
+    # node objects, built when `idx.leaves` was read above, are a list too
     assert sorted(k for k, v in vars(idx).items() if isinstance(v, list)) == [
         "colors", "first_c", "last_c", "nodes"]
-    assert sorted(k for k, v in vars(idx).items() if isinstance(v, array)) == [
-        "first_p", "first_v", "height", "km", "kn", "koff", "last_v",
-        "lchild", "loff", "prevs", "rchild", "roff", "values"]
+    assert {k: v.typecode for k, v in vars(idx).items()
+            if isinstance(v, array)} == {
+        "values": "q", "first_v": "q", "km": "q", "prevpos": "i",
+        "last_pos": "i", "first_prevpos": "i", "kn": "i", "koff": "i",
+        "roff": "i", "loff": "i", "lchild": "i", "rchild": "i", "height": "b"}
+    assert (fb.keys.typecode, fb.block_start.typecode) == ("i", "i")
     assert len(idx.nodes) == len(idx.height) == 2 * idx.nleaves - 1
     assert len(idx.roff) == len(idx.loff) == len(idx.nodes) + 1
 
@@ -279,6 +299,128 @@ def test_static_answers_and_counts_pinned():
     assert (meter.touches, meter.locate_ops) == (184816, 11212)
 
 
+def test_column_refuses_values_it_would_wrap():
+    # numpy's assignment into an int32 view wraps 2^31 to -2^31 silently
+    assert _column(np.array([-1, 2**31 - 1]), "i").tolist() == [-1, 2**31 - 1]
+    for bad in (2**31, -2**31 - 1):
+        with pytest.raises(ValueError, match="does not fit"):
+            _column(np.array([0, bad]), "i")
+    assert _column(np.array([2**31]), "q").tolist() == [2**31]
+    assert _column(np.array([], dtype=np.int64), "i").tolist() == []
+
+
+def test_static_memory_per_point():
+    # positions and ids in 32-bit columns, and no node object at build
+    # time: 95.9 B/point here, where 64-bit columns and node objects built
+    # with the tree kept 137.8
+    pts = random_instance(random.Random(83), 1 << 14, 1 << 16, 16)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        idx = StaticIndex(pts)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert idx.n == len(pts)
+    assert retained / len(pts) <= 104, retained / len(pts)
+
+
+def test_nodes_built_only_when_read(monkeypatch):
+    # a build and queries on every route read columns only; the node
+    # objects are made on the first walk, once, and shared by later walks
+    # and by readers that race to the first
+    rng = random.Random(79)
+    pts = random_instance(rng, 1 << 10, 1 << 13, 40)
+    idx = StaticIndex(pts)
+    spy = idx.fallback = _FallbackSpy(idx.fallback)
+    routes = set()
+    for w in [1, 16, 64, 512, 4096] * 200:
+        a = rng.randrange(1, (1 << 13) - w + 2)
+        b, calls = a + w - 1, spy.calls
+        idx.query(a, b, CostMeter())
+        j = bisect.bisect_left(idx.values, a)
+        if j == idx.n or idx.values[j] > b:
+            routes.add("empty")
+        elif idx._hra(j // idx.cap, a, b) < 0:
+            routes.add("leaf")
+        else:
+            routes.add("fallback" if spy.calls > calls else "lists")
+    assert routes == {"empty", "leaf", "lists", "fallback"}
+    assert "nodes" not in vars(idx)
+    assert idx.root is idx.nodes[idx.root_id] is vars(idx)["nodes"][idx.root_id]
+    pairs = idx.k1[3] + idx.k2[3]
+    assert pairs and all(x is y for (_, x), (_, y) in zip(
+        pairs, idx.k1[3] + idx.k2[3]))
+    assert idx.hra_query(0, 0, 1 << 13) is idx.root
+    # the external-memory build reads the same layout's columns only
+    monkeypatch.setattr(static_index.TreeLayout, "_make_nodes", None)
+    EmIndex.build(pts, B=4)
+    monkeypatch.undo()
+    fresh, roots = StaticIndex(pts), []
+    barrier = threading.Barrier(4)
+
+    def read():
+        barrier.wait()
+        roots.append(fresh.root)
+
+    threads = [threading.Thread(target=read) for _ in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert len(roots) == 4 and all(r is fresh.root for r in roots)
+
+
+def _leaf_cover_reference(lo: int, hi: int, level_base: list, size: int):
+    """`leaf_cover` as one loop over the levels, with a level of single
+    leaves (None) first for `size` 2."""
+    if lo == hi:
+        return [lo], []
+    leaves, blocks = [lo, hi], []
+    lo += 1
+    for base in [None] * (size - 1) + level_base:
+        if lo >= hi:
+            break
+        out, base = (leaves, 0) if base is None else (blocks, base)
+        if lo & 1:
+            out.append(base + lo)
+            lo += 1
+        if hi & 1:
+            hi -= 1
+            out.append(base + hi)
+        lo >>= 1
+        hi >>= 1
+    return leaves, blocks
+
+
+@pytest.mark.parametrize("size", [1, 2])
+def test_leaf_cover_every_range(size):
+    # every range of up to 64 leaves, with blocks from `size` leaves up (1:
+    # the static fallback, 2: the external-memory one): the reference's
+    # cover, the interior tiled once by single leaves and aligned blocks,
+    # at most two blocks per level
+    cap = 3
+    for nleaves in range(1, 65):
+        level_base, _ = fallback_levels(nleaves * cap, cap, nleaves, size * cap)
+        for lo in range(nleaves):
+            for hi in range(lo, nleaves):
+                leaves, blocks = leaf_cover(lo, hi, level_base, size)
+                assert (leaves, blocks) == _leaf_cover_reference(
+                    lo, hi, level_base, size), (nleaves, lo, hi)
+                if lo == hi:
+                    continue
+                covered = leaves[2:]
+                levels = [bisect.bisect_right(level_base, g) - 1 for g in blocks]
+                for g, level in zip(blocks, levels):
+                    width = size << level
+                    start = (g - level_base[level]) * width
+                    covered += range(start, start + width)
+                assert sorted(covered) == list(range(lo + 1, hi))
+                assert all(levels.count(x) <= 2 for x in levels)
+
+
 class _FallbackSpy:
     """Counts the queries that reach the array fallback (a full R/L list was
     exhausted) and keeps their ranges."""
@@ -288,10 +430,10 @@ class _FallbackSpy:
         self.calls = 0
         self.ranges = []
 
-    def query(self, a, b, meter=None):
+    def query(self, a, b, j, meter=None):
         self.calls += 1
         self.ranges.append((a, b))
-        return self.fallback.query(a, b, meter)
+        return self.fallback.query(a, b, j, meter)
 
 
 class _LeafSpy:
@@ -331,13 +473,14 @@ def _spy_leaves(fallback) -> _LeafSpy:
 
 
 def _array_part(fallback, a, b):
-    """The fallback's answer on [a, b], and the touches, locate ops and
-    colors of its array part (all but the leaf lookups)."""
+    """The fallback's answer on [a, b], handed succ(a)'s position as
+    `StaticIndex.query` hands it, and the touches, locate ops and colors of
+    its array part (all but the leaf lookups)."""
     tally = fallback.leaves.tally
     for key in tally:
         tally[key] = 0
     meter = CostMeter()
-    out = fallback.query(a, b, meter)
+    out = fallback.query(a, b, bisect.bisect_left(fallback.values, a), meter)
     return (out, meter.touches - tally["touches"],
             meter.locate_ops - tally["locate_ops"], len(out) - tally["colors"])
 
@@ -464,13 +607,18 @@ def test_leaf_shapes_exhaustive(cap):
             order += _leaf_tree(layout, leaves, leaf)
         assert order == list(range(layout.n))
         u = pts[-1].value
-        # a whole leaf visits only reported points and their pruned children
+        # a window from any position to the end of a full leaf reports the
+        # colors there once each; from the leaf's first point it visits
+        # only reported points and their pruned children
         for leaf in range(layout.n // cap):
-            for a in range(1, u + 2):
+            end = leaf * cap + cap
+            for j in range(leaf * cap, end):
                 meter = CostMeter()
-                got = leaves.window(leaf, leaf * cap, leaf * cap + cap, a, meter)
+                got = leaves.window(leaf, j, end, meter)
+                assert sorted(got) == sorted(set(layout.colors[j:end]))
                 assert meter.touches == len(got)
-                assert meter.locate_ops <= len(got) + 1
+                if j == leaf * cap:
+                    assert meter.locate_ops <= len(got) + 1
         fallback = ArrayFallback(layout, leaves)
         spy = _spy_leaves(fallback)
         fo = FastOracle(pts)
