@@ -135,6 +135,8 @@ def replay_diverges(points, remap_base, kind, block_size, ops, corrupt):
 
 
 def cmd_generate(args) -> int:
+    if args.n < 0:
+        raise SystemExit("need N >= 0")
     if args.n > args.u:
         raise SystemExit("need N <= U for distinct coordinates")
     if args.c < 1:

@@ -35,26 +35,27 @@ lists its ancestors by middle value ascending, right parents (K2) top-down
 and then left parents (K1) bottom-up, so two `bisect` calls cut out those
 with a < m <= b, and u is the higher end of that stretch. The query then
 reads answers off R(u_l) and L(u_r). A range with no such ancestor lies in
-one leaf and is answered by that leaf's Cartesian tree (`LeafArrays`). A
-full-length R(u_l) whose smallest value exceeds a, or L(u_r) whose largest
-value is below b, may leave colors out, and the range then holds at least
-log N colors; that O(1) test sends the query to `ArrayFallback` before
-either list is walked. The fallback answers any range in O(log N + k): the
-edge leaves from their R and L, and the interior leaves as at most two
-aligned blocks per level, from blocks of one leaf up, each of which keeps
-the first point of every color it holds sorted by the position of that
-point's predecessor, so one `bisect` per block finds its reported prefix.
+one leaf and is answered by a scan of its points there (`TreeLayout.window`),
+at most `cap` = O(log N) of them where the paper takes O(1 + k); the
+dynamic index's leaf store scans the same way. A full-length R(u_l) whose
+smallest value exceeds a, or L(u_r) whose largest value is below b, may
+leave colors out, and the range then holds at least log N colors; that
+O(1) test sends the query to `ArrayFallback` before either list is walked.
+The fallback answers any range in O(log N + k): the edge leaves from their
+R and L, and the interior leaves as at most two aligned blocks per level,
+from blocks of one leaf up, each of which keeps the first point of every
+color it holds sorted by the position of that point's predecessor, so one
+`bisect` per block finds its reported prefix.
 
 The answer stream is duplicate-free by construction, so there is no dedup
 pass. Every route reports a point e of [a, b] only if prev(e) < a, which
 holds for exactly one point per color: the prev-link reduction of Gupta,
 Janardan & Smid (1995), tested as prevpos(e) < j. An L entry is emitted
 only when prev(e) < a (a color with an element in [a, m(u)) was already
-reported from R(u_l)); a Cartesian tree on prevpos answers it by descent,
-pruning each subtree whose root has prevpos >= j, as in Muthukrishnan's
-document listing (2002). The fallback's left edge leaf reports the colors
-whose last point in it is >= a, and every other part reports first points
-with predecessor before succ(a), the same filter. No static structure
+reported from R(u_l)), and a scan inside one leaf keeps the points with
+prevpos < j. The fallback's left edge leaf reports the colors whose last
+point in it is >= a, and every other part reports first points with
+predecessor before succ(a), the same filter. No static structure
 stores a pointer node per point. A query reads only immutable state, so
 concurrent readers need no lock, given one `CostMeter` each; the node
 objects' first read stores one list for all of them.
@@ -65,7 +66,7 @@ from __future__ import annotations
 import bisect
 import math
 from array import array
-from itertools import chain
+from itertools import chain, compress
 from typing import Optional, Sequence
 
 import numpy as np
@@ -204,11 +205,11 @@ class TreeLayout:
         uid = self.nleaves - 1 + mid
         inner[mid - 1] = (lo, hi, left)
         path.append(uid)
-        lkid = self._build_tree(lo, mid, path, runs, inner, True)
-        rkid = self._build_tree(mid, hi, path, runs, inner, False)
+        lid = self._build_tree(lo, mid, path, runs, inner, True)
+        rid = self._build_tree(mid, hi, path, runs, inner, False)
         path.pop()
-        self.lchild[uid], self.rchild[uid] = lkid, rkid
-        self.height[uid] = 1 + max(self.height[lkid], self.height[rkid])
+        self.lchild[uid], self.rchild[uid] = lid, rid
+        self.height[uid] = 1 + max(self.height[lid], self.height[rid])
         return uid
 
     def _make_nodes(self) -> list:
@@ -269,6 +270,17 @@ class TreeLayout:
         self.first_v = _column(vals[firsts], "q")
         self.first_prevpos = _column(prevpos[firsts], "i")
         self.first_c = [colors[i] for i in firsts.tolist()]
+
+    def window(self, j: int, r: int, meter=None) -> list:
+        """The colors of positions [j, r) whose predecessor lies before j,
+        one per color: those of [values[j], values[r - 1]]. A scan of the
+        points, each reported one a touch and each dropped one a locate op;
+        inside one leaf they are at most `cap`."""
+        out = list(compress(self.colors[j:r], map(j.__gt__, self.prevpos[j:r])))
+        if meter is not None:
+            meter.touches += len(out)
+            meter.locate_ops += r - j - len(out)
+        return out
 
     def suffix(self, leaf: int, j: int, meter=None) -> list:
         """The colors with a point at position >= j in the leaf: its R
@@ -365,74 +377,10 @@ def leaf_cover(lo: int, hi: int, level_base: list, size: int) -> tuple:
     return leaves, blocks
 
 
-class LeafArrays:
-    """The leaves of a `TreeLayout` with cap < 256 as flat arrays over its
-    points, answering color reporting inside one leaf in O(1 + k) touches: a
-    Cartesian tree per leaf, keyed on prevpos (a min-heap on prevpos,
-    in-order by position). `lkid[p]` and `rkid[p]` hold 1 + the in-leaf
-    position of point p's children (0 for none) and `root[leaf]` the in-leaf
-    position of the leaf's root, all in `bytes`. `window` answers positions
-    [j, r) by a descent that skips every subtree whose root has prevpos >=
-    j. Metering: each reported point is one touch, each other tree visit
-    one locate op.
-    """
-
-    def __init__(self, layout: TreeLayout):
-        # the build reads each key several times: from a list, not boxed
-        n, cap, keys = layout.n, layout.cap, layout.prevpos.tolist()
-        if cap > 255:
-            raise ValueError(f"leaf size {cap} does not fit a byte")
-        self.cap, self.prevpos, self.colors = cap, layout.prevpos, layout.colors
-        lkid, rkid = bytearray(n), bytearray(n)
-        root = bytearray(layout.nleaves)
-        for leaf, lo in enumerate(range(0, n, cap)):
-            stack: list = []
-            for i in range(lo, min(lo + cap, n)):
-                key, last = keys[i], -1
-                while stack and keys[stack[-1]] > key:
-                    last = stack.pop()
-                if last >= 0:
-                    lkid[i] = last - lo + 1
-                if stack:
-                    rkid[stack[-1]] = i - lo + 1
-                stack.append(i)
-            root[leaf] = stack[0] - lo
-        self.lkid, self.rkid, self.root = bytes(lkid), bytes(rkid), bytes(root)
-
-    def window(self, leaf: int, j: int, r: int, meter=None) -> list:
-        """Colors of the points at positions [j, r) of the leaf with
-        prevpos < j, one per color: those of [values[j], values[r - 1]]."""
-        prevpos, colors, lkid, rkid = (self.prevpos, self.colors, self.lkid,
-                                       self.rkid)
-        base = leaf * self.cap - 1  # position of in-leaf child id c: base + c
-        stack = [base + 1 + self.root[leaf]]
-        pop, push = stack.pop, stack.append
-        last = r - 1
-        out = []
-        emit = out.append
-        visits = 0
-        while stack:
-            p = pop()
-            visits += 1
-            if prevpos[p] >= j:
-                continue
-            if p >= j:
-                if p < r:
-                    emit(colors[p])
-                if p > j and lkid[p]:
-                    push(base + lkid[p])
-            if p < last and rkid[p]:
-                push(base + rkid[p])
-        if meter is not None:
-            meter.touches += len(out)
-            meter.locate_ops += visits - len(out)
-        return out
-
-
 class ArrayFallback:
     """Color reporting over any range of a `TreeLayout` in O(log N + k).
 
-    A range inside one leaf is that leaf's `LeafArrays.window`. Otherwise
+    A range inside one leaf is a scan of it, `TreeLayout.window`. Otherwise
     its points split by `leaf_cover`: the leaf of succ(a) reports its
     colors with a point >= a (`TreeLayout.suffix`), the leaf of pred(b) its
     first points <= b with prev < a (`prefix`), and the interior leaves
@@ -446,16 +394,18 @@ class ArrayFallback:
 
     A block strictly after succ(a) = point j lies inside the range, and each of
     its entries with prevpos < j is the first point of its color in the whole
-    range, so the reported stream holds each color once. Metering: the leaf
-    lookups meter as `suffix`, `prefix` and `window` do; the locate of
-    [a, b] (pred(b), as succ(a) comes in as j) and each block searched
-    count one locate op, each reported entry one touch.
+    range, so the reported stream holds each color once. Metering: the
+    locate of [a, b] (pred(b), as succ(a) comes in as j) counts one locate
+    op. A range inside one leaf then meters as `window`: each color one
+    touch, each point scanned and dropped one locate op. Otherwise the edge
+    leaves meter as `suffix` and `prefix` do, and each block searched counts
+    one locate op, each entry it reports one touch.
     """
 
-    def __init__(self, layout: TreeLayout, leaves: LeafArrays):
+    def __init__(self, layout: TreeLayout):
         self.values = layout.values
         self.cap = layout.cap
-        self.layout, self.leaves = layout, leaves
+        self.layout = layout
         self.level_base, self.block_start, self.keys, pos = first_points(
             layout, layout.cap)
         # the colors by reference, so an entry costs one list slot
@@ -472,7 +422,7 @@ class ArrayFallback:
             return []
         lo, hi = j // self.cap, (r - 1) // self.cap
         if lo == hi:
-            return self.leaves.window(lo, j, r, meter)
+            return self.layout.window(j, r, meter)
         _, blocks = leaf_cover(lo, hi, self.level_base, 1)
         out = self.layout.suffix(lo, j, meter)
         k = len(out)
@@ -492,8 +442,7 @@ class StaticIndex(TreeLayout):
         points = list(points)
         # floor of 2 so that N = 2 stays a single leaf
         super().__init__(points, max(2, math.ceil(math.log2(max(len(points), 2)))))
-        self.leaf_arrays = LeafArrays(self)
-        self.fallback = ArrayFallback(self, self.leaf_arrays)
+        self.fallback = ArrayFallback(self)
 
     k1 = property(lambda self: _KPairs(self, True),
                   doc="Per leaf, its left parents bottom-up as (m, node).")
@@ -555,7 +504,7 @@ class StaticIndex(TreeLayout):
         u = self._hra(leaf_idx, a, b, meter)
         if u < 0:
             r = bisect.bisect_right(values, b, j, min(j - j % cap + cap, self.n))
-            return self.leaf_arrays.window(leaf_idx, j, r, meter)
+            return self.window(j, r, meter)
 
         # a full list whose far end lies strictly inside the range may
         # leave colors out; one that ends at a (R) or b (L) holds every

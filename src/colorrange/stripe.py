@@ -20,10 +20,20 @@ color-extreme lists instead, so this structure stands alone.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from typing import Optional
 
-from .core import DuplicateX, NotFound, check_coordinate, check_integer
+from .core import (DuplicateX, InvalidRange, NotFound, check_coordinate,
+                   check_integer)
+
+
+def _positive(name: str, n) -> int:
+    """`n` as an int >= 1, or ValueError; numpy integers pass, bools and
+    other types do not."""
+    if isinstance(n, bool) or not hasattr(type(n), "__index__") or n < 1:
+        raise ValueError(f"{name} {n!r} is not an integer >= 1")
+    return operator.index(n)
 
 
 def _digits(h: int, tau: int, ndigits: int) -> list:
@@ -86,9 +96,9 @@ class _Group:
 
 class StripeIndex:
     def __init__(self, max_y: int, group_cap: Optional[int] = None):
-        if max_y < 1:
-            raise ValueError("max_y must be >= 1")
-        self.max_y = max_y
+        self.max_y = max_y = _positive("max_y", max_y)
+        self.group_cap = (max(4, max_y) if group_cap is None
+                          else _positive("group_cap", group_cap))
         self.tau = max(2, math.ceil(math.sqrt(max_y)))
         # H = max_y padded up to a power of tau
         self.ndigits = 1
@@ -98,7 +108,6 @@ class StripeIndex:
             self.ndigits += 1
         self.H = h if max_y > 1 else self.tau
         self.ndigits += 1  # room for the top digit of H itself
-        self.group_cap = group_cap if group_cap is not None else max(4, max_y)
         self.groups: list[_Group] = []
         self.firsts: list = []  # groups[i].xs[0], for bisect
         self.size = 0
@@ -124,9 +133,10 @@ class StripeIndex:
     def insert(self, x: int, y: int) -> None:
         """Add (x, y); a rejected point leaves the stripe unchanged."""
         x = check_coordinate(x)
-        if isinstance(y, bool) or not isinstance(y, int) \
+        if isinstance(y, bool) or not hasattr(type(y), "__index__") \
                 or not 1 <= y <= self.max_y:
-            raise ValueError(f"y {y!r} is not an int in [1, {self.max_y}]")
+            raise ValueError(f"y {y!r} is not an integer in [1, {self.max_y}]")
+        y = operator.index(y)
         if not self.groups:
             self.groups.append(_Group())
             self.firsts.append(x)
@@ -208,7 +218,10 @@ class StripeIndex:
         Metering: every reported point is a touch; the group locate and
         every scanned point that y < c drops count as locate navigation.
         """
-        if a > b or c > self.max_y or not self.groups:
+        a, b, c = check_integer(a), check_integer(b), check_integer(c)
+        if a > b:
+            raise InvalidRange(f"[{a}, {b}]")
+        if c > self.max_y or not self.groups:
             return [], False
         lo, hi = self._group_index_for(a), self._group_index_for(b)
         rows = ((x, g.ymap[x]) for g in self.groups[lo:hi + 1]

@@ -49,6 +49,9 @@ def test_generate_rejects_bad_params(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["generate", "--n", "10", "--u", "5", "--c", "2",
               "--out", str(tmp_path / "x.csv")])
+    with pytest.raises(SystemExit, match="N >= 0"):
+        main(["generate", "--n", "-1", "--u", "5", "--c", "2",
+              "--out", str(tmp_path / "x.csv")])
 
 
 def test_verify_pass_all_kinds(tmp_path, capsys):

@@ -127,21 +127,30 @@ def test_bad_delete_raises_typed_error(build, x, error):
     assert len(idx) == 2
 
 
-@pytest.mark.parametrize("kind", list(_KINDS))
-@pytest.mark.parametrize("bounds", [
-    pytest.param(("a", 5), id="str"),
-    pytest.param((None, 4), id="none"),
-    pytest.param((1.5, 9), id="float"),
-    pytest.param((True, 5), id="bool"),
-    pytest.param((1, 9.0), id="float-end"),
+@pytest.mark.parametrize("kind", [*_KINDS, "stripe"])
+@pytest.mark.parametrize("bounds,error", [
+    pytest.param(("a", 5), InvalidCoordinate, id="str"),
+    pytest.param((None, 4), InvalidCoordinate, id="none"),
+    pytest.param((1.5, 9), InvalidCoordinate, id="float"),
+    pytest.param((True, 5), InvalidCoordinate, id="bool"),
+    pytest.param((1, 9.0), InvalidCoordinate, id="float-end"),
+    pytest.param((9, 1), InvalidRange, id="inverted"),
 ])
-def test_bad_query_raises_typed_error(kind, bounds):
+def test_bad_query_raises_typed_error(kind, bounds, error):
     # a query's bounds are integers, as a delete's x is: a float or a bool
-    # is not answered as the integer it rounds to or stands for
-    idx = _KINDS[kind]([ColoredPoint(1, 0), ColoredPoint(10, 1)])
-    with pytest.raises(InvalidCoordinate):
-        idx.query(*bounds)
-    assert sorted(idx.query(np.int64(1), np.int64(10))) == [0, 1]
+    # is not answered as the integer it rounds to or stands for; the
+    # stripe's query takes a threshold too, and its points' y are their
+    # colors + 1
+    pts = [ColoredPoint(1, 0), ColoredPoint(10, 1)]
+    if kind == "stripe":
+        stripe = _stripe(pts)
+        query = lambda a, b: [y - 1 for _, y in stripe.query(a, b, 1)[0]]
+    else:
+        idx = _KINDS[kind](pts)
+        query = idx.query
+    with pytest.raises(error):
+        query(*bounds)
+    assert sorted(query(np.int64(1), np.int64(10))) == [0, 1]
     if kind == "slow":
         for k in (2.5, True, "2", None):
             for select in (idx.k_leftmost, idx.k_rightmost):

@@ -18,9 +18,8 @@ from colorrange.core import (ColoredPoint, CostMeter, DuplicateX, InvalidColor,
                              compute_prev, oracle_report)
 from colorrange import static_index
 from colorrange.em_index import EmIndex
-from colorrange.static_index import (ArrayFallback, LeafArrays, StaticIndex,
-                                     TreeLayout, _column, fallback_levels,
-                                     leaf_cover)
+from colorrange.static_index import (ArrayFallback, StaticIndex, TreeLayout,
+                                     _column, fallback_levels, leaf_cover)
 from conftest import random_instance
 
 
@@ -44,27 +43,6 @@ def brute_lca_leaves(idx: StaticIndex, a: int, b: int):
     return None
 
 
-def _leaf_tree(layout, leaves, leaf: int) -> list:
-    """The positions of the leaf's Cartesian tree in order, checking that
-    each child's prevpos is at least its parent's."""
-    base = leaf * layout.cap - 1
-    order = []
-
-    def walk(p):
-        kid = leaves.lkid[p]
-        if kid:
-            assert layout.prevpos[base + kid] >= layout.prevpos[p]
-            walk(base + kid)
-        order.append(p)
-        kid = leaves.rkid[p]
-        if kid:
-            assert layout.prevpos[base + kid] >= layout.prevpos[p]
-            walk(base + kid)
-
-    walk(base + 1 + leaves.root[leaf])
-    return order
-
-
 def _value(layout, p: int) -> int:
     """The value at position p, 0 (the prev of no point) at -1."""
     return layout.values[p] if p >= 0 else 0
@@ -84,9 +62,6 @@ def test_e1_shape(e1):
     idx = StaticIndex(e1)
     assert idx.cap == 3
     assert idx.nleaves == 3
-    trees = [_leaf_tree(idx, idx.leaf_arrays, i) for i in range(3)]
-    assert [len(t) for t in trees] == [3, 3, 2]
-    assert sum(trees, []) == list(range(8))  # in order: the leaves' points
     # per leaf, the last point of each color and the first, value
     # ascending; the leaves come first in the list store
     leaves = [_lists(idx, leaf) for leaf in idx.leaves]
@@ -296,7 +271,30 @@ def test_static_answers_and_counts_pinned():
         digest.update(repr(sorted(idx.query(a, a + w - 1, meter))).encode())
     assert digest.hexdigest() == (
         "a0d9129d014233863835e917efc5775addcdc349eb4f99748e8ce313ca2d15ba")
-    assert (meter.touches, meter.locate_ops) == (184816, 11212)
+    assert (meter.touches, meter.locate_ops) == (184816, 10299)
+
+
+def test_one_leaf_route_scans_its_points():
+    # every range inside one leaf, through the index: one locate op for
+    # succ(a), one for the K run's search, then a scan of the range's
+    # points, a touch per color and a locate op per point dropped
+    rng = random.Random(89)
+    idx = StaticIndex(random_instance(rng, 1 << 10, 1 << 12, 40))
+    values, colors, cap, n = idx.values, idx.colors, idx.cap, idx.n
+    queries = 0
+    for j in range(n):
+        for r in range(j + 1, min(j - j % cap + cap, n) + 1):
+            # the widest [a, b] over the points [j, r) that stays off the
+            # lists: a leaf's first point is the m of its right parents
+            a = values[j] if j % cap == 0 else values[j - 1] + 1
+            b = values[r] - 1 if r < n else values[r - 1]
+            meter, want = CostMeter(), set(colors[j:r])
+            out = idx.query(a, b, meter)
+            assert sorted(out) == sorted(want), (a, b)
+            k = len(want)
+            assert (meter.touches, meter.locate_ops) == (k, 2 + (r - j) - k)
+            queries += 1
+    assert queries > n * (cap - 1) // 2
 
 
 def test_column_refuses_values_it_would_wrap():
@@ -437,18 +435,18 @@ class _FallbackSpy:
 
 
 class _LeafSpy:
-    """A fallback's leaf lookups (`LeafArrays.window` and the layout's edge
-    lists, `suffix` and `prefix`) that tallies, apart from the caller's
-    meter, the cost and the number of colors of the lookups it answers, and
-    the calls of each lookup."""
+    """A fallback's leaf lookups (the layout's one-leaf scan `window` and
+    its edge lists, `suffix` and `prefix`) that tallies, apart from the
+    caller's meter, the cost and the number of colors of the lookups it
+    answers, and the calls of each lookup."""
 
-    def __init__(self, leaves, layout):
-        self.leaves, self.layout = leaves, layout
+    def __init__(self, layout):
+        self.layout = layout
         self.tally = {"touches": 0, "locate_ops": 0, "colors": 0}
         self.shapes = dict.fromkeys(("window", "suffix", "prefix"), 0)
 
     def __getattr__(self, name):
-        lookup = getattr(self.leaves if name == "window" else self.layout, name)
+        lookup = getattr(self.layout, name)
 
         def spied(*args):
             *args, meter = args
@@ -467,8 +465,7 @@ class _LeafSpy:
 
 
 def _spy_leaves(fallback) -> _LeafSpy:
-    spy = fallback.leaves = fallback.layout = _LeafSpy(fallback.leaves,
-                                                        fallback.layout)
+    spy = fallback.layout = _LeafSpy(fallback.layout)
     return spy
 
 
@@ -476,7 +473,7 @@ def _array_part(fallback, a, b):
     """The fallback's answer on [a, b], handed succ(a)'s position as
     `StaticIndex.query` hands it, and the touches, locate ops and colors of
     its array part (all but the leaf lookups)."""
-    tally = fallback.leaves.tally
+    tally = fallback.layout.tally
     for key in tally:
         tally[key] = 0
     meter = CostMeter()
@@ -514,7 +511,7 @@ def test_fallback_answers_every_range_small():
 def test_fallback_searches_level0_blocks():
     # the interior leaves of a range are aligned blocks from one leaf up:
     # each block searched is one locate op, each color it reports one
-    # touch, and no leaf's Cartesian tree is walked; an interior of one
+    # touch, and no range inside one leaf is scanned; an interior of one
     # leaf is that leaf's level-0 block
     rng = random.Random(67)
     level0 = one_leaf = 0
@@ -589,9 +586,8 @@ def test_leaf_shapes_exhaustive(cap):
     # every range of small layouts with leaves of `cap` points, through the
     # fallback: each lookup shape (a window inside one leaf, the suffix of
     # the left edge leaf, the prefix of the right edge leaf, a level-0
-    # block of one interior leaf) answers the oracle's colors once, the
-    # leaves touch at most 2k + 2 entries, and each leaf's Cartesian tree
-    # holds its points in order
+    # block of one interior leaf) answers the oracle's colors once, and the
+    # leaves touch at most 2k + 2 entries
     rng = random.Random(61 + cap)
     instances = [_permuted_leaves(rng, cap, 8)]
     for _ in range(4):
@@ -601,25 +597,19 @@ def test_leaf_shapes_exhaustive(cap):
     shapes = dict.fromkeys(("window", "suffix", "prefix", "level0"), 0)
     for pts in instances:
         layout = TreeLayout(pts, cap)
-        leaves = LeafArrays(layout)
-        order = []
-        for leaf in range(layout.nleaves):
-            order += _leaf_tree(layout, leaves, leaf)
-        assert order == list(range(layout.n))
         u = pts[-1].value
         # a window from any position to the end of a full leaf reports the
-        # colors there once each; from the leaf's first point it visits
-        # only reported points and their pruned children
+        # colors there once each, and scans each of its points once: a
+        # touch per color, a locate op per point dropped
         for leaf in range(layout.n // cap):
             end = leaf * cap + cap
             for j in range(leaf * cap, end):
                 meter = CostMeter()
-                got = leaves.window(leaf, j, end, meter)
+                got = layout.window(j, end, meter)
                 assert sorted(got) == sorted(set(layout.colors[j:end]))
                 assert meter.touches == len(got)
-                if j == leaf * cap:
-                    assert meter.locate_ops <= len(got) + 1
-        fallback = ArrayFallback(layout, leaves)
+                assert meter.locate_ops == (end - j) - len(got)
+        fallback = ArrayFallback(layout)
         spy = _spy_leaves(fallback)
         fo = FastOracle(pts)
         leaf_blocks = layout.nleaves  # level 0: block g is leaf g

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from colorrange.core import DuplicateX, InvalidCoordinate, NotFound
@@ -214,6 +215,22 @@ def test_failed_insert_leaves_stripe_unchanged(x, y, error):
     with pytest.raises(error):
         s.insert(x, y)
     assert state() == before
-    s.insert(5, 2)  # the stripe still takes a good point
+    s.insert(5, np.int64(2))  # the stripe still takes a good point
     s.delete(5)
     assert state() == before
+
+
+@pytest.mark.parametrize("max_y,group_cap", [
+    (0, None), (True, None), (4.5, None), ("a", None), (None, None),
+    (4, 0), (4, True), (4, 2.0), (4, "2"),
+])
+def test_bad_sizes_raise_value_error(max_y, group_cap):
+    # both sizes are integers >= 1: a group_cap of 0 left an empty group
+    # and a stale first x behind, and a max_y of 4.5 or True was taken
+    with pytest.raises(ValueError):
+        StripeIndex(max_y=max_y, group_cap=group_cap)
+    s = StripeIndex(max_y=np.int64(1), group_cap=np.int64(1))
+    for x in (9, 1, 5, 3, 7):
+        s.insert(x, 1)
+    assert all(g.xs for g in s.groups) and len(s.groups) > 1
+    assert s.firsts == [g.xs[0] for g in s.groups]
