@@ -22,7 +22,7 @@ import time
 from .core import (FastOracle, IndexFileError, load_dataset, normalize_input,
                    save_dataset)
 from .dynamic_index import DynamicIndex
-from .em_index import MAGIC, VERSION, EmIndex
+from .em_index import MAGIC, MAX_U32, VERSION, EmIndex
 from .slow_index import SlowIndex
 from .static_index import StaticIndex
 
@@ -67,6 +67,11 @@ def random_queries(seed: int, count: int, universe: int) -> list:
         b = rng.randrange(a, universe + 1)
         ops.append(("Q", a, b))
     return ops
+
+
+def check_block_size(args) -> None:
+    if args.index == "em" and not 2 <= args.block_size <= MAX_U32:
+        raise SystemExit("need 2 <= --block-size <= 2^32 - 1 for --index em")
 
 
 def build_index(kind: str, points, block_size: int):
@@ -156,6 +161,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_build(args) -> int:
+    check_block_size(args)
     points, remap = normalize_input(load_dataset(args.dataset))
     t0 = time.perf_counter_ns()
     index = build_index(args.index, points, args.block_size)
@@ -172,6 +178,9 @@ def cmd_build(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    check_block_size(args)
+    if args.queries < 0:
+        raise SystemExit("need --queries >= 0")
     points, remap = normalize_input(load_dataset(args.dataset))
     if args.workload:
         ops = parse_workload(args.workload)

@@ -1,8 +1,9 @@
-"""Domain types, input normalization, prev-links, and brute-force oracles.
+"""Domain types, input normalization, and brute-force oracles.
 
 Every index in this package is tested against the oracles defined here; the
 oracles are deliberately naive (linear scans over the point list) so they stay
-independent of any indexing strategy.
+independent of any indexing strategy. `compute_prev` is one: no index calls
+it, and the static layout's predecessor positions are tested against it.
 
 Conventions used throughout the package:
 
@@ -15,6 +16,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import operator
+from itertools import repeat
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -178,8 +180,8 @@ def check_integer(value) -> int:
 
 def check_coordinate(value) -> int:
     """`value` as an int in [1, MAX_COORDINATE], or InvalidCoordinate: the
-    test of `check_integer` and the range, inline, since every point of
-    `normalize_input` takes it."""
+    test of `check_integer` and the range, inline, since `split_pairs` may
+    call it on every point."""
     if isinstance(value, bool) or not hasattr(type(value), "__index__") \
             or not 1 <= value <= MAX_COORDINATE:
         raise InvalidCoordinate(value)
@@ -202,26 +204,47 @@ def check_colors(colors: list) -> None:
             check_color(c)
 
 
+def split_pairs(pairs: Iterable[tuple]) -> tuple[list, list]:
+    """The coordinates and the second items of (coordinate, x) pairs. The
+    coordinates are checked one by one, by `check_coordinate`, only if their
+    types or ends fail a fast test: the first bad one raises
+    InvalidCoordinate, and numpy integers become ints."""
+    pairs = list(pairs)
+    values = list(map(operator.itemgetter(0), pairs))
+    if set(map(type, values)) - {int} or values and not (
+            1 <= min(values) and max(values) <= MAX_COORDINATE):
+        values = list(map(check_coordinate, values))
+    return values, list(map(operator.itemgetter(1), pairs))
+
+
 def normalize_input(pairs: Iterable[tuple]) -> tuple[list[ColoredPoint], ColorRemap]:
     """Sort by coordinate and remap colors densely by first occurrence.
 
     `pairs` is an iterable of (coordinate, color_label). Coordinates must be
     distinct integers in [1, MAX_COORDINATE] (0 is the prev-sentinel), else
-    InvalidCoordinate or DuplicateCoordinate.
+    InvalidCoordinate (the first bad one) or DuplicateCoordinate (the
+    smallest repeated one). No Python loop runs per point: `split_pairs`,
+    labels numbered by `dict.fromkeys`, one `argsort` and one `diff`.
     """
+    values, labels = split_pairs(pairs)
     remap = ColorRemap()
-    pts = []
-    for value, label in pairs:
-        pts.append(ColoredPoint(check_coordinate(value), remap.id_for(label)))
-    pts.sort()
-    for i in range(1, len(pts)):
-        if pts[i - 1].value == pts[i].value:
-            raise DuplicateCoordinate(pts[i].value)
-    return pts, remap
+    remap.reverse = list(dict.fromkeys(labels))
+    remap.forward = dict(zip(remap.reverse, range(len(remap.reverse))))
+    vals = np.array(values, dtype=np.int64)
+    order = np.argsort(vals)
+    vals = vals[order]
+    for i in np.flatnonzero(vals[1:] == vals[:-1])[:1].tolist():
+        raise DuplicateCoordinate(int(vals[i]))
+    colors = np.array(list(map(remap.forward.__getitem__, labels)),
+                      dtype=np.int64)[order]
+    # tuple.__new__ makes each point in C; zip reuses its one pair tuple
+    return list(map(tuple.__new__, repeat(ColoredPoint),
+                    zip(vals.tolist(), colors.tolist()))), remap
 
 
 def compute_prev(points: Sequence[ColoredPoint]) -> list[int]:
-    """prev(e) per point: the largest same-color coordinate < e, else 0.
+    """prev(e) per point: the largest same-color coordinate < e, else 0, by
+    a loop over the points (the reference, see the module docstring).
 
     `points` must be sorted ascending by value with distinct values.
     """
@@ -239,16 +262,18 @@ def color_maps(points: Iterable[tuple]) -> tuple[dict, dict]:
 
     Raises InvalidColor, InvalidCoordinate for a value outside [1,
     MAX_COORDINATE] (so the prev-sentinel 0 stays below every value) and
-    DuplicateX for a repeated value.
+    DuplicateX for a repeated value. Values that already ascend, as
+    `normalize_input` leaves them, are not sorted again.
     """
-    items = sorted((check_coordinate(v), c) for v, c in points)
-    check_colors([c for _, c in items])
-    colors = {v: c for v, c in items}
-    if len(colors) < len(items):
-        raise DuplicateX(next(v for (v, _), (w, _) in zip(items, items[1:])
-                              if v == w))
+    values, cols = split_pairs(points)
+    if not all(map(operator.lt, values, values[1:])):
+        values, cols = split_pairs(sorted(zip(values, cols)))
+    check_colors(cols)
+    colors = dict(zip(values, cols))
+    if len(colors) < len(values):
+        raise DuplicateX(next(v for v, w in zip(values, values[1:]) if v == w))
     by_color: dict = {}
-    for v, c in items:
+    for v, c in zip(values, cols):
         by_color.setdefault(c, []).append(v)
     return colors, by_color
 

@@ -71,9 +71,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (MAX_COORDINATE, ColoredPoint, DuplicateX, InvalidRange,
-                   check_colors, check_coordinate, check_integer,
-                   compute_prev)
+from .core import (ColoredPoint, DuplicateX, InvalidRange, check_colors,
+                   check_integer, split_pairs)
 
 
 class _TreeNode:
@@ -141,21 +140,23 @@ class TreeLayout:
     read, built on first read."""
 
     def __init__(self, points: Sequence[ColoredPoint], cap: int):
-        values = [p.value for p in points]
-        self.colors = colors = [p.color for p in points]
+        values, colors = split_pairs(points)  # 0 is the prev-sentinel
+        self.colors = colors
         check_colors(colors)
-        # a check per value only if their types or ends fail a fast test
-        if set(map(type, values)) - {int} or values and not (
-                1 <= values[0] and values[-1] <= MAX_COORDINATE):
-            for v in values:
-                check_coordinate(v)  # 0 is the prev-sentinel
         vals = np.asarray(values, dtype=np.int64)
         for i in np.flatnonzero(vals[1:] <= vals[:-1])[:1].tolist():
             u, v = values[i], values[i + 1]
             raise DuplicateX(v) if u == v else ValueError(
                 f"points must ascend by value: {v} after {u}")
-        prevs = np.asarray(compute_prev(points), dtype=np.int64)
-        prevpos = np.where(prevs == 0, -1, np.searchsorted(vals, prevs))
+        try:  # colors past int64 are compared as Python ints
+            cols = np.array(colors, dtype=np.int64)
+        except OverflowError:
+            cols = np.array(colors, dtype=object)
+        # prev(e) is the point before e in a stable sort by color
+        order = np.argsort(cols, kind="stable")
+        same = cols[order[1:]] == cols[order[:-1]]
+        prevpos = np.full(len(values), -1, dtype=np.int64)
+        prevpos[order[1:][same]] = order[:-1][same]
         self.values, self.prevpos = _column(vals, "q"), _column(prevpos, "i")
         self.n = n = len(values)
         self.cap = cap
@@ -331,18 +332,21 @@ def first_points(layout: TreeLayout, size: int) -> tuple:
     level_base, _ = fallback_levels(n, layout.cap, layout.nleaves, size)
     prevpos = np.frombuffer(layout.prevpos, dtype=np.int32)
     pos = np.arange(n, dtype=np.int64)
-    counts, keys, firsts = [pos[:0]], [pos[:0]], [pos[:0]]
+    counts, firsts = [pos[:0]], [pos[:0]]
     for _ in level_base:
+        # a block's first points are first in its halves: each level filters
+        # the last one's, in their order, so ties (prevpos -1) stay by position
         block = pos // size
-        first = prevpos < block * size
-        order = np.lexsort((prevpos[first], block[first]))
-        counts.append(np.bincount(block[first], minlength=-(-n // size)))
-        keys.append(prevpos[first][order])
-        firsts.append(pos[first][order])
+        first = prevpos[pos] < block * size
+        pos, block = pos[first], block[first]
+        pos = pos[np.argsort(block * (n + 1) + prevpos[pos], kind="stable")]
+        counts.append(np.bincount(block, minlength=-(-n // size)))
+        firsts.append(pos)
         size *= 2
+    firsts = np.concatenate(firsts)
     block_start = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
     return (level_base, _column(block_start, "i"),
-            _column(np.concatenate(keys), "i"), np.concatenate(firsts))
+            _column(prevpos[firsts], "i"), firsts)
 
 
 def leaf_cover(lo: int, hi: int, level_base: list, size: int) -> tuple:
@@ -410,7 +414,7 @@ class ArrayFallback:
             layout, layout.cap)
         # the colors by reference, so an entry costs one list slot
         colors = layout.colors
-        self.firsts = [colors[i] for i in pos.tolist()]
+        self.firsts = list(map(colors.__getitem__, pos.tolist()))
 
     def query(self, a: int, b: int, j: int, meter=None) -> list:
         """Distinct colors of [a, b], each exactly once, where j is the

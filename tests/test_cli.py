@@ -133,3 +133,21 @@ def test_static_rejects_inserts(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["verify", "--dataset", str(data), "--index", "static",
               "--workload", str(wl)])
+
+
+def test_build_and_verify_reject_bad_arguments(tmp_path, capsys):
+    # a message, not a ValueError traceback from EmIndex.build, and not a
+    # pass over no queries
+    data = tmp_path / "d.csv"
+    run(capsys, "generate", "--seed", "3", "--n", "50", "--u", "500",
+        "--c", "4", "--out", str(data))
+    for cmd in ("build", "verify"):
+        for size in ("0", "1", str(2**32)):
+            with pytest.raises(SystemExit, match="block-size"):
+                main([cmd, "--dataset", str(data), "--index", "em",
+                      "--block-size", size])
+    with pytest.raises(SystemExit, match="queries >= 0"):
+        main(["verify", "--dataset", str(data), "--queries", "-3"])
+    code, out = run(capsys, "verify", "--dataset", str(data), "--index", "em",
+                    "--block-size", "2", "--queries", "20")
+    assert code == 0 and "PASS (20 ops" in out

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from colorrange.core import (ColArray, ColoredPoint, DuplicateCoordinate,
-                             DuplicateX, FastOracle, InvalidCoordinate,
-                             InvalidRange, MAX_COORDINATE, NotFound, Range,
-                             compute_prev,
+from colorrange.core import (ColArray, ColoredPoint, ColorRemap,
+                             DuplicateCoordinate, DuplicateX, FastOracle,
+                             InvalidCoordinate, InvalidRange,
+                             MAX_COORDINATE, NotFound, Range, check_colors,
+                             check_coordinate, color_maps, compute_prev,
                              make_range, normalize_input, oracle_k_leftmost,
                              oracle_k_rightmost, oracle_report)
 from conftest import random_instance
@@ -50,6 +51,95 @@ def test_normalize_accepts_integer_types():
     assert pts == [ColoredPoint(3, 0), ColoredPoint(7, 0),
                    ColoredPoint(MAX_COORDINATE, 1)]
     assert all(type(p.value) is int for p in pts)
+
+
+def _normalize_reference(pairs):
+    """`normalize_input` as a loop over the points: check, remap, sort."""
+    remap = ColorRemap()
+    pts = []
+    for value, label in pairs:
+        pts.append(ColoredPoint(check_coordinate(value), remap.id_for(label)))
+    pts.sort()
+    for i in range(1, len(pts)):
+        if pts[i - 1].value == pts[i].value:
+            raise DuplicateCoordinate(pts[i].value)
+    return pts, remap
+
+
+def _color_maps_reference(points):
+    """`color_maps` with a check of every point and a sort."""
+    items = sorted((check_coordinate(v), c) for v, c in points)
+    check_colors([c for _, c in items])
+    colors = {v: c for v, c in items}
+    if len(colors) < len(items):
+        raise DuplicateX(next(v for (v, _), (w, _) in zip(items, items[1:])
+                              if v == w))
+    by_color: dict = {}
+    for v, c in items:
+        by_color.setdefault(c, []).append(v)
+    return colors, by_color
+
+
+def _outcome(fn, arg):
+    """What `fn(arg)` returns, with the types of its ints, or the type and
+    message of what it raises, which name the value reported."""
+    try:
+        out = fn(arg)
+    except (ValueError, TypeError) as exc:
+        return type(exc), exc.args
+    if isinstance(out[1], ColorRemap):
+        pts, remap = out
+        return (pts, [(type(v), type(c)) for v, c in pts],
+                list(remap.forward.items()), remap.reverse)
+    colors, by_color = out
+    return (list(colors.items()), [(type(v), type(c)) for v, c in colors.items()],
+            sorted(by_color.items()))
+
+
+# mostly valid coordinates, few enough that duplicates are common, as
+# Python and numpy integers; and every kind of bad one
+_GOOD = st.one_of(st.integers(1, 40), st.integers(1, 40).map(np.int64),
+                  st.integers(1, 40).map(np.uint64),
+                  st.sampled_from([MAX_COORDINATE, MAX_COORDINATE - 1]))
+_BAD = st.sampled_from([0, -1, -40, 2**63, 2**64, True, False, 1.0, 2.5,
+                        np.int64(0), np.int64(-3), "3", None])
+
+
+def _pairs(data, labels):
+    """Unsorted pairs, with at most two bad coordinates in them."""
+    pairs = data.draw(st.lists(st.tuples(_GOOD, labels), max_size=40))
+    for _ in range(data.draw(st.integers(0, 2))):
+        if data.draw(st.booleans()):
+            pairs.insert(data.draw(st.integers(0, len(pairs))),
+                         (data.draw(_BAD), data.draw(labels)))
+    return pairs
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_normalize_matches_point_loop(data):
+    # the same points, remap, exception type and reported value as the loop
+    # it replaced; True and 1 are one label, as one dict key
+    labels = st.sampled_from(["a", "b", "c", 0, 1, True, 2.5, ("t", 1)])
+    pairs = _pairs(data, labels)
+    assert _outcome(normalize_input, pairs) == _outcome(
+        _normalize_reference, pairs)
+    assert _outcome(normalize_input, iter(pairs)) == _outcome(
+        _normalize_reference, pairs)
+
+
+@given(st.data())
+@settings(max_examples=400, deadline=None)
+def test_color_maps_match_checked_sort(data):
+    # sorted or not, with bad values, bad colors and duplicates: the same
+    # maps or the same exception as a check of every point and a sort
+    colors = st.one_of(st.integers(0, 4), st.integers(0, 4).map(np.int64),
+                       st.sampled_from([-1, -2, True, 1.5, "c"]))
+    pairs = _pairs(data, colors)
+    if data.draw(st.booleans()):
+        pairs.sort(key=lambda p: p[0] if type(p[0]) in (int, np.int64) else 0)
+    assert _outcome(color_maps, pairs) == _outcome(
+        _color_maps_reference, pairs)
 
 
 def test_compute_prev_e1(e1):

@@ -15,11 +15,12 @@ from hypothesis import strategies as st
 
 from colorrange.core import (ColoredPoint, CostMeter, DuplicateX, InvalidColor,
                              InvalidCoordinate, InvalidRange, Range, FastOracle,
-                             compute_prev, oracle_report)
+                             compute_prev, normalize_input, oracle_report)
 from colorrange import static_index
 from colorrange.em_index import EmIndex
 from colorrange.static_index import (ArrayFallback, StaticIndex, TreeLayout,
-                                     _column, fallback_levels, leaf_cover)
+                                     _column, fallback_levels, first_points,
+                                     leaf_cover)
 from conftest import random_instance
 
 
@@ -295,6 +296,122 @@ def test_one_leaf_route_scans_its_points():
             assert (meter.touches, meter.locate_ops) == (k, 2 + (r - j) - k)
             queries += 1
     assert queries > n * (cap - 1) // 2
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_prevpos_and_first_points_match_definitions(data):
+    # prevpos against compute_prev's values, and every aligned block's first
+    # points against the block's points: those with prevpos before the
+    # block, by prevpos and then by position, on layouts of 1-3 leaves and
+    # more, with short last leaves
+    cap = data.draw(st.integers(2, 9), label="cap")
+    nleaves = data.draw(st.one_of(st.integers(1, 3), st.integers(4, 40)),
+                        label="leaves")
+    n = data.draw(st.integers((nleaves - 1) * cap + 1, nleaves * cap), label="n")
+    ncolors = data.draw(st.integers(1, n), label="colors")
+    rng = random.Random(data.draw(st.integers(0, 2**32), label="seed"))
+    pts = random_instance(rng, n, 3 * n, ncolors)
+    layout = TreeLayout(pts, cap)
+    position = {v: i for i, (v, _) in enumerate(pts)}
+    assert list(layout.prevpos) == [position.get(p, -1)
+                                    for p in compute_prev(pts)]
+    size = data.draw(st.sampled_from([cap, 2 * cap]), label="size")
+    level_base, block_start, keys, pos = first_points(layout, size)
+    assert level_base == fallback_levels(n, cap, nleaves, size)[0]
+    want_starts, want = [0], []
+    for level in range(len(level_base)):
+        width = size << level
+        for s in range(0, n, width):
+            want += sorted((layout.prevpos[i], i)
+                           for i in range(s, min(s + width, n))
+                           if layout.prevpos[i] < s)
+            want_starts.append(len(want))
+    assert list(block_start) == want_starts
+    assert list(zip(keys, pos.tolist())) == want
+    if size == cap:
+        fb = ArrayFallback(layout)
+        assert fb.firsts == [layout.colors[i] for _, i in want]
+
+
+def test_prevpos_of_colors_past_int64():
+    # colors are compared exactly, however large
+    pts = [ColoredPoint(v + 1, c) for v, c in enumerate(
+        [2**70, 2**70 + 1, 2**63, 2**70, 2**63, np.uint64(2**64 - 1), 3,
+         np.uint64(2**64 - 1)])]
+    assert list(TreeLayout(pts, 2).prevpos) == [-1, -1, -1, 0, 2, -1, -1, 5]
+
+
+def _column_digests(idx) -> dict:
+    """sha256 of each column of a StaticIndex and its fallback: an array by
+    its bytes, a list of colors by its repr."""
+    cols = {name: getattr(idx, name) for name in (
+        "values", "prevpos", "height", "lchild", "rchild", "roff", "loff",
+        "last_pos", "last_c", "first_v", "first_prevpos", "first_c", "kn",
+        "koff", "km", "colors")}
+    cols.update(block_start=idx.fallback.block_start, keys=idx.fallback.keys,
+                firsts=idx.fallback.firsts)
+    return {name: hashlib.sha256(
+        col.tobytes() if isinstance(col, array) else repr(col).encode()
+    ).hexdigest() for name, col in cols.items()}
+
+
+# taken before the set-up ran in whole-array passes
+_PIN_COLORS = 300
+_PIN_LABELS = ["c85", "c138", "c288"]
+_PIN_DIGESTS = {
+    "values":
+        "b429211b737754f6e5b2aa645a261a39261dbbd9e76d480993862636c7e90aa5",
+    "prevpos":
+        "6a5ac3f213f2235a7009cd7350866384202d674084dd128b834b7a2d90bd684e",
+    "height":
+        "589f817cfb2dddac038bc12523a1b75559733ce65a8dcb1c477f5df360c92115",
+    "lchild":
+        "7247f6dd0db21db1fe8014a7f3f59fa32b2fec0cf3969aa84e33ee29fde223d6",
+    "rchild":
+        "feffe37bef9d4b3c4a1436ec5744058dd6286bf7cf84755ce91efbd5f49373ac",
+    "roff":
+        "dff578837b43e8a19828ce890873d5f6e74759727aa55df87ddb5f8cbeebd491",
+    "loff":
+        "d77e46adc782f4e051645bdc93dd7d0f9d89b0039a0fb805f3c645faafee3fa3",
+    "last_pos":
+        "6aa4eb93c5630b446b94143e88501ad006aa8e50334ff5056d911c4f7f1c1b39",
+    "last_c":
+        "fb56508f98cdfeadb4ffff0549168b44da34d380fd3b2e5f860ed5b9b03c050e",
+    "first_v":
+        "9108d3338842d0dd701501f8a911e539c47333f621c029dec6d9538a89e2aec9",
+    "first_prevpos":
+        "2365088947e5987f40ebb13d376ba6b7bcffe27de1900e1b52da0fbff287b478",
+    "first_c":
+        "7d8abdbcc15bce39564415649120095cb16c10014f4111baa1ccf10f319a9a7c",
+    "kn":
+        "0608374f93d6f74194e17caf8a54e37f33a69f46169c47d843c944d1cc10bc6c",
+    "koff":
+        "a030bb4efd31e585c43461c0298cfe9b59cc4e804bfb8a973ab6ca5cf3a35d89",
+    "km":
+        "6ff54b4df6ec55b9ef67c87131cfdd7cdacfab43ac8bf6a57ae58b9e93578a1c",
+    "colors":
+        "205704c77bc59fae4a0ed35b9e89a45bff6d9c38066fb7d6aeea737fcbb7416b",
+    "block_start":
+        "67206b40fe2458581c258ee3f21879198df8646a51df9c6c71d85dcb4d52e537",
+    "keys":
+        "6a175d649b6cbffd197e4451aa125f09af6186064231524e564bd8698989083e",
+    "firsts":
+        "94019770c8b6476e66844a1c465f63477cfbe59fc2d90a05e56fd0d496363a4c",
+}
+_PIN_EM = ("eb41bb7d4a3afae4e4fae9d510c04bc77a1c7dfc4ade38c149bf4f7f910d9020")
+
+
+def test_setup_output_pinned():
+    # every column and an em index file of one seeded 2^12-point instance
+    rng = random.Random(4096)
+    pairs = [(v, f"c{rng.randrange(300)}")
+             for v in rng.sample(range(1, 1 << 20), 1 << 12)]
+    pts, remap = normalize_input(pairs)
+    assert (len(remap), remap.reverse[:3]) == (_PIN_COLORS, _PIN_LABELS)
+    assert _column_digests(StaticIndex(pts)) == _PIN_DIGESTS
+    assert hashlib.sha256(EmIndex.build(pts, B=8).to_bytes()).hexdigest() == (
+        _PIN_EM)
 
 
 def test_column_refuses_values_it_would_wrap():
