@@ -69,7 +69,17 @@ those of its subtree's records (the pruning), and the first-point offsets
 start at 0, never decrease and end at the region's record count, while
 within each aligned block prevpos never decreases and lies in [-1, the
 block's first position), and every color is below C. Any failure raises
-IndexFileError.
+IndexFileError. Each of these checks is one numpy pass over all the blocks
+it covers.
+
+`build` writes the file from numpy columns in whole-array passes, with no
+Python loop per point or per block. The leaf PSTs are built a level at a
+time for all leaves: one stable sort by (node, prevpos) ranks each node's
+points by (y, x), the first B of each node fill its block, and the rest, in
+x order, cut into the next level's nodes. Block ids, the recursion's post
+order, come from subtree block counts taken bottom-up and summed over
+siblings top-down. Every other region is one word column whose block
+bounds follow from its record counts.
 """
 
 from __future__ import annotations
@@ -87,8 +97,8 @@ import numpy as np
 
 from .core import (ColoredPoint, IndexFileError, InvalidColor, InvalidRange,
                    check_colors, check_integer)
-from .static_index import (TreeLayout, _column, fallback_levels,
-                           first_points, leaf_cover)
+from .static_index import (TreeLayout, fallback_levels, first_points,
+                           leaf_cover)
 
 MAGIC = b"CRR1"
 VERSION = 4
@@ -135,14 +145,6 @@ class BlockStore:
         self.words, self.kinds = array("q"), bytearray()
         self.bounds = array("q", [0])
 
-    def append(self, kind: int, recs: Sequence[int], meta=()) -> int:
-        """A block of the records' words `recs`, flat, and `meta`."""
-        self.words.extend(recs)
-        self.words.extend(meta)
-        self.bounds.extend((len(self.words) - len(meta), len(self.words)))
-        self.kinds.append(kind)
-        return len(self.kinds) - 1
-
     def read(self, bid: int, meter=None, locate: bool = False) -> tuple:
         """(start, end) word offsets of block `bid`'s records, counted as one
         transfer; meta follows."""
@@ -155,13 +157,6 @@ class BlockStore:
         lo, mid, end = self.bounds[2 * bid:2 * bid + 3]
         recs = (tuple(words[i:i + w]) for i in range(lo, mid, w or 1))
         return kind, tuple(recs), tuple(words[mid:end])
-
-    def write_region(self, kind: int, flat: Sequence[int]) -> tuple:
-        """Pack flat record words, B records per block; (start, count)."""
-        start, step = len(self.kinds), self.B * _WIDTH[kind]
-        for i in range(0, len(flat), step):
-            self.append(kind, flat[i:i + step])
-        return start, len(flat) // _WIDTH[kind]
 
     # -- serialization ------------------------------------------------------
 
@@ -207,38 +202,98 @@ class BlockStore:
         return store
 
 
-_BY_Y = operator.itemgetter(1, 0)
+def _ranks(lens: np.ndarray) -> np.ndarray:
+    """0, 1, ..., lens[i] - 1 for each i, end to end."""
+    return np.arange(int(lens.sum())) - np.repeat(np.cumsum(lens) - lens, lens)
 
 
-def _build_block_pst(store: BlockStore, pts: list) -> int:
-    """Static block-aware PST: one block per node holding the B lowest-y
-    points of its subtree, children metadata (bid, xlo, xhi, min_y) inline.
+def _pack(counts: np.ndarray, B: int) -> tuple:
+    """Regions of `counts` records each, packed B per block, one after the
+    other: (each region's first block, counted from the first region's,
+    and each block's record count)."""
+    nb = -(-counts // B)
+    return np.cumsum(nb) - nb, np.minimum(B, np.repeat(counts, nb)
+                                          - B * _ranks(nb))
 
-    pts: (x, y, color) sorted by x. Returns the root block id, -1 if empty.
-    """
-    if not pts:
-        return -1
-    B = store.B
-    byy = sorted(pts, key=_BY_Y)
-    top = sorted(byy[:B])
-    rest = sorted(byy[B:])
-    meta = [0]  # child count, then per child (bid, xlo, xhi, min y)
-    if rest:
-        meta[0] = nc = min(B, -(-len(rest) // B))
-        base, extra = divmod(len(rest), nc)
-        lo = 0
-        for i in range(nc):
-            sz = base + (1 if i < extra else 0)
-            chunk = rest[lo:lo + sz]
-            lo += sz
-            meta += (_build_block_pst(store, chunk), chunk[0][0], chunk[-1][0],
-                     min(r[1] for r in chunk))
-    return store.append(K_PST, [x for r in top for x in r], meta)
+
+def _leaf_psts(x, y, c, key, cap: int, B: int, base: int) -> tuple:
+    """The block-aware PSTs of the leaves of `cap` points, all leaves a
+    level at a time. A node's block holds the B lowest points of its
+    subtree by (y, x), in x order, then its child count and per child (bid,
+    xlo, xhi, min y); the rest, in x order, splits into nc = min(B,
+    ceil(rest / B)) chunks, the first rest % nc of them one point longer,
+    which are its children. Blocks are numbered from `base` in post order,
+    leaf by leaf. x, y, c: the points' values, prevs and colors; `key`
+    ranks the points by y (prevpos + 1), and ties go by x.
+
+    Returns (each leaf's root block, and per block in file order its
+    record count, its metadata word count, then all its words)."""
+    n, empty = len(x), np.zeros(0, dtype=np.int64)
+    if n == 0:
+        return empty, empty, empty, empty
+    pts = np.arange(n)
+    lens = np.full(-(-n // cap), cap)
+    lens[-1] = n - cap * (len(lens) - 1)
+    levels = []  # per level: (ntop, nc, top points, child xlo, xhi, min y)
+    while len(pts):
+        order = np.argsort(np.repeat(np.arange(len(lens)) * (n + 1), lens)
+                           + key[pts], kind="stable")
+        top = np.zeros(len(pts), dtype=bool)
+        top[order[_ranks(lens) < B]] = True
+        ntop = np.minimum(lens, B)
+        rest, nrest = pts[~top], lens - ntop
+        nc = np.minimum(B, -(-nrest // B))
+        q, extra = np.divmod(nrest, np.maximum(nc, 1))
+        lens = np.repeat(q, nc) + (_ranks(nc) < np.repeat(extra, nc))
+        first = np.cumsum(lens) - lens
+        levels.append((ntop, nc, pts[top], x[rest[first]],
+                       x[rest[first + lens - 1]],
+                       np.minimum.reduceat(y[rest], first) if len(rest)
+                       else empty))
+        pts = rest
+    # subtree block counts bottom-up, then the post-order ids top-down: a
+    # subtree's blocks follow its earlier siblings' subtrees
+    sizes = [empty]  # below the last level
+    for _, nc, *_ in reversed(levels):
+        sums, ends = np.concatenate(([0], np.cumsum(sizes[-1]))), np.cumsum(nc)
+        sizes.append(1 + sums[ends] - sums[ends - nc])
+    sizes.reverse()
+    bids, start = [], base + np.cumsum(sizes[0]) - sizes[0]
+    for (_, nc, *_), size, below in zip(levels, sizes, sizes[1:]):
+        bids.append(start + size - 1)
+        sums = np.concatenate(([0], np.cumsum(below)))
+        start = np.repeat(start - sums[np.cumsum(nc) - nc], nc) + sums[:-1]
+    # each block's words at its place in the file
+    at = np.concatenate(bids) - base
+    order = np.empty_like(at)
+    order[at] = np.arange(len(at))
+    ntop, nc = (np.concatenate([lv[k] for lv in levels])[order] for k in (0, 1))
+    ends = np.cumsum(3 * ntop + 1 + 4 * nc)
+    offs = (ends - 3 * ntop - 1 - 4 * nc)[at]
+    words = np.empty(ends[-1], dtype=np.int64)
+    for (ntop_l, nc_l, top, xlo, xhi, miny), below in zip(levels,
+                                                           bids[1:] + [empty]):
+        off, offs = offs[:len(ntop_l)], offs[len(ntop_l):]
+        at = np.repeat(off, ntop_l) + 3 * _ranks(ntop_l)
+        words[at], words[at + 1], words[at + 2] = x[top], y[top], c[top]
+        meta = off + 3 * ntop_l
+        words[meta] = nc_l
+        at = np.repeat(meta, nc_l) + 1 + 4 * _ranks(nc_l)
+        words[at], words[at + 1], words[at + 2] = below, xlo, xhi
+        words[at + 3] = miny
+    return bids[0], ntop, 1 + 4 * nc, words
 
 
 def _require(ok: bool, what: str) -> None:
     if not ok:
         raise IndexFileError(f"malformed index file: {what}")
+
+
+def _require_all(ok: np.ndarray, what) -> None:
+    """`_require` of every entry of `ok`, naming the first that fails by
+    `what(its index)`."""
+    if not ok.all():
+        _require(False, what(int(np.argmin(ok))))
 
 
 class EmIndex:
@@ -276,99 +331,120 @@ class EmIndex:
         self._view = memoryview(store.words)
         self._check()
 
-    def _region(self, start: int, count: int, kind: int, what: str) -> None:
-        """`count` records packed B per block from block `start` on."""
-        nb, w, bounds = -(-count // self.B), _WIDTH[kind], self.store.bounds
-        _require(count == 0 or count > 0 and 0 < start
-                 and start + nb <= len(self.store.kinds),
-                 f"{what} outside the file")
-        for i, bid in enumerate(range(start, start + nb)):
-            _require(self.store.kinds[bid] == kind and bounds[2 * bid + 1]
-                     - bounds[2 * bid] == w * min(self.B, count - i * self.B),
-                     f"{what}: block {bid}")
-
     def _check(self) -> None:
         """Directory entries, separator levels, first points, K records and
         PST children, so that no query on a loaded file reads outside the
         store, loops, or trusts a record order or PST bound that the records
-        contradict. Only directory and PST blocks hold metadata, so a
-        region's records are contiguous words."""
-        view, bounds, B = self._view, self.store.bounds, self.B
-        self._region(self.vals_start, self.n, K_VALS, "values")
+        contradict; each check is one numpy pass over all the blocks it
+        covers. Only directory and PST blocks hold metadata, so a region's
+        records are contiguous words."""
+        B, n, cap = self.B, self.n, self.cap
+        words = np.frombuffer(self.store.words, dtype=np.int64)
+        bounds = np.frombuffer(self.store.bounds, dtype=np.int64)
+        kinds = np.frombuffer(self.store.kinds, dtype=np.uint8)
+        lo, mid, nblocks = bounds[:-1:2], bounds[1::2], len(kinds)
+
+        def regions(starts, counts, kind: int, what: str) -> None:
+            """Regions of `counts` records, each packed B per block from its
+            block of `starts` on."""
+            starts = np.asarray(starts, dtype=np.int64)
+            counts = np.asarray(counts, dtype=np.int64)
+            nb = -(-counts // B)
+            _require(bool(np.all((counts == 0) | (counts > 0) & (0 < starts)
+                                 & (starts <= nblocks)
+                                 & (nb <= nblocks - starts))),
+                     f"{what} outside the file")
+            full = counts > 0
+            nb, i = nb[full], _ranks(nb[full])
+            bid = np.repeat(starts[full], nb) + i
+            _require_all((kinds[bid] == kind) & (
+                mid[bid] - lo[bid] == _WIDTH[kind] * np.minimum(
+                    B, np.repeat(counts[full], nb) - B * i)),
+                lambda j: f"{what}: block {bid[j]}")
+
+        regions([self.vals_start], [n], K_VALS, "values")
         # separator level l holds the last record of each block of level l-1
-        child_start, count = self.vals_start, -(-self.n // B)
+        child_start, count = self.vals_start, -(-n // B)
         for start in reversed(self.levels):
             _require(count > 1, "separator level count")
-            self._region(start, count, K_SEP, "separators")
-            for j in range(count):
-                _require(view[bounds[2 * start] + j]
-                         == view[bounds[2 * (child_start + j) + 1] - 1],
-                         f"separator block {start + j // B}")
+            regions([start], [count], K_SEP, "separators")
+            seps = words[lo[start]:lo[start] + count]
+            _require_all(seps == words[mid[child_start:child_start + count] - 1],
+                         lambda j: f"separator block {start + j // B}")
             child_start, count = start, -(-count // B)
         _require(count <= 1, "separator level count")
 
         # aligned block g's first points are the region's records offs[g]
         # to offs[g + 1] - 1: prevpos ascending, before the block's first point
-        offs = self.first_offsets
-        _require(offs[0] == 0 and all(map(operator.le, offs, offs[1:])),
+        offs = np.array(self.first_offsets, dtype=np.int64)
+        _require(offs[0] == 0 and bool(np.all(offs[1:] >= offs[:-1])),
                  "first-point offsets")
-        self._region(self.first_start, offs[-1], K_FIRST, "first points")
-        lo = bounds[2 * self.first_start] if offs[-1] else 0
-        prevpos = view[lo:lo + 2 * offs[-1]:2]
-        colors = view[lo + 1:lo + 2 * offs[-1]:2]
-        _require(not colors or 0 <= min(colors) and max(colors) < self.ncolors,
+        total = int(offs[-1])
+        regions([self.first_start], [total], K_FIRST, "first points")
+        first = lo[self.first_start] if total else 0
+        prevpos = words[first:first + 2 * total:2]
+        colors = words[first + 1:first + 2 * total:2]
+        _require(not total or 0 <= colors.min() and colors.max() < self.ncolors,
                  "first-point color")
-        g, size = 0, 2 * self.cap
-        for _ in self.level_base:
-            for start in range(0, self.n, size):
-                ps = prevpos[offs[g]:offs[g + 1]]
-                _require(not ps or -1 <= ps[0] and ps[-1] < start
-                         and all(map(operator.le, ps, ps[1:])),
-                         f"first points of aligned block {g}")
-                g += 1
-            size *= 2
+        block_start = np.concatenate([np.arange(0, n, 2 * cap << level)
+                                      for level in range(len(self.level_base))]
+                                     or [offs[:0]])
+        g = np.repeat(np.arange(len(block_start)), np.diff(offs))
+        _require_all((-1 <= prevpos) & (prevpos < block_start[g]) & (
+            (_ranks(np.diff(offs)) == 0) | (prevpos >= np.roll(prevpos, 1))),
+                     lambda j: f"first points of aligned block {g[j]}")
 
-        # a leaf's K records are contiguous words; rec[w] is word w of each
-        lists = set()
-        for leaf, (_, k_start, k_len) in enumerate(self.leaf_dir):
-            self._region(k_start, k_len, K_KARR, "K array")
-            lo = bounds[2 * k_start] if k_len else 0
-            rec = [view[lo + w:lo + 6 * k_len:6] for w in range(6)]
-            _require(all(map(operator.lt, rec[0], rec[0][1:]))
-                     and max((*rec[3], *rec[5], 0)) <= self.cap,
-                     f"K records of leaf {leaf}")
-            lists.update(zip(rec[2], rec[3]), zip(rec[4], rec[5]))
-        for start, length in lists:
-            self._region(start, length, K_LIST, "R/L list")
+        # a leaf's K records are contiguous words; rec[:, w] is word w of each
+        leaf_dir = np.array(self.leaf_dir, dtype=np.int64).reshape(-1, 3)
+        roots, k_start, k_len = leaf_dir.T
+        regions(k_start, k_len, K_KARR, "K array")
+        at = np.repeat(lo[np.where(k_len > 0, k_start, 0)], 6 * k_len)
+        rec = words[at + _ranks(6 * k_len)].reshape(-1, 6)
+        _require_all((rec[:, 3] <= cap) & (rec[:, 5] <= cap) & (
+            (_ranks(k_len) == 0) | (rec[:, 0] > np.roll(rec[:, 0], 1))),
+                     lambda j: "K records of leaf "
+                               f"{np.repeat(np.arange(len(k_len)), k_len)[j]}")
+        regions(np.concatenate((rec[:, 2], rec[:, 4])),
+                np.concatenate((rec[:, 3], rec[:, 5])), K_LIST, "R/L list")
 
         # the PST blocks form a forest: a child precedes its parent in the
         # file, no block is referenced twice, and a child's (xlo, xhi, min y)
         # are those of the records in its subtree
-        seen = {root for root, _, _ in self.leaf_dir}
-        _require(len(seen) == self.nleaves, "shared PST root")
-        span = {}  # PST block -> (xlo, xhi, min y) of its subtree
-        for bid, kind in enumerate(self.store.kinds):
-            if kind != K_PST:
-                continue
-            lo, mid, end = bounds[2 * bid:2 * bid + 3]
-            xs, meta = view[lo:mid:3], view[mid:end]
-            _require(bool(xs) and bool(meta) and len(meta) == 1 + 4 * meta[0],
-                     f"PST block {bid}")
-            _require(all(map(operator.lt, xs, xs[1:])),
-                     f"PST block {bid}: records out of x order")
-            xlo, xhi, miny = xs[0], xs[-1], min(view[lo + 1:mid:3])
-            for i in range(1, len(meta), 4):
-                child = meta[i]
-                _require(child in span and child not in seen,
-                         f"PST child {child} of block {bid}")
-                _require(span[child] == tuple(meta[i + 1:i + 4]),
-                         f"PST child {child} of block {bid}: bounds")
-                seen.add(child)
-                xlo, xhi = min(xlo, meta[i + 1]), max(xhi, meta[i + 2])
-                miny = min(miny, meta[i + 3])
-            span[bid] = (xlo, xhi, miny)
-        for root, _, _ in self.leaf_dir:
-            _require(root in span, f"PST block {root}")
+        pst = np.flatnonzero(kinds == K_PST)
+        plo, pmid, pend = lo[pst], mid[pst], bounds[2 * pst + 2]
+        nrec, nmeta = (pmid - plo) // 3, pend - pmid
+        _require_all((nrec > 0) & (nmeta > 0), lambda j: f"PST block {pst[j]}")
+        nch = words[pmid]
+        _require_all(((nmeta - 1) % 4 == 0) & (nch == (nmeta - 1) // 4),
+                     lambda j: f"PST block {pst[j]}")
+        i = _ranks(nrec)
+        at = np.repeat(plo, nrec) + 3 * i
+        xs, ys = words[at], words[at + 1]
+        _require_all((i == 0) | (xs > np.roll(xs, 1)), lambda j: (
+            f"PST block {np.repeat(pst, nrec)[j]}: records out of x order"))
+        at = np.repeat(pmid + 1, nch) + 4 * _ranks(nch)
+        child, parent = words[at], np.repeat(pst, nch)
+        ok = (0 <= child) & (child < parent)
+        _require_all(ok & (kinds[np.where(ok, child, 0)] == K_PST),
+                     lambda j: f"PST child {child[j]} of block {parent[j]}")
+        used = np.concatenate((roots, child))
+        _require(len(np.unique(used)) == len(used), "PST block referenced twice")
+        # each block's span: that of its records and its children's claims
+        first = np.cumsum(nrec) - nrec
+        span = [xs[first], xs[first + nrec - 1], np.minimum.reduceat(ys, first)
+                if len(ys) else ys]
+        if len(child):
+            has, cfirst = nch > 0, (np.cumsum(nch) - nch)[nch > 0]
+            for k, reduce in enumerate((np.minimum, np.maximum, np.minimum)):
+                span[k][has] = reduce(span[k][has],
+                                      reduce.reduceat(words[at + 1 + k], cfirst))
+        c = np.searchsorted(pst, child)
+        _require_all((span[0][c] == words[at + 1]) & (span[1][c] == words[at + 2])
+                     & (span[2][c] == words[at + 3]),
+                     lambda j: f"PST child {child[j]} of block {parent[j]}: bounds")
+        ok = (0 <= roots) & (roots < nblocks)
+        _require_all(ok & (kinds[np.where(ok, roots, 0)] == K_PST),
+                     lambda j: f"PST block {roots[j]}")
 
     # -- construction -----------------------------------------------------------
 
@@ -387,69 +463,99 @@ class EmIndex:
             raise InvalidColor(ncolors - 1)
         n = len(pts)
         lay = TreeLayout(pts, B * ceil_log(n, B))
-        values, colors, cap = lay.values, lay.colors, lay.cap
-        # the layout's positions back to the values the records hold, in
-        # one gather: the points' prevs (0 for none, at position -1), the L
-        # entries' prevs and the R entries' values
-        where = np.concatenate([np.frombuffer(c, dtype=np.int32) for c in (
-            lay.prevpos, lay.first_prevpos, lay.last_pos)])
-        held = _column(np.concatenate((
-            [0], np.frombuffer(values, dtype=np.int64)))[where + 1], "q")
-        nl = len(lay.first_prevpos)
-        prevs, first_p, last_v = held[:n], held[n:n + nl], held[n + nl:]
+        cap, nleaves = lay.cap, lay.nleaves
+        vals = np.frombuffer(lay.values, dtype=np.int64)
+        cols = np.array(lay.colors, dtype=np.int64)
+        prevpos = np.frombuffer(lay.prevpos, dtype=np.int32)
+        prevs = np.concatenate(([0], vals))[prevpos + 1]  # 0 for none
+        pieces = []  # in file order: (kind, per block its record count and
+        # its metadata word count, the words); the directory, block 0, is
+        # put in front once the rest is known
 
-        store = BlockStore(B)
-        store.append(K_DIR, ())  # placeholder, filled at the end
-        vals_start, _ = store.write_region(K_VALS, values)
+        def next_block() -> int:
+            return 1 + sum(len(recs) for _, recs, _, _ in pieces)
+
+        def put(kind: int, counts, flat: np.ndarray) -> np.ndarray:
+            """Regions of `counts` records, packed B per block, whose record
+            words are `flat`, end to end; their first blocks."""
+            start, (first, recs) = next_block(), _pack(
+                np.asarray(counts, dtype=np.int64), B)
+            pieces.append((kind, recs, np.zeros_like(recs), flat))
+            return start + first
+
+        vals_start = int(put(K_VALS, [n], vals)[0])
         # separator levels bottom-up: record j is the last value under block j
         # of the level below
-        levels = []
-        keys = values
+        levels, keys = [], vals
         while True:
-            keys = [keys[min(i + B, len(keys)) - 1]
-                    for i in range(0, len(keys), B)]
+            keys = keys[np.minimum(np.arange(B, len(keys) + B, B),
+                                   len(keys)) - 1]
             if len(keys) <= 1:
                 break
-            levels.append(store.write_region(K_SEP, keys)[0])
-        _, offsets, prevpos, pos = first_points(lay, 2 * cap)
-        first_start, _ = store.write_region(K_FIRST, [x for r in zip(
-            prevpos, [colors[i] for i in pos.tolist()]) for x in r])
-        leaf_psts = [_build_block_pst(store, list(zip(values[lo:lo + cap],
-                                                      prevs[lo:lo + cap],
-                                                      colors[lo:lo + cap])))
-                     for lo in range(0, n, cap)]
+            levels.append(int(put(K_SEP, [len(keys)], keys)[0]))
+        _, offsets, first_prev, first_pos = first_points(lay, 2 * cap)
+        first_prev = np.frombuffer(first_prev, dtype=np.int32)
+        first_start = int(put(K_FIRST, [len(first_prev)], np.column_stack(
+            (first_prev, cols[first_pos])).ravel())[0])
+        # the leaf PSTs; prevpos + 1 ranks the points as their prevs do
+        roots, *psts = _leaf_psts(vals, prevs, cols, prevpos + 1, cap, B,
+                                  next_block())
+        pieces.append((K_PST, *psts))
 
         # the non-root nodes' lists in preorder: R of a left child as
         # (v, 0, c) by value descending, L of a right child as (v, prev, c)
-        ptr = {}
-        lchild, rchild, roff, loff = lay.lchild, lay.rchild, lay.roff, lay.loff
-        stack = [(lay.root_id, None)] if lay.nleaves else []
-        while stack:  # (node id, whether it is a left child; None: root)
-            u, is_left = stack.pop()
-            if is_left is not None:
-                if is_left:
-                    lo, hi = roff[u], roff[u + 1]
-                    ent = zip(last_v[lo:hi][::-1], [0] * (hi - lo),
-                              lay.last_c[lo:hi][::-1])
-                else:
-                    lo, hi = loff[u], loff[u + 1]
-                    ent = zip(lay.first_v[lo:hi], first_p[lo:hi],
-                              lay.first_c[lo:hi])
-                ptr[u] = store.write_region(K_LIST,
-                                            [x for e in ent for x in e])
-            if lchild[u] >= 0:
-                stack += ((rchild[u], False), (lchild[u], True))
+        pre, stack = [], [lay.root_id] if nleaves else []
+        while stack:
+            u = stack.pop()
+            pre.append(u)
+            if lay.lchild[u] >= 0:
+                stack += (lay.rchild[u], lay.lchild[u])
+        pre = np.array(pre[1:], dtype=np.int64)
+        lchild, rchild, roff, loff = (np.frombuffer(c, dtype=np.int32) for c in (
+            lay.lchild, lay.rchild, lay.roff, lay.loff))
+        left = np.zeros(len(lchild), dtype=bool)
+        left[lchild[lchild >= 0]] = True
+        left = left[pre]
+        lens = np.where(left, roff[pre + 1] - roff[pre], loff[pre + 1] - loff[pre])
+        # each entry's point: R runs backwards over `last_pos`, L forwards
+        # over the first points, whose positions follow `last_pos`
+        last_pos = np.frombuffer(lay.last_pos, dtype=np.int32)
+        at = np.concatenate((last_pos, np.searchsorted(
+            vals, np.frombuffer(lay.first_v, dtype=np.int64))))
+        at = at[np.repeat(np.where(left, roff[pre + 1] - 1,
+                                   len(last_pos) + loff[pre]), lens)
+                + np.repeat(np.where(left, -1, 1), lens) * _ranks(lens)]
+        list_start = np.zeros(len(lchild), dtype=np.int64)
+        list_len = np.zeros(len(lchild), dtype=np.int64)
+        list_start[pre] = put(K_LIST, lens, np.column_stack((
+            vals[at], np.where(np.repeat(left, lens), 0, prevs[at]),
+            cols[at])).ravel())
+        list_len[pre] = lens
 
         # per leaf its K run: (m, height, R(u_l) ptr/len, L(u_r) ptr/len)
-        meta = [cap, lay.nleaves, vals_start, first_start, len(levels),
-                *reversed(levels), *offsets]
-        for leaf, pst_root in enumerate(leaf_psts):
-            lo, hi = lay.koff[leaf], lay.koff[leaf + 1]
-            meta += (pst_root, *store.write_region(K_KARR, [
-                x for m, u in zip(lay.km[lo:hi], lay.kn[lo:hi])
-                for x in (m, lay.height[u], *ptr[lchild[u]], *ptr[rchild[u]])]))
-        store.words[0:0] = array("q", meta)  # into block 0, appended empty
-        store.bounds[2:] = array("q", [x + len(meta) for x in store.bounds[2:]])
+        kn = np.frombuffer(lay.kn, dtype=np.int32)
+        k_len = np.diff(np.frombuffer(lay.koff, dtype=np.int32))
+        lc, rc = lchild[kn], rchild[kn]
+        k_start = put(K_KARR, k_len, np.column_stack((
+            np.frombuffer(lay.km, dtype=np.int64),
+            np.frombuffer(lay.height, dtype=np.int8)[kn], list_start[lc],
+            list_len[lc], list_start[rc], list_len[rc])).ravel())
+        directory = np.concatenate((
+            [cap, nleaves, vals_start, first_start, len(levels), *levels[::-1]],
+            np.frombuffer(offsets, dtype=np.int32),
+            np.column_stack((roots, k_start, k_len)).ravel()), dtype=np.int64)
+        pieces.insert(0, (K_DIR, [0], [len(directory)], directory))
+
+        store = BlockStore(B)
+        store.kinds = bytearray(np.concatenate([
+            np.full(len(recs), kind, dtype=np.uint8)
+            for kind, recs, _, _ in pieces]).tobytes())
+        sizes = np.concatenate([np.column_stack((_WIDTH[kind] * np.asarray(
+            recs), meta)).ravel() for kind, recs, meta, _ in pieces])
+        store.bounds = array("q", np.cumsum(np.concatenate(([0], sizes)))
+                             .tobytes())
+        store.words = array("q", np.concatenate(
+            [words for *_, words in pieces]).tobytes())
         return cls(store, n, ncolors)
 
     # -- locate phase -------------------------------------------------------------

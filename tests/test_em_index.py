@@ -4,9 +4,11 @@ import hashlib
 import math
 import random
 import struct
+import sys
 import tracemalloc
 import types
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,11 +16,13 @@ import pytest
 import colorrange.em_index as em_index
 from colorrange.core import (ColoredPoint, CostMeter, FastOracle,
                              IndexFileError, InvalidColor, InvalidCoordinate,
-                             InvalidRange, MAX_COORDINATE, Range, oracle_report)
+                             InvalidRange, MAX_COORDINATE, Range,
+                             normalize_input, oracle_report)
 from colorrange.em_index import (HEADER, K_FIRST, K_KARR, K_PST, K_SEP,
                                   MAGIC, VERSION, EmIndex, ceil_log)
 from colorrange.static_index import TreeLayout
 from conftest import random_instance
+from em_oracle import oracle_bytes
 
 
 def test_e1_single_leaf(e1):
@@ -310,6 +314,61 @@ def test_file_format_pinned():
     # first-point region); any change to these bytes must be deliberate
     assert hashlib.sha256(_small_file()).hexdigest() == (
         "1ea2c4b62c427fac128aad900c98937ff9dca5bfb882230fe559a483bea30af6")
+
+
+def _pst_depth(idx) -> int:
+    """The most PST blocks on one root-to-leaf path; a child's block comes
+    before its parent's in the file."""
+    depth = {}
+    for bid, kind in enumerate(idx.store.kinds):
+        if kind == K_PST:
+            meta = idx.store.block(bid)[2]
+            depth[bid] = 1 + max((depth[c] for c in meta[1::4]), default=0)
+    return max(depth.values(), default=0)
+
+
+def _sizes(B: int) -> list:
+    """0, 1, 2, one leaf short, one leaf and one point more than one leaf
+    (a leaf holds cap(N) = B * ceil(log_B N) points), and B^k +- 1."""
+    caps = {B * ceil_log(n, B) for n in (B, B + 1, B * B + 1)}
+    near = {c + d for c in caps for d in (-1, 0, 1)}
+    powers = {B ** k + d for k in range(1, 13) for d in (-1, 1)}
+    return sorted(n for n in {0, 1, 2} | near | powers
+                  if n <= (4097 if B > 2 else 1025))
+
+
+@pytest.mark.parametrize("B", [2, 3, 4, 64])
+def test_build_matches_recursive_oracle(B):
+    # the whole-array build writes the bytes of the recursive builder it
+    # replaced, from one color up to N distinct colors
+    rng = random.Random(167 + B)
+    deep = 0
+    for n in _sizes(B):
+        for ncolors in sorted({1, 1 + math.isqrt(n), n}):
+            values = sorted(rng.sample(range(1, 4 * n + 8), n))
+            colors = (rng.sample(range(n), n) if ncolors == n
+                      else [rng.randrange(ncolors) for _ in values])
+            pts = [ColoredPoint(v, c) for v, c in zip(values, colors)]
+            idx = EmIndex.build(pts, B=B)
+            assert idx.to_bytes() == oracle_bytes(pts, B), (n, ncolors)
+            deep = max(deep, _pst_depth(idx))
+    # with B = 2 and N >= 1024 a leaf PST is deeper than two levels
+    assert deep > 2 or B > 2
+
+
+def test_benchmark_file_pinned():
+    # the em-mixed benchmark's seed-7 file, built as its set-up builds it
+    bench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    sys.path.insert(0, bench)
+    try:
+        from workloads import WORKLOADS, make_pairs
+    finally:
+        sys.path.remove(bench)
+    spec = WORKLOADS["em-mixed"]
+    points, _ = normalize_input(make_pairs(spec, 7))
+    data = EmIndex.build(points, B=spec["block"]).to_bytes()
+    assert spec["block"] == 64 and hashlib.sha256(data).hexdigest() == (
+        "7b7e3ce94ea4ebc80b2acb3a714f6ee1c10901367b36da275e3debc71734e444")
 
 
 def test_malformed_files_raise_index_file_error():
