@@ -21,9 +21,12 @@ prev below a for each middle child, and F(g) up to b with prev below a.
 
 Tag maintenance: tags are recomputed exactly for the inserted/deleted element
 and its same-color neighbors; all other events can only raise true tags,
-which keeps stored tags <= true tags. Splits refresh the raised extremes of
-the new nodes (below the loglog level, all elements of both halves are simply
-rescanned; above it, F of the right half and Λ of the left half); a global
+which keeps stored tags <= true tags. A split, at any height, rescans both
+halves, which retags exactly every element whose true tag it raised: hmin in
+the right half, hmax in the left half, and at a root split each color's first
+and last value. The paper retags only the halves' color extremes above height
+loglog N; with leaves of log^2 N points no node that high splits before the
+tree holds over 4 * 10^8 points (README, "Notes on fidelity"). A global
 rebuild recomputes everything.
 
 List maintenance: an update changes the lists only for the element itself on
@@ -49,11 +52,14 @@ hmax of prev(x)) are one upward walk each from those leaves with the prev
 and next already known, written into the rows with x's insert, with next(x)'s
 new prev, and by one bisect in prev(x)'s leaf. The lists are one walk up
 x's path plus next(x)'s path below the lowest common ancestor. A leaf split
-cuts the old leaf's rows in two, and a split up to loglog high retags its
-halves in one pass over their rows, bisecting `by_color` once per color
-rather than once per value; a global rebuild makes fresh rows from
-`by_color` and retags all leaves the same way. A query is one descent to
-the leaf of succ(a).
+cuts the old leaf's rows in two. Each split, leaf or internal, retags both
+halves in one pass over their rows, an upward walk per row, bisecting
+`by_color` once per color rather than once per value. A split node's halves
+hold about 2 * 8^h * L rows at height h, and a half splits again only after
+more than 8^h * L / 2 inserts into it, so that is O(1) rows per insert and
+level, amortized. A global rebuild makes fresh rows from `by_color` and
+retags all leaves the same way. A query is one descent to the leaf of
+succ(a).
 """
 
 from __future__ import annotations
@@ -325,14 +331,6 @@ class DynamicIndex:
     def brute_tag_max(self, value) -> int:
         return self._tag_max(self._next(value), self.tree.leaf_for(value))
 
-    def _retag_min(self, value, prev) -> None:
-        leaf = self.tree.leaf_for(value)
-        leaf.dstruct.set_hmin(value, self._tag_min(prev, leaf))
-
-    def _retag_max(self, value, nxt) -> None:
-        leaf = self.tree.leaf_for(value)
-        leaf.dstruct.set_hmax(value, self._tag_max(nxt, leaf))
-
     # -- updates ----------------------------------------------------------------
 
     def __len__(self):
@@ -377,10 +375,13 @@ class DynamicIndex:
             pleaf.dstruct.set_hmax(e_p, self._tag_max(value, pleaf))
 
         self._extremes_insert(value, color, e_p, e_n, leaf, nleaf)
-        for parent, left, right, h in splits:
+        # true tags rise at a split only in its halves, so a rescan of both
+        # retags them exactly
+        for _, left, right, _ in splits:
             self._build_extremes(left)
             self._build_extremes(right)
-            self._split_refresh(parent, left, right, h)
+            self._retag_leaves(self.tree.leaves_under(left)
+                               + self.tree.leaves_under(right))
 
     def delete(self, value: int) -> None:
         value = check_integer(value)
@@ -472,35 +473,6 @@ class DynamicIndex:
             if b.extremes is not None:
                 b.extremes.set_first_prev(succ, prev)
             a, b = a.parent, b.parent
-
-    def _split_refresh(self, parent, left, right, height) -> None:
-        """Repair tags after a node split.
-
-        True tags only rise at a split: hmin for elements of the right half
-        whose prev crossed the new boundary, hmax symmetrically in the left
-        half, and (for a root split) the extremes of the whole tree. Below the
-        loglog level both halves are rescanned outright; above it, only the
-        color extremes of the affected nodes are retagged: F of the right
-        half, Λ of the left half, and for a fresh root each color's first and
-        last value.
-        """
-        tree = self.tree
-        if height <= tree.loglog:
-            self._retag_leaves(tree.leaves_under(left)
-                               + tree.leaves_under(right))
-        else:
-            e = right.extremes
-            for v, p in zip(e.fvals, e.fprevs):
-                self._retag_min(v, p)
-            e = left.extremes
-            for v, c in zip(e.lvals, e.lcols):
-                self._retag_max(v, self._next(v, c))
-        if parent is tree.root and parent.height == height + 1 and \
-                len(parent.children) == 2:
-            # fresh root: every global color extreme gained a level
-            for lst in self.by_color.values():
-                self._retag_min(lst[0], PREV_SENTINEL)
-                self._retag_max(lst[-1], None)
 
     # -- queries -----------------------------------------------------------------
 

@@ -35,12 +35,13 @@ lists its ancestors by middle value ascending, right parents (K2) top-down
 and then left parents (K1) bottom-up, so two `bisect` calls cut out those
 with a < m <= b, and u is the higher end of that stretch. The query then
 reads answers off R(u_l) and L(u_r). A range with no such ancestor lies in
-one leaf and is answered by a scan of its points there (`TreeLayout.window`),
-at most `cap` = O(log N) of them where the paper takes O(1 + k); the
-dynamic index's leaf store scans the same way. A full-length R(u_l) whose
-smallest value exceeds a, or L(u_r) whose largest value is below b, may
-leave colors out, and the range then holds at least log N colors; that
-O(1) test sends the query to `ArrayFallback` before either list is walked.
+one leaf and goes to `ArrayFallback`, whose locate of pred(b) finds it there
+and which answers it by a scan of its points (`TreeLayout.window`), at most
+`cap` = O(log N) of them where the paper takes O(1 + k); the dynamic index's
+leaf store scans the same way. A full-length R(u_l) whose smallest value
+exceeds a, or L(u_r) whose largest value is below b, may leave colors out,
+and the range then holds at least log N colors; that O(1) test sends the
+query to `ArrayFallback` before either list is walked.
 The fallback answers any range in O(log N + k): the edge leaves from their
 R and L, and the interior leaves as at most two aligned blocks per level,
 from blocks of one leaf up, each of which keeps the first point of every
@@ -507,8 +508,7 @@ class StaticIndex(TreeLayout):
         leaf_idx = j // cap
         u = self._hra(leaf_idx, a, b, meter)
         if u < 0:
-            r = bisect.bisect_right(values, b, j, min(j - j % cap + cap, self.n))
-            return self.window(j, r, meter)
+            return self.fallback.query(a, b, j, meter)
 
         # a full list whose far end lies strictly inside the range may
         # leave colors out; one that ends at a (R) or b (L) holds every

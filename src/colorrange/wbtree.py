@@ -113,7 +113,6 @@ class WbTree:
         self.n0 = n0
         logn = max(2.0, math.log2(max(n0, 4)))
         self.leaf_param = max(2, math.ceil(logn) ** 2)
-        self.loglog = max(1, math.ceil(math.log2(logn)))
         self.deleted_total = 0
         self.size = len(sorted_values)
 

@@ -15,6 +15,23 @@ from colorrange.core import (ColArray, ColoredPoint, ColorRemap,
 from conftest import random_instance
 
 
+def test_public_surface_pinned():
+    # the package root exports the indexes, the domain types and errors,
+    # input normalization and the oracles; building blocks are imported
+    # from their modules
+    import colorrange
+    assert sorted(colorrange.__all__) == sorted([
+        "ColorRemap", "ColoredPoint", "CostMeter", "DuplicateCoordinate",
+        "DuplicateX", "IndexFileError", "InvalidColor", "InvalidCoordinate",
+        "InvalidRange", "NotFound", "Range", "make_range", "normalize_input",
+        "oracle_k_leftmost", "oracle_k_rightmost", "oracle_report",
+        "DynamicIndex", "EmIndex", "SlowIndex", "StaticIndex"])
+    assert all(hasattr(colorrange, name) for name in colorrange.__all__)
+    for name in ("ColArray", "compute_prev", "BlockStore", "ColorPst",
+                 "StripeIndex", "WbTree"):
+        assert not hasattr(colorrange, name), name
+
+
 def test_normalize_sorts_and_remaps():
     pts, remap = normalize_input([(5, "red"), (1, "red"), (3, "blue")])
     assert pts == [ColoredPoint(1, 0), ColoredPoint(3, 1), ColoredPoint(5, 0)]

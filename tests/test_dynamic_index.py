@@ -459,37 +459,64 @@ def test_growth_and_shrink_rebuilds_stay_correct():
         assert set(idx.query(a, b)) == want
 
 
-def test_high_level_split_refresh_path():
-    """Exercise the k-leftmost/rightmost extreme refresh by lowering the
-    rescan threshold to force the 'high level' branch."""
+def test_leaf_internal_and_root_splits_keep_tags():
+    """Every split rescans both halves. Two streams without a global
+    rebuild: 900 points (leaves of L = 100, a height-1 root over 9 leaves)
+    grow on the left past 1600, so that leaves and then the root split,
+    which makes a fresh root; 2000 points (L = 121, a height-2 root over two
+    height-1 nodes) grow on the right until leaves and the right height-1
+    node split below the root. Then every stored tag is at most its true
+    one, and each color's first and last value, whose tags a root split
+    raises, and every element of some Left(u)/Right(u) carry exact ones."""
     rng = random.Random(107)
-    pts = random_instance(rng, 600, 50_000, 8)
-    idx = DynamicIndex(pts)
-    idx.tree.loglog = -1  # force every split onto the extremes-refresh path
-    live = {p.value: p.color for p in pts}
-    for _ in range(2500):
-        r = rng.random()
-        if r < 0.6:
-            v = rng.randrange(1, 50_000)
-            if v not in live:
-                c = rng.randrange(8)
-                live[v] = c
-                idx.insert(v, c)
-        elif live:
-            v = rng.choice(list(live))
-            del live[v]
-            idx.delete(v)
-        if rng.random() < 0.2:
+    for n, (lo, hi), steps, kinds in (
+            (900, (1, 20_000), 1000, {"leaf", "root"}),
+            (2000, (25_000, 50_000), 1200, {"leaf", "internal"})):
+        pts = random_instance(rng, n, 50_000, 8)
+        idx = DynamicIndex(pts)
+        tree = idx.tree
+        n0, tree_insert, seen = tree.n0, tree.insert, set()
+
+        def insert(value):
+            old_root = tree.root
+            ev = tree_insert(value)
+            for _, left, _, h in ev["splits"]:
+                seen.add("leaf" if h == 0 else
+                         "root" if left is old_root else "internal")
+            return ev
+
+        tree.insert = insert
+        live = {p.value: p.color for p in pts}
+        for _ in range(steps):
+            if rng.random() < 0.9:
+                v = rng.randrange(lo, hi)
+                if v not in live:
+                    live[v] = rng.randrange(8)
+                    idx.insert(v, live[v])
+            else:
+                v = rng.choice(list(live))
+                del live[v]
+                idx.delete(v)
+        assert tree.n0 == n0, "a global rebuild ran"
+        assert seen == kinds, n
+        tree.check_weight_bounds()
+        check_extremes(idx, live)
+        for v in live:
+            assert idx.hmin[v] <= idx.brute_tag_min(v), v
+            assert idx.hmax[v] <= idx.brute_tag_max(v), v
+        for lst in idx.by_color.values():
+            assert idx.hmin[lst[0]] == idx.brute_tag_min(lst[0])
+            assert idx.hmax[lst[-1]] == idx.brute_tag_max(lst[-1])
+        for node in tree.iter_nodes():
+            for v in idx.left_set(node):
+                assert idx.hmin[v] == idx.brute_tag_min(v), v
+            for v in idx.right_set(node):
+                assert idx.hmax[v] == idx.brute_tag_max(v), v
+        for _ in range(200):
             a = rng.randrange(1, 50_000)
             b = rng.randrange(a, 50_000)
             want = {c for v, c in live.items() if a <= v <= b}
             assert set(idx.query(a, b)) == want
-    # the operative invariant after forced high-level splits
-    for node in idx.tree.iter_nodes():
-        for v in idx.left_set(node):
-            assert idx.hmin[v] >= node.height
-        for v in idx.right_set(node):
-            assert idx.hmax[v] >= node.height
 
 
 def _leaves(idx):
