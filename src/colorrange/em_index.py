@@ -96,7 +96,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (ColoredPoint, IndexFileError, InvalidColor, InvalidRange,
-                   check_colors, check_integer)
+                   check_colors, check_integer, split_pairs)
 from .static_index import (TreeLayout, fallback_levels, first_points,
                            leaf_cover)
 
@@ -455,14 +455,15 @@ class EmIndex:
             raise ValueError(f"block size {B!r} is not an integer in "
                              "[2, 2^32 - 1]")
         B = operator.index(B)
-        pts = list(points)
-        colors = [p.color for p in pts]
+        # the colors are checked once, and against the header before the
+        # layout is built
+        values, colors = split_pairs(points)
         check_colors(colors)
         ncolors = max(colors, default=-1) + 1
         if ncolors > MAX_U32:
             raise InvalidColor(ncolors - 1)
-        n = len(pts)
-        lay = TreeLayout(pts, B * ceil_log(n, B))
+        n = len(values)
+        lay = TreeLayout.of_checked(values, colors, B * ceil_log(n, B))
         cap, nleaves = lay.cap, lay.nleaves
         vals = np.frombuffer(lay.values, dtype=np.int64)
         cols = np.array(lay.colors, dtype=np.int64)

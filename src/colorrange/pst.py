@@ -77,9 +77,6 @@ class ColorPst:
         self.prevs[i] = prev
         self.hmins[i] = hmin
 
-    def set_hmin(self, value, tag) -> None:
-        self.hmins[self.index(value)] = tag
-
     def set_hmax(self, value, tag) -> None:
         self.hmaxs[self.index(value)] = tag
 

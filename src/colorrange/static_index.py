@@ -8,8 +8,12 @@ the `cap` smallest kept, both by value ascending, only where they are read:
 R and L on every leaf, R on left internal children, L on right internal
 children, none on the root. A leaf holds at most `cap` points, so its R and
 L list every color it holds. `StaticIndex` uses the layout with cap =
-ceil(log2 N) and keeps it in memory; `EmIndex` uses it with cap = B *
+2 ceil(log2 N) and keeps it in memory; `EmIndex` uses it with cap = B *
 ceil(log_B N) and pages it into blocks, each leaf's K run as its K records.
+Any constant multiple of log N keeps the static index's O(N) space and its
+O(1 + k) lists route; against leaves of ceil(log2 N), the factor 2 halves
+the leaves, more than halves the K store and drops the fallback's
+smallest blocks.
 
 The layout is columns, not objects, so a search compares machine words in
 one block of memory. What a query compares with a or b is a value and
@@ -40,7 +44,7 @@ and which answers it by a scan of its points (`TreeLayout.window`), at most
 `cap` = O(log N) of them where the paper takes O(1 + k); the dynamic index's
 leaf store scans the same way. A full-length R(u_l) whose smallest value
 exceeds a, or L(u_r) whose largest value is below b, may leave colors out,
-and the range then holds at least log N colors; that O(1) test sends the
+and the range then holds at least `cap` colors; that O(1) test sends the
 query to `ArrayFallback` before either list is walked.
 The fallback answers any range in O(log N + k): the edge leaves from their
 R and L, and the interior leaves as at most two aligned blocks per level,
@@ -142,8 +146,19 @@ class TreeLayout:
 
     def __init__(self, points: Sequence[ColoredPoint], cap: int):
         values, colors = split_pairs(points)  # 0 is the prev-sentinel
-        self.colors = colors
         check_colors(colors)
+        self._build(values, colors, cap)
+
+    @classmethod
+    def of_checked(cls, values: list, colors: list, cap: int) -> "TreeLayout":
+        """The layout of columns that `split_pairs` and `check_colors` have
+        passed, for a caller that reads them first."""
+        layout = cls.__new__(cls)
+        layout._build(values, colors, cap)
+        return layout
+
+    def _build(self, values: list, colors: list, cap: int) -> None:
+        self.colors = colors
         vals = np.asarray(values, dtype=np.int64)
         for i in np.flatnonzero(vals[1:] <= vals[:-1])[:1].tolist():
             u, v = values[i], values[i + 1]
@@ -395,7 +410,10 @@ class ArrayFallback:
     blocks' prevpos `keys` are kept with the entries' colors at the same
     index of `firsts`, so the entries of block g with prevpos < j end at
     `bisect_left(keys, j, block_start[g], block_start[g + 1])`. That makes
-    sum over l >= 0 of min(N, C * N / (cap * 2^l)) entries for C colors.
+    sum over l >= 0 of min(N, C * N / (cap * 2^l)) entries for C colors,
+    over about log2(N / cap) levels. The static index's leaves of cap =
+    2 ceil(log2 N) points give the blocks of leaves of ceil(log2 N) but
+    their level 0, the blocks of one such leaf.
 
     A block strictly after succ(a) = point j lies inside the range, and each of
     its entries with prevpos < j is the first point of its color in the whole
@@ -445,8 +463,8 @@ class ArrayFallback:
 class StaticIndex(TreeLayout):
     def __init__(self, points: Sequence[ColoredPoint]):
         points = list(points)
-        # floor of 2 so that N = 2 stays a single leaf
-        super().__init__(points, max(2, math.ceil(math.log2(max(len(points), 2)))))
+        # leaves of 2 ceil(log2 N) points, one leaf of 2 for N <= 2
+        super().__init__(points, 2 * math.ceil(math.log2(max(len(points), 2))))
         self.fallback = ArrayFallback(self)
 
     k1 = property(lambda self: _KPairs(self, True),

@@ -60,8 +60,8 @@ def _lists(layout, node) -> tuple:
 
 
 def test_e1_shape(e1):
-    idx = StaticIndex(e1)
-    assert idx.cap == 3
+    # the layout's shape at leaves of 3 points
+    idx = TreeLayout(e1, 3)
     assert idx.nleaves == 3
     # per leaf, the last point of each color and the first, value
     # ascending; the leaves come first in the list store
@@ -147,11 +147,14 @@ def test_one_report(e1):
 
 def test_hra_examples(e1):
     idx = StaticIndex(e1)
-    # query [4,13]: range spans two leaves; hra equals the brute-force LCA here
+    assert (idx.cap, idx.nleaves) == (6, 2)
+    # query [4,16]: range spans both leaves; hra equals the brute-force LCA,
+    # the root
     leaf = idx.leaf_of(5)
-    u = idx.hra_query(leaf, 4, 13)
-    assert u is brute_lca_leaves(idx, 4, 13)
-    # range inside one leaf with no qualifying ancestor
+    u = idx.hra_query(leaf, 4, 16)
+    assert u is brute_lca_leaves(idx, 4, 16) is idx.root
+    # ranges inside one leaf with no qualifying ancestor
+    assert idx.hra_query(leaf, 4, 13) is None
     leaf = idx.leaf_of(1)
     assert idx.hra_query(leaf, 1, 2) is None
     # two points in one leaf
@@ -228,23 +231,23 @@ def test_static_layout_entry_counts():
     # a list kept where no query reads it, a second copy of the K store or
     # a change to the fallback's levels changes them
     idx = StaticIndex(random_instance(random.Random(71), 1 << 12, 1 << 15, 200))
-    assert (idx.n, idx.cap, idx.nleaves) == (1 << 12, 12, 342)
+    assert (idx.n, idx.cap, idx.nleaves) == (1 << 12, 24, 171)
     # list slots: R as (position, color), L as (value, prevpos, color)
     r, l = len(idx.last_pos), len(idx.first_v)
-    assert (r, l) == (len(idx.last_c), len(idx.first_c)) == (5501, 6533)
-    assert len(idx.first_prevpos) == l and 2 * r + 3 * l == 30601  # 7.47 per point
+    assert (r, l) == (len(idx.last_c), len(idx.first_c)) == (5376, 6408)
+    assert len(idx.first_prevpos) == l and 2 * r + 3 * l == 29976  # 7.32 per point
     # K: one (m, node) entry per leaf and ancestor, the sum of leaf depths
     depths = 0
     for leaf in idx.leaves:
         while leaf.parent is not None:
             depths, leaf = depths + 1, leaf.parent
-    assert len(idx.km) == len(idx.kn) == depths == 2908
+    assert len(idx.km) == len(idx.kn) == depths == 1283
     assert len(idx.koff) == idx.nleaves + 1
     # fallback: one (prevpos, color) entry per first point of a block, over
-    # nine levels from blocks of one leaf up; 5.22 per point
+    # eight levels from blocks of one leaf up; 4.25 per point
     fb = idx.fallback
-    assert len(fb.keys) == len(fb.firsts) == 21371
-    assert len(fb.level_base) == 9 and len(fb.block_start) == 687
+    assert len(fb.keys) == len(fb.firsts) == 17394
+    assert len(fb.level_base) == 8 and len(fb.block_start) == 345
     # every column by name and typecode: the colors stay lists, since
     # answers are slices of them; what is compared with a or b is a value,
     # int64, every position and node id int32, and the heights bytes; the
@@ -272,7 +275,17 @@ def test_static_answers_and_counts_pinned():
         digest.update(repr(sorted(idx.query(a, a + w - 1, meter))).encode())
     assert digest.hexdigest() == (
         "a0d9129d014233863835e917efc5775addcdc349eb4f99748e8ce313ca2d15ba")
-    assert (meter.touches, meter.locate_ops) == (184816, 10658)
+    assert (meter.touches, meter.locate_ops) == (187911, 9828)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 4096, 4097])
+def test_static_cap_rule(n):
+    # leaves of 2 ceil(log2 N) points: any constant multiple of log N keeps
+    # the O(N) space and the O(1 + k) query of the lists route; N <= 2 is
+    # one leaf of 2
+    idx = StaticIndex([ColoredPoint(v + 1, v % 3) for v in range(n)])
+    assert idx.cap == 2 * math.ceil(math.log2(max(n, 2)))
+    assert idx.nleaves == -(-n // idx.cap)
 
 
 def test_one_leaf_route_scans_its_points():
@@ -357,7 +370,9 @@ def _column_digests(idx) -> dict:
     ).hexdigest() for name, col in cols.items()}
 
 
-# taken before the set-up ran in whole-array passes
+# taken before the set-up ran in whole-array passes; the layout's and the
+# fallback's columns since leaves of 2 ceil(log2 N) points, equal to a
+# layout of leaves of 24 points built before
 _PIN_COLORS = 300
 _PIN_LABELS = ["c85", "c138", "c288"]
 _PIN_DIGESTS = {
@@ -366,39 +381,39 @@ _PIN_DIGESTS = {
     "prevpos":
         "6a5ac3f213f2235a7009cd7350866384202d674084dd128b834b7a2d90bd684e",
     "height":
-        "589f817cfb2dddac038bc12523a1b75559733ce65a8dcb1c477f5df360c92115",
+        "c3a0d0755904f5b6b10d479a19f58d3ad43467e4cd2a073987a614c7cd884ad5",
     "lchild":
-        "7247f6dd0db21db1fe8014a7f3f59fa32b2fec0cf3969aa84e33ee29fde223d6",
+        "a8da7c7dc6410d02517fe290ab99a055218696c82fd1ffd44fdc43a68c8a2878",
     "rchild":
-        "feffe37bef9d4b3c4a1436ec5744058dd6286bf7cf84755ce91efbd5f49373ac",
+        "33af6f4a46d39d81861095121169f023e6c070f8e865326a6a006025920793a0",
     "roff":
-        "dff578837b43e8a19828ce890873d5f6e74759727aa55df87ddb5f8cbeebd491",
+        "8e562304c2cfecd73c576a354f27aa7498b909e5b9878c43ae86503a23486d83",
     "loff":
-        "d77e46adc782f4e051645bdc93dd7d0f9d89b0039a0fb805f3c645faafee3fa3",
+        "f2df17a2598292567d47ad52216e558178d5ee54d14a57c656705bbaef963dbe",
     "last_pos":
-        "6aa4eb93c5630b446b94143e88501ad006aa8e50334ff5056d911c4f7f1c1b39",
+        "2232e2d0fb297c33675f4ebf771c7d9966e6e9efe877d94dfd1010211a47ae97",
     "last_c":
-        "fb56508f98cdfeadb4ffff0549168b44da34d380fd3b2e5f860ed5b9b03c050e",
+        "539fcf5faf67483c58262bbe72b15e65de552d633c36ef3f212c823c2c1b5d13",
     "first_v":
-        "9108d3338842d0dd701501f8a911e539c47333f621c029dec6d9538a89e2aec9",
+        "6cffddc9b6b23388a131aa59b4503726218fbd3eeb07f37a746646f7978b0911",
     "first_prevpos":
-        "2365088947e5987f40ebb13d376ba6b7bcffe27de1900e1b52da0fbff287b478",
+        "ecb2ff8b84cd1221bf177bd22262f77b40040e0593b750e54bff9634ed7b76fc",
     "first_c":
-        "7d8abdbcc15bce39564415649120095cb16c10014f4111baa1ccf10f319a9a7c",
+        "0b82282f0eacfe2f13fad723a6caaba4cb4181424845ee99854715a7ebda00a4",
     "kn":
-        "0608374f93d6f74194e17caf8a54e37f33a69f46169c47d843c944d1cc10bc6c",
+        "f48201fb55de59f2090e22747bcd0bce885158168f60172794511247040fef3d",
     "koff":
-        "a030bb4efd31e585c43461c0298cfe9b59cc4e804bfb8a973ab6ca5cf3a35d89",
+        "5b3d83e66e1e7a01bf58636fad80fc4d335ddba28ffd499e9874c9e9ce75823f",
     "km":
-        "6ff54b4df6ec55b9ef67c87131cfdd7cdacfab43ac8bf6a57ae58b9e93578a1c",
+        "2b15d3d2ca5a0e8deb840492b2e9679630f0337425f966ec849112b208bc1107",
     "colors":
         "205704c77bc59fae4a0ed35b9e89a45bff6d9c38066fb7d6aeea737fcbb7416b",
     "block_start":
-        "67206b40fe2458581c258ee3f21879198df8646a51df9c6c71d85dcb4d52e537",
+        "b8f64efd1f8b5623ac72c7e622165e3296e82580706616cfc9605c0f1c3ecad9",
     "keys":
-        "6a175d649b6cbffd197e4451aa125f09af6186064231524e564bd8698989083e",
+        "66764cc4e5bfdd7e1047028ee07c5116a3d0a71b8f2d0cc0c99bbbf1157787bc",
     "firsts":
-        "94019770c8b6476e66844a1c465f63477cfbe59fc2d90a05e56fd0d496363a4c",
+        "759132f6bd5b42be72b8d376cc5be14f2d65470dd4d6a13d0b6b12c16b3f3319",
 }
 _PIN_EM = ("eb41bb7d4a3afae4e4fae9d510c04bc77a1c7dfc4ade38c149bf4f7f910d9020")
 
@@ -426,9 +441,10 @@ def test_column_refuses_values_it_would_wrap():
 
 
 def test_static_memory_per_point():
-    # positions and ids in 32-bit columns, and no node object at build
-    # time: 95.9 B/point here, where 64-bit columns and node objects built
-    # with the tree kept 137.8
+    # positions and ids in 32-bit columns, no node object at build time and
+    # leaves of 2 ceil(log2 N) points: 64.8 B/point here, where leaves of
+    # ceil(log2 N) kept 93.9, and 64-bit columns and node objects built with
+    # the tree 137.8
     pts = random_instance(random.Random(83), 1 << 14, 1 << 16, 16)
     gc.collect()
     tracemalloc.start()
@@ -440,7 +456,7 @@ def test_static_memory_per_point():
     finally:
         tracemalloc.stop()
     assert idx.n == len(pts)
-    assert retained / len(pts) <= 104, retained / len(pts)
+    assert retained / len(pts) <= 72, retained / len(pts)
 
 
 def test_nodes_built_only_when_read(monkeypatch):
@@ -805,10 +821,12 @@ def test_reporting_touches_bounded():
 
 
 def test_dedup_cross_halves(e1):
-    # a color present on both sides of m(u) must be reported once; [3, 9]
-    # answers from the R/L lists (B at 3 and 9), [4, 13] from the fallback
+    # a color present on both sides of m(u) must be reported once; [7, 20]
+    # answers from the R/L lists (m = 15, colors 1 and 2 on both sides),
+    # [3, 9] and [4, 13] lie in the first leaf of 6 points
     idx = StaticIndex(e1)
-    for a, b in ((3, 9), (4, 13)):
+    assert idx.hra_query(idx.leaf_of(7), 7, 20) is idx.root
+    for a, b in ((7, 20), (3, 9), (4, 13)):
         out = idx.query(a, b)
         assert sorted(out) == sorted(set(out))
         assert set(out) == oracle_report(e1, Range(a, b))
