@@ -33,19 +33,22 @@ node object. The `_TreeNode`s, for walks over the tree (`nodes[id]`,
 `root`, `leaves`, and the pairs of `k1`/`k2`), are built from the columns
 only when first read.
 
-A query locates succ(a) with one binary search and asks its leaf for the
-highest range ancestor u with a < m(u) <= b (Facts 2-3). The leaf's K run
-lists its ancestors by middle value ascending, right parents (K2) top-down
-and then left parents (K1) bottom-up, so two `bisect` calls cut out those
-with a < m <= b, and u is the higher end of that stretch. The query then
-reads answers off R(u_l) and L(u_r). A range with no such ancestor lies in
-one leaf and goes to `ArrayFallback`, whose locate of pred(b) finds it there
-and which answers it by a scan of its points (`TreeLayout.window`), at most
-`cap` = O(log N) of them where the paper takes O(1 + k); the dynamic index's
-leaf store scans the same way. A full-length R(u_l) whose smallest value
-exceeds a, or L(u_r) whose largest value is below b, may leave colors out,
-and the range then holds at least `cap` colors; that O(1) test sends the
-query to `ArrayFallback` before either list is walked.
+A query locates succ(a), point j, with one binary search. If point j + cap
+lies past b (or past the last point), the range holds at most `cap` =
+O(log N) points: it locates pred(b) among them and scans them
+(`TreeLayout.window`), where the paper answers a range with no range
+ancestor in O(1 + k); the dynamic index's leaf store scans the same way.
+Such a range may lie in one leaf or cross into the next. A range of more
+than `cap` points spans two leaves, and the LCA of those leaves has a <
+m <= b (Fact 2), so it has a highest range ancestor u. The query asks its
+leaf for u (Facts 2-3): the leaf's K run lists its ancestors by middle
+value ascending, right parents (K2) top-down and then left parents (K1)
+bottom-up, so two `bisect` calls cut out those with a < m <= b, and u is
+the higher end of that stretch. The query then reads answers off R(u_l)
+and L(u_r). A full-length R(u_l) whose smallest value exceeds a, or L(u_r)
+whose largest value is below b, may leave colors out, and the range then
+holds at least `cap` colors; that O(1) test sends the query to
+`ArrayFallback` before either list is walked.
 The fallback answers any range in O(log N + k): the edge leaves from their
 R and L, and the interior leaves as at most two aligned blocks per level,
 from blocks of one leaf up, each of which keeps the first point of every
@@ -57,8 +60,8 @@ pass. Every route reports a point e of [a, b] only if prev(e) < a, which
 holds for exactly one point per color: the prev-link reduction of Gupta,
 Janardan & Smid (1995), tested as prevpos(e) < j. An L entry is emitted
 only when prev(e) < a (a color with an element in [a, m(u)) was already
-reported from R(u_l)), and a scan inside one leaf keeps the points with
-prevpos < j. The fallback's left edge leaf reports the colors whose last
+reported from R(u_l)), and a scan of at most `cap` points keeps the points
+with prevpos < j. The fallback's left edge leaf reports the colors whose last
 point in it is >= a, and every other part reports first points with
 predecessor before succ(a), the same filter. No static structure
 stores a pointer node per point. A query reads only immutable state, so
@@ -76,8 +79,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (ColoredPoint, DuplicateX, InvalidRange, check_colors,
-                   check_integer, split_pairs)
+from .core import (ColoredPoint, DuplicateX, InvalidRange, NotFound,
+                   check_colors, check_integer, split_pairs)
 
 
 class _TreeNode:
@@ -292,7 +295,7 @@ class TreeLayout:
         """The colors of positions [j, r) whose predecessor lies before j,
         one per color: those of [values[j], values[r - 1]]. A scan of the
         points, each reported one a touch and each dropped one a locate op;
-        inside one leaf they are at most `cap`."""
+        the static index scans at most `cap` of them."""
         out = list(compress(self.colors[j:r], map(j.__gt__, self.prevpos[j:r])))
         if meter is not None:
             meter.touches += len(out)
@@ -400,16 +403,18 @@ def leaf_cover(lo: int, hi: int, level_base: list, size: int) -> tuple:
 class ArrayFallback:
     """Color reporting over any range of a `TreeLayout` in O(log N + k).
 
-    A range inside one leaf is a scan of it, `TreeLayout.window`. Otherwise
-    its points split by `leaf_cover`: the leaf of succ(a) reports its
-    colors with a point >= a (`TreeLayout.suffix`), the leaf of pred(b) its
-    first points <= b with prev < a (`prefix`), and the interior leaves
-    fill aligned blocks of `first_points`, from blocks of one leaf up. A
-    list entry that `prefix` takes and drops belongs to a color reported
-    earlier in the range, so the edge leaves touch at most 2k entries. The
-    blocks' prevpos `keys` are kept with the entries' colors at the same
-    index of `firsts`, so the entries of block g with prevpos < j end at
-    `bisect_left(keys, j, block_start[g], block_start[g + 1])`. That makes
+    `StaticIndex` hands it only ranges of more than `cap` points, which span
+    two leaves or more, but it answers any range: one inside one leaf by a
+    scan of it, `TreeLayout.window`, and any other as its points split by
+    `leaf_cover`: the leaf of succ(a) reports its colors with a point >= a
+    (`TreeLayout.suffix`), the leaf of pred(b) its first points <= b with
+    prev < a (`prefix`), and the interior leaves fill aligned blocks of
+    `first_points`, from blocks of one leaf up. A list entry that `prefix`
+    takes and drops belongs to a color reported earlier in the range, so
+    the edge leaves touch at most 2k entries. The blocks' prevpos `keys`
+    are kept with the entries' colors at the same index of `firsts`, so the
+    entries of block g with prevpos < j end at `bisect_left(keys, j,
+    block_start[g], block_start[g + 1])`. That makes
     sum over l >= 0 of min(N, C * N / (cap * 2^l)) entries for C colors,
     over about log2(N / cap) levels. The static index's leaves of cap =
     2 ceil(log2 N) points give the blocks of leaves of ceil(log2 N) but
@@ -484,7 +489,11 @@ class StaticIndex(TreeLayout):
         return ColoredPoint(self.values[j], self.colors[j])
 
     def leaf_of(self, value: int) -> int:
+        """The leaf of the last point at or below `value`; NotFound if
+        `value` lies below every point."""
         j = bisect.bisect_right(self.values, value) - 1
+        if j < 0:
+            raise NotFound(value)
         return j // self.cap
 
     def _hra(self, leaf_idx: int, a: int, b: int, meter=None) -> int:
@@ -516,17 +525,23 @@ class StaticIndex(TreeLayout):
             raise InvalidRange(f"[{a}, {b}]")
         if a < 1:  # no point lies below 1, and prev 0 must stay below a
             a = 1
-        # one_report inlined (no call, no ColoredPoint per query): succ(a), its leaf
+        # one_report inlined (no call, no ColoredPoint per query): succ(a)
         if meter is not None:
             meter.locate_ops += 1
-        values, cap = self.values, self.cap
+        values, cap, n = self.values, self.cap, self.n
         j = bisect.bisect_left(values, a)
-        if j == self.n or values[j] > b:
+        if j == n or values[j] > b:
             return []
-        leaf_idx = j // cap
-        u = self._hra(leaf_idx, a, b, meter)
-        if u < 0:
-            return self.fallback.query(a, b, j, meter)
+        e = j + cap
+        if e >= n or values[e] > b:
+            # at most cap points: pred(b) among them, then a scan
+            if meter is not None:
+                meter.locate_ops += 1
+            return self.window(
+                j, bisect.bisect_right(values, b, j, e if e < n else n), meter)
+        # more than cap points span two leaves, and the LCA of those leaves
+        # has a < m <= b (Fact 2), so the K run holds an ancestor: u >= 0
+        u = self._hra(j // cap, a, b, meter)
 
         # a full list whose far end lies strictly inside the range may
         # leave colors out; one that ends at a (R) or b (L) holds every

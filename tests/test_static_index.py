@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from colorrange.core import (ColoredPoint, CostMeter, DuplicateX, InvalidColor,
-                             InvalidCoordinate, InvalidRange, Range, FastOracle,
-                             compute_prev, normalize_input, oracle_report)
+                             InvalidCoordinate, InvalidRange, NotFound, Range,
+                             FastOracle, compute_prev, normalize_input,
+                             oracle_report)
 from colorrange import static_index
 from colorrange.em_index import EmIndex
 from colorrange.static_index import (ArrayFallback, StaticIndex, TreeLayout,
@@ -275,7 +276,7 @@ def test_static_answers_and_counts_pinned():
         digest.update(repr(sorted(idx.query(a, a + w - 1, meter))).encode())
     assert digest.hexdigest() == (
         "a0d9129d014233863835e917efc5775addcdc349eb4f99748e8ce313ca2d15ba")
-    assert (meter.touches, meter.locate_ops) == (187911, 9828)
+    assert (meter.touches, meter.locate_ops) == (187652, 9371)
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 4096, 4097])
@@ -288,28 +289,96 @@ def test_static_cap_rule(n):
     assert idx.nleaves == -(-n // idx.cap)
 
 
-def test_one_leaf_route_scans_its_points():
-    # every range inside one leaf, through the index: one locate op for
-    # succ(a), one for the K run's search, one for the fallback's pred(b),
-    # then a scan of the range's points, a touch per color and a locate op
-    # per point dropped
+def test_short_range_route_scans_its_points():
+    # every range of at most cap points, inside one leaf or across a leaf
+    # boundary, through the index: one locate op for succ(a), one for
+    # pred(b) among the next cap points, then a scan of the range's
+    # points, a touch per color and a locate op per point dropped
     rng = random.Random(89)
     idx = StaticIndex(random_instance(rng, 1 << 10, 1 << 12, 40))
     values, colors, cap, n = idx.values, idx.colors, idx.cap, idx.n
-    queries = 0
+    across = 0
     for j in range(n):
-        for r in range(j + 1, min(j - j % cap + cap, n) + 1):
-            # the widest [a, b] over the points [j, r) that stays off the
-            # lists: a leaf's first point is the m of its right parents
-            a = values[j] if j % cap == 0 else values[j - 1] + 1
-            b = values[r] - 1 if r < n else values[r - 1]
-            meter, want = CostMeter(), set(colors[j:r])
-            out = idx.query(a, b, meter)
-            assert sorted(out) == sorted(want), (a, b)
-            k = len(want)
-            assert (meter.touches, meter.locate_ops) == (k, 3 + (r - j) - k)
-            queries += 1
-    assert queries > n * (cap - 1) // 2
+        for r in range(j + 1, min(j + cap, n) + 1):
+            # the tightest and the widest [a, b] over the points [j, r)
+            for a, b in ((values[j], values[r - 1]),
+                         (values[j - 1] + 1 if j else 1,
+                          values[r] - 1 if r < n else values[r - 1] + 1)):
+                meter, want = CostMeter(), set(colors[j:r])
+                out = idx.query(a, b, meter)
+                assert sorted(out) == sorted(want), (a, b)
+                k = len(want)
+                assert (meter.touches, meter.locate_ops) == (k, 2 + (r - j) - k)
+            across += j // cap != (r - 1) // cap
+    assert across > n * (cap - 1) // 4
+
+
+@st.composite
+def _threshold_case(draw):
+    """An instance and a range [a, b] over its points [j, r) near the scan
+    threshold: N of 0, 1, 2, cap or cap + 1 (2, 4, 6, 7 and 9) or any up to
+    80, r - j of cap - 1, cap or cap + 1 or any up to cap + 1, j at a leaf's
+    first point or within cap of the end, a <= 0."""
+    n = draw(st.sampled_from([0, 1, 2, 4, 6, 7, 9]) | st.integers(0, 80))
+    gaps = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    ncolors = draw(st.integers(1, n + 1))
+    pts = [ColoredPoint(v, draw(st.integers(0, ncolors - 1)))
+           for v in np.cumsum(gaps).tolist()]
+    if not n:
+        a = draw(st.integers(-3, 5))
+        return pts, a, draw(st.integers(a, 8)), 0, 0
+    cap = 2 * math.ceil(math.log2(max(n, 2)))
+    j = draw(st.integers(0, n - 1) | st.sampled_from(range(0, n, cap))
+             | st.integers(max(0, n - cap), n - 1))
+    r = min(n, j + draw(st.sampled_from([cap - 1, cap, cap + 1])
+                        | st.integers(1, cap + 1)))
+    values = [p.value for p in pts]
+    if j == 0 and draw(st.booleans()):
+        a = draw(st.integers(-3, 0))
+    else:
+        a = draw(st.integers(values[j - 1] + 1 if j else 1, values[j]))
+    b = draw(st.integers(values[r - 1], values[r] - 1 if r < n else values[-1] + 3))
+    return pts, a, b, j, r
+
+
+@given(_threshold_case())
+@settings(max_examples=400, deadline=None)
+def test_scan_threshold(case):
+    # at the threshold of cap points: the oracle's colors once each, a scan
+    # (metered as succ(a), pred(b) and the points dropped) exactly for the
+    # ranges of at most cap points, and the K run and the lists beyond it
+    pts, a, b, j, r = case
+    idx = StaticIndex(pts)
+    scans, scan = [], idx.window
+
+    def window(j, r, meter=None):
+        scans.append(r - j)
+        return scan(j, r, meter)
+
+    idx.window = window
+    meter = CostMeter()
+    out = idx.query(a, b, meter)
+    want = {p.color for p in pts if a <= p.value <= b}
+    assert len(out) == len(set(out)) and set(out) == want, (pts, a, b)
+    assert all(s <= idx.cap for s in scans), scans
+    if 0 < r - j <= idx.cap:
+        k = len(want)
+        assert scans == [r - j]
+        assert (meter.touches, meter.locate_ops) == (k, 2 + (r - j) - k)
+    else:
+        assert scans == []
+
+
+def test_leaf_of_below_every_point_is_not_found(e1):
+    # the leaf of the last point at or below a value: below the first
+    # point there is none, and -1 would read as the last leaf
+    idx = StaticIndex(e1)
+    assert [idx.leaf_of(v) for v in (1, 2, 12, 14, 15, 99)] == [0, 0, 0, 0, 1, 1]
+    for v in (0, -7):
+        with pytest.raises(NotFound):
+            idx.leaf_of(v)
+    with pytest.raises(NotFound):
+        StaticIndex([]).leaf_of(5)
 
 
 @given(st.data())
@@ -782,7 +851,10 @@ def test_oracle_equivalence_exhaustive_small():
                 assert len(out) == len(set(out)), (pts, a, b, out)
                 assert set(out) == fo.report(a, b), (pts, a, b)
                 e = idx.one_report(a, b)
-                if e is None or spy.calls != calls:
+                # ranges of at most cap points are scanned
+                points = (bisect.bisect_right(idx.values, b)
+                          - bisect.bisect_left(idx.values, a))
+                if e is None or spy.calls != calls or points <= idx.cap:
                     continue
                 node = idx.hra_query(idx.leaf_of(e.value), a, b)
                 if node is not None:
@@ -821,12 +893,14 @@ def test_reporting_touches_bounded():
 
 
 def test_dedup_cross_halves(e1):
-    # a color present on both sides of m(u) must be reported once; [7, 20]
-    # answers from the R/L lists (m = 15, colors 1 and 2 on both sides),
-    # [3, 9] and [4, 13] lie in the first leaf of 6 points
+    # a color present on both sides of m(u) must be reported once; [3, 20]
+    # answers from the R/L lists (7 points, m = 15, colors 1 and 2 on both
+    # sides), [7, 20] of 5 points is scanned across the leaves, and [3, 9]
+    # and [4, 13] lie in the first leaf of 6 points
     idx = StaticIndex(e1)
+    assert idx.hra_query(idx.leaf_of(3), 3, 20) is idx.root
     assert idx.hra_query(idx.leaf_of(7), 7, 20) is idx.root
-    for a, b in ((7, 20), (3, 9), (4, 13)):
+    for a, b in ((3, 20), (7, 20), (3, 9), (4, 13)):
         out = idx.query(a, b)
         assert sorted(out) == sorted(set(out))
         assert set(out) == oracle_report(e1, Range(a, b))
