@@ -256,26 +256,37 @@ def compute_prev(points: Sequence[ColoredPoint]) -> list[int]:
     return out
 
 
-def color_maps(points: Iterable[tuple]) -> tuple[dict, dict]:
-    """The value -> color map and each color's sorted values of (value,
-    color) pairs, the state an updatable index keeps prev/next links in.
+def sorted_pairs(points: Iterable[tuple]) -> tuple[list, list]:
+    """The values and colors of (value, color) pairs, by value ascending.
 
-    Raises InvalidColor, InvalidCoordinate for a value outside [1,
-    MAX_COORDINATE] (so the prev-sentinel 0 stays below every value) and
-    DuplicateX for a repeated value. Values that already ascend, as
-    `normalize_input` leaves them, are not sorted again.
+    Raises InvalidCoordinate for a value outside [1, MAX_COORDINATE] (so
+    the prev-sentinel 0 stays below every value), InvalidColor and
+    DuplicateX for a repeated value, in that order. Values that already
+    ascend, as `normalize_input` leaves them, are not sorted again.
     """
     values, cols = split_pairs(points)
-    if not all(map(operator.lt, values, values[1:])):
+    ascending = all(map(operator.lt, values, values[1:]))
+    if not ascending:
         values, cols = split_pairs(sorted(zip(values, cols)))
     check_colors(cols)
-    colors = dict(zip(values, cols))
-    if len(colors) < len(values):
-        raise DuplicateX(next(v for v, w in zip(values, values[1:]) if v == w))
+    if not ascending:
+        for v, w in zip(values, values[1:]):
+            if v == w:
+                raise DuplicateX(v)
+    return values, cols
+
+
+def color_maps(points: Iterable[tuple]) -> tuple[dict, dict]:
+    """The value -> color map and each color's sorted values of (value,
+    color) pairs, checked and sorted by `sorted_pairs`: the state
+    `SlowIndex` keeps its prev/next links in. (`DynamicIndex` builds its
+    own from numpy columns.)
+    """
+    values, cols = sorted_pairs(points)
     by_color: dict = {}
     for v, c in zip(values, cols):
         by_color.setdefault(c, []).append(v)
-    return colors, by_color
+    return dict(zip(values, cols)), by_color
 
 
 def oracle_report(points: Sequence[ColoredPoint], q: Range) -> set:

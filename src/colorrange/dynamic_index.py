@@ -29,11 +29,29 @@ loglog N; with leaves of log^2 N points no node that high splits before the
 tree holds over 4 * 10^8 points (README, "Notes on fidelity"). A global
 rebuild recomputes everything.
 
+Construction (`_attach`) runs in whole-array passes over the live values and
+colors in value order. One stable argsort of the colors gives every value's
+prev and next and, cut where the color changes, `by_color`, keyed in order
+of first appearance. Each leaf's rows are slices of the value-order lists,
+whose entries are the input's own int objects. The tags come from a table of
+each leaf's path, the live min and max of every node from the leaf up to the
+root: an ancestor's min only falls going up, so hmin is the number of path
+nodes whose min exceeds prev, less one, which is -1 where the leaf's min is
+at most prev; hmax mirrors it with the maxes and next, and is the root's
+height where there is no next (a mask, as no int64 lies above every
+coordinate). F(v) and Λ(v) are the rows under v whose prev lies below v's
+min, or whose next lies above v's max or is missing: one mask over the rows
+per height. A global rebuild (`_attach_all`) runs the same pass, with each
+value's color read from `by_color`, which it keeps. A split
+(`_refresh_halves`) runs its tag and list part (`_fill`) on the rows of its
+two halves, where a color's last row there finds its next by one `by_color`
+bisect.
+
 List maintenance: an update changes the lists only for the element itself on
 its own path, for next(x), whose F entries leave the nodes that hold both and
 change their prev below them, and for prev(x), whose Λ entries leave the
 nodes that hold both. A split rebuilds the lists of both halves from their
-children; a global rebuild rebuilds all of them.
+rows; a global rebuild rebuilds all of them.
 
 State: each live value has one row in its leaf's store (`ColorPst`): the
 value, its prev, its color and its two tags, where the value column is the
@@ -53,12 +71,11 @@ and next already known, written into the rows with x's insert, with next(x)'s
 new prev, and by one bisect in prev(x)'s leaf. The lists are one walk up
 x's path plus next(x)'s path below the lowest common ancestor. A leaf split
 cuts the old leaf's rows in two. Each split, leaf or internal, retags both
-halves in one pass over their rows, an upward walk per row, bisecting
-`by_color` once per color rather than once per value. A split node's halves
-hold about 2 * 8^h * L rows at height h, and a half splits again only after
-more than 8^h * L / 2 inserts into it, so that is O(1) rows per insert and
-level, amortized. A global rebuild makes fresh rows from `by_color` and
-retags all leaves the same way. A query is one descent to the leaf of
+halves and rebuilds their lists in one array pass over their rows,
+bisecting `by_color` once per color rather than once per value. A split
+node's halves hold about 2 * 8^h * L rows at height h, and a half splits
+again only after more than 8^h * L / 2 inserts into it, so that is O(1) rows
+per insert and level, amortized. A query is one descent to the leaf of
 succ(a).
 """
 
@@ -67,19 +84,45 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections.abc import ItemsView, Mapping
+from itertools import accumulate, chain
 from typing import Iterable
 
+import numpy as np
+
 from .core import (ColoredPoint, InvalidRange, PREV_SENTINEL, check_color,
-                   check_coordinate, check_integer, color_maps)
+                   check_coordinate, check_integer, sorted_pairs)
 from .pst import ColorPst
 from .wbtree import WbTree
-
-_INF = 1 << 62
 
 
 def _ceil_sqrt(n: int) -> int:
     """ceil(sqrt(n)) for n >= 1, and 1 for n = 0."""
     return math.isqrt(max(n, 1) - 1) + 1
+
+
+def _color_runs(cols: list) -> tuple:
+    """(order, new, prevpos, nextpos, rank) of a run of rows, from one stable
+    argsort of their colors: `order` lists the rows by color, each color's
+    in row order, and `new` marks where a color starts in it; prevpos and
+    nextpos give each row's neighbours of its color in the run (-1 for
+    none), and rank its color's rank among the run's colors. Colors past
+    int64 are compared as Python ints."""
+    try:
+        c = np.array(cols, dtype=np.int64)
+    except OverflowError:
+        c = np.array(cols, dtype=object)
+    n = len(cols)
+    order = np.argsort(c, kind="stable")
+    new = np.ones(n, dtype=bool)
+    new[1:] = c[order[1:]] != c[order[:-1]]
+    same = ~new[1:]
+    prevpos = np.full(n, -1, dtype=np.int64)
+    nextpos = np.full(n, -1, dtype=np.int64)
+    prevpos[order[1:][same]] = order[:-1][same]
+    nextpos[order[:-1][same]] = order[1:][same]
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.cumsum(new) - 1
+    return order, new, prevpos, nextpos, rank
 
 
 class ColorExtremes:
@@ -95,48 +138,11 @@ class ColorExtremes:
     __slots__ = ("fvals", "fprevs", "fcols", "pprevs", "pcols", "lvals",
                  "lcols")
 
-    def __init__(self, firsts: list, lasts: list):
-        """`firsts`: (value, prev, color) rows and `lasts`: (value, color)
-        rows, each sorted by value."""
-        self.fvals = [v for v, _, _ in firsts]
-        self.fprevs = [p for _, p, _ in firsts]
-        self.fcols = [c for _, _, c in firsts]
-        by_prev = sorted((p, c) for _, p, c in firsts)
-        self.pprevs = [p for p, _ in by_prev]
-        self.pcols = [c for _, c in by_prev]
-        self.lvals = [v for v, _ in lasts]
-        self.lcols = [c for _, c in lasts]
-
-    @classmethod
-    def of_leaf(cls, store: ColorPst) -> "ColorExtremes":
-        """From a leaf's (value, prev, color) rows."""
-        rows = list(zip(store.vals, store.prevs, store.cols))
-        lo = store.vals[0] if rows else None
-        seen: set = set()
-        lasts = []
-        for v, _, c in reversed(rows):
-            if c not in seen:
-                seen.add(c)
-                lasts.append((v, c))
-        lasts.reverse()
-        return cls([r for r in rows if r[1] < lo], lasts)
-
-    @classmethod
-    def of_children(cls, node) -> "ColorExtremes":
-        """From the children's lists: F(v) is the children's F entries with
-        prev below v, Λ(v) their Λ entries of colors no later child holds."""
-        lo = node.submin
-        firsts = [r for ch in node.children
-                  for r in zip(ch.extremes.fvals, ch.extremes.fprevs,
-                               ch.extremes.fcols) if r[1] < lo]
-        seen: set = set()
-        chunks = []
-        for ch in reversed(node.children):
-            e = ch.extremes
-            chunks.append([(v, c) for v, c in zip(e.lvals, e.lcols)
-                           if c not in seen])
-            seen.update(e.lcols)
-        return cls(firsts, [r for chunk in reversed(chunks) for r in chunk])
+    def __init__(self, fvals: list, fprevs: list, fcols: list, pprevs: list,
+                 pcols: list, lvals: list, lcols: list):
+        self.fvals, self.fprevs, self.fcols = fvals, fprevs, fcols
+        self.pprevs, self.pcols = pprevs, pcols
+        self.lvals, self.lcols = lvals, lcols
 
     def _prev_slot(self, prev, color) -> int:
         # (prev, color) is unique: a prev above the sentinel names its color
@@ -223,9 +229,17 @@ class _RowItems(ItemsView):
 
 class DynamicIndex:
     def __init__(self, points: Iterable[ColoredPoint] = ()):
-        colors, self.by_color = color_maps(points)
-        self.tree = WbTree(colors)
-        self._attach_all(colors)
+        values, cols = sorted_pairs(points)
+        self.tree = WbTree(values)
+        order, new = self._attach(values, cols)
+        # each color's values are a run of `order`, keyed by first appearance
+        starts = np.flatnonzero(new)
+        ends = np.append(starts[1:], len(values))
+        firsts = order[starts]
+        seq = np.argsort(firsts)
+        by_color = list(map(values.__getitem__, order.tolist()))
+        self.by_color = {cols[f]: by_color[s:e] for f, s, e in zip(
+            firsts[seq].tolist(), starts[seq].tolist(), ends[seq].tolist())}
 
     # value -> color, hmin and hmax, read from the leaf rows
     colors = property(lambda self: _RowView(self, "cols"))
@@ -245,54 +259,111 @@ class DynamicIndex:
 
     # -- bulk (re)construction ------------------------------------------------
 
-    def _attach_all(self, colors=None) -> None:
-        """Rebuild leaf structures, color extremes and tags from the current
-        tree; `colors` maps each value to its color, and defaults to one
-        read from `by_color`."""
-        if colors is None:
-            colors = {v: c for c, lst in self.by_color.items() for v in lst}
+    def _attach(self, values: list, cols: list) -> tuple:
+        """Fresh leaf stores, exact tags and every node's lists over the
+        whole tree, which holds `values`, ascending, of colors `cols`;
+        returns (order, new) of `_color_runs`. A row's prev and the list
+        entries are the int objects of `values` and `cols`."""
+        vals = np.array(values, dtype=np.int64)
+        order, new, prevpos, nextpos, rank = _color_runs(cols)
+        prevs = list(map([*values, PREV_SENTINEL].__getitem__,
+                         prevpos.tolist()))
         leaves = self.tree.leaves_under(self.tree.root)
-        self._leaf_stores(leaves, colors)
-        self._retag_leaves(leaves)
-        # preorder puts every parent before its children, so its reverse
-        # builds each node's lists after its children's
-        for node in reversed(list(self.tree.iter_nodes())):
-            if node is not self.tree.root:
-                self._build_extremes(node)
+        bounds = [0, *accumulate(len(lf.values) for lf in leaves)]
+        for leaf, lo, hi in zip(leaves, bounds, bounds[1:]):
+            leaf.dstruct = ColorPst(leaf.values, prevs[lo:hi], cols[lo:hi])
+        # every height below the root, each node in value order
+        levels, level = [], leaves
+        while level[0].parent is not None:
+            levels.append(level)
+            level = list(dict.fromkeys(nd.parent for nd in level))
+        self._fill(leaves, levels, values, prevs, cols,
+                   np.where(prevpos >= 0, vals[prevpos], PREV_SENTINEL),
+                   np.where(nextpos >= 0, vals[nextpos], 0), rank)
+        return order, new
+
+    def _attach_all(self) -> None:
+        """`_attach` after a global rebuild, with each value's color read
+        from `by_color` by one argsort; `by_color` stays as it is."""
+        keys, lists = list(self.by_color), list(self.by_color.values())
+        values = list(self.tree.iter_values())
+        flat = np.fromiter(chain.from_iterable(lists), dtype=np.int64,
+                           count=len(values))
+        which = np.repeat(np.arange(len(keys)), list(map(len, lists)))
+        self._attach(values, list(map(keys.__getitem__,
+                                      which[np.argsort(flat)].tolist())))
+
+    def _refresh_halves(self, left, right) -> None:
+        """Exact tags of every row under a split's two halves, and both
+        halves' lists, by `_fill`: a row's next is the next row of its color
+        under them, or, for a color's last row there, one `by_color`
+        bisect."""
+        leaves = self.tree.leaves_under(left) + self.tree.leaves_under(right)
+        vals, prevs, cols = (list(chain.from_iterable(
+            getattr(lf.dstruct, col) for lf in leaves))
+            for col in ("vals", "prevs", "cols"))
+        _, _, _, nextpos, rank = _color_runs(cols)
+        nexts = np.where(nextpos >= 0, np.array(vals, dtype=np.int64)[nextpos],
+                         0)
+        for k in np.flatnonzero(nextpos < 0).tolist():
+            nexts[k] = self._next(vals[k], cols[k]) or 0
+        self._fill(leaves, [[left, right]], vals, prevs, cols,
+                   np.array(prevs, dtype=np.int64), nexts, rank)
 
     @staticmethod
-    def _leaf_stores(leaves, colors) -> None:
-        """Fresh stores over all leaves' values, in order: a prev is the
-        previous value of its color, PREV_SENTINEL for the first."""
-        last: dict = {}
+    def _fill(leaves, levels, vals, prevs, cols, pv, nv, rank) -> None:
+        """Exact tags of the rows of consecutive `leaves`, and the lists of
+        every node in `levels`, runs of nodes of one height that hold the
+        same rows. The rows' values, prevs and colors are `vals`, `prevs`
+        and `cols`; `pv` and `nv` are their prev and next values as int64,
+        0 for none, and `rank` their colors' ranks."""
+        has_next = nv > 0
+        paths = []
         for leaf in leaves:
-            cols = [colors[v] for v in leaf.values]
-            prevs = []
-            for v, c in zip(leaf.values, cols):
-                prevs.append(last.get(c, PREV_SENTINEL))
-                last[c] = v
-            leaf.dstruct = ColorPst(leaf.values, prevs, cols)
-
-    def _retag_leaves(self, leaves) -> None:
-        """Exact tags for every row of consecutive leaves, in order: prev
-        from the row, next from one backward pass, and only each color's
-        last value in the run bisects `by_color`."""
-        following: dict = {}
-        for leaf in reversed(leaves):
-            d = leaf.dstruct
-            vals, prevs, cols = d.vals, d.prevs, d.cols
-            for k in range(len(vals) - 1, -1, -1):
-                v, c = vals[k], cols[k]
-                d.hmins[k] = self._tag_min(prevs[k], leaf)
-                d.hmaxs[k] = self._tag_max(
-                    following[c] if c in following else self._next(v, c),
-                    leaf)
-                following[c] = v
-
-    @staticmethod
-    def _build_extremes(node) -> None:
-        node.extremes = (ColorExtremes.of_leaf(node.dstruct) if node.is_leaf()
-                         else ColorExtremes.of_children(node))
+            node, path = leaf, []
+            while node is not None:
+                path.append(node)
+                node = node.parent
+            paths.append(path)
+        # a path's mins fall and its maxes rise going up: a tag counts the
+        # path nodes past prev (next), less one; no next reaches the root
+        mins, maxs = (np.array([[getattr(nd, end) or 0 for nd in path]
+                                for path in paths], dtype=np.int64)
+                      for end in ("submin", "submax"))
+        sizes = [len(lf.values) for lf in leaves]
+        at = np.repeat(np.arange(len(leaves)), sizes)
+        hmin = (mins[at] > pv[:, None]).sum(1) - 1
+        hmax = np.where(has_next, (maxs[at] < nv[:, None]).sum(1) - 1,
+                        mins.shape[1] - 1)
+        bounds = [0, *accumulate(sizes)]
+        for leaf, lo, hi in zip(leaves, bounds, bounds[1:]):
+            if lo < hi:
+                np.frombuffer(leaf.dstruct.hmins, dtype=np.int8)[:] = hmin[lo:hi]
+                np.frombuffer(leaf.dstruct.hmaxs, dtype=np.int8)[:] = hmax[lo:hi]
+        # F by (prev, color): a prev above 0 names its color
+        key = np.where(pv > 0, pv, rank - len(vals))
+        for level in levels:
+            at = np.repeat(np.arange(len(level)),
+                           [nd.size for nd in level])
+            lo, hi = (np.array([getattr(nd, end) or 0 for nd in level],
+                               dtype=np.int64)[at]
+                      for end in ("submin", "submax"))
+            first = np.flatnonzero(pv < lo)
+            last = np.flatnonzero(~has_next | (nv > hi))
+            by_prev = first[np.lexsort((key[first], at[first]))]
+            f, p, la = first.tolist(), by_prev.tolist(), last.tolist()
+            fvals, fprevs, fcols = (list(map(col.__getitem__, f))
+                                    for col in (vals, prevs, cols))
+            pprevs, pcols = (list(map(col.__getitem__, p))
+                             for col in (prevs, cols))
+            lvals, lcols = (list(map(col.__getitem__, la))
+                            for col in (vals, cols))
+            fcut, lcut = ([0, *accumulate(np.bincount(
+                at[x], minlength=len(level)).tolist())] for x in (first, last))
+            for nd, a, b, c, d in zip(level, fcut, fcut[1:], lcut, lcut[1:]):
+                nd.extremes = ColorExtremes(
+                    fvals[a:b], fprevs[a:b], fcols[a:b], pprevs[a:b],
+                    pcols[a:b], lvals[c:d], lcols[c:d])
 
     # -- exact tags --------------------------------------------------------------
 
@@ -312,14 +383,12 @@ class DynamicIndex:
     @staticmethod
     def _tag_max(nxt, leaf) -> int:
         """hmax of a value in `leaf` whose next is `nxt` (None past its
-        color's last)."""
-        if nxt is None:
-            nxt = _INF
-        if leaf.submax is None or leaf.submax >= nxt:
+        color's last, above every node)."""
+        if leaf.submax is None or nxt is not None and leaf.submax >= nxt:
             return -1
         h = 0
         p = leaf.parent
-        while p is not None and p.submax < nxt:
+        while p is not None and (nxt is None or p.submax < nxt):
             h = p.height
             p = p.parent
         return h
@@ -353,8 +422,8 @@ class DynamicIndex:
 
         splits = ev["splits"]
         for _, left, right, h in splits:
-            # both halves get fresh lists below, once their children have
-            # theirs; until then the list updates pass them by
+            # both halves get fresh lists from their rows below, once the
+            # rows hold value; until then the list updates pass them by
             left.extremes = right.extremes = None
             if h == 0:
                 # the rows lack value, which the tree already holds: the left
@@ -378,10 +447,7 @@ class DynamicIndex:
         # true tags rise at a split only in its halves, so a rescan of both
         # retags them exactly
         for _, left, right, _ in splits:
-            self._build_extremes(left)
-            self._build_extremes(right)
-            self._retag_leaves(self.tree.leaves_under(left)
-                               + self.tree.leaves_under(right))
+            self._refresh_halves(left, right)
 
     def delete(self, value: int) -> None:
         value = check_integer(value)

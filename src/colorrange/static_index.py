@@ -513,7 +513,10 @@ class StaticIndex(TreeLayout):
         return u1 if height[u1] >= height[u2] else u2
 
     def hra_query(self, leaf_idx: int, a: int, b: int, meter=None) -> Optional[_TreeNode]:
-        """Highest ancestor u of the leaf with a < m(u) <= b, else None."""
+        """Highest ancestor u of the leaf with a < m(u) <= b, else None;
+        NotFound for a leaf outside [0, nleaves)."""
+        if not 0 <= leaf_idx < self.nleaves:
+            raise NotFound(leaf_idx)
         u = self._hra(leaf_idx, a, b, meter)
         return self.nodes[u] if u >= 0 else None
 

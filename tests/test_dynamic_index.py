@@ -4,16 +4,18 @@ import sys
 import random
 import tracemalloc
 from bisect import bisect_left
+from pathlib import Path
 
 import pytest
 
-from colorrange.core import (MAX_COORDINATE, ColoredPoint, CostMeter,
-                             DuplicateX, FastOracle, InvalidColor,
+from colorrange.core import (MAX_COORDINATE, PREV_SENTINEL, ColoredPoint,
+                             CostMeter, DuplicateX, FastOracle, InvalidColor,
                              InvalidCoordinate, InvalidRange, NotFound, Range,
-                             oracle_report)
+                             normalize_input, oracle_report)
 from colorrange.dynamic_index import DynamicIndex
 from colorrange.slow_index import SlowIndex
 from conftest import check_extremes, dynamic_route, random_instance
+from dynamic_oracle import LISTS, OracleIndex, dynamic_state
 
 
 def test_build_and_query(e1):
@@ -708,3 +710,176 @@ def test_dynamic_answers_counts_and_tags_pinned():
                                 sorted(idx.hmax.items()))).encode())
     assert tags.hexdigest() == (
         "ee696c612e3ccabeb338d3a921dfbccbcc3e2d39ea22e05c4bac7d1af09a24a9")
+
+
+def _same_as_oracle(idx, oracle, points=None) -> None:
+    """`idx` holds exactly the state of `oracle`, the per-row builder's
+    (`dynamic_oracle`), each leaf store over its leaf's own value list. With
+    `points`, the input of both builds, every row, list and `by_color`
+    entry is one of the input's int objects."""
+    assert dynamic_state(idx) == dynamic_state(oracle)
+    tree = idx.tree
+    leaves = tree.leaves_under(tree.root)
+    assert all(lf.dstruct.vals is lf.values for lf in leaves)
+    if points is None:
+        return
+    ids = {id(x) for p in points for x in p} | {id(PREV_SENTINEL)}
+    lists = [getattr(nd.extremes, name) for nd in tree.iter_nodes()
+             if nd.extremes is not None for name in LISTS]
+    lists += [getattr(lf.dstruct, name) for lf in leaves
+              for name in ("vals", "prevs", "cols")]
+    lists += list(idx.by_color.values()) + [list(idx.by_color)]
+    assert all(id(x) in ids for lst in lists for x in lst)
+
+
+def _points(rng, n, colors, top=4):
+    """n points over [1, top * n] (values past the small-int cache) with
+    colors drawn from `colors`."""
+    values = sorted(rng.sample(range(300, 300 + top * n), n))
+    return [ColoredPoint(v, rng.choice(colors)) for v in values]
+
+
+@pytest.mark.parametrize("case", ["n0", "n1", "n2", "one color", "C = N",
+                                  "2**70", "unsorted"])
+def test_array_build_equals_row_oracle(case):
+    rng = random.Random(41)
+    if case in ("n0", "n1", "n2"):
+        pts = _points(rng, int(case[1]), [0, 1])
+    elif case == "one color":
+        pts = _points(rng, 900, [5])
+    elif case == "C = N":
+        pts = [ColoredPoint(p.value, 1000 + i)
+               for i, p in enumerate(_points(rng, 900, [0]))]
+    elif case == "2**70":
+        pts = _points(rng, 900, [0, 3, 2**70, 2**70 + 1])
+    else:
+        pts = _points(rng, 900, list(range(9)))
+        rng.shuffle(pts)
+    idx, oracle = DynamicIndex(pts), OracleIndex(pts)
+    _same_as_oracle(idx, oracle, pts)
+    assert len(idx) == len(pts) and len(list(idx.tree.iter_nodes())) > (
+        len(pts) > 800)
+
+
+def test_errors_as_row_oracle():
+    # the constructor's checks keep their type, value and order
+    for pts in ([(5, 0), (0, 1)], [(5, -1), (0, 1)], [(5, -1), (5, 1)],
+                [(9, 1), (5, 0), (5, 1)], [(4, 0), (4, 1)], [(3, 0), (2.5, 1)],
+                [(3, "a"), (1, 0)], [(3, True)]):
+        outcomes = []
+        for cls in (DynamicIndex, OracleIndex):
+            with pytest.raises(ValueError) as info:
+                cls(pts)
+            outcomes.append((type(info.value), str(info.value)))
+        assert outcomes[0] == outcomes[1], pts
+
+
+def test_array_rebuilds_and_splits_equal_row_oracle():
+    # one stream of updates on both builds, compared after every update
+    # that splits a node or rebuilds the tree: leaf and internal splits
+    # (appends past the maximum), a rebuild by deletes, then one by growth;
+    # one color lies past int64
+    rng = random.Random(43)
+    colors = [0, 1, 2, 3, 4, 5, 2**70]
+    pts = _points(rng, 1500, colors)
+    idx, oracle = DynamicIndex(pts), OracleIndex(pts)
+    live = {p.value for p in pts}
+    seen = {"leaf": 0, "internal": 0, "deletes": 0, "growth": 0}
+
+    def shape():
+        nodes = list(idx.tree.iter_nodes())
+        leaves = sum(nd.is_leaf() for nd in nodes)
+        return idx.tree.root, leaves, len(nodes) - leaves, idx.tree.n0
+
+    def step(op, *args):
+        root, leaves, internal, n0 = shape()
+        deleted = idx.tree.deleted_total
+        for index in (idx, oracle):
+            getattr(index, op)(*args)
+        after = shape()
+        if op == "delete" and idx.tree.deleted_total < deleted:
+            seen["deletes"] += 1
+        elif op == "insert" and after[3] != n0:
+            seen["growth"] += 1
+        elif after[1:3] != (leaves, internal):
+            seen["leaf"] += after[1] > leaves
+            seen["internal"] += after[2] > internal
+        else:
+            return
+        _same_as_oracle(idx, oracle)
+
+    top = max(live)
+    while not seen["internal"]:
+        top += rng.randrange(1, 3)
+        live.add(top)
+        step("insert", top, rng.choice(colors))
+        if rng.random() < 0.3:
+            v = rng.choice(sorted(live))
+            live.remove(v)
+            step("delete", v)
+    while not seen["deletes"]:
+        v = rng.choice(sorted(live))
+        live.remove(v)
+        step("delete", v)
+    while not seen["growth"]:
+        v = rng.randrange(1, 40 * top)
+        if v not in live:
+            live.add(v)
+            step("insert", v, rng.choice(colors))
+    assert seen["leaf"] >= 5, seen
+    _same_as_oracle(idx, oracle)
+
+
+def _defined_tags(idx, value) -> tuple:
+    """(hmin, hmax) of a live value by the definition: the heights of the
+    highest nodes on its path in which it is its color's first (last) live
+    value, read off every node's live values; -1 where there is none."""
+    tree = idx.tree
+    color = idx.colors[value]
+    node, hmin, hmax = tree.leaf_for(value), -1, -1
+    while node is not None:
+        same = [v for lf in tree.leaves_under(node)
+                for v, c in zip(lf.values, lf.dstruct.cols) if c == color]
+        if same[0] == value:
+            hmin = node.height
+        if same[-1] == value:
+            hmax = node.height
+        node = node.parent
+    return hmin, hmax
+
+
+def test_tags_at_coordinates_past_2_62():
+    assert dict(DynamicIndex([(1, 0), (2**62, 1)]).hmax.items()) == \
+        {1: 0, 2**62: 0}
+    rng = random.Random(47)
+    tops = [2**62 - 1, 2**62, MAX_COORDINATE]
+    values = sorted(rng.sample(range(1, 10_000), 1400)
+                    + [t - d for t in tops for d in range(0, 600, 3)])
+    pts = [ColoredPoint(v, rng.randrange(4)) for v in values]
+    for index in (DynamicIndex(pts), OracleIndex(pts)):
+        assert index.tree.root.height == 2
+        for v in tops + values[::23]:
+            assert (index.hmin[v], index.hmax[v]) == _defined_tags(index, v), v
+        # an update's own tags, at a new color and beside the top value
+        for v, c in ((2**62 + 1, 9), (MAX_COORDINATE - 1, 0)):
+            index.insert(v, c)
+            assert (index.hmin[v], index.hmax[v]) == _defined_tags(index, v)
+        index.delete(MAX_COORDINATE)
+        last = max(index.by_color[index.colors[2**62 - 1]])
+        assert (index.hmin[last], index.hmax[last]) == \
+            _defined_tags(index, last)
+
+
+def test_built_state_pinned():
+    # the full state (tree, by_color, leaf rows and tags, every node's
+    # lists) built on the dynamic-churn benchmark's seed-7 data
+    bench = str(Path(__file__).resolve().parent.parent / "perfbench")
+    sys.path.insert(0, bench)
+    try:
+        from workloads import WORKLOADS, make_pairs
+    finally:
+        sys.path.remove(bench)
+    points, _ = normalize_input(make_pairs(WORKLOADS["dynamic-churn"], 7))
+    state = repr(dynamic_state(DynamicIndex(points))).encode()
+    assert hashlib.sha256(state).hexdigest() == (
+        "e2153ff2ed19a9b309e9e24debc925696b5a355554afc0d5e796cecd53d40760")

@@ -379,6 +379,14 @@ def test_leaf_of_below_every_point_is_not_found(e1):
             idx.leaf_of(v)
     with pytest.raises(NotFound):
         StaticIndex([]).leaf_of(5)
+    # nor does hra_query take a leaf outside [0, nleaves): -2 read the last
+    # leaf's K run, and 2 raised a bare IndexError
+    assert idx.nleaves == 2 and idx.hra_query(1, 1, 20) is idx.root
+    for leaf in (-2, -1, 2, 9):
+        with pytest.raises(NotFound):
+            idx.hra_query(leaf, 1, 20)
+    with pytest.raises(NotFound):
+        StaticIndex([]).hra_query(0, 1, 2)
 
 
 @given(st.data())
