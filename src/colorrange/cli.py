@@ -18,15 +18,46 @@ import json
 import random
 import sys
 import time
+from typing import Optional
 
-from .core import (FastOracle, IndexFileError, load_dataset, normalize_input,
-                   save_dataset)
+from .core import (DuplicateCoordinate, FastOracle, IndexFileError,
+                   check_coordinate, normalize_input)
 from .dynamic_index import DynamicIndex
 from .em_index import MAGIC, MAX_U32, VERSION, EmIndex
 from .slow_index import SlowIndex
 from .static_index import StaticIndex
 
 SCHEMA = 1
+
+
+def load_dataset(path) -> list[tuple]:
+    """Read `value,color_label` CSV lines; '#' starts a comment. A bad line,
+    or a repeated value, exits naming it, as in `parse_workload`."""
+    rows: dict = {}
+    with open(path, "r", encoding="utf-8") as fh:
+        for ln, line in enumerate(fh, 1):
+            line = line.split("#", 1)[0].strip()
+            if not line:
+                continue
+            try:
+                value, label = line.split(",", 1)
+                value = check_coordinate(int(value))
+                if value in rows:
+                    raise DuplicateCoordinate(value)
+            except ValueError as exc:
+                raise SystemExit(
+                    f"{path}:{ln}: bad dataset line: {line!r} ({exc})")
+            rows[value] = label.strip()
+    return list(rows.items())
+
+
+def save_dataset(path, rows, header: Optional[str] = None) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        if header:
+            for line in header.splitlines():
+                fh.write(f"# {line}\n")
+        for value, label in rows:
+            fh.write(f"{value},{label}\n")
 
 
 def parse_workload(path) -> list:
@@ -280,7 +311,10 @@ def main(argv=None) -> int:
     d.set_defaults(fn=cmd_dump)
 
     args = ap.parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except OSError as exc:  # a missing or unreadable file
+        raise SystemExit(f"{exc.filename}: {exc.strerror}") from None
 
 
 if __name__ == "__main__":

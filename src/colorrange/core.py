@@ -1,9 +1,13 @@
-"""Domain types, input normalization, and brute-force oracles.
+"""Domain types, input normalization, same-color links and scan oracles.
 
 Every index in this package is tested against the oracles defined here; the
 oracles are deliberately naive (linear scans over the point list) so they stay
 independent of any indexing strategy. `compute_prev` is one: no index calls
-it, and the static layout's predecessor positions are tested against it.
+it, and the links below are tested against it.
+
+Every index reports e in [a, b] only if prev(e) < a (Gupta, Janardan &
+Smid 1995), and takes its same-color links from here: `color_links` and
+`color_lists` when it builds, `color_neighbours` when it updates or looks up.
 
 Conventions used throughout the package:
 
@@ -16,8 +20,9 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from itertools import repeat
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -196,12 +201,12 @@ def check_color(color) -> int:
     return operator.index(color)
 
 
-def check_colors(colors: list) -> None:
-    """`check_color` on each color, but only if their types or minimum fail
-    a fast test."""
+def check_colors(colors: list) -> list:
+    """`colors` as ints, by `check_color` on each only if their types or
+    minimum fail a fast test, as `split_pairs` checks coordinates."""
     if set(map(type, colors)) - {int} or colors and min(colors) < 0:
-        for c in colors:
-            check_color(c)
+        return list(map(check_color, colors))
+    return colors
 
 
 def split_pairs(pairs: Iterable[tuple]) -> tuple[list, list]:
@@ -268,7 +273,7 @@ def sorted_pairs(points: Iterable[tuple]) -> tuple[list, list]:
     ascending = all(map(operator.lt, values, values[1:]))
     if not ascending:
         values, cols = split_pairs(sorted(zip(values, cols)))
-    check_colors(cols)
+    cols = check_colors(cols)
     if not ascending:
         for v, w in zip(values, values[1:]):
             if v == w:
@@ -276,17 +281,49 @@ def sorted_pairs(points: Iterable[tuple]) -> tuple[list, list]:
     return values, cols
 
 
-def color_maps(points: Iterable[tuple]) -> tuple[dict, dict]:
-    """The value -> color map and each color's sorted values of (value,
-    color) pairs, checked and sorted by `sorted_pairs`: the state
-    `SlowIndex` keeps its prev/next links in. (`DynamicIndex` builds its
-    own from numpy columns.)
-    """
-    values, cols = sorted_pairs(points)
-    by_color: dict = {}
-    for v, c in zip(values, cols):
-        by_color.setdefault(c, []).append(v)
-    return dict(zip(values, cols)), by_color
+def color_links(cols: list) -> tuple:
+    """(order, new, prevpos, nextpos, rank) of rows of colors `cols`, by one
+    stable argsort: `order` lists the rows by color, each color's in row
+    order, and `new` marks where a color starts in it; prevpos and nextpos
+    give each row's prev and next row of its color (-1 for none), and rank
+    its color's rank. Colors past int64 are compared as Python ints."""
+    try:
+        c = np.array(cols, dtype=np.int64)
+    except OverflowError:
+        c = np.array(cols, dtype=object)
+    n = len(cols)
+    order = np.argsort(c, kind="stable")
+    new = np.ones(n, dtype=bool)
+    new[1:] = c[order[1:]] != c[order[:-1]]
+    same = ~new[1:]
+    prevpos = np.full(n, -1, dtype=np.int64)
+    nextpos = np.full(n, -1, dtype=np.int64)
+    prevpos[order[1:][same]] = order[:-1][same]
+    nextpos[order[:-1][same]] = order[1:][same]
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.cumsum(new) - 1
+    return order, new, prevpos, nextpos, rank
+
+
+def color_lists(values: list, cols: list, order, new) -> dict:
+    """Each color's values, keyed by first appearance: the runs that `new`
+    cuts in `order`, of `color_links(cols)`, over ascending `values`. Keys
+    and entries are the int objects of `cols` and `values`."""
+    starts = np.flatnonzero(new)
+    ends = np.append(starts[1:], len(values))
+    seq = np.argsort(order[starts])  # the colors by first row
+    flat = list(map(values.__getitem__, order.tolist()))
+    return {cols[f]: flat[s:e] for f, s, e in zip(
+        order[starts[seq]].tolist(), starts[seq].tolist(), ends[seq].tolist())}
+
+
+def color_neighbours(same: list, value) -> tuple:
+    """(i, prev, next) of `value`, held or not, in one color's sorted values
+    `same`: i = bisect_left(same, value), and the entries before and after
+    value, PREV_SENTINEL and None for none."""
+    i, n = bisect_left(same, value), len(same)
+    j = i + 1 if i < n and same[i] == value else i
+    return i, same[i - 1] if i else PREV_SENTINEL, same[j] if j < n else None
 
 
 def oracle_report(points: Sequence[ColoredPoint], q: Range) -> set:
@@ -389,25 +426,3 @@ class FastOracle:
                 seen.add(c)
                 out.append(c)
         return out
-
-
-def load_dataset(path) -> list[tuple]:
-    """Read `value,color_label` CSV lines; '#' starts a comment."""
-    rows = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            value, label = line.split(",", 1)
-            rows.append((int(value), label.strip()))
-    return rows
-
-
-def save_dataset(path, rows: Iterable[tuple], header: Optional[str] = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            for line in header.splitlines():
-                fh.write(f"# {line}\n")
-        for value, label in rows:
-            fh.write(f"{value},{label}\n")

@@ -30,11 +30,12 @@ tree holds over 4 * 10^8 points (README, "Notes on fidelity"). A global
 rebuild recomputes everything.
 
 Construction (`_attach`) runs in whole-array passes over the live values and
-colors in value order. One stable argsort of the colors gives every value's
-prev and next and, cut where the color changes, `by_color`, keyed in order
-of first appearance. Each leaf's rows are slices of the value-order lists,
-whose entries are the input's own int objects. The tags come from a table of
-each leaf's path, the live min and max of every node from the leaf up to the
+colors in value order. `core.color_links`, one stable argsort of the colors,
+gives every value's prev and next and, cut where the color changes
+(`core.color_lists`), `by_color`, keyed in order of first appearance. Each
+leaf's store is made with its slices of the rows, whose entries are the
+input's own int objects, and of the tags. The tags come from a table of each
+leaf's path, the live min and max of every node from the leaf up to the
 root: an ancestor's min only falls going up, so hmin is the number of path
 nodes whose min exceeds prev, less one, which is -1 where the leaf's min is
 at most prev; hmax mirrors it with the maxes and next, and is the root's
@@ -43,9 +44,9 @@ coordinate). F(v) and Λ(v) are the rows under v whose prev lies below v's
 min, or whose next lies above v's max or is missing: one mask over the rows
 per height. A global rebuild (`_attach_all`) runs the same pass, with each
 value's color read from `by_color`, which it keeps. A split
-(`_refresh_halves`) runs its tag and list part (`_fill`) on the rows of its
-two halves, where a color's last row there finds its next by one `by_color`
-bisect.
+(`_refresh_halves`) runs its store, tag and list part (`_fill`) on the rows
+of its two halves, where a color's last row there finds its next by one
+`by_color` bisect.
 
 List maintenance: an update changes the lists only for the element itself on
 its own path, for next(x), whose F entries leave the nodes that hold both and
@@ -62,26 +63,27 @@ one row bisect per lookup; no query reads them.
 
 Work per update: the tree's own insert or delete is the duplicate or
 membership check and finds x's leaf, whose row gives a deleted x's color.
-One bisect into the color's `by_color` list then places or removes x and
-names its neighbours prev(x) and next(x). Each neighbour's leaf is found
-among x's leaf and the two beside it, with one more descent only when an
-emptied leaf lies between. The three exact tags (x's own, hmin of next(x),
-hmax of prev(x)) are one upward walk each from those leaves with the prev
-and next already known, written into the rows with x's insert, with next(x)'s
-new prev, and by one bisect in prev(x)'s leaf. The lists are one walk up
-x's path plus next(x)'s path below the lowest common ancestor. A leaf split
-cuts the old leaf's rows in two. Each split, leaf or internal, retags both
-halves and rebuilds their lists in one array pass over their rows,
-bisecting `by_color` once per color rather than once per value. A split
-node's halves hold about 2 * 8^h * L rows at height h, and a half splits
-again only after more than 8^h * L / 2 inserts into it, so that is O(1) rows
-per insert and level, amortized. A query is one descent to the leaf of
-succ(a).
+One bisect into the color's `by_color` list (`core.color_neighbours`) then
+places or removes x and names its neighbours prev(x) and next(x). Each
+neighbour's leaf is found among x's leaf and the two beside it, with one
+more descent only when an emptied leaf lies between. The three exact tags
+(x's own, hmin of next(x), hmax of prev(x)) are one upward walk each from
+those leaves with the prev and next already known, written into the rows
+with x's insert, with next(x)'s new prev, and by one bisect in prev(x)'s
+leaf. The lists are one walk up x's path plus next(x)'s path below the
+lowest common ancestor. A leaf split cuts the old leaf's rows in two. Each
+split, leaf or internal, remakes both halves' stores with fresh tags and
+rebuilds their lists in one array pass over their rows, bisecting `by_color`
+once per color rather than once per value. A split node's halves hold about
+2 * 8^h * L rows at height h, and a half splits again only after more than
+8^h * L / 2 inserts into it, so that is O(1) rows per insert and level,
+amortized. A query is one descent to the leaf of succ(a).
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import ItemsView, Mapping
 from itertools import accumulate, chain
@@ -90,7 +92,8 @@ from typing import Iterable
 import numpy as np
 
 from .core import (ColoredPoint, InvalidRange, PREV_SENTINEL, check_color,
-                   check_coordinate, check_integer, sorted_pairs)
+                   check_coordinate, check_integer, color_links, color_lists,
+                   color_neighbours, sorted_pairs)
 from .pst import ColorPst
 from .wbtree import WbTree
 
@@ -98,31 +101,6 @@ from .wbtree import WbTree
 def _ceil_sqrt(n: int) -> int:
     """ceil(sqrt(n)) for n >= 1, and 1 for n = 0."""
     return math.isqrt(max(n, 1) - 1) + 1
-
-
-def _color_runs(cols: list) -> tuple:
-    """(order, new, prevpos, nextpos, rank) of a run of rows, from one stable
-    argsort of their colors: `order` lists the rows by color, each color's
-    in row order, and `new` marks where a color starts in it; prevpos and
-    nextpos give each row's neighbours of its color in the run (-1 for
-    none), and rank its color's rank among the run's colors. Colors past
-    int64 are compared as Python ints."""
-    try:
-        c = np.array(cols, dtype=np.int64)
-    except OverflowError:
-        c = np.array(cols, dtype=object)
-    n = len(cols)
-    order = np.argsort(c, kind="stable")
-    new = np.ones(n, dtype=bool)
-    new[1:] = c[order[1:]] != c[order[:-1]]
-    same = ~new[1:]
-    prevpos = np.full(n, -1, dtype=np.int64)
-    nextpos = np.full(n, -1, dtype=np.int64)
-    prevpos[order[1:][same]] = order[:-1][same]
-    nextpos[order[:-1][same]] = order[1:][same]
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.cumsum(new) - 1
-    return order, new, prevpos, nextpos, rank
 
 
 class ColorExtremes:
@@ -231,15 +209,7 @@ class DynamicIndex:
     def __init__(self, points: Iterable[ColoredPoint] = ()):
         values, cols = sorted_pairs(points)
         self.tree = WbTree(values)
-        order, new = self._attach(values, cols)
-        # each color's values are a run of `order`, keyed by first appearance
-        starts = np.flatnonzero(new)
-        ends = np.append(starts[1:], len(values))
-        firsts = order[starts]
-        seq = np.argsort(firsts)
-        by_color = list(map(values.__getitem__, order.tolist()))
-        self.by_color = {cols[f]: by_color[s:e] for f, s, e in zip(
-            firsts[seq].tolist(), starts[seq].tolist(), ends[seq].tolist())}
+        self.by_color = color_lists(values, cols, *self._attach(values, cols))
 
     # value -> color, hmin and hmax, read from the leaf rows
     colors = property(lambda self: _RowView(self, "cols"))
@@ -247,31 +217,25 @@ class DynamicIndex:
     hmax = property(lambda self: _RowView(self, "hmaxs"))
 
     def _prev(self, value) -> int:
-        lst = self.by_color[self.colors[value]]
-        i = bisect_left(lst, value)
-        return lst[i - 1] if i > 0 else PREV_SENTINEL
+        return color_neighbours(self.by_color[self.colors[value]], value)[1]
 
     def _next(self, value, color=None):
         """The next value of value's color, or None past its last."""
-        lst = self.by_color[self.colors[value] if color is None else color]
-        i = bisect_right(lst, value)
-        return lst[i] if i < len(lst) else None
+        return color_neighbours(self.by_color[
+            self.colors[value] if color is None else color], value)[2]
 
     # -- bulk (re)construction ------------------------------------------------
 
     def _attach(self, values: list, cols: list) -> tuple:
         """Fresh leaf stores, exact tags and every node's lists over the
         whole tree, which holds `values`, ascending, of colors `cols`;
-        returns (order, new) of `_color_runs`. A row's prev and the list
+        returns (order, new) of `color_links`. A row's prev and the list
         entries are the int objects of `values` and `cols`."""
         vals = np.array(values, dtype=np.int64)
-        order, new, prevpos, nextpos, rank = _color_runs(cols)
+        order, new, prevpos, nextpos, rank = color_links(cols)
         prevs = list(map([*values, PREV_SENTINEL].__getitem__,
                          prevpos.tolist()))
         leaves = self.tree.leaves_under(self.tree.root)
-        bounds = [0, *accumulate(len(lf.values) for lf in leaves)]
-        for leaf, lo, hi in zip(leaves, bounds, bounds[1:]):
-            leaf.dstruct = ColorPst(leaf.values, prevs[lo:hi], cols[lo:hi])
         # every height below the root, each node in value order
         levels, level = [], leaves
         while level[0].parent is not None:
@@ -294,15 +258,15 @@ class DynamicIndex:
                                       which[np.argsort(flat)].tolist())))
 
     def _refresh_halves(self, left, right) -> None:
-        """Exact tags of every row under a split's two halves, and both
-        halves' lists, by `_fill`: a row's next is the next row of its color
-        under them, or, for a color's last row there, one `by_color`
-        bisect."""
+        """Fresh stores, with exact tags, for the rows under a split's two
+        halves, and both halves' lists, by `_fill`: a row's next is the next
+        row of its color under them, or, for a color's last row there, one
+        `by_color` bisect."""
         leaves = self.tree.leaves_under(left) + self.tree.leaves_under(right)
         vals, prevs, cols = (list(chain.from_iterable(
             getattr(lf.dstruct, col) for lf in leaves))
             for col in ("vals", "prevs", "cols"))
-        _, _, _, nextpos, rank = _color_runs(cols)
+        _, _, _, nextpos, rank = color_links(cols)
         nexts = np.where(nextpos >= 0, np.array(vals, dtype=np.int64)[nextpos],
                          0)
         for k in np.flatnonzero(nextpos < 0).tolist():
@@ -312,11 +276,12 @@ class DynamicIndex:
 
     @staticmethod
     def _fill(leaves, levels, vals, prevs, cols, pv, nv, rank) -> None:
-        """Exact tags of the rows of consecutive `leaves`, and the lists of
-        every node in `levels`, runs of nodes of one height that hold the
-        same rows. The rows' values, prevs and colors are `vals`, `prevs`
-        and `cols`; `pv` and `nv` are their prev and next values as int64,
-        0 for none, and `rank` their colors' ranks."""
+        """Fresh stores, made with their exact tags, for the rows of
+        consecutive `leaves`, and the lists of every node in `levels`, runs
+        of nodes of one height that hold the same rows. The rows' values,
+        prevs and colors are `vals`, `prevs` and `cols`; `pv` and `nv` are
+        their prev and next values as int64, 0 for none, and `rank` their
+        colors' ranks."""
         has_next = nv > 0
         paths = []
         for leaf in leaves:
@@ -335,11 +300,12 @@ class DynamicIndex:
         hmin = (mins[at] > pv[:, None]).sum(1) - 1
         hmax = np.where(has_next, (maxs[at] < nv[:, None]).sum(1) - 1,
                         mins.shape[1] - 1)
+        hmins, hmaxs = (array("b", t.astype(np.int8).tobytes())
+                        for t in (hmin, hmax))
         bounds = [0, *accumulate(sizes)]
         for leaf, lo, hi in zip(leaves, bounds, bounds[1:]):
-            if lo < hi:
-                np.frombuffer(leaf.dstruct.hmins, dtype=np.int8)[:] = hmin[lo:hi]
-                np.frombuffer(leaf.dstruct.hmaxs, dtype=np.int8)[:] = hmax[lo:hi]
+            leaf.dstruct = ColorPst(leaf.values, prevs[lo:hi], cols[lo:hi],
+                                    hmins[lo:hi], hmaxs[lo:hi])
         # F by (prev, color): a prev above 0 names its color
         key = np.where(pv > 0, pv, rank - len(vals))
         for level in levels:
@@ -412,9 +378,7 @@ class DynamicIndex:
         # bisect that places value also finds its same-color neighbours
         ev = self.tree.insert(value)
         same = self.by_color.setdefault(color, [])
-        i = bisect_left(same, value)
-        e_p = same[i - 1] if i else PREV_SENTINEL
-        e_n = same[i] if i < len(same) else None
+        i, e_p, e_n = color_neighbours(same, value)
         same.insert(i, value)
         if ev["rebuilt"]:
             self._attach_all()
@@ -457,9 +421,7 @@ class DynamicIndex:
         leaf = ev["leaf"]
         color = leaf.dstruct.delete(value)
         same = self.by_color[color]
-        i = bisect_left(same, value)
-        e_p = same[i - 1] if i else PREV_SENTINEL
-        e_n = same[i + 1] if i + 1 < len(same) else None
+        i, e_p, e_n = color_neighbours(same, value)
         del same[i]
         if not same:
             del self.by_color[color]

@@ -458,7 +458,7 @@ class EmIndex:
         # the colors are checked once, and against the header before the
         # layout is built
         values, colors = split_pairs(points)
-        check_colors(colors)
+        colors = check_colors(colors)
         ncolors = max(colors, default=-1) + 1
         if ncolors > MAX_U32:
             raise InvalidColor(ncolors - 1)

@@ -26,14 +26,14 @@ from .core import NotFound
 
 class ColorPst:
     """Color reporting over the rows of `vals`, the owner's sorted list:
-    `prevs`, `cols` and the hmin and hmax tags (-1, no tag, until written)."""
+    `prevs`, `cols` and the hmin and hmax tags, `array("b")` columns."""
 
     __slots__ = ("vals", "prevs", "cols", "hmins", "hmaxs")
 
-    def __init__(self, vals: list, prevs: list, cols: list):
+    def __init__(self, vals: list, prevs: list, cols: list, hmins: array,
+                 hmaxs: array):
         self.vals, self.prevs, self.cols = vals, prevs, cols
-        self.hmins = array("b", [-1]) * len(vals)
-        self.hmaxs = array("b", [-1]) * len(vals)
+        self.hmins, self.hmaxs = hmins, hmaxs
 
     def index(self, value) -> int:
         """The row of `value`, or NotFound."""
@@ -82,8 +82,8 @@ class ColorPst:
 
     def split_off(self, i, vals) -> "ColorPst":
         """Move rows i.. into a new store over `vals`, the moved values."""
-        right = ColorPst(vals, self.prevs[i:], self.cols[i:])
-        right.hmins, right.hmaxs = self.hmins[i:], self.hmaxs[i:]
+        right = ColorPst(vals, self.prevs[i:], self.cols[i:], self.hmins[i:],
+                         self.hmaxs[i:])
         del self.prevs[i:], self.cols[i:], self.hmins[i:], self.hmaxs[i:]
         return right
 

@@ -12,7 +12,8 @@ C-set is kept two ways: V as (value, prev) pairs sorted by value, and P as
 Because subtree spans are contiguous, membership tests are single comparisons
 against live subtree minima, and placements stay valid under updates: a
 placement can only be invalidated by deleting prev(e) itself, which relocates
-e explicitly.
+e explicitly. prev(e) and next(e) come from `by_color`, each color's sorted
+values, built by `core.color_lists` and searched by `core.color_neighbours`.
 
 A query [a, b] descends to succ(a) and to pred(b) by the live subtree bounds,
 then walks the path to succ(a) below the LCA of the boundary leaves, scanning
@@ -35,8 +36,9 @@ import bisect
 import math
 from typing import Iterable, Optional
 
-from .core import (DuplicateX, InvalidRange, NotFound, PREV_SENTINEL,
-                   check_color, check_coordinate, check_integer, color_maps)
+from .core import (DuplicateX, InvalidRange, NotFound, check_color,
+                   check_coordinate, check_integer, color_links, color_lists,
+                   color_neighbours, sorted_pairs)
 
 LEAF_CUTOFF = 4
 
@@ -87,7 +89,9 @@ class SlowIndex:
     answered by one tree."""
 
     def __init__(self, points: Iterable[tuple] = ()):
-        self.colors, self.by_color = color_maps(points)
+        values, cols = sorted_pairs(points)
+        self.colors = dict(zip(values, cols))
+        self.by_color = color_lists(values, cols, *color_links(cols)[:2])
         self.placed: dict = {}
         self._rebuild_tree()
 
@@ -165,14 +169,7 @@ class SlowIndex:
         return out
 
     def prev_of(self, value) -> int:
-        lst = self.by_color[self.colors[value]]
-        i = bisect.bisect_left(lst, value)
-        return lst[i - 1] if i > 0 else PREV_SENTINEL
-
-    def next_of(self, value) -> Optional[int]:
-        lst = self.by_color[self.colors[value]]
-        i = bisect.bisect_right(lst, value)
-        return lst[i] if i < len(lst) else None
+        return color_neighbours(self.by_color[self.colors[value]], value)[1]
 
     # -- C-set placement -----------------------------------------------------
 
@@ -206,12 +203,12 @@ class SlowIndex:
         if value in self.colors:
             raise DuplicateX(value)
         self.colors[value] = color
-        lst = self.by_color.setdefault(color, [])
-        bisect.insort(lst, value)
+        same = self.by_color.setdefault(color, [])
+        i, _, nxt = color_neighbours(same, value)
+        same.insert(i, value)
 
         path = self.path_of(value)
-        leaf = path[-1]
-        bisect.insort(leaf.bucket, value)
+        bisect.insort(path[-1].bucket, value)
         for node in path:
             node.size += 1
             if node.minv is None or value < node.minv:
@@ -220,7 +217,6 @@ class SlowIndex:
                 node.maxv = value
 
         self._place(value, path)
-        nxt = self.next_of(value)
         if nxt is not None:
             self._unplace(nxt)
             self._place(nxt)
@@ -237,11 +233,11 @@ class SlowIndex:
         value = check_integer(value)
         if value not in self.colors:
             raise NotFound(value)
-        nxt = self.next_of(value)
         color = self.colors.pop(value)
-        lst = self.by_color[color]
-        del lst[bisect.bisect_left(lst, value)]
-        if not lst:
+        same = self.by_color[color]
+        i, _, nxt = color_neighbours(same, value)
+        del same[i]
+        if not same:
             del self.by_color[color]
 
         path = self.path_of(value)
@@ -494,10 +490,9 @@ class SlowIndex:
                     hi = mid - 1
             aprime = lo
         ems, _ = self.emissions(aprime, b, meter=meter)
-        hits = []
-        for _, c, _ in ems:
-            lst = self.by_color[c]
-            hits.append((lst[bisect.bisect_right(lst, b) - 1], c))
+        # each color's last value <= b is its prev of b + 1
+        hits = [(color_neighbours(self.by_color[c], b + 1)[1], c)
+                for _, c, _ in ems]
         hits.sort(reverse=True)
         return hits[:k]
 

@@ -80,7 +80,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .core import (ColoredPoint, DuplicateX, InvalidRange, NotFound,
-                   check_colors, check_integer, split_pairs)
+                   check_colors, check_integer, color_links, split_pairs)
 
 
 class _TreeNode:
@@ -134,23 +134,22 @@ class TreeLayout:
     arrays but for the colors, which answers are slices of.
 
     `values` holds the points' values and `prevpos` the position of each
-    point's predecessor, -1 for none. Node ids: leaf i is id i, and an
-    internal node whose right subtree starts at leaf j is id nleaves - 1 +
-    j, so internal ids ascend with the middle values. `height`, `lchild` and
-    `rchild` (-1 below a leaf) are columns by id. Node u's R entries are
-    [roff[u], roff[u + 1]) of `last_pos`/`last_c` (the positions and colors
-    of its colors' last points), its L entries [loff[u], loff[u + 1]) of
-    `first_v`/`first_prevpos`/`first_c` (their first points' values,
-    predecessors' positions and colors), both by value ascending; a list
-    the node does not keep is an empty cut. Leaf i's K run is [koff[i],
-    koff[i + 1]) of the middle values `km` and their node ids `kn`.
-    `nodes[u]` is node u as a `_TreeNode`, which only walks over the tree
-    read, built on first read."""
+    point's predecessor, -1 for none, from `core.color_links`. Node ids:
+    leaf i is id i, and an internal node whose right subtree starts at leaf
+    j is id nleaves - 1 + j, so internal ids ascend with the middle values.
+    `height`, `lchild` and `rchild` (-1 below a leaf) are columns by id.
+    Node u's R entries are [roff[u], roff[u + 1]) of `last_pos`/`last_c`
+    (the positions and colors of its colors' last points), its L entries
+    [loff[u], loff[u + 1]) of `first_v`/`first_prevpos`/`first_c` (their
+    first points' values, predecessors' positions and colors), both by value
+    ascending; a list the node does not keep is an empty cut. Leaf i's K run
+    is [koff[i], koff[i + 1]) of the middle values `km` and their node ids
+    `kn`. `nodes[u]` is node u as a `_TreeNode`, which only walks over the
+    tree read, built on first read."""
 
     def __init__(self, points: Sequence[ColoredPoint], cap: int):
         values, colors = split_pairs(points)  # 0 is the prev-sentinel
-        check_colors(colors)
-        self._build(values, colors, cap)
+        self._build(values, check_colors(colors), cap)
 
     @classmethod
     def of_checked(cls, values: list, colors: list, cap: int) -> "TreeLayout":
@@ -167,15 +166,7 @@ class TreeLayout:
             u, v = values[i], values[i + 1]
             raise DuplicateX(v) if u == v else ValueError(
                 f"points must ascend by value: {v} after {u}")
-        try:  # colors past int64 are compared as Python ints
-            cols = np.array(colors, dtype=np.int64)
-        except OverflowError:
-            cols = np.array(colors, dtype=object)
-        # prev(e) is the point before e in a stable sort by color
-        order = np.argsort(cols, kind="stable")
-        same = cols[order[1:]] == cols[order[:-1]]
-        prevpos = np.full(len(values), -1, dtype=np.int64)
-        prevpos[order[1:][same]] = order[:-1][same]
+        _, _, prevpos, nextpos, _ = color_links(colors)
         self.values, self.prevpos = _column(vals, "q"), _column(prevpos, "i")
         self.n = n = len(values)
         self.cap = cap
@@ -190,7 +181,7 @@ class TreeLayout:
         inner: list = [None] * max(0, nleaves - 1)
         if nleaves:
             self._build_tree(0, nleaves, [], runs, inner, None)
-        self._build_lists(vals, prevpos, inner)
+        self._build_lists(vals, prevpos, nextpos, inner)
         self.kn = array("i", chain.from_iterable(runs))
         self.koff = _column(np.cumsum([0, *map(len, runs)]), "i")
         # node nleaves - 1 + j has m = the first value of leaf j
@@ -253,16 +244,14 @@ class TreeLayout:
         return nodes
 
     def _build_lists(self, vals: np.ndarray, prevpos: np.ndarray,
-                     inner: list) -> None:
+                     nextpos: np.ndarray, inner: list) -> None:
         """R of the leaves and left children, L of the leaves and right
         children, cut in node id order. A point of a node's points [s, e)
         is its color's first there if its predecessor lies before s, its
-        last if its successor lies at or after e."""
+        last if its successor lies at or after e (or is missing, -1)."""
         n, cap, nleaves = self.n, self.cap, self.nleaves
         pos = np.arange(n, dtype=np.int64)
-        nextpos = np.full(n, n, dtype=np.int64)
-        has_prev = prevpos >= 0
-        nextpos[prevpos[has_prev]] = pos[has_prev]
+        nextpos[nextpos < 0] = n  # no successor lies past every node
         # the leaves, all at once: a leaf holds at most `cap` points, so its
         # lists keep every color it holds
         start = pos - pos % cap

@@ -1,13 +1,15 @@
 """The per-row `DynamicIndex` builder, kept as the test oracle of the
-whole-array one in `colorrange.dynamic_index`. It reads the value -> color
-map and `by_color` from `color_maps`, makes each leaf's rows with a dict of
-each color's last value so far, tags every row by one upward walk per tag,
+whole-array one in `colorrange.dynamic_index`. It makes the value -> color
+map and `by_color` by a loop over the sorted points, each leaf's rows with
+a dict of each color's last value so far, tags every row by one upward walk per tag,
 and builds a leaf's lists from its rows and an internal node's from its
 children's lists. `OracleIndex` builds, rebuilds and refreshes a split's
 halves that way and updates as `DynamicIndex` does; `dynamic_state(idx)` is
 everything either build makes, to compare or to hash."""
 
-from colorrange.core import PREV_SENTINEL, color_maps
+from array import array
+
+from colorrange.core import PREV_SENTINEL, sorted_pairs
 from colorrange.dynamic_index import ColorExtremes, DynamicIndex
 from colorrange.pst import ColorPst
 from colorrange.wbtree import WbTree
@@ -87,7 +89,10 @@ class OracleIndex(DynamicIndex):
     """A `DynamicIndex` built, rebuilt and refreshed at splits row by row."""
 
     def __init__(self, points=()):
-        colors, self.by_color = color_maps(points)
+        values, cols = sorted_pairs(points)
+        colors, self.by_color = dict(zip(values, cols)), {}
+        for v, c in zip(values, cols):
+            self.by_color.setdefault(c, []).append(v)
         self.tree = WbTree(colors)
         self._attach_all(colors)
 
@@ -105,7 +110,9 @@ class OracleIndex(DynamicIndex):
             for v, c in zip(leaf.values, cols):
                 prevs.append(last.get(c, PREV_SENTINEL))
                 last[c] = v
-            leaf.dstruct = ColorPst(leaf.values, prevs, cols)
+            untagged = array("b", [-1]) * len(cols)
+            leaf.dstruct = ColorPst(leaf.values, prevs, cols, untagged,
+                                    untagged[:])
         self._retag_leaves(leaves)
         # preorder puts every parent before its children, so its reverse
         # builds each node's lists after its children's

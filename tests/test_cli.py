@@ -37,8 +37,8 @@ def test_generate_single_color(tmp_path, capsys):
     p = tmp_path / "one.csv"
     run(capsys, "generate", "--seed", "5", "--n", "20", "--u", "100",
         "--c", "1", "--out", str(p))
-    from colorrange.core import Range, load_dataset, normalize_input, \
-        oracle_report
+    from colorrange.cli import load_dataset
+    from colorrange.core import Range, normalize_input, oracle_report
     pts, remap = normalize_input(load_dataset(p))
     assert len(remap) == 1
     assert oracle_report(pts, Range(1, 100)) == {0}
@@ -151,3 +151,30 @@ def test_build_and_verify_reject_bad_arguments(tmp_path, capsys):
     code, out = run(capsys, "verify", "--dataset", str(data), "--index", "em",
                     "--block-size", "2", "--queries", "20")
     assert code == 0 and "PASS (20 ops" in out
+
+
+@pytest.mark.parametrize("line", ["xx", "5", "x,a", "0,a", "3,b"])
+def test_bad_dataset_line_exits_naming_it(tmp_path, line):
+    # no comma, no integer, no coordinate, a repeated coordinate: one line
+    # that names the file and line, not a traceback
+    data = tmp_path / "d.csv"
+    data.write_text(f"# a header\n3,a\n{line}\n")
+    for cmd in ("build", "verify"):
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, "--dataset", str(data)])
+        msg = exc.value.code
+        assert msg.startswith(f"{data}:3: bad dataset line: {line!r}")
+        assert "\n" not in msg
+
+
+def test_missing_files_exit_naming_them(tmp_path, capsys):
+    data, gone = tmp_path / "d.csv", str(tmp_path / "gone")
+    run(capsys, "generate", "--seed", "5", "--n", "20", "--u", "100",
+        "--c", "3", "--out", str(data))
+    for argv in (["build", "--dataset", gone],
+                 ["verify", "--dataset", gone],
+                 ["verify", "--dataset", str(data), "--workload", gone],
+                 ["dump", "--index-file", gone]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == f"{gone}: No such file or directory"

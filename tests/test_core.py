@@ -2,16 +2,18 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from colorrange.core import (ColArray, ColoredPoint, ColorRemap,
                              DuplicateCoordinate, DuplicateX, FastOracle,
                              InvalidCoordinate, InvalidRange,
-                             MAX_COORDINATE, NotFound, Range, check_colors,
-                             check_coordinate, color_maps, compute_prev,
+                             MAX_COORDINATE, NotFound, PREV_SENTINEL, Range,
+                             check_colors, check_coordinate, color_links,
+                             color_lists, color_neighbours, compute_prev,
                              make_range, normalize_input, oracle_k_leftmost,
                              oracle_k_rightmost, oracle_report)
+from colorrange.slow_index import SlowIndex
 from conftest import random_instance
 
 
@@ -83,10 +85,18 @@ def _normalize_reference(pairs):
     return pts, remap
 
 
+def _slow_maps(points):
+    """The value -> color map and `by_color` that `SlowIndex` builds."""
+    idx = SlowIndex(points)
+    return idx.colors, idx.by_color
+
+
 def _color_maps_reference(points):
-    """`color_maps` with a check of every point and a sort."""
+    """`_slow_maps` with a check of every point, a sort and a dict loop;
+    the colors come out as ints."""
     items = sorted((check_coordinate(v), c) for v, c in points)
-    check_colors([c for _, c in items])
+    items = list(zip([v for v, _ in items],
+                     check_colors([c for _, c in items])))
     colors = {v: c for v, c in items}
     if len(colors) < len(items):
         raise DuplicateX(next(v for (v, _), (w, _) in zip(items, items[1:])
@@ -110,7 +120,7 @@ def _outcome(fn, arg):
                 list(remap.forward.items()), remap.reverse)
     colors, by_color = out
     return (list(colors.items()), [(type(v), type(c)) for v, c in colors.items()],
-            sorted(by_color.items()))
+            list(by_color.items()))
 
 
 # mostly valid coordinates, few enough that duplicates are common, as
@@ -149,14 +159,84 @@ def test_normalize_matches_point_loop(data):
 @settings(max_examples=400, deadline=None)
 def test_color_maps_match_checked_sort(data):
     # sorted or not, with bad values, bad colors and duplicates: the same
-    # maps or the same exception as a check of every point and a sort
+    # maps, keyed in the same order, or the same exception as a check of
+    # every point and a sort
     colors = st.one_of(st.integers(0, 4), st.integers(0, 4).map(np.int64),
                        st.sampled_from([-1, -2, True, 1.5, "c"]))
     pairs = _pairs(data, colors)
     if data.draw(st.booleans()):
         pairs.sort(key=lambda p: p[0] if type(p[0]) in (int, np.int64) else 0)
-    assert _outcome(color_maps, pairs) == _outcome(
+    assert _outcome(_slow_maps, pairs) == _outcome(
         _color_maps_reference, pairs)
+
+
+def _links_reference(values, cols):
+    """Each row's prev and next row of its color (-1 for none), and each
+    color's values keyed by first appearance, by a dict loop over the rows."""
+    prevpos, nextpos, last, by_color = [], [-1] * len(cols), {}, {}
+    for i, (v, c) in enumerate(zip(values, cols)):
+        prevpos.append(last.get(c, -1))
+        if c in last:
+            nextpos[last[c]] = i
+        last[c] = i
+        by_color.setdefault(c, []).append(v)
+    return prevpos, nextpos, by_color
+
+
+# few colors, so runs are common; and colors past int64
+_LINK_COLORS = st.one_of(st.integers(0, 3), st.integers(0, 10**6),
+                         st.integers(2**63, 2**63 + 2))
+
+
+@given(st.lists(_LINK_COLORS, max_size=40), st.randoms())
+@example([], None)
+@example([7], None)
+@example([2, 2, 2, 2], None)
+@example([0, 1, 2, 3, 4], None)
+@example([2**63, 5, 2**63 + 1, 2**63, 5], None)
+@settings(max_examples=300, deadline=None)
+def test_color_links_and_lists_match_dict_loop(cols, rnd):
+    # rows by value: each row's prev and next of its color, as positions and
+    # as `compute_prev` gives them; each color's values; the color ranks
+    n = len(cols)
+    values = sorted((rnd or random.Random(n)).sample(range(2**40, 2**41), n))
+    order, new, prevpos, nextpos, rank = color_links(cols)
+    ref_prev, ref_next, ref_lists = _links_reference(values, cols)
+    assert prevpos.tolist() == ref_prev and nextpos.tolist() == ref_next
+    assert [values[p] if p >= 0 else PREV_SENTINEL for p in ref_prev] == \
+        compute_prev(list(zip(values, cols)))
+    assert order.tolist() == sorted(range(n), key=lambda i: (cols[i], i))
+    ranks = {c: r for r, c in enumerate(sorted(set(cols)))}
+    assert rank.tolist() == [ranks[c] for c in cols]
+    assert new.tolist() == [k == 0 or cols[order[k]] != cols[order[k - 1]]
+                            for k in range(n)]
+    lists = color_lists(values, cols, order, new)
+    assert list(lists.items()) == list(ref_lists.items())
+    # the entries and keys are the input's own int objects
+    assert {id(v) for lst in lists.values() for v in lst} <= set(map(id, values))
+    assert set(map(id, lists)) <= set(map(id, cols))
+    for i, (v, c) in enumerate(zip(values, cols)):
+        assert color_neighbours(lists[c], v) == (
+            lists[c].index(v),
+            values[ref_prev[i]] if ref_prev[i] >= 0 else PREV_SENTINEL,
+            values[ref_next[i]] if ref_next[i] >= 0 else None)
+
+
+@given(st.lists(st.integers(1, 60), unique=True).map(sorted),
+       st.integers(1, 70))
+@example([], 5)
+@example([5], 5)
+@example([5], 3)
+@example([5], 9)
+@example([3, 5, 8], 5)
+@example([3, 5, 8], 6)
+@settings(max_examples=300, deadline=None)
+def test_color_neighbours_match_scan(same, value):
+    # a value below, inside or past the list, held or not
+    assert color_neighbours(same, value) == (
+        sum(v < value for v in same),
+        max((v for v in same if v < value), default=PREV_SENTINEL),
+        min((v for v in same if v > value), default=None))
 
 
 def test_compute_prev_e1(e1):

@@ -1,5 +1,6 @@
 """Every index kind agrees with the scan oracle on shared random instances."""
 
+import json
 import random
 
 import numpy as np
@@ -69,6 +70,18 @@ def test_left_end_below_one():
 
 _KINDS = {"static": StaticIndex, "em": lambda pts: EmIndex.build(pts, B=4),
           "dynamic": DynamicIndex, "slow": SlowIndex}
+
+
+@pytest.mark.parametrize("kind", list(_KINDS))
+def test_numpy_integer_colors_answer_as_ints(kind):
+    # numpy colors are checked and kept as ints, so an answer holds ints
+    # and serializes to JSON
+    pts = [(1, np.int64(4)), (2, np.int64(3)), (5, np.uint64(4)),
+           (7, np.int32(0))]
+    got = _KINDS[kind](pts).query(1, 9)
+    assert sorted(got) == [0, 3, 4]
+    assert {type(c) for c in got} == {int}
+    assert json.loads(json.dumps(got)) == got
 
 
 @pytest.mark.parametrize("kind", list(_KINDS))

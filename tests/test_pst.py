@@ -1,4 +1,5 @@
 import random
+from array import array
 from bisect import insort
 
 import pytest
@@ -19,7 +20,8 @@ def store(triples):
     color) rows, the way a leaf lends its values."""
     rows = sorted(triples)
     return ColorPst([v for v, _, _ in rows], [p for _, p, _ in rows],
-                    [c for _, _, c in rows])
+                    [c for _, _, c in rows], array("b", [-1]) * len(rows),
+                    array("b", [-1]) * len(rows))
 
 
 def e1_store(pts, prevs):
@@ -27,14 +29,14 @@ def e1_store(pts, prevs):
 
 
 def test_build_trivial():
-    empty = ColorPst([], [], [])
+    empty = ColorPst([], [], [], array("b"), array("b"))
     assert empty.query(1, 10) == []
     empty.check_invariants()
-    vals = [5]
-    one = ColorPst(vals, [0], [3])
+    vals, tags = [5], (array("b", [2]), array("b", [-1]))
+    one = ColorPst(vals, [0], [3], *tags)
     assert (one.vals, one.prevs, one.cols) == ([5], [0], [3])
     assert one.vals is vals  # borrowed, not copied
-    assert (list(one.hmins), list(one.hmaxs)) == ([-1], [-1])
+    assert (one.hmins, one.hmaxs) == tags
 
 
 def test_e1_reduction_query(e1_with_prev):
@@ -69,7 +71,7 @@ def test_updates_keep_invariants_and_answers():
     rng = random.Random(5)
     # the owner changes the values first, the store then follows the row
     rows, vals = {}, []
-    cp = ColorPst(vals, [], [])
+    cp = ColorPst(vals, [], [], array("b"), array("b"))
     for step in range(3000):
         op = rng.random()
         if op < 0.45 or not rows:

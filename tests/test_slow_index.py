@@ -1,4 +1,5 @@
 import bisect
+import hashlib
 import os
 import random
 import subprocess
@@ -345,3 +346,51 @@ def test_audits_raise_under_python_O():
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["quiet:", "[]"], proc.stdout
+
+
+def test_slow_answers_counts_and_placements_pinned():
+    # the sorted answers, the CostMeter totals and every value's placement
+    # (its node's depth and live min) after a fixed stream of inserts,
+    # deletes, queries and k-leftmost selections, through node splits and
+    # root rebuilds
+    rng = random.Random(137)
+    n = 600
+    pts = random_instance(rng, n, 4 * n, 24)
+    idx = SlowIndex(pts)
+    live = {p.value for p in pts}
+    top = pts[-1].value
+    digest, meter = hashlib.sha256(), CostMeter()
+    rebuilds = 0
+    for _ in range(2500):
+        r = rng.random()
+        if r < 0.25:
+            a = rng.randrange(1, top + 1)
+            b = a + rng.choice((0, 8, 64, 512, top))
+            if r < 0.15:
+                digest.update(repr(sorted(idx.query(a, b, meter))).encode())
+            else:
+                k = rng.randrange(1, 9)
+                digest.update(repr(idx.k_leftmost(a, b, k, meter)).encode())
+            continue
+        root = idx.root
+        if r < 0.62:
+            v = rng.randrange(1, top + 64)
+            if v in live:
+                continue
+            live.add(v)
+            top = max(top, v)
+            idx.insert(v, rng.randrange(24))
+        else:
+            v = rng.choice(sorted(live))
+            live.remove(v)
+            idx.delete(v)
+        rebuilds += idx.root is not root
+    assert rebuilds >= 1
+    idx.check_consistency()
+    placed = sorted((v, None if u is None else (u.depth, u.minv))
+                    for v, u in idx.placed.items())
+    assert digest.hexdigest() == (
+        "21499f53283df47d72329da61f662c332a5c16cd1c67e5f5a70052faee50d975")
+    assert (meter.touches, meter.locate_ops) == (9771, 603)
+    assert hashlib.sha256(repr(placed).encode()).hexdigest() == (
+        "aa3479ceef6b8c3cd90103c41ea21c8ab51c8cdca82d13131cc88a6a9c9e30c3")
